@@ -80,20 +80,20 @@ def _add_trap_options(sub):
                      help="particle number")
 
 
-def _trap_spec(args):
-    if args.preset is not None:
-        return scales.PRESETS[args.preset]
-    missing = [name for name, val in (("--mass", args.mass),
-                                      ("--omega-r", args.omega_r),
-                                      ("--lambda", args.lam),
-                                      ("--n", args.n_particles)) if val is None]
+def _trap_spec(p):
+    if p["preset"] is not None:
+        return scales.PRESETS[p["preset"]]
+    missing = [flag for flag, key in (("--mass", "mass"), ("--omega-r", "omega_r"),
+                                      ("--lambda", "lam"), ("--n", "n_particles"))
+               if p[key] is None]
     if missing:
         raise DomainError("give --preset or all of " + ", ".join(missing))
-    return scales.TrapSpec(mass=args.mass, omega_r=args.omega_r,
-                           lam=args.lam, n_particles=args.n_particles)
+    return scales.TrapSpec(mass=p["mass"], omega_r=p["omega_r"],
+                           lam=p["lam"], n_particles=p["n_particles"])
 
 
 def build_parser():
+    """The argument parser and its map from command name to subparser."""
     parser = argparse.ArgumentParser(
         prog="fermigas",
         description="Universal curves of the harmonically trapped ideal Fermi gas",
@@ -151,7 +151,7 @@ def build_parser():
     sub.add_argument("--radii", type=_float_list,
                      default=[round(x, 3) for x in np.linspace(0.0, 1.2, 25)])
 
-    return parser
+    return parser, subs.choices
 
 
 def _load_config_file(path):
@@ -180,7 +180,7 @@ def _explicit_options(argv):
     return seen
 
 
-def _apply_config(parser, sub_actions, args, argv):
+def _apply_config(sub_actions, args, argv):
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return
@@ -192,11 +192,6 @@ def _apply_config(parser, sub_actions, args, argv):
             by_option[opt] = action
     for key, value in entries.items():
         opt = "--" + key
-        if key in ("format", "output"):
-            if opt not in explicit:
-                setattr(args, key, value if key == "output"
-                        else _validated_format(value))
-            continue
         action = by_option.get(opt)
         if action is None or isinstance(action, argparse._StoreConstAction):
             raise DomainError(f"unknown config key {key!r} for command {args.command!r}")
@@ -204,25 +199,19 @@ def _apply_config(parser, sub_actions, args, argv):
             continue
         convert = action.type if action.type is not None else str
         try:
-            setattr(args, action.dest, convert(value))
+            converted = convert(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise DomainError(f"bad config value {key}={value!r}: {exc}")
-
-
-def _validated_format(value):
-    if value not in ("csv", "json"):
-        raise DomainError(f"format must be csv or json, got {value!r}")
-    return value
+        if action.choices is not None and converted not in action.choices:
+            raise DomainError(f"bad config value {key}={value!r}: "
+                              f"choose from {', '.join(action.choices)}")
+        setattr(args, action.dest, converted)
 
 
 def parse_argv(argv) -> RunConfig:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    sub_actions = []
-    for action in parser._subparsers._group_actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub_actions = action.choices[args.command]._actions
-    _apply_config(parser, sub_actions, args, argv)
+    _apply_config(subparsers[args.command]._actions, args, argv)
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "format", "output")}
     return RunConfig(command=args.command, params=params,
@@ -266,26 +255,21 @@ def _run_msd_curve(p, fmt):
 
 
 def _run_profile(p, fmt):
-    ts = p["t"]
-    if any(t < 0 for t in ts):
-        raise DomainError("profile temperatures must be non-negative")
     if p["samples"] < 2:
         raise DomainError("--samples must be at least 2")
-    x_label = "s" if p["kind"] == "space" else "q"
-    grid = np.linspace(0.0, p["s_max"], p["samples"])
-    blocks = []
-    for t in ts:
-        samples = tuple((float(x), profiles.density(float(x), t)) for x in grid)
-        blocks.append((t, UniversalCurve(x_label, "density", samples)))
+    curves = profiles.profile_curves(p["t"], p["samples"], p["s_max"])
+    if p["kind"] == "momentum":
+        # the momentum density is the same function of q = |k|/K_F
+        curves = [UniversalCurve("q", c.y_label, c.samples) for c in curves]
     if fmt == "json":
-        doc = [{"t": t, **curve.to_json_obj()} for t, curve in blocks]
+        doc = [{"t": t, **curve.to_json_obj()} for t, curve in zip(p["t"], curves)]
         return json.dumps(doc, indent=2) + "\n"
-    chunks = [f"# t = {t:.17g}\n" + curve.to_csv() for t, curve in blocks]
+    chunks = [f"# t = {t:.17g}\n" + curve.to_csv() for t, curve in zip(p["t"], curves)]
     return "\n".join(chunks)
 
 
-def _run_scales(p, fmt, args_ns):
-    spec = _trap_spec(args_ns)
+def _run_scales(p, fmt):
+    spec = _trap_spec(p)
     sc = scales.derive_scales(spec)
     pairs = [
         ("mass_kg", spec.mass),
@@ -337,8 +321,8 @@ def _run_perturb(p, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _run_bose_compare(p, fmt, args_ns):
-    spec = _trap_spec(args_ns)
+def _run_bose_compare(p, fmt):
+    spec = _trap_spec(p)
     sc = scales.derive_scales(spec)
     pauli = bose.pauli_pseudopotential(sc)
     hbar_omega = scales.HBAR * spec.omega_r
@@ -413,29 +397,24 @@ def _run_validity(p, fmt):
     return "\n".join(lines) + "\n"
 
 
+_COMMANDS = {
+    "mu-curve": _run_mu_curve,
+    "heat-curve": _run_heat_curve,
+    "msd-curve": _run_msd_curve,
+    "profile": _run_profile,
+    "scales": _run_scales,
+    "perturb": _run_perturb,
+    "bose-compare": _run_bose_compare,
+    "oracle": _run_oracle,
+    "validity": _run_validity,
+}
+
+
 def dispatch(config: RunConfig) -> int:
-    p = config.params
-    ns = argparse.Namespace(**p)
-    if config.command == "mu-curve":
-        text = _run_mu_curve(p, config.fmt)
-    elif config.command == "heat-curve":
-        text = _run_heat_curve(p, config.fmt)
-    elif config.command == "msd-curve":
-        text = _run_msd_curve(p, config.fmt)
-    elif config.command == "profile":
-        text = _run_profile(p, config.fmt)
-    elif config.command == "scales":
-        text = _run_scales(p, config.fmt, ns)
-    elif config.command == "perturb":
-        text = _run_perturb(p, config.fmt)
-    elif config.command == "bose-compare":
-        text = _run_bose_compare(p, config.fmt, ns)
-    elif config.command == "oracle":
-        text = _run_oracle(p, config.fmt)
-    elif config.command == "validity":
-        text = _run_validity(p, config.fmt)
-    else:
+    run = _COMMANDS.get(config.command)
+    if run is None:
         raise DomainError(f"unknown command {config.command!r}")
+    text = run(config.params, config.fmt)
     if config.output is None:
         sys.stdout.write(text)
     else:
@@ -448,14 +427,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_argv(argv)
+        return dispatch(parse_argv(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except DomainError as exc:
-        print(f"fermigas: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(config)
     except DomainError as exc:
         print(f"fermigas: error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,10 @@ for the closed order set k in {1/2, 1, 3/2, 2, 5/2, 3, 4}, equivalently
 reaches 1e-10 relative accuracy everywhere:
 
 * eta <= -1: alternating fugacity series sum_j (-1)^(j+1) exp(j eta)/j^k.
-* eta >= 30: asymptotic (Sommerfeld) bracket series.  For integer k the
-  bracket terminates and the exponentially small remainder is exactly
+* eta >= 30: asymptotic (Sommerfeld) bracket series, its coefficients built
+  from zeta(2n) = |B_2n| (2 pi)^(2n) / (2 (2n)!) in exact rational
+  arithmetic and rounded to double once.  For integer k the bracket
+  terminates and the exponentially small remainder is exactly
   (-1)^(k+1) f_k(-eta), restoring full precision; for half-integer k that
   reflection term carries a cos(pi k) = 0 prefactor, so the optimally
   truncated bracket alone is accurate to ~1e-13.
@@ -21,9 +23,9 @@ reaches 1e-10 relative accuracy everywhere:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DomainError
 from .quadrature import adaptive_gl_split
@@ -33,11 +35,26 @@ SUPPORTED_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 _SERIES_CUTOFF = -1.0
 _SOMMERFELD_CUTOFF = 30.0
 _TAIL_DECADES = 60.0
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _even_bernoulli(n_max):
+    """B_0, B_2, ..., B_(2 n_max) from sum_(i<=m) C(m+1, i) B_i = 0, in which
+    the odd B_i vanish except B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(2, 2 * n_max + 1, 2):
+        even_terms = sum(math.comb(m + 1, i) * b[i // 2] for i in range(0, m, 2))
+        b.append((Fraction(m + 1, 2) - even_terms) / (m + 1))
+    return b
+
 
 # 2*(1 - 2^(1-2n))*zeta(2n) for n = 1..25: coefficients of eta^(-2n) in the
 # Sommerfeld bracket, multiplied by the falling product k(k-1)...(k-2n+1).
+# Exact Bernoulli form with a 63-digit rational pi; float pi**(2n) loses 2e-15.
 _SOMMERFELD_C = tuple(
-    2.0 * (1.0 - 2.0 ** (1 - 2 * n)) * float(zeta(2 * n)) for n in range(1, 26)
+    float((1 - Fraction(2) ** (1 - 2 * n)) * abs(b) * (2 * _PI) ** (2 * n)
+          / math.factorial(2 * n))
+    for n, b in enumerate(_even_bernoulli(25)[1:], start=1)
 )
 
 
@@ -84,14 +101,10 @@ def _sommerfeld(k: float, eta: float) -> float:
     return value
 
 
-def _occupancy(x):
-    # 1/(exp(x) + 1), overflow safe for array x
-    out = np.empty_like(x)
-    pos = x >= 0
+def fermi(x):
+    """Fermi factor 1/(exp(x) + 1) elementwise, overflow safe for any x."""
     ex = np.exp(-np.abs(x))
-    out[pos] = ex[pos] / (1.0 + ex[pos])
-    out[~pos] = 1.0 / (1.0 + ex[~pos])
-    return out
+    return np.where(x >= 0, ex, 1.0) / (1.0 + ex)
 
 
 def _middle_quadrature(k: float, eta: float) -> float:
@@ -102,7 +115,7 @@ def _middle_quadrature(k: float, eta: float) -> float:
     p = 2.0 * k - 1.0
 
     def integrand(v):
-        return 2.0 * v ** p * _occupancy(v * v - eta)
+        return 2.0 * v ** p * fermi(v * v - eta)
 
     # rough scale so the absolute tolerance tracks the magnitude of f_k
     scale = max(math.exp(min(eta, 0.0)),

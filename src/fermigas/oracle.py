@@ -18,10 +18,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericsError
-from .thermo import solve_mu
+from .fdint import fermi
+from .thermo import monotone_root, solve_mu
 
 MAX_STATES = 20_000_000
 
@@ -73,13 +73,6 @@ def closed_shell_count(n: int) -> int:
     return (n + 1) * (n + 2) * (n + 3) // 6
 
 
-def _occupation_sum(spectrum: DiscreteSpectrum, mu: float, t_abs: float) -> float:
-    x = np.clip((spectrum.energies - mu) / t_abs, -700.0, 700.0)
-    occ = np.where(x >= 0, np.exp(-x) / (1.0 + np.exp(-np.abs(x))),
-                   1.0 / (1.0 + np.exp(x)))
-    return float(math.fsum(spectrum.degeneracies * occ))
-
-
 def exact_mu(n_particles: int, lam: float, t_abs: float, safety: float = 2.0):
     """Chemical potential (hbar*omega_r units) from the exact level sum.
 
@@ -106,13 +99,19 @@ def exact_mu(n_particles: int, lam: float, t_abs: float, safety: float = 2.0):
                 f"N = {n_particles} leaves a partially filled level at T = 0; "
                 "the ground state is ambiguous")
         return 0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1])
-    lo = float(spectrum.energies[0]) - 60.0 * t_abs - 1.0
-    hi = float(spectrum.energies[-1])
-    mu = brentq(lambda m: _occupation_sum(spectrum, m, t_abs) - n_particles,
-                lo, hi, xtol=1e-13, rtol=8.9e-16)
-    residual = abs(_occupation_sum(spectrum, mu, t_abs) - n_particles)
-    if residual > 1e-10 * n_particles:
-        raise NumericsError(f"occupation residual {residual:.3e} too large")
+
+    def constraint(mu):
+        # occupied fraction - 1, and its slope sum g f (1 - f) / (N T)
+        occ = fermi((spectrum.energies - mu) / t_abs)
+        filled = spectrum.degeneracies * occ / n_particles
+        return math.fsum(filled) - 1.0, float(np.dot(filled, 1.0 - occ)) / t_abs
+
+    mu, residual = monotone_root(constraint,
+                                 float(spectrum.energies[0]) - 60.0 * t_abs - 1.0,
+                                 float(spectrum.energies[-1]))
+    if abs(residual) > 1e-10:
+        raise NumericsError(
+            f"occupation residual {abs(residual) * n_particles:.3e} too large")
     return float(mu)
 
 

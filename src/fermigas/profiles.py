@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import UniversalCurve
 from .errors import DomainError
-from .fdint import fd
+from .fdint import fd, fermi
 from .quadrature import adaptive_gl_split
 from .thermo import _TINY_T, solve_mu
 
@@ -42,11 +42,7 @@ def phase_space_occupancy(s, q, t, m) -> float:
     x = q * q + s * s - float(m)
     if t == 0.0:
         return 1.0 if x < 0 else (0.5 if x == 0 else 0.0)
-    x /= t
-    if x >= 0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(x))
+    return float(fermi(x / t))
 
 
 def zero_t_density(s) -> float:

@@ -56,8 +56,36 @@ def classical_mu(t: float) -> float:
     return -t * (math.log(6.0) + 3.0 * math.log(t))
 
 
-def _constraint(t: float, m: float) -> float:
-    return 6.0 * t ** 3 * fd(3.0, m / t) - 1.0
+def monotone_root(g, lo: float, hi: float) -> tuple:
+    """Root x of an increasing constraint on [lo, hi], as (x, r(x)).
+
+    g(x) returns (r, dr/dx) with r = value/target - 1.  Newton steps start
+    from the bracket end with the smaller |r|; every evaluation tightens
+    the bracket, and a step that leaves it is replaced by bisection.  The
+    search stops at a Newton step of at most 2 ulp or a bracket of at most
+    4 ulp; the second stop ends it when noise in g stalls Newton.  Used by
+    solve_mu and by the exact level-sum oracle.
+    """
+    r_lo, dr_lo = g(lo)
+    r_hi, dr_hi = g(hi)
+    if not r_lo < 0.0 < r_hi:
+        raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root "
+                            f"(residuals {r_lo:.3e}, {r_hi:.3e})")
+    x, r, dr = (lo, r_lo, dr_lo) if -r_lo < r_hi else (hi, r_hi, dr_hi)
+    for _ in range(200):
+        step = r / dr if dr > 0.0 else math.inf  # dr underflows far out
+        if (abs(step) <= 2.0 * math.ulp(x)
+                or hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))):
+            return x, r
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        r, dr = g(x)
+        if r < 0.0:
+            lo = x
+        else:
+            hi = x
+    raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
 
 @lru_cache(maxsize=4096)
@@ -68,31 +96,17 @@ def solve_mu(t: float) -> float:
         raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
     if t <= _TINY_T:
         return 1.0
-    lo = classical_mu(t) - 5.0 * t
-    hi = 1.0 + 5.0 * t
-    g_lo = _constraint(t, lo)
-    g_hi = _constraint(t, hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise NumericsError(f"chemical-potential bracket failed at t={t}")
-    # f_3 is monotone in m, so plain bisection cannot miss the root;
-    # Newton with f_2 polishes the last digits.
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if _constraint(t, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    m = 0.5 * (lo + hi)
-    for _ in range(12):
-        g = _constraint(t, m)
-        if abs(g) <= 1e-13:
-            break
-        slope = 6.0 * t * t * fd(2.0, m / t)
-        step = g / slope
-        m -= step
-        if not lo - 1.0 <= m <= hi + 1.0:
-            raise NumericsError(f"Newton polish left the bracket at t={t}")
-    if abs(_constraint(t, m)) > _RESIDUAL_TOL:
+
+    def constraint(m):
+        # 6 t^3 f_3(m/t) - 1 rises with m at the rate 6 t^2 f_2(m/t)
+        return 6.0 * t ** 3 * fd(3.0, m / t) - 1.0, 6.0 * t * t * fd(2.0, m / t)
+
+    try:
+        m, residual = monotone_root(constraint, classical_mu(t) - 5.0 * t,
+                                    1.0 + 5.0 * t)
+    except NumericsError as exc:
+        raise NumericsError(f"chemical-potential solve at t={t}: {exc}") from exc
+    if abs(residual) > _RESIDUAL_TOL:
         raise NumericsError(f"constraint residual above tolerance at t={t}")
     return m
 

@@ -138,6 +138,17 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys, monkeypatch):
     assert "tmax" in err
 
 
+def test_config_file_choices_checked(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "choices.conf"
+    cfg.write_text("preset=no-such-trap\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, _, err = run_cli(capsys, "scales")
+    assert code == 2
+    assert "no-such-trap" in err
+    cfg.write_text("format=xml\n")
+    assert run_cli(capsys, "scales", "--preset", "li6-top")[0] == 2
+
+
 def test_perturb_round_trip(tmp_path, capsys):
     table = tmp_path / "dv.csv"
     s = np.linspace(0.0, 1.0, 60)
@@ -204,3 +215,12 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,m")
+
+
+def test_import_loads_no_scipy():
+    probe = ("import sys, fermigas; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

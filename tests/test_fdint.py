@@ -1,10 +1,13 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative
+from fermigas.fdint import _SOMMERFELD_C, fermi
 
 from conftest import brute_fd
 
@@ -114,3 +117,36 @@ def test_unsupported_order_rejected(bad):
 def test_nonfinite_eta_rejected(bad):
     with pytest.raises(DomainError):
         fd(2, bad)
+
+
+def _correctly_rounded(value):
+    # 40 significant digits, rounded to the nearest double by float()
+    return float(mpmath.nstr(value, 40))
+
+
+def test_sommerfeld_coefficients_correctly_rounded():
+    with mpmath.workdps(40):
+        for n in range(1, 26):
+            exact = 2 * (1 - mpmath.mpf(2) ** (1 - 2 * n)) * mpmath.zeta(2 * n)
+            assert _SOMMERFELD_C[n - 1] == _correctly_rounded(exact), n
+
+
+def test_fermi_factor_against_extended_precision():
+    # exp, the sum and the quotient each round once; like the direct
+    # 1/(exp(x) + 1), which can differ from it by 3 ulp, the result stays
+    # within 2 ulp of the correctly rounded value
+    x = np.concatenate([np.linspace(-699.5, 699.5, 281), np.linspace(0.0, 30.0, 301),
+                        [-1e-12, 1e-12]])
+    with mpmath.workdps(30):
+        exact = np.array([_correctly_rounded(1 / (mpmath.exp(mpmath.mpf(float(v))) + 1))
+                          for v in x])
+    np.testing.assert_array_max_ulp(fermi(x), exact, maxulp=2)
+    assert fermi(0.0) == 0.5
+
+
+def test_fermi_factor_saturates_without_warnings():
+    x = np.array([-1e308, -1e4, -750.0, 750.0, 1e4, 1e308, -math.inf, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        occ = fermi(x)
+    assert occ.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]

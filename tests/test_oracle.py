@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.optimize import brentq
+from scipy.special import expit, gammaln
 
 import fermigas as fg
 from fermigas import DomainError
@@ -83,6 +84,32 @@ def test_finite_temperature_occupation_residual():
     sp = fg.build_spectrum(1.0, (6 * 2 * 500) ** (1 / 3) + 36 * 3.0 + 2.0)
     occ = 1.0 / (np.exp((sp.energies - spectrum_mu) / 3.0) + 1.0)
     assert abs(float(np.dot(sp.degeneracies, occ)) - 500) <= 1e-10 * 500
+
+
+def brentq_exact_mu(n_particles, lam, t_abs):
+    """Independent route: planar shells stacked over the axial ladder, a
+    wider cutoff, scipy's logistic occupation and Brent's method."""
+    cutoff = 1.5 * (6.0 * lam * n_particles) ** (1 / 3) + 45.0 * t_abs
+    energies, degs = [], []
+    for nz in range(int(cutoff / lam) + 1):
+        p = np.arange(int(cutoff - lam * nz) + 1)
+        energies.append(p + lam * nz)
+        degs.append(p + 1.0)
+    energies, degs = np.concatenate(energies), np.concatenate(degs)
+
+    def excess(mu):
+        return math.fsum(degs * expit((mu - energies) / t_abs)) - n_particles
+
+    return brentq(excess, -60.0 * t_abs - 1.0, cutoff, xtol=1e-14, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, math.sqrt(8.0)])
+@pytest.mark.parametrize("n_particles", [1_000, 10_000])
+@pytest.mark.parametrize("t", [0.05, 0.2])
+def test_exact_mu_against_brentq_reference(lam, n_particles, t):
+    t_abs = t * (6.0 * lam * n_particles) ** (1 / 3)
+    assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(
+        brentq_exact_mu(n_particles, lam, t_abs), rel=1e-14)
 
 
 def test_continuum_comparison_at_acceptance_point():

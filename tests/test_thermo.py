@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fermigas as fg
-from fermigas import DomainError
+from fermigas import DomainError, NumericsError
+from fermigas.thermo import monotone_root
 
 from conftest import brute_fd
 
@@ -159,3 +160,23 @@ def test_domain_errors():
 @settings(max_examples=40, deadline=None)
 def test_chemical_potential_strictly_decreasing(t1, gap):
     assert fg.solve_mu(t1 + gap) < fg.solve_mu(t1)
+
+
+def test_cube_root_to_the_last_bits():
+    root, residual = monotone_root(lambda x: (x ** 3 / 2.0 - 1.0, 1.5 * x * x),
+                                   0.0, 4.0)
+    assert abs(root - 2.0 ** (1 / 3)) <= 2 * math.ulp(root)
+    assert residual == root ** 3 / 2.0 - 1.0
+
+
+def test_bisects_where_the_slope_underflows():
+    # exp(-800) underflows, so the first Newton step is replaced by bisection
+    root, _ = monotone_root(lambda x: (math.exp(x) / 2.0 - 1.0, math.exp(x) / 2.0),
+                            -800.0, 10.0)
+    assert root == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 4.0), (-4.0, -2.0), (4.0, 0.0)])
+def test_bracket_must_straddle_the_root(lo, hi):
+    with pytest.raises(NumericsError, match="straddle"):
+        monotone_root(lambda x: (x, 1.0), lo, hi)
