@@ -11,18 +11,27 @@ constraint:
 
     c = 12 f_4(eta)/f_3(eta) - 9 f_3(eta)/f_2(eta),   eta = m/t.
 
-Heat capacity is taken at fixed particle number and fixed trap
-frequencies.  The t = 0 point is handled symbolically (m = 1, u = 3/4,
-c = 0) to avoid the eta -> inf limit.
+For eta >= 30 (t below about 0.033) the two terms, each about 3 eta,
+cancel to leave about pi^2 t, so there c comes from the terminating
+Sommerfeld forms of f_2, f_3, f_4 instead, which give in closed form
+
+    c = (pi^2/eta) (1 + 2y/5 + 7y^2/15) / ((1 + y)(1 + y/3)),   y = pi^2/eta^2,
+
+exact up to terms of relative size exp(-eta).  Heat capacity is taken at
+fixed particle number and fixed trap frequencies.  The t = 0 point is
+handled symbolically (m = 1, u = 3/4, c = 0) to avoid the eta -> inf
+limit.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError
-from .fdint import fd
+from .fdint import _SOMMERFELD_CUTOFF, fd
 
 _RESIDUAL_TOL = 1e-12
 
@@ -39,6 +48,23 @@ class ThermoState:
     m: float
     u: float
     c: float
+
+
+def _check_t(t) -> float:
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"reduced temperature must be finite and non-negative, got {t!r}")
+    return t
+
+
+def _fd_c(f2, f3, f4):
+    return 12.0 * f4 / f3 - 9.0 * f3 / f2
+
+
+def _sommerfeld_c(eta):
+    y = math.pi ** 2 / (eta * eta)
+    return (math.pi ** 2 / eta * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
+            / ((1.0 + y) * (1.0 + y / 3.0)))
 
 
 def sommerfeld_mu(t: float) -> float:
@@ -91,9 +117,7 @@ def monotone_root(g, lo: float, hi: float) -> tuple:
 @lru_cache(maxsize=4096)
 def solve_mu(t: float) -> float:
     """Reduced chemical potential m(t); exactly 1 at t = 0."""
-    t = float(t)
-    if t < 0:
-        raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
+    t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
 
@@ -113,8 +137,7 @@ def solve_mu(t: float) -> float:
 
 def internal_energy(t: float) -> float:
     """Energy per particle u(t) in units of E_F; 3/4 at t = 0."""
-    if t < 0:
-        raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
+    t = _check_t(t)
     if t <= _TINY_T:
         return 0.75
     m = solve_mu(t)
@@ -123,33 +146,47 @@ def internal_energy(t: float) -> float:
 
 def heat_capacity(t: float) -> float:
     """Heat capacity per particle c(t) in units of k_B."""
-    if t <= 0:
+    t = _check_t(t)
+    if t == 0.0:
         raise DomainError(f"heat capacity requires t > 0, got {t!r}")
     if t <= _TINY_T:
         return math.pi ** 2 * t  # degenerate limit, O(t^3) below resolution
     eta = solve_mu(t) / t
-    f2, f3, f4 = fd(2.0, eta), fd(3.0, eta), fd(4.0, eta)
-    return 12.0 * f4 / f3 - 9.0 * f3 / f2
+    if eta >= _SOMMERFELD_CUTOFF:
+        return _sommerfeld_c(eta)
+    return _fd_c(fd(2.0, eta), fd(3.0, eta), fd(4.0, eta))
 
 
 def thermo_state(t: float) -> ThermoState:
-    if t < 0:
-        raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
+    t = _check_t(t)
     if t == 0.0:
         return ThermoState(t=0.0, m=1.0, u=0.75, c=0.0)
     return ThermoState(t=t, m=solve_mu(t), u=internal_energy(t), c=heat_capacity(t))
 
 
 def thermo_curve(t_grid):
-    """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0."""
-    ts = [float(t) for t in t_grid]
+    """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
+
+    Equal, sample by sample, to solve_mu(t) and heat_capacity(t) (c = 0 at
+    t = 0); the f_2, f_3, f_4 of the whole grid are evaluated as arrays.
+    """
+    ts = [_check_t(t) for t in t_grid]
     if not ts:
         raise DomainError("temperature grid is empty")
-    if any(t < 0 for t in ts):
-        raise DomainError("temperature grid must be non-negative")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("temperature grid must be strictly increasing")
-    states = [thermo_state(t) for t in ts]
-    mu_curve = UniversalCurve("t", "m", tuple((st.t, st.m) for st in states))
-    c_curve = UniversalCurve("t", "c", tuple((st.t, st.c) for st in states))
+    ms = [solve_mu(t) for t in ts]
+    cs = [0.0 if t == 0.0 else math.pi ** 2 * t for t in ts]  # kept for t <= _TINY_T
+    hot = [i for i, t in enumerate(ts) if t > _TINY_T]
+    # heat_capacity's arithmetic, elementwise, so each sample keeps its bits
+    eta = np.array([ms[i] / ts[i] for i in hot], dtype=float)
+    c_hot = np.empty_like(eta)
+    deg = eta >= _SOMMERFELD_CUTOFF
+    c_hot[deg] = _sommerfeld_c(eta[deg])
+    e = eta[~deg]
+    c_hot[~deg] = _fd_c(fd(2.0, e), fd(3.0, e), fd(4.0, e))
+    for i, c in zip(hot, c_hot.tolist()):
+        cs[i] = c
+    mu_curve = UniversalCurve("t", "m", tuple(zip(ts, ms)))
+    c_curve = UniversalCurve("t", "c", tuple(zip(ts, cs)))
     return mu_curve, c_curve

@@ -2,7 +2,11 @@
 
 import math
 
+import mpmath
 from scipy.integrate import quad
+
+from fermigas.fdint import fermi
+from fermigas.quadrature import adaptive_gl_split
 
 
 def brute_fd(k, eta):
@@ -23,3 +27,49 @@ def brute_fd(k, eta):
     value, _ = quad(integrand, 0.0, max(eta, 0.0) + 60.0,
                     points=points, limit=400, epsabs=1e-300, epsrel=1e-12)
     return value / math.gamma(k)
+
+
+def adaptive_fd(k, eta):
+    """f_k(eta) by adaptive Gauss-Legendre panels in v = sqrt(u).
+
+    The integrand 2 v^(2k-1) / (exp(v^2 - eta) + 1) is split at the Fermi
+    edge v = sqrt(eta) and cut off at u = max(eta, 0) + 60; panels are
+    bisected until stable to 1e-13 of the magnitude of f_k.
+    """
+    vmax = math.sqrt(max(eta, 0.0) + 60.0)
+    edges = [0.0, math.sqrt(eta), vmax] if eta > 0.0 else [0.0, vmax]
+    scale = max(math.exp(min(eta, 0.0)), max(eta, 0.0) ** k / math.gamma(k + 1.0))
+
+    def integrand(v):
+        return 2.0 * v ** (2.0 * k - 1.0) * fermi(v * v - eta)
+
+    raw = adaptive_gl_split(integrand, edges, abs_tol=1e-13 * max(scale, 1e-3))
+    return raw / math.gamma(k)
+
+
+def mp_fd(k, eta):
+    """f_k(eta) = -Li_k(-e^eta) from mpmath at its working precision."""
+    order = int(k) if k == int(k) else mpmath.mpf(k)
+    return mpmath.re(-mpmath.polylog(order, -mpmath.exp(eta)))
+
+
+def mp_thermo(t):
+    """(m, u, c) at t > 0 from mpmath at its working precision.
+
+    m is the root of 6 t^3 f_3(m/t) = 1 by damped Newton steps from the
+    Sommerfeld or classical form; u = 18 t^4 f_4 and
+    c = 12 f_4/f_3 - 9 f_3/f_2 at eta = m/t.  c cancels about
+    2 log10(eta) digits, so set the precision with that in mind.
+    """
+    t = mpmath.mpf(t)
+    m = 1 - mpmath.pi ** 2 * t ** 2 / 3 if t < 0.5 else -t * mpmath.log(6 * t ** 3)
+    for _ in range(200):
+        step = ((6 * t ** 3 * mp_fd(3, m / t) - 1) / (6 * t ** 2 * mp_fd(2, m / t)))
+        m -= max(min(step, 5 * t), -5 * t)
+        if abs(step) <= mpmath.mpf(10) ** (4 - mpmath.mp.dps) * max(1, abs(m)):
+            break
+    else:
+        raise ArithmeticError(f"reference m(t) did not converge at t={t}")
+    eta = m / t
+    f2, f3, f4 = mp_fd(2, eta), mp_fd(3, eta), mp_fd(4, eta)
+    return m, 18 * t ** 4 * f4, 12 * f4 / f3 - 9 * f3 / f2

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative
-from fermigas.fdint import _SOMMERFELD_C, fermi
+from fermigas.fdint import _BATCH, _SOMMERFELD_C, fermi
 
-from conftest import brute_fd
+from conftest import adaptive_fd, brute_fd, mp_fd
 
 DERIVATIVE_ORDERS = [k for k in SUPPORTED_ORDERS if k - 1.0 in SUPPORTED_ORDERS]
 
@@ -150,3 +150,55 @@ def test_fermi_factor_saturates_without_warnings():
         warnings.simplefilter("error")
         occ = fermi(x)
     assert occ.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+
+# the fixed-rule band and the points nearest its edges; at eta = 30 itself
+# the Sommerfeld bracket takes over (5e-15 for k = 1/2, a truncated
+# asymptotic series)
+MIDDLE_BAND = np.concatenate([np.arange(-1.0, 30.0, 0.5),
+                              [-0.999999, -1e-9, 0.0, 1e-9, 29.999999]])
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_middle_band_against_mpmath(k):
+    with mpmath.workdps(20):
+        exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in MIDDLE_BAND])
+    values = fd(k, MIDDLE_BAND)
+    assert np.max(np.abs(values - exact) / exact) <= 2e-15
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_fixed_rule_matches_adaptive_kernel(k):
+    etas = np.linspace(-0.99, 29.99, 60)
+    old = np.array([adaptive_fd(k, float(e)) for e in etas])
+    assert np.max(np.abs(fd(k, etas) - old) / old) <= 1e-13
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_scalar_and_array_calls_bit_identical(k):
+    # all three bands, more rows than one batch, and a 2-D shape
+    rng = np.random.default_rng(7)
+    etas = rng.uniform(-3.0, 40.0, 2 * _BATCH + 37)
+    one_by_one = np.array([fd(k, float(e)) for e in etas])
+    assert np.array_equal(fd(k, etas), one_by_one)
+    assert np.array_equal(fd(k, etas[5:6]), one_by_one[5:6])
+    assert np.array_equal(fd(k, etas[:60].reshape(6, 10)), one_by_one[:60].reshape(6, 10))
+    assert isinstance(fd(k, etas[0]), float)
+
+
+def test_array_with_nonfinite_element_rejected():
+    with pytest.raises(DomainError, match="eta must be finite, got nan"):
+        fd(2, np.array([0.0, math.nan]))
+
+
+@given(
+    k=st.sampled_from(SUPPORTED_ORDERS),
+    edge=st.sampled_from([-1.0, 30.0]),
+    delta=st.floats(0.0, 1e-6),
+)
+@settings(max_examples=150, deadline=None)
+def test_continuous_across_band_edges(k, edge, delta):
+    # d ln f_k / d eta = f_(k-1)/f_k lies in (0, 1], so an honest jump over
+    # [edge - delta, edge + delta] is at most 2 delta f_k
+    below, above = fd(k, edge - delta), fd(k, edge + delta)
+    assert abs(above - below) <= (2.0 * delta + 1e-14) * above

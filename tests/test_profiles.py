@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import fermigas as fg
 from fermigas import DomainError
+
+from conftest import mp_thermo
 
 CENTRAL = 8.0 / math.pi ** 2
 
@@ -176,6 +179,22 @@ def test_profile_curves_fig3_set():
         assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t", [1.7495e-3, 1.7445e-3, 1.0741e-2])
+def test_moments_where_the_fermi_edge_was_missed(t):
+    # <rho^2>/R_F^2 = u/2 by the virial theorem; both missed 1e-9 here
+    # before the s range was split 40 t inside the Fermi edge
+    with mpmath.workdps(30):
+        u = mp_thermo(t)[1]
+    assert abs(fg.mean_square_size(t) / float(u / 2) - 1.0) <= 1e-9
+    assert abs(fg.normalization(t) - 1.0) <= 1e-9
+
+
+def test_profile_curves_equal_pointwise_density():
+    curves = fg.profile_curves([0.0, 0.01, 0.25, 2.0], n_samples=57)
+    for t, curve in zip([0.0, 0.01, 0.25, 2.0], curves):
+        assert curve.samples == tuple((s, fg.density(s, t)) for s, _ in curve.samples)
+
+
 def test_profile_curve_zero_t_closed_form():
     (curve,) = fg.profile_curves([0.0], n_samples=50)
     for s, value in curve.samples:
@@ -189,6 +208,8 @@ def test_profile_curves_domain_errors():
         fg.profile_curves([-0.1])
     with pytest.raises(DomainError):
         fg.profile_curves([0.5], n_samples=1)
+    with pytest.raises(DomainError, match="s_max must be finite and non-negative"):
+        fg.profile_curves([0.5], s_max=-1.0)
 
 
 def test_density_domain_errors():

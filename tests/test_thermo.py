@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ import fermigas as fg
 from fermigas import DomainError, NumericsError
 from fermigas.thermo import monotone_root
 
-from conftest import brute_fd
+from conftest import brute_fd, mp_thermo
 
 
 def oracle_mu(t):
@@ -104,6 +105,15 @@ def test_heat_capacity_limits():
     assert fg.heat_capacity(50.0) == pytest.approx(3.0, rel=0.01)
 
 
+def test_heat_capacity_low_t_against_mpmath():
+    # 12 f4/f3 - 9 f3/f2 cancels about 2 log10(eta) digits: 1.4 relative at
+    # t = 1e-8 when taken in double precision
+    for t in np.geomspace(1e-8, 0.033, 14):
+        with mpmath.workdps(30 + 2 * int(-math.log10(t)) + 4):
+            exact = mp_thermo(float(t))[2]
+            assert abs((fg.heat_capacity(float(t)) - exact) / exact) <= 1e-13, t
+
+
 def test_heat_capacity_matches_energy_derivative():
     h = 1e-4
     numeric = (fg.internal_energy(0.5 + h) - fg.internal_energy(0.5 - h)) / (2.0 * h)
@@ -139,6 +149,25 @@ def test_thermo_curve_thousand_point_property_run():
     ms = [m for _, m in mu.samples]
     assert all(b < a for a, b in zip(ms, ms[1:]))
     assert all(y > 0 for _, y in c.samples)
+
+
+def test_thermo_curve_equals_pointwise_calls():
+    # eta = m/t on both sides of 30, where c switches to the Sommerfeld form
+    ts = [0.0, 1e-10, 1e-4, 0.02, 0.0329, 0.0331, 0.05, 0.5, 3.0]
+    mu, c = fg.thermo_curve(ts)
+    assert mu.samples == tuple((t, fg.solve_mu(t)) for t in ts)
+    assert c.samples == tuple((t, fg.heat_capacity(t) if t else 0.0) for t in ts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    fg.solve_mu, fg.internal_energy, fg.heat_capacity, fg.thermo_state,
+    lambda t: fg.thermo_curve([0.1, t]), lambda t: fg.profile_curves([t]),
+])
+def test_nonfinite_temperature_rejected(entry, bad):
+    with pytest.raises(DomainError, match="reduced temperature must be finite and "
+                                          f"non-negative, got {bad!r}"):
+        entry(bad)
 
 
 def test_domain_errors():
