@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .scales import CharacteristicScales
 
 TF_PARAMETER_FLOOR = 10.0
@@ -31,16 +31,17 @@ class BoseParams:
     a_scatt: float = None
 
     def __post_init__(self):
-        if self.n_particles < 1 or self.lam <= 0:
-            raise DomainError("need n_particles >= 1 and lambda > 0")
+        if self.n_particles < 1:
+            raise DomainError(f"need n_particles >= 1, got {self.n_particles!r}")
+        check_finite("lambda", self.lam, positive=True)
         if (self.u_bose is None) == (self.a_scatt is None):
             raise DomainError("give exactly one of u_bose or a_scatt")
         if self.u_bose is None:
             object.__setattr__(self, "u_bose", 4.0 * math.pi * self.a_scatt)
         else:
             object.__setattr__(self, "a_scatt", self.u_bose / (4.0 * math.pi))
-        if self.u_bose <= 0:
-            raise DomainError("Thomas-Fermi regime needs repulsive u_bose > 0")
+        # the Thomas-Fermi regime needs a repulsive interaction
+        check_finite("u_bose", self.u_bose, positive=True)
         tf = self.u_bose * self.n_particles / self.lam
         if tf < TF_PARAMETER_FLOOR:
             warnings.warn(
@@ -61,8 +62,7 @@ def bose_chemical_potential(p: BoseParams) -> float:
 
 def bose_profile(s_b: float, p: BoseParams) -> float:
     """Condensate density at rho = s_b * R_B, in units of sigma_r^-3."""
-    if s_b < 0:
-        raise DomainError(f"scaled radius must be non-negative, got {s_b!r}")
+    s_b = check_finite("s_b", s_b)
     if s_b >= 1.0:
         return 0.0
     rb = bose_radius(p)

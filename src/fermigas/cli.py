@@ -64,9 +64,10 @@ def _float_list(text):
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}")
     return values
 
 

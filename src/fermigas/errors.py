@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument check."""
+
+import math
 
 
 class FermiGasError(Exception):
@@ -11,3 +13,12 @@ class DomainError(FermiGasError, ValueError):
 
 class NumericsError(FermiGasError, RuntimeError):
     """An internal numerical procedure failed to converge or bracket."""
+
+
+def check_finite(name, value, positive=False) -> float:
+    """value as a float; DomainError unless finite and >= 0 (> 0 if positive)."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
+        sign = "positive" if positive else "non-negative"
+        raise DomainError(f"{name} must be finite and {sign}, got {v!r}")
+    return v

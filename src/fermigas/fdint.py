@@ -15,7 +15,7 @@ reaches 1e-10 relative accuracy everywhere:
   terminates and the exponentially small remainder is exactly
   (-1)^(k+1) f_k(-eta), restoring full precision; for half-integer k that
   reflection term carries a cos(pi k) = 0 prefactor, so the optimally
-  truncated bracket alone is accurate to ~1e-13.
+  truncated bracket alone is within 5.0e-15 of mpmath (k = 1/2, eta = 30).
 * otherwise: one fixed Gauss-Legendre rule after the substitution u = v^2,
   which removes the u^(k-1) endpoint singularity.  Six panels of 24 nodes
   cover [0, sqrt(eta)] and six more cover [sqrt(eta), sqrt(max(eta,0)+60)],

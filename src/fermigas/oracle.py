@@ -19,11 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, check_finite
 from .fdint import fermi
-from .thermo import monotone_root, solve_mu
+from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_STATES = 20_000_000
+
+# exact_mu enumerates levels up to _CUTOFF_SCALE E_F + 36 t_abs + 2, which
+# holds about twice N states and leaves the occupation below exp(-36) there
+_CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
 
@@ -48,8 +52,8 @@ def _planar_count(p: int) -> int:
 
 def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     """Exhaustively enumerate all levels with energy <= cutoff."""
-    if lam <= 0 or cutoff < 0:
-        raise DomainError("need lambda > 0 and cutoff >= 0")
+    lam = check_finite("lambda", lam, positive=True)
+    cutoff = check_finite("cutoff", cutoff)
     nz_max = int(math.floor(cutoff / lam))
     total = sum(_planar_count(int(math.floor(cutoff - lam * nz)))
                 for nz in range(nz_max + 1))
@@ -73,7 +77,7 @@ def closed_shell_count(n: int) -> int:
     return (n + 1) * (n + 2) * (n + 3) // 6
 
 
-def exact_mu(n_particles: int, lam: float, t_abs: float, safety: float = 2.0):
+def exact_mu(n_particles: int, lam: float, t_abs: float):
     """Chemical potential (hbar*omega_r units) from the exact level sum.
 
     t_abs is k_B T in units of hbar*omega_r.  At t_abs = 0 the gas must
@@ -82,15 +86,14 @@ def exact_mu(n_particles: int, lam: float, t_abs: float, safety: float = 2.0):
     """
     if n_particles < 1:
         raise DomainError("need at least one particle")
-    if t_abs < 0:
-        raise DomainError("temperature must be non-negative")
+    t_abs = check_finite("t_abs", t_abs)
     e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
-    cutoff = (safety ** (1.0 / 3.0)) * e_fermi_est + 36.0 * t_abs + 2.0
+    cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
     spectrum = build_spectrum(lam, cutoff)
     if spectrum.state_count < n_particles:
         raise DomainError(
             f"cutoff {cutoff:.3g} holds only {spectrum.state_count} states "
-            f"for N = {n_particles}; increase the safety factor")
+            f"for N = {n_particles}")
     if t_abs == 0.0:
         cumulative = np.cumsum(spectrum.degeneracies)
         idx = int(np.searchsorted(cumulative, n_particles))
@@ -154,7 +157,7 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
 
 def semiclassical_central_density(n_particles: int, lam: float = 1.0) -> float:
     """Continuum central density n(0) * sigma^3 = (2/sqrt(3) pi^2) sqrt(N*lam)."""
-    return _SEMI_N0 * math.sqrt(n_particles * lam)
+    return _SEMI_N0 * math.sqrt(n_particles * check_finite("lambda", lam, positive=True))
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,8 @@ def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
     s = np.asarray([float(r) for r in radii], dtype=float)
     if s.size == 0:
         raise DomainError("need at least one radius")
-    if np.any(s < 0) or np.any(s > 1.2):
-        raise DomainError("radii must lie in [0, 1.2]")
+    if not np.all((s >= 0.0) & (s <= 1.2)):  # NaN fails both comparisons
+        raise DomainError(f"radii must lie in [0, 1.2], got {s.tolist()!r}")
     stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
     n_sigma3 = _SEMI_N0 * math.sqrt(n_particles * lam) * np.clip(
         1.0 - s * s, 0.0, None) ** 1.5
@@ -194,6 +197,7 @@ def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
 def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
     """Distance from the cloud edge, in units of sigma, at which the density
     drops to one particle per quantum volume (n(r) sigma^3 = 1)."""
+    lam = check_finite("lambda", lam, positive=True)
     x = (1.0 / (_SEMI_N0 * math.sqrt(n_particles * lam))) ** (2.0 / 3.0)
     if x >= 1.0:
         raise DomainError(
@@ -221,6 +225,8 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
     from the potential bottom, so the adjusted gap restores the suppressed
     zero point before differencing.
     """
+    lam = check_finite("lambda", lam, positive=True)
+    t = _check_t(t)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     mu_ex = exact_mu(n_particles, lam, t * e_fermi)
     mu_cont = solve_mu(t) * e_fermi

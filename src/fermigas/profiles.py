@@ -10,6 +10,9 @@ momentum density (n~ K_F^3 / N) is the identical function of q: position
 and momentum enter the Hamiltonian quadratically, so both marginals share
 one functional form and the momentum distribution is isotropic.
 
+The radial moments are closed forms, no quadrature: the norm is the
+constraint 6 t^3 f_3(m/t) = 1 and <s^2> = 9 t^4 f_4(m/t) = u/2 (virial).
+
 t = 0 is special-cased to the closed forms; physical units enter only
 through the scales module.
 """
@@ -19,26 +22,16 @@ import math
 import numpy as np
 
 from .curves import UniversalCurve
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .fdint import fd, fermi
-from .quadrature import adaptive_gl_split
-from .thermo import _TINY_T, _check_t, solve_mu
-
-_MOMENT_TOL = 1e-10
-
-
-def _check_nonneg(name, value):
-    v = float(value)
-    if not (math.isfinite(v) and v >= 0):
-        raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
-    return v
+from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
 
 
 def phase_space_occupancy(s, q, t, m) -> float:
     """Fermi factor at scaled energy q^2 + s^2; a step function at t = 0."""
-    s = _check_nonneg("s", s)
-    q = _check_nonneg("q", q)
-    t = _check_nonneg("t", t)
+    s = check_finite("s", s)
+    q = check_finite("q", q)
+    t = _check_t(t)
     x = q * q + s * s - float(m)
     if t == 0.0:
         return 1.0 if x < 0 else (0.5 if x == 0 else 0.0)
@@ -47,7 +40,7 @@ def phase_space_occupancy(s, q, t, m) -> float:
 
 def zero_t_density(s) -> float:
     """Scaled density of the zero-temperature cloud, zero beyond s = 1."""
-    s = _check_nonneg("s", s)
+    s = check_finite("s", s)
     if s >= 1.0:
         return 0.0
     return (8.0 / math.pi ** 2) * (1.0 - s * s) ** 1.5
@@ -55,8 +48,8 @@ def zero_t_density(s) -> float:
 
 def density(s, t) -> float:
     """Scaled spatial density at effective radius s and temperature t."""
-    s = _check_nonneg("s", s)
-    t = _check_nonneg("t", t)
+    s = check_finite("s", s)
+    t = _check_t(t)
     if t <= _TINY_T:
         return zero_t_density(s)
     return _warm_density(s, t, solve_mu(t))
@@ -72,52 +65,25 @@ def momentum_density(q, t) -> float:
     return density(q, t)
 
 
-def _outer_cutoff(t: float) -> float:
-    # occupancy < exp(-40) beyond; always covers the t = 0 cloud edge
+def normalization(t) -> float:
+    """4 pi int_0^inf s^2 n(s) ds = 6 t^3 f_3(m/t), which is 1 by the choice of m.
+
+    With x = s^2/t this is the Fermi-Dirac identity
+    int_0^inf x^(a-1) f_k(eta - x) dx = Gamma(a) f_(k+a)(eta), k = a = 3/2.
+    """
+    t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
-    m = solve_mu(t)
-    return max(1.0, math.sqrt(max(m, 0.0) + 40.0 * t))
-
-
-def _radial_moment(t: float, power: int) -> float:
-    """4*pi * int_0^smax s^power * density(s, t) ds via adaptive quadrature.
-
-    The s range is split at the Fermi edge sqrt(m) and, 40 t further in, at
-    sqrt(m - 40 t): without that split the error estimate of the inner
-    panel can miss the start of the edge and the result 1e-9 with it
-    (seen at t = 1.7495e-3, 1.7445e-3 and 1.0741e-2).
-    """
-    smax = _outer_cutoff(t)
-    if t <= _TINY_T:
-        f = np.vectorize(zero_t_density)
-        edges = [0.0, 1.0]
-    else:
-        m = solve_mu(t)
-
-        def f(x):
-            return _warm_density(x, t, m)
-
-        edges = [0.0] + [math.sqrt(e) for e in (m - 40.0 * t, m) if e > 0.0] + [smax]
-
-    def integrand(x):
-        return np.asarray(f(x)) * x ** power
-
-    return 4.0 * math.pi * adaptive_gl_split(integrand, edges, abs_tol=_MOMENT_TOL)
-
-
-def normalization(t) -> float:
-    """Integral of the scaled density over all space (equals 1)."""
-    t = _check_nonneg("t", t)
-    return _radial_moment(t, 2)
+    return 6.0 * t ** 3 * fd(3.0, solve_mu(t) / t)
 
 
 def mean_square_size(t) -> float:
-    """Mean-square cloud size <rho^2>/R_F^2; 3/8 at t = 0 (beta integral)."""
-    t = _check_nonneg("t", t)
-    if t <= _TINY_T:
-        return 0.375
-    return _radial_moment(t, 4)
+    """Mean-square cloud size <rho^2>/R_F^2 = 4 pi int_0^inf s^4 n(s) ds.
+
+    int_0^inf x^(a-1) f_k(eta - x) dx = Gamma(a) f_(k+a)(eta), x = s^2/t,
+    k = 3/2, a = 5/2 gives 9 t^4 f_4(m/t) = u/2 (virial theorem); 3/8 at t = 0.
+    """
+    return 0.5 * internal_energy(t)
 
 
 def profile_curves(t_list, n_samples=300, s_max=None):
@@ -128,7 +94,7 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples per curve, got {n_samples}")
     if s_max is not None:
-        s_max = _check_nonneg("s_max", s_max)
+        s_max = check_finite("s_max", s_max)
     curves = []
     for t in ts:
         if t <= _TINY_T:

@@ -15,7 +15,7 @@ Level energies are quoted without the zero-point offset throughout.
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
 HBAR = 1.054571817e-34       # J s
@@ -33,12 +33,9 @@ class TrapSpec:
     n_particles: int
 
     def __post_init__(self):
-        if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise DomainError(f"mass must be positive, got {self.mass!r}")
-        if not (self.omega_r > 0 and math.isfinite(self.omega_r)):
-            raise DomainError(f"omega_r must be positive, got {self.omega_r!r}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError(f"lambda must be positive, got {self.lam!r}")
+        check_finite("mass", self.mass, positive=True)
+        check_finite("omega_r", self.omega_r, positive=True)
+        check_finite("lambda", self.lam, positive=True)
         if not (int(self.n_particles) == self.n_particles and self.n_particles >= 1):
             raise DomainError(
                 f"n_particles must be a positive integer, got {self.n_particles!r}")
@@ -79,24 +76,21 @@ def effective_radius(x: float, y: float, z: float, lam: float) -> float:
 
 def to_scaled(spec: TrapSpec, rho: float, wavenumber: float, temperature: float):
     """Map (rho [m], |k| [1/m], T [K]) to the dimensionless triple (s, q, t)."""
-    if temperature < 0:
-        raise DomainError(f"temperature must be non-negative, got {temperature!r}")
+    temperature = check_finite("temperature", temperature)
     sc = derive_scales(spec)
     return rho / sc.r_fermi, wavenumber / sc.k_fermi, K_BOLTZMANN * temperature / sc.e_fermi
 
 
 def from_scaled(spec: TrapSpec, s: float, q: float, t: float):
     """Inverse of to_scaled: recover (rho [m], |k| [1/m], T [K])."""
-    if t < 0:
-        raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
+    t = check_finite("reduced temperature", t)
     sc = derive_scales(spec)
     return s * sc.r_fermi, q * sc.k_fermi, t * sc.e_fermi / K_BOLTZMANN
 
 
 def continuum_reliable(spec: TrapSpec, t: float) -> bool:
     """True when k_B*T is at least the level spacing, i.e. t*(6*lam*N)^(1/3) >= 1."""
-    if t < 0:
-        raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
+    t = check_finite("reduced temperature", t)
     return t * (6.0 * spec.lam * spec.n_particles) ** (1.0 / 3.0) >= 1.0
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import UniversalCurve
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, check_finite
 from .fdint import _SOMMERFELD_CUTOFF, fd
 
 _RESIDUAL_TOL = 1e-12
@@ -51,10 +51,7 @@ class ThermoState:
 
 
 def _check_t(t) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"reduced temperature must be finite and non-negative, got {t!r}")
-    return t
+    return check_finite("reduced temperature", t)
 
 
 def _fd_c(f2, f3, f4):
@@ -69,15 +66,13 @@ def _sommerfeld_c(eta):
 
 def sommerfeld_mu(t: float) -> float:
     """Low-temperature expansion 1 - (pi^2/3) t^2 (exact to this order)."""
-    if t < 0:
-        raise DomainError(f"reduced temperature must be non-negative, got {t!r}")
+    t = _check_t(t)
     return 1.0 - (math.pi ** 2 / 3.0) * t * t
 
 
 def classical_mu(t: float) -> float:
     """High-temperature form -t ln(6 t^3)."""
-    if t <= 0:
-        raise DomainError(f"classical form requires t > 0, got {t!r}")
+    t = check_finite("reduced temperature", t, positive=True)
     # log-space form: t**3 underflows for subnormal-range t
     return -t * (math.log(6.0) + 3.0 * math.log(t))
 

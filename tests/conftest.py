@@ -6,7 +6,7 @@ import mpmath
 from scipy.integrate import quad
 
 from fermigas.fdint import fermi
-from fermigas.quadrature import adaptive_gl_split
+from quadrature import adaptive_gl_split
 
 
 def brute_fd(k, eta):

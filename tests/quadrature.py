@@ -6,7 +6,7 @@ The integrand must accept a numpy array of nodes and return an array.
 
 import numpy as np
 
-from .errors import NumericsError
+from fermigas.errors import NumericsError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 

@@ -113,6 +113,9 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "mu-curve", "--t-max", "0.1", "--t-min", "0.5")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys, "profile", "--t", ",")[0] == 2
+    assert run_cli(capsys, "validity", "--radii", "nan,0.5")[0] == 2
+    assert run_cli(capsys, "oracle", "--shells", "nan")[0] == 2
+    assert run_cli(capsys, "oracle", "--shells", "1e400")[0] == 2
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,19 @@ def test_middle_band_against_mpmath(k):
     assert np.max(np.abs(values - exact) / exact) <= 2e-15
 
 
+# the Sommerfeld band from its cutoff up; the truncated bracket of k = 1/2
+# is 5.0e-15 off at eta = 30 itself, every other order stays below 1e-15
+SOMMERFELD_BAND = np.geomspace(30.0, 1e4, 100)
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_sommerfeld_band_against_mpmath(k):
+    with mpmath.workdps(30):
+        exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in SOMMERFELD_BAND])
+    values = fd(k, SOMMERFELD_BAND)
+    assert np.max(np.abs(values - exact) / exact) <= (1e-14 if k == 0.5 else 2e-15)
+
+
 @pytest.mark.parametrize("k", SUPPORTED_ORDERS)
 def test_fixed_rule_matches_adaptive_kernel(k):
     etas = np.linspace(-0.99, 29.99, 60)

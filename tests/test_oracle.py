@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,3 +201,24 @@ def test_breakdown_shell_distance_exponent():
     dist = [fg.breakdown_shell_distance(int(n)) for n in ns]
     slope = float(np.polyfit(np.log(ns), np.log(dist), 1)[0])
     assert abs(slope - (-1.0 / 6.0)) <= 0.02
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, entry", [
+    ("t_abs", lambda x: fg.exact_mu(100, 1.0, x)),
+    ("lambda", lambda x: fg.exact_mu(100, x, 0.5)),
+    ("lambda", lambda x: fg.build_spectrum(x, 10.0)),
+    ("cutoff", lambda x: fg.build_spectrum(1.0, x)),
+    ("lambda", lambda x: fg.continuum_comparison(1000, x, 0.2)),
+    ("reduced temperature", lambda x: fg.continuum_comparison(1000, 1.0, x)),
+    ("lambda", lambda x: fg.counting_check(1000, x)),
+    ("u_bose", lambda x: fg.BoseParams(1000, 1.0, u_bose=x)),
+    ("lambda", lambda x: fg.BoseParams(1000, x, u_bose=0.5)),
+    ("s_b", lambda x: fg.bose_profile(x, fg.BoseParams(1000, 1.0, u_bose=0.5))),
+    ("lambda", lambda x: fg.breakdown_shell_distance(1000, x)),
+    ("lambda", lambda x: fg.semiclassical_central_density(1000, x)),
+    ("radii", lambda x: fg.validity_report(1000, 1.0, [0.5, x])),
+])
+def test_nonfinite_arguments_rejected(name, entry, bad):
+    with pytest.raises(DomainError, match=f"{re.escape(name)} must .*got .*{bad!r}"):
+        entry(bad)

@@ -189,6 +189,31 @@ def test_moments_where_the_fermi_edge_was_missed(t):
     assert abs(fg.normalization(t) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("t", [1.7495e-3, 1.7445e-3, 1.0741e-2,
+                               0.05, 0.25, 0.5, 1.0, 2.0, 5.0])
+def test_closed_form_moments_against_brute_quadrature(t):
+    # 4 pi int s^p n(s) ds of the pointwise density, integrated by scipy
+    m = fg.solve_mu(t)
+    top = math.sqrt(max(m, 0.0) + 45.0 * t)
+    edge = [math.sqrt(m)] if m > 0.0 else None
+    for p, closed in ((2, fg.normalization(t)), (4, fg.mean_square_size(t))):
+        brute, _ = quad(lambda s: 4.0 * math.pi * s ** p * fg.density(s, t), 0.0, top,
+                        points=edge, limit=400, epsabs=1e-13, epsrel=1e-13)
+        assert abs(brute - closed) <= 1e-12
+
+
+MOMENT_GRID = [0.0, 1e-12, 1e-9, 1.0000001e-9, 1e-6] + np.linspace(0.0, 5.0, 201)[1:].tolist()
+
+
+def test_moments_are_the_thermodynamic_closed_forms():
+    for t in MOMENT_GRID:
+        assert fg.mean_square_size(t) == fg.internal_energy(t) / 2.0
+        # normalization - 1 is the constraint residual solve_mu stops at, a
+        # Newton step of <= 2 ulp of m: up to 2.8e-15 at t = 5, where |m| = 33
+        # and the slope 6 t^2 f_2 is 0.2
+        assert abs(fg.normalization(t) - 1.0) <= (1e-15 if t <= 2.0 else 3e-15)
+
+
 def test_profile_curves_equal_pointwise_density():
     curves = fg.profile_curves([0.0, 0.01, 0.25, 2.0], n_samples=57)
     for t, curve in zip([0.0, 0.01, 0.25, 2.0], curves):

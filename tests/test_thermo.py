@@ -163,6 +163,9 @@ def test_thermo_curve_equals_pointwise_calls():
 @pytest.mark.parametrize("entry", [
     fg.solve_mu, fg.internal_energy, fg.heat_capacity, fg.thermo_state,
     lambda t: fg.thermo_curve([0.1, t]), lambda t: fg.profile_curves([t]),
+    lambda t: fg.density(0.5, t), lambda t: fg.momentum_density(0.5, t),
+    fg.mean_square_size, fg.normalization,
+    lambda t: fg.phase_space_occupancy(0.5, 0.5, t, 1.0),
 ])
 def test_nonfinite_temperature_rejected(entry, bad):
     with pytest.raises(DomainError, match="reduced temperature must be finite and "
