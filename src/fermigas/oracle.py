@@ -1,10 +1,11 @@
 """Exact discrete-spectrum reference computations.
 
 The single-particle levels are eps = n_x + n_y + lambda*n_z in units of
-hbar*omega_r, zero-point suppressed.  Levels are enumerated as planar
-shells (n_x + n_y = p carries degeneracy p + 1) stacked over the axial
-ladder; for integer lambda equal energies merge exactly, reproducing the
-(n+1)(n+2)/2 shell degeneracies of the isotropic trap.
+hbar*omega_r, zero-point suppressed.  Each cell (n_z, p = n_x + n_y)
+holds p + 1 states at p + lambda*n_z; one stable sort of the cell arrays
+merges equal energies, so integer lambda reproduces the (n+1)(n+2)/2 shell
+degeneracies of the isotropic trap.  Work and memory go with the number of
+cells, about cutoff^2/(2 lambda), which is capped at MAX_CELLS.
 
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
@@ -14,7 +15,6 @@ the meaningful convergence measure.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +23,19 @@ from .errors import DomainError, NumericsError, check_finite
 from .fdint import fermi
 from .thermo import _check_t, monotone_root, solve_mu
 
-MAX_STATES = 20_000_000
+MAX_CELLS = 5_000_000
 
 # exact_mu enumerates levels up to _CUTOFF_SCALE E_F + 36 t_abs + 2, which
 # holds about twice N states and leaves the occupation below exp(-36) there
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
+
+
+def _check_n(n_particles, name="n_particles"):
+    n = float(n_particles)
+    if not (math.isfinite(n) and n >= 1.0):
+        raise DomainError(f"{name} must be finite and at least 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -46,30 +52,31 @@ class DiscreteSpectrum:
         return int(self.degeneracies.sum())
 
 
-def _planar_count(p: int) -> int:
-    return (p + 1) * (p + 2) // 2
-
-
 def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     """Exhaustively enumerate all levels with energy <= cutoff."""
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    nz_max = int(math.floor(cutoff / lam))
-    total = sum(_planar_count(int(math.floor(cutoff - lam * nz)))
-                for nz in range(nz_max + 1))
-    if total > MAX_STATES:
+    if cutoff / lam >= MAX_CELLS:  # floor(cutoff/lam) + 1 axial levels > MAX_CELLS
+        raise DomainError(f"cutoff/lambda = {cutoff / lam:.6g} axial levels exceed "
+                          f"the {MAX_CELLS} cell cap")
+    base = lam * np.arange(math.floor(cutoff / lam) + 1)
+    counts = np.floor(cutoff - base).astype(np.int64) + 1  # cells p = 0..count-1
+    cells = int(counts.sum())
+    if cells > MAX_CELLS:
         raise DomainError(
-            f"spectrum would hold {total} states, above the {MAX_STATES} cap")
-    levels = {}
-    for nz in range(nz_max + 1):
-        base = lam * nz
-        for p in range(int(math.floor(cutoff - base)) + 1):
-            e = p + base
-            levels[e] = levels.get(e, 0) + p + 1
-    energies = np.array(sorted(levels), dtype=float)
-    degs = np.array([levels[e] for e in energies], dtype=float)
-    return DiscreteSpectrum(lam=lam, cutoff=float(cutoff),
-                            energies=energies, degeneracies=degs)
+            f"spectrum would hold {cells} (n_z, p) cells, above the {MAX_CELLS} cap")
+    p = np.arange(cells, dtype=float) - np.repeat(np.cumsum(counts) - counts, counts)
+    energies = np.repeat(base, counts) + p
+    p += 1.0  # states per cell; float sums of them stay exact below 2^53
+    # arrays are rebound one at a time: about 32 transient bytes per cell
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    degs = p[order]
+    del p, order
+    starts = np.flatnonzero(np.r_[True, energies[1:] != energies[:-1]])
+    degs = np.add.reduceat(degs, starts)
+    return DiscreteSpectrum(lam=lam, cutoff=float(cutoff), energies=energies[starts],
+                            degeneracies=degs)
 
 
 def closed_shell_count(n: int) -> int:
@@ -84,8 +91,7 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     fill closed shells; the chemical potential is then reported at the
     midpoint of the gap between the last filled and first empty level.
     """
-    if n_particles < 1:
-        raise DomainError("need at least one particle")
+    _check_n(n_particles)
     t_abs = check_finite("t_abs", t_abs)
     e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
@@ -118,45 +124,30 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     return float(mu)
 
 
-def origin_weight(m: int) -> float:
-    """|psi_2m(0)|^2 * sigma * sqrt(pi) for the 1-d oscillator, by recurrence."""
-    if m < 0:
-        raise DomainError("index must be non-negative")
-    w = 1.0
-    for i in range(1, m + 1):
-        w *= (2 * i - 1) / (2 * i)
-    return w
-
-
-def eigenfunction_origin_density(n: int) -> float:
-    """|psi_n(0)|^2 * sigma * sqrt(pi); zero for odd n by parity."""
-    if n % 2 == 1:
-        return 0.0
-    return origin_weight(n // 2)
-
-
 def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
-    """n(0) * sigma^3 by direct eigenfunction summation (isotropic trap only)."""
+    """n(0) * sigma^3 of the closed shells 0..K (isotropic trap only): with
+    |psi_2m(0)|^2 sigma sqrt(pi) the x^m coefficient of (1 - x)^(-1/2), the
+    eigenfunction sum is the x^(K//2) coefficient of (1 - x)^(-5/2)."""
+    _check_n(n_closed_shell, "n_closed_shell")
     if lam != 1.0:
-        raise DomainError("eigenfunction summation is implemented for lambda = 1")
-    n_max = round((6.0 * n_closed_shell) ** (1.0 / 3.0)) + 2
-    shells = {closed_shell_count(n): n for n in range(n_max + 2)}
-    if n_closed_shell not in shells:
+        raise DomainError("the closed-shell central density is implemented for lambda = 1")
+    # (6N)^(1/3) > K + 1, so the search starts at or above the top shell K
+    top = int((6.0 * n_closed_shell) ** (1.0 / 3.0))
+    while closed_shell_count(top) > n_closed_shell:
+        top -= 1
+    if closed_shell_count(top) != n_closed_shell:
         raise DomainError(
             f"N = {n_closed_shell} is not a closed-shell count; occupation "
             "of the top shell would be ambiguous")
-    top = shells[n_closed_shell]
-    w = np.array([origin_weight(m) for m in range(top // 2 + 1)])
-    total = 0.0
-    for nx in range(0, top + 1, 2):
-        for ny in range(0, top + 1 - nx, 2):
-            nz = np.arange(0, top - nx - ny + 1, 2)
-            total += w[nx // 2] * w[ny // 2] * float(np.sum(w[nz // 2]))
-    return total / math.pi ** 1.5
+    m = top // 2
+    # C(M + 3/2, M) = C(2M + 3, M + 1)(M + 1)(M + 2)/(3 * 2^(2M + 1)), rounded once
+    binomial = math.comb(2 * m + 3, m + 1) * (m + 1) * (m + 2) / (3 << (2 * m + 1))
+    return binomial / math.pi ** 1.5
 
 
 def semiclassical_central_density(n_particles: int, lam: float = 1.0) -> float:
     """Continuum central density n(0) * sigma^3 = (2/sqrt(3) pi^2) sqrt(N*lam)."""
+    _check_n(n_particles)
     return _SEMI_N0 * math.sqrt(n_particles * check_finite("lambda", lam, positive=True))
 
 
@@ -172,6 +163,8 @@ class ValidityReport:
 
 
 def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
+    _check_n(n_particles)
+    lam = check_finite("lambda", lam, positive=True)
     s = np.asarray([float(r) for r in radii], dtype=float)
     if s.size == 0:
         raise DomainError("need at least one radius")
@@ -197,6 +190,7 @@ def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
 def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
     """Distance from the cloud edge, in units of sigma, at which the density
     drops to one particle per quantum volume (n(r) sigma^3 = 1)."""
+    _check_n(n_particles)
     lam = check_finite("lambda", lam, positive=True)
     x = (1.0 / (_SEMI_N0 * math.sqrt(n_particles * lam))) ** (2.0 / 3.0)
     if x >= 1.0:
@@ -225,6 +219,7 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
     from the potential bottom, so the adjusted gap restores the suppressed
     zero point before differencing.
     """
+    _check_n(n_particles)
     lam = check_finite("lambda", lam, positive=True)
     t = _check_t(t)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
@@ -242,11 +237,12 @@ def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
     outermost shell degeneracy)."""
+    _check_n(n_particles)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     spectrum = build_spectrum(lam, e_fermi + 1.0)
     zp = 1.0 + 0.5 * lam
     threshold = e_fermi - zp
-    idx = bisect_right(spectrum.energies.tolist(), threshold)
+    idx = int(np.searchsorted(spectrum.energies, threshold, side="right"))
     cumulative = int(spectrum.degeneracies[:idx].sum())
     edge_deg = int(spectrum.degeneracies[min(idx, len(spectrum.energies) - 1)])
     return abs(cumulative - n_particles), edge_deg

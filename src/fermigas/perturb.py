@@ -123,6 +123,8 @@ def density_response(fld: PerturbationField) -> ResponseResult:
 def mean_field_correction(u_int: float) -> ResponseResult:
     """One-shot response to the interaction field dV = u_int * n0(s)."""
     u_int = float(u_int)
+    if not math.isfinite(u_int):
+        raise DomainError(f"u_int must be finite, got {u_int!r}")
     peak = abs(u_int) * zero_t_density(0.0)
     if peak > SMALLNESS_GUARD + 1e-12:
         raise DomainError(

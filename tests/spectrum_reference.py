@@ -1,0 +1,49 @@
+"""Loop-form references for the exact oracle.
+
+The oracle computes these sums as array identities; the plain loops they
+replace stay here so the tests can compare the two routes term by term.
+"""
+
+import math
+
+import numpy as np
+
+
+def dict_spectrum(lam, cutoff):
+    """(energies, degeneracies) by planar shells stacked over the axial
+    ladder, equal energies merged in a dict keyed by the float energy."""
+    levels = {}
+    for nz in range(int(math.floor(cutoff / lam)) + 1):
+        base = lam * nz
+        for p in range(int(math.floor(cutoff - base)) + 1):
+            e = p + base
+            levels[e] = levels.get(e, 0) + p + 1
+    energies = np.array(sorted(levels), dtype=float)
+    return energies, np.array([levels[e] for e in energies], dtype=float)
+
+
+def origin_weight(m):
+    """|psi_2m(0)|^2 * sigma * sqrt(pi) for the 1-d oscillator, by recurrence."""
+    w = 1.0
+    for i in range(1, m + 1):
+        w *= (2 * i - 1) / (2 * i)
+    return w
+
+
+def eigenfunction_origin_density(n):
+    """|psi_n(0)|^2 * sigma * sqrt(pi); zero for odd n by parity."""
+    if n % 2 == 1:
+        return 0.0
+    return origin_weight(n // 2)
+
+
+def summed_central_density(top):
+    """n(0) * sigma^3 of the isotropic shells 0..top by the double loop over
+    even (n_x, n_y) and a vector sum over even n_z."""
+    w = np.array([origin_weight(m) for m in range(top // 2 + 1)])
+    total = 0.0
+    for nx in range(0, top + 1, 2):
+        for ny in range(0, top + 1 - nx, 2):
+            nz = np.arange(0, top - nx - ny + 1, 2)
+            total += w[nx // 2] * w[ny // 2] * float(np.sum(w[nz // 2]))
+    return total / math.pi ** 1.5

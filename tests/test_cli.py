@@ -116,6 +116,7 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "validity", "--radii", "nan,0.5")[0] == 2
     assert run_cli(capsys, "oracle", "--shells", "nan")[0] == 2
     assert run_cli(capsys, "oracle", "--shells", "1e400")[0] == 2
+    assert run_cli(capsys, "oracle", "--lambda", "1e-7")[0] == 2
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys, monkeypatch):
@@ -200,6 +201,12 @@ def test_oracle_report(capsys):
     doc = json.loads(out)
     assert doc["gap_adjusted_over_e_fermi"] < 0.005
     assert doc["central_density_ratio_shell_10"] == pytest.approx(1.0647, abs=1e-3)
+
+
+def test_oracle_at_readme_particle_number(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "100000")
+    assert code == 0
+    assert out.startswith("key,value\nn_particles,100000\n")
 
 
 def test_validity_report_output(capsys):

@@ -1,14 +1,17 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.optimize import brentq
 from scipy.special import expit, gammaln
 
 import fermigas as fg
 from fermigas import DomainError
-from fermigas.oracle import eigenfunction_origin_density, origin_weight
+from spectrum_reference import (dict_spectrum, eigenfunction_origin_density,
+                                origin_weight, summed_central_density)
 
 
 def test_isotropic_shell_degeneracies():
@@ -33,9 +36,29 @@ def test_irrational_anisotropy_keeps_planar_shells_distinct():
     assert len(sp.energies) == pairs  # no merged degeneracies beyond p-shells
 
 
-def test_state_count_cap():
+@pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 1.0, 1.7, 2.0, math.sqrt(8.0), 3.0])
+@pytest.mark.parametrize("n_particles", [1, 20, 1_000, 30_000])
+@pytest.mark.parametrize("t", [0.0, 0.02, 0.05, 0.2])
+def test_spectrum_matches_dict_enumeration(lam, n_particles, t):
+    e_fermi = (6.0 * lam * n_particles) ** (1 / 3)
+    cutoff = 2 ** (1 / 3) * e_fermi + 36.0 * t * e_fermi + 2.0  # exact_mu's cutoff
+    sp = fg.build_spectrum(lam, cutoff)
+    energies, degeneracies = dict_spectrum(lam, cutoff)
+    assert np.array_equal(sp.energies, energies)
+    assert np.array_equal(sp.degeneracies, degeneracies)
+    assert sp.state_count == int(degeneracies.sum())
+
+
+def test_cell_cap():
+    # a million-state spectrum is fine when it has few cells
+    assert fg.build_spectrum(1.0, 200.0).state_count == fg.closed_shell_count(200)
+    with pytest.raises(DomainError, match="cap"):  # 12.5e6 cells
+        fg.build_spectrum(1.0, 5000.0)
     with pytest.raises(DomainError, match="cap"):
-        fg.build_spectrum(1.0, 500.0)
+        fg.exact_mu(10_000, 1e-7, 0.0)
+    # refused before any per-axial-level work: 1e300 levels would never finish
+    with pytest.raises(DomainError, match="cap"):
+        fg.build_spectrum(1e-300, 1.0)
 
 
 def test_zero_temperature_closed_shells():
@@ -113,6 +136,13 @@ def test_exact_mu_against_brentq_reference(lam, n_particles, t):
         brentq_exact_mu(n_particles, lam, t_abs), rel=1e-14)
 
 
+@pytest.mark.parametrize("lam", [1.0, math.sqrt(8.0)])
+def test_exact_mu_at_readme_particle_number(lam):
+    t_abs = 0.2 * (6.0 * lam * 100_000) ** (1 / 3)
+    assert fg.exact_mu(100_000, lam, t_abs) == pytest.approx(
+        brentq_exact_mu(100_000, lam, t_abs), rel=1e-14)
+
+
 def test_continuum_comparison_at_acceptance_point():
     comp = fg.continuum_comparison(10_000, 1.0, 0.2)
     assert comp.gap_adjusted <= 0.01
@@ -151,6 +181,23 @@ def test_origin_weight_recurrence_matches_log_gamma():
         via_gamma = math.exp(gammaln(2 * m + 1) - 2.0 * gammaln(m + 1)
                              - m * math.log(4.0))
         assert abs(origin_weight(m) - via_gamma) <= 1e-12
+
+
+def test_central_density_closed_form_matches_eigenfunction_sum():
+    for top in range(201):
+        assert fg.exact_central_density(fg.closed_shell_count(top)) == pytest.approx(
+            summed_central_density(top), rel=1e-14)
+
+
+def test_central_density_against_exact_rationals():
+    binomial = Fraction(1)  # C(M + 3/2, M) = prod_{j <= M} (2j + 3)/(2j)
+    for m in range(101):
+        binomial *= Fraction(2 * m + 3, 2 * m) if m else 1
+        with mp.workdps(30):
+            exact = mp.mpf(binomial.numerator) / binomial.denominator / mp.pi ** 1.5
+            for top in (2 * m, 2 * m + 1):
+                got = fg.exact_central_density(fg.closed_shell_count(top))
+                assert abs(got - exact) <= 2e-15 * exact
 
 
 def test_central_density_converges_to_semiclassical():
@@ -205,6 +252,15 @@ def test_breakdown_shell_distance_exponent():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name, entry", [
+    ("n_particles", lambda x: fg.exact_mu(x, 1.0, 0.5)),
+    ("n_particles", lambda x: fg.continuum_comparison(x, 1.0, 0.2)),
+    ("n_particles", lambda x: fg.counting_check(x)),
+    ("n_particles", lambda x: fg.validity_report(x, 1.0, [0.5])),
+    ("n_particles", lambda x: fg.breakdown_shell_distance(x)),
+    ("n_particles", lambda x: fg.semiclassical_central_density(x)),
+    ("n_closed_shell", lambda x: fg.exact_central_density(x)),
+    ("lambda", lambda x: fg.validity_report(1000, x, [0.5])),
+    ("u_int", lambda x: fg.mean_field_correction(x)),
     ("t_abs", lambda x: fg.exact_mu(100, 1.0, x)),
     ("lambda", lambda x: fg.exact_mu(100, x, 0.5)),
     ("lambda", lambda x: fg.build_spectrum(x, 10.0)),
@@ -221,4 +277,18 @@ def test_breakdown_shell_distance_exponent():
 ])
 def test_nonfinite_arguments_rejected(name, entry, bad):
     with pytest.raises(DomainError, match=f"{re.escape(name)} must .*got .*{bad!r}"):
+        entry(bad)
+
+
+@pytest.mark.parametrize("bad", [0, -5, 0.5])
+@pytest.mark.parametrize("entry", [
+    lambda x: fg.exact_mu(x, 1.0, 0.5),
+    lambda x: fg.continuum_comparison(x, 1.0, 0.2),
+    lambda x: fg.counting_check(x),
+    lambda x: fg.validity_report(x, 1.0, [0.5]),
+    lambda x: fg.breakdown_shell_distance(x),
+    lambda x: fg.semiclassical_central_density(x),
+])
+def test_particle_number_below_one_rejected(entry, bad):
+    with pytest.raises(DomainError, match=f"n_particles must .*got {float(bad)!r}"):
         entry(bad)
