@@ -3,22 +3,21 @@
 Subcommands map one-to-one onto library operations; output is CSV or JSON
 and byte-identical across runs for identical configuration.  A flat
 key=value config file (``#`` comments) named by the FERMIGAS_CONFIG
-environment variable supplies defaults; explicit flags win.  Exit codes:
-0 success, 1 numerical failure or unwritable output, 2 usage error.
+environment variable is read as --key=value tokens placed right after the
+command, so later flags win.  Exit codes: 0 success, 1 numerical failure or
+unwritable output, 2 usage error.
 """
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bose, oracle, perturb, profiles, scales, thermo
-from .curves import UniversalCurve, render
+from .curves import UniversalCurve, render, write_table
 from .errors import DomainError, FermiGasError
 
 _FIG_GRID_STEPS = 200   # default t grid for the mu, heat and size curves
@@ -27,16 +26,6 @@ _PROFILE_SMAX = 1.5     # default s grid for the density profiles
 _PROFILE_SAMPLES = 300
 
 CONFIG_ENV_VAR = "FERMIGAS_CONFIG"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command, its parameters, format and path."""
-
-    command: str
-    params: dict
-    fmt: str
-    output: str
 
 
 def _positive_float(text):
@@ -94,7 +83,7 @@ def _trap_spec(p):
 
 
 def build_parser():
-    """The argument parser and its map from command name to subparser."""
+    """The argument parser, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="fermigas",
         description="Universal curves of the harmonically trapped ideal Fermi gas",
@@ -152,11 +141,12 @@ def build_parser():
     sub.add_argument("--radii", type=_float_list,
                      default=[round(x, 3) for x in np.linspace(0.0, 1.2, 25)])
 
-    return parser, subs.choices
+    return parser
 
 
 def _load_config_file(path):
-    entries = {}
+    """The key=value entries of a config file as --key=value tokens."""
+    tokens = []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -169,54 +159,17 @@ def _load_config_file(path):
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (tok.strip() for tok in line.split("=", 1))
-            entries[key] = value
-    return entries
+            tokens.append(f"--{key}={value}")
+    return tokens
 
 
-def _explicit_options(argv):
-    seen = set()
-    for token in argv:
-        if token.startswith("--"):
-            seen.add(token.split("=", 1)[0])
-    return seen
-
-
-def _apply_config(sub_actions, args, argv):
+def parse_argv(argv) -> argparse.Namespace:
+    """Parse argv, with the config file's tokens placed after the command:
+    argparse keeps the last occurrence of an option, so flags win."""
     path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return
-    entries = _load_config_file(path)
-    explicit = _explicit_options(argv)
-    by_option = {}
-    for action in sub_actions:
-        for opt in action.option_strings:
-            by_option[opt] = action
-    for key, value in entries.items():
-        opt = "--" + key
-        action = by_option.get(opt)
-        if action is None or isinstance(action, argparse._StoreConstAction):
-            raise DomainError(f"unknown config key {key!r} for command {args.command!r}")
-        if opt in explicit:
-            continue
-        convert = action.type if action.type is not None else str
-        try:
-            converted = convert(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise DomainError(f"bad config value {key}={value!r}: {exc}")
-        if action.choices is not None and converted not in action.choices:
-            raise DomainError(f"bad config value {key}={value!r}: "
-                              f"choose from {', '.join(action.choices)}")
-        setattr(args, action.dest, converted)
-
-
-def parse_argv(argv) -> RunConfig:
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config(subparsers[args.command]._actions, args, argv)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "format", "output")}
-    return RunConfig(command=args.command, params=params,
-                     fmt=args.format, output=args.output)
+    if path and argv and not argv[0].startswith("-"):
+        argv = [argv[0], *_load_config_file(path), *argv[1:]]
+    return build_parser().parse_args(argv)
 
 
 def _t_grid(p):
@@ -225,18 +178,6 @@ def _t_grid(p):
     if p["steps"] < 2:
         raise DomainError("--steps must be at least 2")
     return np.linspace(p["t_min"], p["t_max"], p["steps"])
-
-
-def _kv_artifact(pairs, fmt):
-    if fmt == "json":
-        return json.dumps(dict(pairs), indent=2) + "\n"
-    lines = ["key,value"]
-    for key, value in pairs:
-        if isinstance(value, float):
-            lines.append(f"{key},{value:.17g}")
-        else:
-            lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
 
 
 def _run_mu_curve(p, fmt):
@@ -262,11 +203,11 @@ def _run_profile(p, fmt):
     if p["kind"] == "momentum":
         # the momentum density is the same function of q = |k|/K_F
         curves = [UniversalCurve("q", c.y_label, c.samples) for c in curves]
+    blocks = list(zip(p["t"], curves))
     if fmt == "json":
-        doc = [{"t": t, **curve.to_json_obj()} for t, curve in zip(p["t"], curves)]
-        return json.dumps(doc, indent=2) + "\n"
-    chunks = [f"# t = {t:.17g}\n" + curve.to_csv() for t, curve in zip(p["t"], curves)]
-    return "\n".join(chunks)
+        return write_table(fmt, doc=[{"t": t, **c.to_json_obj()} for t, c in blocks])
+    return "\n".join(write_table(fmt, (c.x_label, c.y_label), c.samples, [("t", t)])
+                     for t, c in blocks)
 
 
 def _run_scales(p, fmt):
@@ -285,7 +226,7 @@ def _run_scales(p, fmt):
         ("sigma_r_m", sc.sigma_r),
         ("level_spacing_j", sc.level_spacing),
     ]
-    return _kv_artifact(pairs, fmt)
+    return write_table(fmt, ("key", "value"), pairs, doc=dict(pairs))
 
 
 def _read_delta_v_table(path):
@@ -309,17 +250,10 @@ def _read_delta_v_table(path):
 def _run_perturb(p, fmt):
     fld = _read_delta_v_table(p["delta_v"])
     resp = perturb.density_response(fld)
-    if fmt == "json":
-        doc = {
-            "delta_e_fermi": resp.delta_e_fermi,
-            "samples": [[float(s), float(dn)]
-                        for s, dn in zip(resp.s_grid, resp.delta_n)],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [f"# delta_e_fermi_over_e_fermi = {resp.delta_e_fermi:.17g}",
-             "s,delta_n"]
-    lines.extend(f"{s:.17g},{dn:.17g}" for s, dn in zip(resp.s_grid, resp.delta_n))
-    return "\n".join(lines) + "\n"
+    rows = list(zip(resp.s_grid.tolist(), resp.delta_n.tolist()))
+    return write_table(fmt, ("s", "delta_n"), rows,
+                       [("delta_e_fermi_over_e_fermi", resp.delta_e_fermi)],
+                       doc={"delta_e_fermi": resp.delta_e_fermi, "samples": rows})
 
 
 def _run_bose_compare(p, fmt):
@@ -328,13 +262,10 @@ def _run_bose_compare(p, fmt):
     pauli = bose.pauli_pseudopotential(sc)
     hbar_omega = scales.HBAR * spec.omega_r
     u_eff_trap = pauli.u_eff / (hbar_omega * sc.sigma_r ** 3)
-    if p["u_bose"] is not None:
-        params = bose.BoseParams(spec.n_particles, spec.lam, u_bose=p["u_bose"])
-    elif p["a_scatt"] is not None:
-        params = bose.BoseParams(spec.n_particles, spec.lam, a_scatt=p["a_scatt"])
-    else:
-        # the gas mimicked by its own Pauli pseudopotential
-        params = bose.BoseParams(spec.n_particles, spec.lam, u_bose=u_eff_trap)
+    u_bose, a_scatt = p["u_bose"], p["a_scatt"]
+    if u_bose is None and a_scatt is None:
+        u_bose = u_eff_trap  # the gas mimicked by its own Pauli pseudopotential
+    params = bose.BoseParams(spec.n_particles, spec.lam, u_bose=u_bose, a_scatt=a_scatt)
     rb = bose.bose_radius(params)
     pairs = [
         ("n_particles", spec.n_particles),
@@ -351,7 +282,7 @@ def _run_bose_compare(p, fmt):
         ("pauli_a_eff_m", pauli.a_eff),
         ("kf_a_eff", pauli.kf_a_eff),
     ]
-    return _kv_artifact(pairs, fmt)
+    return write_table(fmt, ("key", "value"), pairs, doc=dict(pairs))
 
 
 def _run_oracle(p, fmt):
@@ -372,30 +303,21 @@ def _run_oracle(p, fmt):
             exact = oracle.exact_central_density(n_closed)
             semi = oracle.semiclassical_central_density(n_closed)
             pairs.append((f"central_density_ratio_shell_{int(shell)}", exact / semi))
-    return _kv_artifact(pairs, fmt)
+    return write_table(fmt, ("key", "value"), pairs, doc=dict(pairs))
 
 
 def _run_validity(p, fmt):
     rep = oracle.validity_report(p["n_particles"], p["lam"], p["radii"])
-    if fmt == "json":
-        def finite(x):
-            return float(x) if math.isfinite(x) else None
+    rows = list(zip(rep.radii.tolist(), rep.margin.tolist(), rep.cell_scale.tolist()))
+    notes = [("shell_thickness_sigma", rep.shell_thickness_sigma),
+             ("inv_k_fermi_sigma", rep.inv_k_fermi_sigma)]
 
-        doc = {
-            "shell_thickness_sigma": rep.shell_thickness_sigma,
-            "inv_k_fermi_sigma": rep.inv_k_fermi_sigma,
-            "rows": [
-                {"s": float(s), "margin": finite(m), "cell_scale": finite(c)}
-                for s, m, c in zip(rep.radii, rep.margin, rep.cell_scale)
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [f"# shell_thickness_sigma = {rep.shell_thickness_sigma:.17g}",
-             f"# inv_k_fermi_sigma = {rep.inv_k_fermi_sigma:.17g}",
-             "s,margin,cell_scale"]
-    lines.extend(f"{s:.17g},{m:.17g},{c:.17g}"
-                 for s, m, c in zip(rep.radii, rep.margin, rep.cell_scale))
-    return "\n".join(lines) + "\n"
+    def finite(x):
+        return x if math.isfinite(x) else None
+
+    doc = {**dict(notes), "rows": [{"s": s, "margin": finite(m), "cell_scale": finite(c)}
+                                   for s, m, c in rows]}
+    return write_table(fmt, ("s", "margin", "cell_scale"), rows, notes, doc)
 
 
 _COMMANDS = {
@@ -411,24 +333,16 @@ _COMMANDS = {
 }
 
 
-def dispatch(config: RunConfig) -> int:
-    run = _COMMANDS.get(config.command)
-    if run is None:
-        raise DomainError(f"unknown command {config.command!r}")
-    text = run(config.params, config.fmt)
-    if config.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return 0
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        return dispatch(parse_argv(argv))
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        text = _COMMANDS[args.command](vars(args), args.format)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except DomainError as exc:

@@ -1,6 +1,6 @@
-"""Sampled universal curves and their CSV/JSON serialization.
+"""Sampled universal curves, and the one writer of CSV/JSON tables.
 
-Serialized output is byte-stable across runs: samples are written with 17
+Serialized output is byte-stable across runs: floats are written with 17
 significant digits, which round-trips IEEE doubles exactly.
 """
 
@@ -10,6 +10,25 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 AXIS_LABELS = frozenset({"t", "s", "q", "m", "c", "msd", "density"})
+
+
+def _cell(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def write_table(fmt, header=(), rows=(), notes=(), doc=None) -> str:
+    """One table as text ending in a newline, in fmt "csv" or "json".
+
+    CSV: a ``# name = value`` line per (name, value) note, the header, then
+    one line per row, floats to 17 significant digits.  JSON: doc alone,
+    indented by two spaces.
+    """
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"# {name} = {value:.17g}" for name, value in notes]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -32,9 +51,7 @@ class UniversalCurve:
             raise DomainError("curve abscissa must be strictly increasing")
 
     def to_csv(self) -> str:
-        lines = [f"{self.x_label},{self.y_label}"]
-        lines.extend(f"{x:.17g},{y:.17g}" for x, y in self.samples)
-        return "\n".join(lines) + "\n"
+        return write_table("csv", (self.x_label, self.y_label), self.samples)
 
     def to_json_obj(self) -> dict:
         return {
@@ -44,7 +61,7 @@ class UniversalCurve:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        return write_table("json", doc=self.to_json_obj())
 
 
 def parse_csv(text: str) -> UniversalCurve:

@@ -145,7 +145,10 @@ def _fd_scalar(k: float, eta: float) -> float:
     if eta <= _SERIES_CUTOFF:
         return _fugacity_series(k, eta)
     if eta >= _SOMMERFELD_CUTOFF:
-        return _sommerfeld(k, eta)
+        try:
+            return _sommerfeld(k, eta)
+        except OverflowError:  # eta ** k beyond the double range
+            raise DomainError(f"f_{k:g}(eta) overflows a double at eta = {eta!r}") from None
     return float(_fixed_rule(k, np.array([eta]))[0])
 
 

@@ -24,6 +24,9 @@ from .fdint import fermi
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_CELLS = 5_000_000
+# top closed shell of exact_central_density, whose exact integer binomial
+# grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
+MAX_SHELL = 1_000_000
 
 # exact_mu enumerates levels up to _CUTOFF_SCALE E_F + 36 t_abs + 2, which
 # holds about twice N states and leaves the occupation below exp(-36) there
@@ -33,7 +36,11 @@ _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
 
 
 def _check_n(n_particles, name="n_particles"):
-    n = float(n_particles)
+    try:
+        n = float(n_particles)
+    except OverflowError:  # an int beyond the double range
+        raise DomainError(f"{name} must be finite and at least 1, "
+                          "got an integer beyond the float range") from None
     if not (math.isfinite(n) and n >= 1.0):
         raise DomainError(f"{name} must be finite and at least 1, got {n!r}")
 
@@ -131,8 +138,12 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
     _check_n(n_closed_shell, "n_closed_shell")
     if lam != 1.0:
         raise DomainError("the closed-shell central density is implemented for lambda = 1")
-    # (6N)^(1/3) > K + 1, so the search starts at or above the top shell K
-    top = int((6.0 * n_closed_shell) ** (1.0 / 3.0))
+    # K + 1 < (6N)^(1/3) < K + 2, so the search starts at or above the top shell K
+    estimate = (6.0 * n_closed_shell) ** (1.0 / 3.0)
+    if estimate > MAX_SHELL + 2:
+        raise DomainError(f"N = {n_closed_shell:.6g} fills shells above the top-shell "
+                          f"cap {MAX_SHELL}")
+    top = int(estimate)
     while closed_shell_count(top) > n_closed_shell:
         top -= 1
     if closed_shell_count(top) != n_closed_shell:

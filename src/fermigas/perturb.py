@@ -96,16 +96,6 @@ class ResponseResult:
     delta_e_fermi: float
     s_grid: np.ndarray = field(repr=False)
     delta_n: np.ndarray = field(repr=False)
-    _field: PerturbationField = field(repr=False)
-
-    def delta_n_at(self, s):
-        """Continuous scaled density change, zero outside the cloud."""
-        s = np.asarray(s, dtype=float)
-        inside = np.clip(1.0 - s * s, 0.0, None)
-        out = (12.0 / math.pi ** 2) * np.sqrt(inside) * (
-            self.delta_e_fermi - self._field.interp(np.clip(s, 0.0, 1.0)))
-        out = np.where(s > 1.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
 
 
 def fermi_energy_shift(fld: PerturbationField) -> float:
@@ -116,8 +106,7 @@ def fermi_energy_shift(fld: PerturbationField) -> float:
 def density_response(fld: PerturbationField) -> ResponseResult:
     de = fermi_energy_shift(fld)
     dn = (12.0 / math.pi ** 2) * np.sqrt(1.0 - GRID ** 2) * (de - fld.values)
-    return ResponseResult(delta_e_fermi=de, s_grid=GRID.copy(), delta_n=dn,
-                          _field=fld)
+    return ResponseResult(delta_e_fermi=de, s_grid=GRID.copy(), delta_n=dn)
 
 
 def mean_field_correction(u_int: float) -> ResponseResult:

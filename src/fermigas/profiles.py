@@ -74,7 +74,8 @@ def normalization(t) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
-    return 6.0 * t ** 3 * fd(3.0, solve_mu(t) / t)
+    m = solve_mu(t)  # first: its cap keeps t ** 3 below the double range
+    return 6.0 * t ** 3 * fd(3.0, m / t)
 
 
 def mean_square_size(t) -> float:

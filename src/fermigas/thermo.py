@@ -39,6 +39,11 @@ _RESIDUAL_TOL = 1e-12
 # resolution while eta = m/t overflows intermediate powers
 _TINY_T = 1e-9
 
+# the factors 6 t^3 of the constraint and 18 t^4 of u overflow a double just
+# above these (at 3.1e102 and 5.6e76)
+_T_MAX_MU = 3e102
+_T_MAX_U = 5e76
+
 
 @dataclass(frozen=True)
 class ThermoState:
@@ -115,6 +120,9 @@ def solve_mu(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
+    if t > _T_MAX_MU:
+        raise DomainError(f"reduced temperature must be at most {_T_MAX_MU:g} for m, "
+                          f"got {t!r}")
 
     def constraint(m):
         # 6 t^3 f_3(m/t) - 1 rises with m at the rate 6 t^2 f_2(m/t)
@@ -135,6 +143,9 @@ def internal_energy(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 0.75
+    if t > _T_MAX_U:
+        raise DomainError(f"reduced temperature must be at most {_T_MAX_U:g} for u, "
+                          f"got {t!r}")
     m = solve_mu(t)
     return 18.0 * t ** 4 * fd(4.0, m / t)
 

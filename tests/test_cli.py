@@ -1,14 +1,22 @@
+import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fermigas as fg
-from fermigas.cli import main
+from fermigas.cli import _COMMANDS, build_parser, main
 from fermigas.curves import parse_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# child interpreters find the package the way this one did
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -78,11 +86,39 @@ def test_scales_requires_full_spec(capsys):
     assert "--omega-r" in err
 
 
-def test_determinism_byte_identical(capsys):
-    args = ("profile", "--t", "0,0.25", "--samples", "16")
-    _, first, _ = run_cli(capsys, *args)
-    _, second, _ = run_cli(capsys, *args)
-    assert first == second
+def write_dv_table(path):
+    s = np.linspace(0.0, 1.0, 60)
+    rows = "\n".join(f"{x:.10f},{1e-3 * x * x:.12e}" for x in s)
+    path.write_text("s,delta_v\n" + rows + "\n")
+    return str(path)
+
+
+def test_determinism_byte_identical(tmp_path, capsys):
+    table = write_dv_table(tmp_path / "dv.csv")
+    invocations = {
+        "mu-curve": ("--t-max", "0.5", "--steps", "8"),
+        "heat-curve": ("--t-max", "0.5", "--steps", "8"),
+        "msd-curve": ("--t-max", "0.5", "--steps", "8"),
+        "profile": ("--t", "0,0.25", "--samples", "16"),
+        "scales": ("--preset", "li6-top"),
+        "perturb": ("--delta-v", table),
+        "bose-compare": ("--preset", "li6-top"),
+        "oracle": ("--n", "2000", "--shells", "10,20"),
+        "validity": ("--n", "1000"),
+    }
+    assert sorted(invocations) == sorted(_COMMANDS)
+    for command, args in invocations.items():
+        for fmt in ("csv", "json"):
+            code, first, _ = run_cli(capsys, command, *args, "--format", fmt)
+            assert code == 0, (command, fmt)
+            _, second, _ = run_cli(capsys, command, *args, "--format", fmt)
+            assert first == second, (command, fmt)
+
+
+def test_every_subcommand_has_a_handler():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(_COMMANDS)
 
 
 def test_output_file_and_empty_curve_guard(tmp_path, capsys):
@@ -116,6 +152,8 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "validity", "--radii", "nan,0.5")[0] == 2
     assert run_cli(capsys, "oracle", "--shells", "nan")[0] == 2
     assert run_cli(capsys, "oracle", "--shells", "1e400")[0] == 2
+    assert run_cli(capsys, "oracle", "--shells", "1e300")[0] == 2
+    assert run_cli(capsys, "oracle", "--shells", "1e9")[0] == 2
     assert run_cli(capsys, "oracle", "--lambda", "1e-7")[0] == 2
 
 
@@ -131,6 +169,45 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys, monkeypatch):
     # explicit flag beats the file
     code, out, _ = run_cli(capsys, "mu-curve", "--steps", "3")
     assert len(json.loads(out)["samples"]) == 3
+
+
+def test_config_file_loses_to_abbreviated_flags(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "fermigas.conf"
+    cfg.write_text("t-max=0.5\nsteps=4\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, out, _ = run_cli(capsys, "mu-curve", "--t-ma", "1.0", "--ste", "3")
+    assert code == 0
+    assert [t for t, _ in parse_csv(out).samples] == [0.0, 0.5, 1.0]
+
+
+def test_config_file_supplies_required_option(tmp_path, capsys, monkeypatch):
+    table = write_dv_table(tmp_path / "dv.csv")
+    _, expected, _ = run_cli(capsys, "perturb", "--delta-v", table)
+    cfg = tmp_path / "perturb.conf"
+    cfg.write_text(f"delta-v={table}\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, out, _ = run_cli(capsys, "perturb")
+    assert code == 0
+    assert out == expected
+
+
+def test_config_file_and_flag_from_either_or_pair(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "bose.conf"
+    cfg.write_text("u-bose=0.5\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, _, err = run_cli(capsys, "bose-compare", "--preset", "li6-top",
+                           "--a-scatt", "0.01")
+    assert code == 2
+    assert "--u-bose" in err and "--a-scatt" in err
+
+
+def test_config_file_help_key_rejected(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "help.conf"
+    cfg.write_text("help=1\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, out, _ = run_cli(capsys, "scales", "--preset", "li6-top")
+    assert code == 2
+    assert out == ""
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys, monkeypatch):
@@ -154,18 +231,15 @@ def test_config_file_choices_checked(tmp_path, capsys, monkeypatch):
 
 
 def test_perturb_round_trip(tmp_path, capsys):
-    table = tmp_path / "dv.csv"
-    s = np.linspace(0.0, 1.0, 60)
-    rows = "\n".join(f"{x:.10f},{1e-3 * x * x:.12e}" for x in s)
-    table.write_text("s,delta_v\n" + rows + "\n")
-    code, out, _ = run_cli(capsys, "perturb", "--delta-v", str(table),
+    table = write_dv_table(tmp_path / "dv.csv")
+    code, out, _ = run_cli(capsys, "perturb", "--delta-v", table,
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["delta_e_fermi"] == pytest.approx(5e-4, abs=1e-6)
     assert len(doc["samples"]) == 2048
 
-    code, out, _ = run_cli(capsys, "perturb", "--delta-v", str(table))
+    code, out, _ = run_cli(capsys, "perturb", "--delta-v", table)
     assert code == 0
     assert out.startswith("# delta_e_fermi_over_e_fermi = ")
     assert "s,delta_n" in out
@@ -222,7 +296,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fermigas", "mu-curve", "--t-max", "0.2",
          "--steps", "3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,m")
 
@@ -231,6 +305,6 @@ def test_import_loads_no_scipy():
     probe = ("import sys, fermigas; print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -119,6 +119,12 @@ def test_nonfinite_eta_rejected(bad):
         fd(2, bad)
 
 
+@pytest.mark.parametrize("eta", [1e80, np.array([1.0, 1e80])])
+def test_overflowing_eta_rejected(eta):
+    with pytest.raises(DomainError, match=r"eta = 1e\+80"):
+        fd(4.0, eta)
+
+
 def _correctly_rounded(value):
     # 40 significant digits, rounded to the nearest double by float()
     return float(mpmath.nstr(value, 40))

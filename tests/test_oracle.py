@@ -292,3 +292,25 @@ def test_nonfinite_arguments_rejected(name, entry, bad):
 def test_particle_number_below_one_rejected(entry, bad):
     with pytest.raises(DomainError, match=f"n_particles must .*got {float(bad)!r}"):
         entry(bad)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda x: fg.exact_mu(x, 1.0, 0.5),
+    lambda x: fg.continuum_comparison(x, 1.0, 0.2),
+    lambda x: fg.counting_check(x),
+    lambda x: fg.validity_report(x, 1.0, [0.5]),
+    lambda x: fg.breakdown_shell_distance(x),
+    lambda x: fg.semiclassical_central_density(x),
+    lambda x: fg.exact_central_density(x),
+])
+def test_particle_number_beyond_float_range_rejected(entry):
+    with pytest.raises(DomainError, match="beyond the float range"):
+        entry(10 ** 400)
+
+
+def test_central_density_top_shell_cap():
+    # refused before the exact binomial, which takes 9.4 s at the cap K = 1e6
+    assert fg.oracle.MAX_SHELL >= 10 ** 6
+    for top in (fg.oracle.MAX_SHELL + 1, 10 ** 9, 10 ** 100):
+        with pytest.raises(DomainError, match="cap"):
+            fg.exact_central_density(fg.closed_shell_count(top))

