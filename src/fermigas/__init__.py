@@ -6,7 +6,7 @@ q = |k|/K_F; physical units enter only through the scales module.
 """
 
 from .errors import DomainError, FermiGasError, NumericsError
-from .fdint import SUPPORTED_ORDERS, fd, fd_derivative
+from .fdint import SUPPORTED_ORDERS, fd, fd_derivative, fd_orders
 from .scales import (
     PRESETS,
     CharacteristicScales,
@@ -31,6 +31,7 @@ from .profiles import (
     density,
     mean_square_size,
     momentum_density,
+    msd_curve,
     normalization,
     phase_space_occupancy,
     profile_curves,

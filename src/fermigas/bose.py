@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, check_finite
+from .errors import DomainError, check_count, check_finite
 from .scales import CharacteristicScales
 
 TF_PARAMETER_FLOOR = 10.0
@@ -31,15 +31,16 @@ class BoseParams:
     a_scatt: float = None
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise DomainError(f"need n_particles >= 1, got {self.n_particles!r}")
+        check_count("n_particles", self.n_particles)
         check_finite("lambda", self.lam, positive=True)
         if (self.u_bose is None) == (self.a_scatt is None):
             raise DomainError("give exactly one of u_bose or a_scatt")
         if self.u_bose is None:
-            object.__setattr__(self, "u_bose", 4.0 * math.pi * self.a_scatt)
+            a_scatt = check_finite("a_scatt", self.a_scatt, positive=True)
+            object.__setattr__(self, "u_bose", 4.0 * math.pi * a_scatt)
         else:
-            object.__setattr__(self, "a_scatt", self.u_bose / (4.0 * math.pi))
+            u_bose = check_finite("u_bose", self.u_bose, positive=True)
+            object.__setattr__(self, "a_scatt", u_bose / (4.0 * math.pi))
         # the Thomas-Fermi regime needs a repulsive interaction
         check_finite("u_bose", self.u_bose, positive=True)
         tf = self.u_bose * self.n_particles / self.lam

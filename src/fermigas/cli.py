@@ -191,9 +191,7 @@ def _run_heat_curve(p, fmt):
 
 
 def _run_msd_curve(p, fmt):
-    grid = _t_grid(p)
-    samples = tuple((float(t), profiles.mean_square_size(float(t))) for t in grid)
-    return render(UniversalCurve("t", "msd", samples), fmt)
+    return render(profiles.msd_curve(_t_grid(p)), fmt)
 
 
 def _run_profile(p, fmt):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the argument check."""
+"""Exception types shared across the package, and the argument checks."""
 
 import math
 
@@ -15,10 +15,27 @@ class NumericsError(FermiGasError, RuntimeError):
     """An internal numerical procedure failed to converge or bracket."""
 
 
+def to_float(name, value, rule="finite") -> float:
+    """float(value); DomainError naming the parameter for an int beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the double range
+        raise DomainError(f"{name} must be {rule}, "
+                          "got an integer beyond the float range") from None
+
+
 def check_finite(name, value, positive=False) -> float:
     """value as a float; DomainError unless finite and >= 0 (> 0 if positive)."""
-    v = float(value)
+    rule = "finite and positive" if positive else "finite and non-negative"
+    v = to_float(name, value, rule)
     if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
-        sign = "positive" if positive else "non-negative"
-        raise DomainError(f"{name} must be finite and {sign}, got {v!r}")
+        raise DomainError(f"{name} must be {rule}, got {v!r}")
     return v
+
+
+def check_count(name, value) -> float:
+    """value as a float; DomainError unless finite and at least 1."""
+    n = to_float(name, value, "finite and at least 1")
+    if not (math.isfinite(n) and n >= 1.0):
+        raise DomainError(f"{name} must be finite and at least 1, got {n!r}")
+    return n

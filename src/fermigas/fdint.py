@@ -31,6 +31,12 @@ the scalar code above; middle-band elements go through the rule in one
 batch, and a float in the middle band is a batch of one.  Each row of the
 batch is reduced on its own, so a value does not depend on the batch it
 came in: scalar and array calls agree bit for bit.
+
+fd_orders(orders, eta) gives several orders in one pass of the same band
+dispatch, of which fd is the one-order case.  The rule then builds the
+nodes and the Fermi factor 1/(exp(v^2 - eta) + 1) once per eta and reduces
+w v^(2k-1) f row by row for each order, so every order keeps the bits of
+its own fd call.
 """
 
 import math
@@ -127,29 +133,72 @@ _FRACTIONS = ((np.arange(_PANELS)[:, None] + 0.5 * (_gl_x + 1.0)) / _PANELS).rav
 _WEIGHTS = np.tile(0.5 * _gl_w / _PANELS, _PANELS)
 
 
-def _fixed_rule(k: float, eta):
-    """f_k at every element of a 1-D array eta inside the middle band."""
+def _fixed_rule(orders, eta):
+    """f_k for each k in orders at every element of a 1-D array eta inside
+    the middle band, as rows of a (len(orders), eta.size) array."""
     e = eta[:, None]
     lo = np.sqrt(np.maximum(e, 0.0))
     hi = np.sqrt(np.maximum(e, 0.0) + _TAIL_DECADES)
     v = np.concatenate([lo * _FRACTIONS, lo + (hi - lo) * _FRACTIONS], axis=1)
     w = np.concatenate([lo * _WEIGHTS, (hi - lo) * _WEIGHTS], axis=1)
+    occupation = fermi(v * v - e)
     # a per-row sum, unlike a matrix product, rounds the same in any batch
-    terms = w * v ** (2.0 * k - 1.0) * fermi(v * v - e)
-    return terms.sum(axis=1) * (2.0 / math.gamma(k))
+    return np.array([(w * v ** (2.0 * k - 1.0) * occupation).sum(axis=1)
+                     * (2.0 / math.gamma(k)) for k in orders])
 
 
-def _fd_scalar(k: float, eta: float) -> float:
+def band(eta: float) -> str:
+    """Name of the regime that evaluates f_k at eta."""
+    if eta <= _SERIES_CUTOFF:
+        return "series"
+    return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "quadrature"
+
+
+def _fd_scalar(orders, eta: float) -> list:
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
     if eta <= _SERIES_CUTOFF:
-        return _fugacity_series(k, eta)
+        return [_fugacity_series(k, eta) for k in orders]
     if eta >= _SOMMERFELD_CUTOFF:
+        values = []
         try:
-            return _sommerfeld(k, eta)
+            for k in orders:
+                values.append(_sommerfeld(k, eta))
         except OverflowError:  # eta ** k beyond the double range
             raise DomainError(f"f_{k:g}(eta) overflows a double at eta = {eta!r}") from None
-    return float(_fixed_rule(k, np.array([eta]))[0])
+        return values
+    return _fixed_rule(orders, np.array([eta]))[:, 0].tolist()
+
+
+def fd_orders(orders, eta) -> list:
+    """[f_k(eta) for k in orders]: several supported orders at once.
+
+    A float eta gives floats; an array gives arrays of its shape.  Middle-band
+    elements share one Fermi factor across the orders, and each value equals
+    fd(k, eta) bit for bit.
+    """
+    ks = tuple(map(_require_order, orders))
+    if isinstance(eta, float):  # np.asarray alone costs ~1 us
+        return _fd_scalar(ks, eta)
+    try:
+        eta = np.asarray(eta, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        raise DomainError("eta must be finite, got an integer beyond the float range") from None
+    if eta.ndim == 0:
+        return _fd_scalar(ks, float(eta))
+    flat = eta.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise DomainError(f"eta must be finite, got {float(flat[~finite][0])!r}")
+    out = np.empty((len(ks), flat.size))
+    middle = (flat > _SERIES_CUTOFF) & (flat < _SOMMERFELD_CUTOFF)
+    for i in np.flatnonzero(~middle):
+        out[:, i] = _fd_scalar(ks, float(flat[i]))
+    rows = np.flatnonzero(middle)
+    for start in range(0, rows.size, _BATCH):
+        part = rows[start:start + _BATCH]
+        out[:, part] = _fixed_rule(ks, flat[part])
+    return [row.reshape(eta.shape) for row in out]
 
 
 def fd(order, eta):
@@ -157,23 +206,7 @@ def fd(order, eta):
 
     A float eta gives a float; an array gives an array of its shape.
     """
-    k = _require_order(order)
-    if isinstance(eta, float) or np.ndim(eta) == 0:  # np.ndim alone costs ~1 us
-        return _fd_scalar(k, float(eta))
-    eta = np.asarray(eta, dtype=float)
-    flat = eta.ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        raise DomainError(f"eta must be finite, got {float(flat[~finite][0])!r}")
-    out = np.empty_like(flat)
-    middle = (flat > _SERIES_CUTOFF) & (flat < _SOMMERFELD_CUTOFF)
-    for i in np.flatnonzero(~middle):
-        out[i] = _fd_scalar(k, float(flat[i]))
-    rows = np.flatnonzero(middle)
-    for start in range(0, rows.size, _BATCH):
-        part = rows[start:start + _BATCH]
-        out[part] = _fixed_rule(k, flat[part])
-    return out.reshape(eta.shape)
+    return fd_orders((order,), eta)[0]
 
 
 def fd_derivative(order, eta):

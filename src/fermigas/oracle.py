@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, check_finite
+from .errors import DomainError, NumericsError, check_count, check_finite, to_float
 from .fdint import fermi
 from .thermo import _check_t, monotone_root, solve_mu
 
@@ -33,16 +33,6 @@ MAX_SHELL = 1_000_000
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
-
-
-def _check_n(n_particles, name="n_particles"):
-    try:
-        n = float(n_particles)
-    except OverflowError:  # an int beyond the double range
-        raise DomainError(f"{name} must be finite and at least 1, "
-                          "got an integer beyond the float range") from None
-    if not (math.isfinite(n) and n >= 1.0):
-        raise DomainError(f"{name} must be finite and at least 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,8 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     fill closed shells; the chemical potential is then reported at the
     midpoint of the gap between the last filled and first empty level.
     """
-    _check_n(n_particles)
+    check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
     t_abs = check_finite("t_abs", t_abs)
     e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
@@ -135,7 +126,7 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
     """n(0) * sigma^3 of the closed shells 0..K (isotropic trap only): with
     |psi_2m(0)|^2 sigma sqrt(pi) the x^m coefficient of (1 - x)^(-1/2), the
     eigenfunction sum is the x^(K//2) coefficient of (1 - x)^(-5/2)."""
-    _check_n(n_closed_shell, "n_closed_shell")
+    check_count("n_closed_shell", n_closed_shell)
     if lam != 1.0:
         raise DomainError("the closed-shell central density is implemented for lambda = 1")
     # K + 1 < (6N)^(1/3) < K + 2, so the search starts at or above the top shell K
@@ -158,7 +149,7 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
 
 def semiclassical_central_density(n_particles: int, lam: float = 1.0) -> float:
     """Continuum central density n(0) * sigma^3 = (2/sqrt(3) pi^2) sqrt(N*lam)."""
-    _check_n(n_particles)
+    check_count("n_particles", n_particles)
     return _SEMI_N0 * math.sqrt(n_particles * check_finite("lambda", lam, positive=True))
 
 
@@ -174,9 +165,9 @@ class ValidityReport:
 
 
 def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
-    _check_n(n_particles)
+    check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
-    s = np.asarray([float(r) for r in radii], dtype=float)
+    s = np.asarray([to_float("radii", r) for r in radii], dtype=float)
     if s.size == 0:
         raise DomainError("need at least one radius")
     if not np.all((s >= 0.0) & (s <= 1.2)):  # NaN fails both comparisons
@@ -201,7 +192,7 @@ def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
 def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
     """Distance from the cloud edge, in units of sigma, at which the density
     drops to one particle per quantum volume (n(r) sigma^3 = 1)."""
-    _check_n(n_particles)
+    check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
     x = (1.0 / (_SEMI_N0 * math.sqrt(n_particles * lam))) ** (2.0 / 3.0)
     if x >= 1.0:
@@ -230,7 +221,7 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
     from the potential bottom, so the adjusted gap restores the suppressed
     zero point before differencing.
     """
-    _check_n(n_particles)
+    check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
     t = _check_t(t)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
@@ -248,7 +239,8 @@ def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
     outermost shell degeneracy)."""
-    _check_n(n_particles)
+    check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     spectrum = build_spectrum(lam, e_fermi + 1.0)
     zp = 1.0 + 0.5 * lam

@@ -15,7 +15,7 @@ Level energies are quoted without the zero-point offset throughout.
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, check_finite
+from .errors import DomainError, check_count, check_finite
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
 HBAR = 1.054571817e-34       # J s
@@ -36,7 +36,8 @@ class TrapSpec:
         check_finite("mass", self.mass, positive=True)
         check_finite("omega_r", self.omega_r, positive=True)
         check_finite("lambda", self.lam, positive=True)
-        if not (int(self.n_particles) == self.n_particles and self.n_particles >= 1):
+        check_count("n_particles", self.n_particles)
+        if int(self.n_particles) != self.n_particles:
             raise DomainError(
                 f"n_particles must be a positive integer, got {self.n_particles!r}")
 

@@ -21,6 +21,12 @@ exact up to terms of relative size exp(-eta).  Heat capacity is taken at
 fixed particle number and fixed trap frequencies.  The t = 0 point is
 handled symbolically (m = 1, u = 3/4, c = 0) to avoid the eta -> inf
 limit.
+
+Each Newton step of the solve takes f_3 and f_2 from one Fermi factor
+(fdint.fd_orders).  Tables over many temperatures (thermo_curve, and
+profiles.msd_curve and profile_curves) solve the whole grid in one
+elementwise Newton search whose every element has the bits of solve_mu(t).
+That search neither reads nor fills solve_mu's cache.
 """
 
 import math
@@ -31,7 +37,7 @@ import numpy as np
 
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
-from .fdint import _SOMMERFELD_CUTOFF, fd
+from .fdint import _SOMMERFELD_CUTOFF, band, fd, fd_orders
 
 _RESIDUAL_TOL = 1e-12
 
@@ -82,7 +88,7 @@ def classical_mu(t: float) -> float:
     return -t * (math.log(6.0) + 3.0 * math.log(t))
 
 
-def monotone_root(g, lo: float, hi: float) -> tuple:
+def monotone_root(g, lo, hi) -> tuple:
     """Root x of an increasing constraint on [lo, hi], as (x, r(x)).
 
     g(x) returns (r, dr/dx) with r = value/target - 1.  Newton steps start
@@ -90,8 +96,16 @@ def monotone_root(g, lo: float, hi: float) -> tuple:
     the bracket, and a step that leaves it is replaced by bisection.  The
     search stops at a Newton step of at most 2 ulp or a bracket of at most
     4 ulp; the second stop ends it when noise in g stalls Newton.  Used by
-    solve_mu and by the exact level-sum oracle.
+    solve_mu, its grid form and the exact level-sum oracle.
+
+    Array brackets solve many independent constraints in one pass: g(x, idx)
+    then gets the current points of the elements idx still searching and
+    returns their (r, dr) as arrays.  Each element follows the float rules
+    above and stops on its own, so its root has the bits a float bracket
+    would give.
     """
+    if isinstance(lo, np.ndarray):
+        return _monotone_root_array(g, lo, hi)
     r_lo, dr_lo = g(lo)
     r_hi, dr_hi = g(hi)
     if not r_lo < 0.0 < r_hi:
@@ -114,19 +128,71 @@ def monotone_root(g, lo: float, hi: float) -> tuple:
     raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
 
+def _monotone_root_array(g, lo, hi):
+    """monotone_root over 1-D arrays of brackets, with a live mask."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    every = np.arange(lo.size)
+    r_lo, dr_lo = g(lo, every)
+    r_hi, dr_hi = g(hi, every)
+    bad = np.flatnonzero(~((r_lo < 0.0) & (0.0 < r_hi)))
+    if bad.size:
+        i = bad[0]
+        raise NumericsError(f"element {i}: bracket [{float(lo[i])!r}, {float(hi[i])!r}] does "
+                            f"not straddle the root (residuals {r_lo[i]:.3e}, {r_hi[i]:.3e})")
+    from_lo = -r_lo < r_hi
+    x = np.where(from_lo, lo, hi)
+    r = np.where(from_lo, r_lo, r_hi)
+    dr = np.where(from_lo, dr_lo, dr_hi)
+    root, residual = np.empty_like(x), np.empty_like(x)
+    live = every
+    for _ in range(200):
+        step = np.full_like(r, math.inf)  # dr underflows far out
+        np.divide(r, dr, out=step, where=dr > 0.0)
+        done = ((np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
+                | (hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))))
+        root[live[done]] = x[done]
+        residual[live[done]] = r[done]
+        more = ~done
+        if not more.any():
+            return root, residual
+        live, x, step, lo, hi = live[more], x[more], step[more], lo[more], hi[more]
+        x = x - step
+        outside = ~((lo < x) & (x < hi))
+        x[outside] = 0.5 * (lo + hi)[outside]
+        r, dr = g(x, live)
+        below = r < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+    i = live[0]
+    raise NumericsError(f"no convergence in 200 steps for element {i} "
+                        f"on [{float(lo[0])!r}, {float(hi[0])!r}]")
+
+
+def _check_cap(t: float, cap: float, quantity: str):
+    if t > cap:
+        raise DomainError(f"reduced temperature must be at most {cap:g} for {quantity}, "
+                          f"got {t!r}")
+
+
+def _residual_error(t: float, m: float, residual: float):
+    eta = m / t
+    return NumericsError(f"constraint residual {residual:.3e} above tolerance at t={t!r}, "
+                         f"eta={eta!r} ({band(eta)} band)")
+
+
 @lru_cache(maxsize=4096)
 def solve_mu(t: float) -> float:
     """Reduced chemical potential m(t); exactly 1 at t = 0."""
     t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
-    if t > _T_MAX_MU:
-        raise DomainError(f"reduced temperature must be at most {_T_MAX_MU:g} for m, "
-                          f"got {t!r}")
+    _check_cap(t, _T_MAX_MU, "m")
 
     def constraint(m):
         # 6 t^3 f_3(m/t) - 1 rises with m at the rate 6 t^2 f_2(m/t)
-        return 6.0 * t ** 3 * fd(3.0, m / t) - 1.0, 6.0 * t * t * fd(2.0, m / t)
+        f3, f2 = fd_orders((3.0, 2.0), m / t)
+        return 6.0 * t ** 3 * f3 - 1.0, 6.0 * t * t * f2
 
     try:
         m, residual = monotone_root(constraint, classical_mu(t) - 5.0 * t,
@@ -134,8 +200,46 @@ def solve_mu(t: float) -> float:
     except NumericsError as exc:
         raise NumericsError(f"chemical-potential solve at t={t}: {exc}") from exc
     if abs(residual) > _RESIDUAL_TOL:
-        raise NumericsError(f"constraint residual above tolerance at t={t}")
+        raise _residual_error(t, m, residual)
     return m
+
+
+def _solve_mu_grid(ts) -> list:
+    """solve_mu(t) for every checked t of a list, in one elementwise root search.
+
+    Equal element by element to solve_mu(t): the coefficients 6 t^3 and the
+    brackets are Python floats per element, since numpy's power and log may
+    round differently.  Neither reads nor fills solve_mu's cache.
+    """
+    ms = [1.0] * len(ts)
+    hot = [i for i, t in enumerate(ts) if t > _TINY_T]
+    if not hot:
+        return ms
+    th = [ts[i] for i in hot]
+    for t in th:
+        _check_cap(t, _T_MAX_MU, "m")
+    t_arr = np.array(th)
+    c3 = np.array([6.0 * t ** 3 for t in th])
+    c2 = 6.0 * t_arr * t_arr
+
+    def constraint(m, idx):
+        f3, f2 = fd_orders((3.0, 2.0), m / t_arr[idx])
+        return c3[idx] * f3 - 1.0, c2[idx] * f2
+
+    try:
+        m, residual = monotone_root(constraint,
+                                    np.array([classical_mu(t) - 5.0 * t for t in th]),
+                                    1.0 + 5.0 * t_arr)
+    except NumericsError as exc:
+        raise NumericsError(f"chemical-potential solve over t in [{min(th)!r}, "
+                            f"{max(th)!r}]: {exc}") from exc
+    failed = np.flatnonzero(np.abs(residual) > _RESIDUAL_TOL)
+    if failed.size:
+        i = failed[0]
+        raise _residual_error(th[i], float(m[i]), float(residual[i]))
+    for i, value in zip(hot, m.tolist()):
+        ms[i] = value
+    return ms
 
 
 def internal_energy(t: float) -> float:
@@ -143,11 +247,22 @@ def internal_energy(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 0.75
-    if t > _T_MAX_U:
-        raise DomainError(f"reduced temperature must be at most {_T_MAX_U:g} for u, "
-                          f"got {t!r}")
+    _check_cap(t, _T_MAX_U, "u")
     m = solve_mu(t)
     return 18.0 * t ** 4 * fd(4.0, m / t)
+
+
+def _energy_grid(ts) -> list:
+    """internal_energy(t) for every checked t of a list, from one grid solve."""
+    for t in ts:
+        _check_cap(t, _T_MAX_U, "u")
+    ms = _solve_mu_grid(ts)
+    us = [0.75] * len(ts)
+    hot = [i for i, t in enumerate(ts) if t > _TINY_T]
+    f4 = fd(4.0, np.array([ms[i] / ts[i] for i in hot], dtype=float))
+    for i, f in zip(hot, f4.tolist()):
+        us[i] = 18.0 * ts[i] ** 4 * f
+    return us
 
 
 def heat_capacity(t: float) -> float:
@@ -160,7 +275,7 @@ def heat_capacity(t: float) -> float:
     eta = solve_mu(t) / t
     if eta >= _SOMMERFELD_CUTOFF:
         return _sommerfeld_c(eta)
-    return _fd_c(fd(2.0, eta), fd(3.0, eta), fd(4.0, eta))
+    return _fd_c(*fd_orders((2.0, 3.0, 4.0), eta))
 
 
 def thermo_state(t: float) -> ThermoState:
@@ -174,14 +289,15 @@ def thermo_curve(t_grid):
     """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
 
     Equal, sample by sample, to solve_mu(t) and heat_capacity(t) (c = 0 at
-    t = 0); the f_2, f_3, f_4 of the whole grid are evaluated as arrays.
+    t = 0); m is solved for the whole grid in one elementwise root search,
+    and f_2, f_3, f_4 share one Fermi factor per eta.
     """
     ts = [_check_t(t) for t in t_grid]
     if not ts:
         raise DomainError("temperature grid is empty")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("temperature grid must be strictly increasing")
-    ms = [solve_mu(t) for t in ts]
+    ms = _solve_mu_grid(ts)
     cs = [0.0 if t == 0.0 else math.pi ** 2 * t for t in ts]  # kept for t <= _TINY_T
     hot = [i for i, t in enumerate(ts) if t > _TINY_T]
     # heat_capacity's arithmetic, elementwise, so each sample keeps its bits
@@ -189,8 +305,7 @@ def thermo_curve(t_grid):
     c_hot = np.empty_like(eta)
     deg = eta >= _SOMMERFELD_CUTOFF
     c_hot[deg] = _sommerfeld_c(eta[deg])
-    e = eta[~deg]
-    c_hot[~deg] = _fd_c(fd(2.0, e), fd(3.0, e), fd(4.0, e))
+    c_hot[~deg] = _fd_c(*fd_orders((2.0, 3.0, 4.0), eta[~deg]))
     for i, c in zip(hot, c_hot.tolist()):
         cs[i] = c
     mu_curve = UniversalCurve("t", "m", tuple(zip(ts, ms)))

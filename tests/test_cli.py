@@ -50,6 +50,12 @@ def test_msd_curve(capsys):
     curve = parse_csv(out)
     assert curve.y_label == "msd"
     assert curve.samples[0][1] == 0.375
+    # the grid solve gives each sample the bits of the scalar call
+    code, out, _ = run_cli(capsys, "msd-curve")
+    assert code == 0
+    samples = parse_csv(out).samples
+    assert len(samples) == 200
+    assert samples == tuple((t, fg.mean_square_size(t)) for t, _ in samples)
 
 
 def test_profile_blocks_per_temperature(capsys):
@@ -155,6 +161,11 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "oracle", "--shells", "1e300")[0] == 2
     assert run_cli(capsys, "oracle", "--shells", "1e9")[0] == 2
     assert run_cli(capsys, "oracle", "--lambda", "1e-7")[0] == 2
+    huge_n = "1" + "0" * 400
+    assert run_cli(capsys, "scales", "--mass", "1e-26", "--omega-r", "1000",
+                   "--lambda", "1", "--n", huge_n)[0] == 2
+    assert run_cli(capsys, "bose-compare", "--mass", "1e-26", "--omega-r", "1000",
+                   "--lambda", "1", "--n", huge_n)[0] == 2
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative
+from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative, fd_orders
 from fermigas.fdint import _BATCH, _SOMMERFELD_C, fermi
 
 from conftest import adaptive_fd, brute_fd, mp_fd
@@ -113,9 +113,11 @@ def test_unsupported_order_rejected(bad):
         fd(bad, 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="int-1e400"),
+                                 pytest.param([0.0, 10 ** 400], id="list-int-1e400")])
 def test_nonfinite_eta_rejected(bad):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="eta must be finite"):
         fd(2, bad)
 
 
@@ -203,6 +205,12 @@ def test_scalar_and_array_calls_bit_identical(k):
     assert np.array_equal(fd(k, etas[5:6]), one_by_one[5:6])
     assert np.array_equal(fd(k, etas[:60].reshape(6, 10)), one_by_one[:60].reshape(6, 10))
     assert isinstance(fd(k, etas[0]), float)
+    # several orders sharing one Fermi factor give each order's own bits
+    orders = (k, 3.0, 2.0, 4.0)
+    for order, values in zip(orders, fd_orders(orders, etas)):
+        assert np.array_equal(values, fd(order, etas))
+    for eta in etas[:40].tolist():
+        assert fd_orders(orders, eta) == [fd(order, eta) for order in orders]
 
 
 def test_array_with_nonfinite_element_rejected():

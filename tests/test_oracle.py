@@ -250,7 +250,8 @@ def test_breakdown_shell_distance_exponent():
     assert abs(slope - (-1.0 / 6.0)) <= 0.02
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="int-1e400")])
 @pytest.mark.parametrize("name, entry", [
     ("n_particles", lambda x: fg.exact_mu(x, 1.0, 0.5)),
     ("n_particles", lambda x: fg.continuum_comparison(x, 1.0, 0.2)),
@@ -276,7 +277,8 @@ def test_breakdown_shell_distance_exponent():
     ("radii", lambda x: fg.validity_report(1000, 1.0, [0.5, x])),
 ])
 def test_nonfinite_arguments_rejected(name, entry, bad):
-    with pytest.raises(DomainError, match=f"{re.escape(name)} must .*got .*{bad!r}"):
+    got = "an integer beyond the float range" if isinstance(bad, int) else repr(bad)
+    with pytest.raises(DomainError, match=f"{re.escape(name)} must .*got .*{got}"):
         entry(bad)
 
 
@@ -302,6 +304,8 @@ def test_particle_number_below_one_rejected(entry, bad):
     lambda x: fg.breakdown_shell_distance(x),
     lambda x: fg.semiclassical_central_density(x),
     lambda x: fg.exact_central_density(x),
+    lambda x: fg.TrapSpec(mass=1e-26, omega_r=1000.0, lam=1.0, n_particles=x),
+    lambda x: fg.BoseParams(x, 1.0, u_bose=0.5),
 ])
 def test_particle_number_beyond_float_range_rejected(entry):
     with pytest.raises(DomainError, match="beyond the float range"):

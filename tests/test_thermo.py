@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fermigas as fg
-from fermigas import DomainError, NumericsError
+from fermigas import DomainError, NumericsError, fdint, thermo
 from fermigas.thermo import monotone_root
 
 from conftest import brute_fd, mp_thermo
@@ -153,24 +153,70 @@ def test_thermo_curve_thousand_point_property_run():
 
 
 def test_thermo_curve_equals_pointwise_calls():
-    # eta = m/t on both sides of 30, where c switches to the Sommerfeld form
-    ts = [0.0, 1e-10, 1e-4, 0.02, 0.0329, 0.0331, 0.05, 0.5, 3.0]
-    mu, c = fg.thermo_curve(ts)
-    assert mu.samples == tuple((t, fg.solve_mu(t)) for t in ts)
-    assert c.samples == tuple((t, fg.heat_capacity(t) if t else 0.0) for t in ts)
+    # eta = m/t on both sides of 30, where c switches to the Sommerfeld form;
+    # then the CLI's default grid and 3000 log-spaced t across every band
+    for ts in ([0.0, 1e-10, 1e-4, 0.02, 0.0329, 0.0331, 0.05, 0.5, 3.0],
+               np.linspace(0.0, 2.0, 200).tolist(), np.geomspace(1.1e-9, 50.0, 3000).tolist()):
+        mu, c = fg.thermo_curve(ts)
+        assert mu.samples == tuple((t, fg.solve_mu(t)) for t in ts)
+        assert c.samples == tuple((t, fg.heat_capacity(t) if t else 0.0) for t in ts)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.fixture
+def rule_passes(monkeypatch):
+    """Counts passes of the fixed FD rule; solve_mu's cache starts cold."""
+    count = [0]
+    rule = fdint._fixed_rule
+
+    def counted(orders, eta):
+        count[0] += 1
+        return rule(orders, eta)
+
+    monkeypatch.setattr(fdint, "_fixed_rule", counted)
+    fg.solve_mu.cache_clear()
+    yield count
+    fg.solve_mu.cache_clear()
+
+
+def test_one_rule_pass_per_newton_step_of_a_grid(rule_passes):
+    # one elementwise solve for the whole grid, f_2, f_3, f_4 from one Fermi
+    # factor: 15 passes, where a solve per temperature took 1543
+    fg.thermo_curve(np.linspace(0.0, 2.0, 200))
+    assert rule_passes[0] <= 24
+    rule_passes[0] = 0
+    # a cold scalar c: f_3 and f_2 share each Newton step, then f_2, f_3, f_4
+    fg.heat_capacity(0.3)
+    assert rule_passes[0] <= 7
+
+
+@pytest.mark.parametrize("solve, first", [
+    pytest.param(fg.solve_mu, r"t=0\.5, eta=0\.43\d*", id="scalar"),
+    pytest.param(lambda t: fg.thermo_curve([0.1, t]), r"t=0\.1, eta=9\.6\d*",
+                 id="grid"),  # names the first failing t
+])
+def test_residual_failure_names_t_eta_and_band(monkeypatch, solve, first):
+    monkeypatch.setattr(thermo, "_RESIDUAL_TOL", -1.0)  # every residual fails
+    fg.solve_mu.cache_clear()
+    with pytest.raises(NumericsError, match=r"constraint residual -?\d\.\d{3}e[-+]\d+ above "
+                                            rf"tolerance at {first} \(quadrature band\)"):
+        solve(0.5)
+    fg.solve_mu.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="int-1e400")])
 @pytest.mark.parametrize("entry", [
     fg.solve_mu, fg.internal_energy, fg.heat_capacity, fg.thermo_state,
     lambda t: fg.thermo_curve([0.1, t]), lambda t: fg.profile_curves([t]),
     lambda t: fg.density(0.5, t), lambda t: fg.momentum_density(0.5, t),
     fg.mean_square_size, fg.normalization,
     lambda t: fg.phase_space_occupancy(0.5, 0.5, t, 1.0),
+    lambda t: fg.msd_curve([0.1, t]),
 ])
 def test_nonfinite_temperature_rejected(entry, bad):
+    got = "an integer beyond the float range" if isinstance(bad, int) else repr(bad)
     with pytest.raises(DomainError, match="reduced temperature must be finite and "
-                                          f"non-negative, got {bad!r}"):
+                                          f"non-negative, got {got}"):
         entry(bad)
 
 
@@ -194,6 +240,9 @@ def test_domain_errors():
     (fg.internal_energy, 1.2e77), (fg.solve_mu, 4e102), (fg.solve_mu, 6e102),
     (fg.heat_capacity, 1e200), (fg.normalization, 1e200),
     (lambda t: fg.density(0.5, t), 1e200), (lambda t: fg.thermo_curve([t]), 1e300),
+    pytest.param(lambda t: fg.msd_curve([0.5, t]), 1e77, id="msd_curve-1e+77"),
+    pytest.param(lambda t: fg.msd_curve([0.5, t]), 1e300, id="msd_curve-1e+300"),
+    pytest.param(lambda t: fg.profile_curves([0.5, t]), 1e200, id="profile_curves-1e+200"),
 ])
 def test_overflowing_temperature_rejected(entry, t):
     with pytest.raises(DomainError, match=f"reduced temperature .*got {re.escape(repr(t))}"):
@@ -213,11 +262,41 @@ def test_chemical_potential_strictly_decreasing(t1, gap):
     assert fg.solve_mu(t1 + gap) < fg.solve_mu(t1)
 
 
+def _elementwise(g, lo, hi):
+    """monotone_root on arrays, recording how many elements each g call saw."""
+    sizes = []
+
+    def g_array(x, idx):
+        sizes.append(idx.size)
+        pairs = [g(a, float(x_i)) for a, x_i in zip(idx.tolist(), x.tolist())]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+    root, residual = monotone_root(g_array, np.array(lo), np.array(hi))
+    return root, residual, sizes
+
+
+def _scalar_roots(g, lo, hi):
+    return [monotone_root(lambda x, i=i: g(i, x), a, b) for i, (a, b) in enumerate(zip(lo, hi))]
+
+
 def test_cube_root_to_the_last_bits():
     root, residual = monotone_root(lambda x: (x ** 3 / 2.0 - 1.0, 1.5 * x * x),
                                    0.0, 4.0)
     assert abs(root - 2.0 ** (1 / 3)) <= 2 * math.ulp(root)
     assert residual == root ** 3 / 2.0 - 1.0
+    # cube roots of 2, 3, 10 and 7.5 at once: each element stops on its own
+    # step, with the bits of its float-bracket search
+    targets = [2.0, 3.0, 10.0, 7.5]
+    lo, hi = [0.0, 0.0, 1.0, 1.9], [4.0, 5.0, 3.0, 2.0]
+
+    def g(i, x):
+        return x * x * x / targets[i] - 1.0, 3.0 * x * x / targets[i]
+
+    roots, residuals, sizes = _elementwise(g, lo, hi)
+    assert [(float(x), float(r)) for x, r in zip(roots, residuals)] == _scalar_roots(g, lo, hi)
+    for x, a in zip(roots, targets):
+        assert abs(x - a ** (1 / 3)) <= 2 * math.ulp(x)
+    assert len(set(sizes[2:])) > 1  # the live set shrinks between iterations
 
 
 def test_bisects_where_the_slope_underflows():
@@ -225,9 +304,26 @@ def test_bisects_where_the_slope_underflows():
     root, _ = monotone_root(lambda x: (math.exp(x) / 2.0 - 1.0, math.exp(x) / 2.0),
                             -800.0, 10.0)
     assert root == pytest.approx(math.log(2.0), rel=1e-15)
+    # the same next to a well-scaled element that stops much earlier
+    scale = [2.0, 5.0]
+    lo, hi = [-800.0, 1.5], [10.0, 1.7]
+
+    def g(i, x):
+        return math.exp(x) / scale[i] - 1.0, math.exp(x) / scale[i]
+
+    roots, _, sizes = _elementwise(g, lo, hi)
+    assert roots.tolist() == [x for x, _ in _scalar_roots(g, lo, hi)]
+    assert roots[0] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert roots[1] == pytest.approx(math.log(5.0), rel=1e-15)
+    assert sizes[-1] == 1
 
 
 @pytest.mark.parametrize("lo, hi", [(2.0, 4.0), (-4.0, -2.0), (4.0, 0.0)])
 def test_bracket_must_straddle_the_root(lo, hi):
     with pytest.raises(NumericsError, match="straddle"):
         monotone_root(lambda x: (x, 1.0), lo, hi)
+    # every element is checked; the error names the first bad one and its bracket
+    with pytest.raises(NumericsError, match=re.escape(f"element 1: bracket [{lo!r}, {hi!r}]")
+                       + " does not straddle"):
+        monotone_root(lambda x, idx: (x, np.ones_like(x)),
+                      np.array([-1.0, lo, -3.0]), np.array([1.0, hi, 3.0]))
