@@ -23,6 +23,8 @@ def write_table(fmt, header=(), rows=(), notes=(), doc=None) -> str:
     one line per row, floats to 17 significant digits.  JSON: doc alone,
     indented by two spaces.
     """
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"unknown output format {fmt!r}")
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
     lines = [f"# {name} = {value:.17g}" for name, value in notes]
@@ -78,8 +80,6 @@ def parse_csv(text: str) -> UniversalCurve:
 
 
 def render(curve: UniversalCurve, fmt: str) -> str:
-    if fmt == "csv":
-        return curve.to_csv()
-    if fmt == "json":
-        return curve.to_json()
-    raise DomainError(f"unknown output format {fmt!r}")
+    """curve as a table in fmt "csv" or "json"."""
+    return write_table(fmt, (curve.x_label, curve.y_label), curve.samples,
+                       doc=curve.to_json_obj())

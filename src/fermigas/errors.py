@@ -24,6 +24,14 @@ def to_float(name, value, rule="finite") -> float:
                           "got an integer beyond the float range") from None
 
 
+def check_real(name, value) -> float:
+    """value as a float; DomainError unless finite (of either sign)."""
+    v = to_float(name, value)
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def check_finite(name, value, positive=False) -> float:
     """value as a float; DomainError unless finite and >= 0 (> 0 if positive)."""
     rule = "finite and positive" if positive else "finite and non-negative"

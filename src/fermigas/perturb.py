@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, to_float
+from .errors import DomainError, check_real
 from .profiles import zero_t_density
 
 GRID_SIZE = 2048
@@ -111,9 +111,7 @@ def density_response(fld: PerturbationField) -> ResponseResult:
 
 def mean_field_correction(u_int: float) -> ResponseResult:
     """One-shot response to the interaction field dV = u_int * n0(s)."""
-    u_int = to_float("u_int", u_int)
-    if not math.isfinite(u_int):
-        raise DomainError(f"u_int must be finite, got {u_int!r}")
+    u_int = check_real("u_int", u_int)
     peak = abs(u_int) * zero_t_density(0.0)
     if peak > SMALLNESS_GUARD + 1e-12:
         raise DomainError(

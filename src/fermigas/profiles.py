@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .curves import UniversalCurve
-from .errors import DomainError, check_finite
+from .errors import DomainError, check_finite, check_real
 from .fdint import fd, fermi
 from .thermo import (_TINY_T, _check_t, _energy_grid, _solve_mu_grid, internal_energy,
                      solve_mu)
@@ -33,7 +33,7 @@ def phase_space_occupancy(s, q, t, m) -> float:
     s = check_finite("s", s)
     q = check_finite("q", q)
     t = _check_t(t)
-    x = q * q + s * s - float(m)
+    x = q * q + s * s - check_real("m", m)
     if t == 0.0:
         return 1.0 if x < 0 else (0.5 if x == 0 else 0.0)
     return float(fermi(x / t))

@@ -23,10 +23,12 @@ handled symbolically (m = 1, u = 3/4, c = 0) to avoid the eta -> inf
 limit.
 
 Each Newton step of the solve takes f_3 and f_2 from one Fermi factor
-(fdint.fd_orders).  Tables over many temperatures (thermo_curve, and
-profiles.msd_curve and profile_curves) solve the whole grid in one
-elementwise Newton search whose every element has the bits of solve_mu(t).
-That search neither reads nor fills solve_mu's cache.
+(fdint.fd_orders).  The search rules are written once, for one bracket
+(_search).  Tables over many temperatures (thermo_curve, and
+profiles.msd_curve and profile_curves) run one such search per
+temperature, advanced together so that each Newton step evaluates the
+whole grid at once; each m therefore has the bits of solve_mu(t).  The
+grid solve neither reads nor fills solve_mu's cache.
 """
 
 import math
@@ -88,26 +90,18 @@ def classical_mu(t: float) -> float:
     return -t * (math.log(6.0) + 3.0 * math.log(t))
 
 
-def monotone_root(g, lo, hi) -> tuple:
-    """Root x of an increasing constraint on [lo, hi], as (x, r(x)).
+def _search(lo: float, hi: float):
+    """The search rules for one bracket of an increasing constraint.
 
-    g(x) returns (r, dr/dx) with r = value/target - 1.  Newton steps start
-    from the bracket end with the smaller |r|; every evaluation tightens
-    the bracket, and a step that leaves it is replaced by bisection.  The
-    search stops at a Newton step of at most 2 ulp or a bracket of at most
-    4 ulp; the second stop ends it when noise in g stalls Newton.  Used by
-    solve_mu, its grid form and the exact level-sum oracle.
-
-    Array brackets solve many independent constraints in one pass: g(x, idx)
-    then gets the current points of the elements idx still searching and
-    returns their (r, dr) as arrays.  Each element follows the float rules
-    above and stops on its own, so its root has the bits a float bracket
-    would give.
+    A generator: it yields each point x to evaluate and is sent back
+    (r, dr/dx) there; it returns (root, residual).  Newton steps start from
+    the bracket end with the smaller |r|; every evaluation tightens the
+    bracket, and a step that leaves it is replaced by bisection.  The search
+    stops at a Newton step of at most 2 ulp or a bracket of at most 4 ulp;
+    the second stop ends it when noise in the constraint stalls Newton.
     """
-    if isinstance(lo, np.ndarray):
-        return _monotone_root_array(g, lo, hi)
-    r_lo, dr_lo = g(lo)
-    r_hi, dr_hi = g(hi)
+    r_lo, dr_lo = yield lo
+    r_hi, dr_hi = yield hi
     if not r_lo < 0.0 < r_hi:
         raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root "
                             f"(residuals {r_lo:.3e}, {r_hi:.3e})")
@@ -120,7 +114,7 @@ def monotone_root(g, lo, hi) -> tuple:
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        r, dr = g(x)
+        r, dr = yield x
         if r < 0.0:
             lo = x
         else:
@@ -128,45 +122,43 @@ def monotone_root(g, lo, hi) -> tuple:
     raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
 
-def _monotone_root_array(g, lo, hi):
-    """monotone_root over 1-D arrays of brackets, with a live mask."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    every = np.arange(lo.size)
-    r_lo, dr_lo = g(lo, every)
-    r_hi, dr_hi = g(hi, every)
-    bad = np.flatnonzero(~((r_lo < 0.0) & (0.0 < r_hi)))
-    if bad.size:
-        i = bad[0]
-        raise NumericsError(f"element {i}: bracket [{float(lo[i])!r}, {float(hi[i])!r}] does "
-                            f"not straddle the root (residuals {r_lo[i]:.3e}, {r_hi[i]:.3e})")
-    from_lo = -r_lo < r_hi
-    x = np.where(from_lo, lo, hi)
-    r = np.where(from_lo, r_lo, r_hi)
-    dr = np.where(from_lo, dr_lo, dr_hi)
-    root, residual = np.empty_like(x), np.empty_like(x)
-    live = every
-    for _ in range(200):
-        step = np.full_like(r, math.inf)  # dr underflows far out
-        np.divide(r, dr, out=step, where=dr > 0.0)
-        done = ((np.abs(step) <= 2.0 * np.spacing(np.abs(x)))
-                | (hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))))
-        root[live[done]] = x[done]
-        residual[live[done]] = r[done]
-        more = ~done
-        if not more.any():
-            return root, residual
-        live, x, step, lo, hi = live[more], x[more], step[more], lo[more], hi[more]
-        x = x - step
-        outside = ~((lo < x) & (x < hi))
-        x[outside] = 0.5 * (lo + hi)[outside]
-        r, dr = g(x, live)
-        below = r < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-    i = live[0]
-    raise NumericsError(f"no convergence in 200 steps for element {i} "
-                        f"on [{float(lo[0])!r}, {float(hi[0])!r}]")
+def monotone_root(g, lo, hi) -> tuple:
+    """Root x of an increasing constraint on [lo, hi], as (x, r(x)).
+
+    g(x) returns (r, dr/dx) with r = value/target - 1; the search rules are
+    _search's.  Used by solve_mu, its grid form and the exact level-sum
+    oracle.
+
+    Array brackets run one _search per element.  Each pass calls g(x, idx)
+    once, with the current points of the elements idx still searching, and
+    takes their (r, dr) as arrays; so each root has the bits a float
+    bracket would give.
+    """
+    if not isinstance(lo, np.ndarray):
+        search = _search(lo, hi)
+        try:
+            x = next(search)
+            while True:
+                x = search.send(g(x))
+        except StopIteration as stop:
+            return stop.value
+    searches = [_search(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    root, residual = np.empty(len(searches)), np.empty(len(searches))
+    live = list(range(len(searches)))
+    xs = [next(search) for search in searches]
+    while live:
+        r, dr = g(np.array(xs), np.array(live))
+        still, xs = [], []
+        for i, r_i, dr_i in zip(live, r.tolist(), dr.tolist()):
+            try:
+                xs.append(searches[i].send((r_i, dr_i)))
+                still.append(i)
+            except StopIteration as stop:
+                root[i], residual[i] = stop.value
+            except NumericsError as exc:
+                raise NumericsError(f"element {i}: {exc}") from exc
+        live = still
+    return root, residual
 
 
 def _check_cap(t: float, cap: float, quantity: str):

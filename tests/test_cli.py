@@ -11,7 +11,7 @@ import pytest
 
 import fermigas as fg
 from fermigas.cli import _COMMANDS, build_parser, main
-from fermigas.curves import parse_csv
+from fermigas.curves import parse_csv, write_table
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # child interpreters find the package the way this one did
@@ -125,6 +125,11 @@ def test_every_subcommand_has_a_handler():
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert sorted(subparsers.choices) == sorted(_COMMANDS)
+
+
+def test_write_table_rejects_unknown_format():
+    with pytest.raises(fg.DomainError, match="unknown output format 'xml'"):
+        write_table("xml", ("a",), [(1.0,)])
 
 
 def test_output_file_and_empty_curve_guard(tmp_path, capsys):

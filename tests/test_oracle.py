@@ -262,6 +262,8 @@ def test_breakdown_shell_distance_exponent():
     ("n_closed_shell", lambda x: fg.exact_central_density(x)),
     ("lambda", lambda x: fg.validity_report(1000, x, [0.5])),
     ("u_int", lambda x: fg.mean_field_correction(x)),
+    ("m", lambda x: fg.phase_space_occupancy(0.5, 0.5, 0.1, x)),
+    ("m", lambda x: fg.phase_space_occupancy(0.5, 0.5, 0.0, x)),
     ("t_abs", lambda x: fg.exact_mu(100, 1.0, x)),
     ("lambda", lambda x: fg.exact_mu(100, x, 0.5)),
     ("lambda", lambda x: fg.build_spectrum(x, 10.0)),

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,6 +21,12 @@ def oracle_mu(t):
     g = lambda m: 6.0 * t ** 3 * brute_fd(3.0, m / t) - 1.0
     return brentq(g, fg.classical_mu(t) - 5.0 * t, 1.0 + 5.0 * t,
                   xtol=1e-14, rtol=8.9e-16)
+
+
+def test_readme_solve_mu_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    line = next(ln for ln in readme.splitlines() if ln.startswith("fg.solve_mu(0.5)"))
+    assert line.split("# -> ")[1].strip() == repr(fg.solve_mu(0.5))
 
 
 def test_zero_temperature_value():
@@ -327,3 +334,14 @@ def test_bracket_must_straddle_the_root(lo, hi):
                        + " does not straddle"):
         monotone_root(lambda x, idx: (x, np.ones_like(x)),
                       np.array([-1.0, lo, -3.0]), np.array([1.0, hi, 3.0]))
+
+
+def test_no_convergence_within_the_step_cap():
+    # a slope of 1e-300 sends every Newton step out of the bracket, and 200
+    # bisections leave [-1e300, 1e300] about 1e240 wide
+    with pytest.raises(NumericsError, match=r"no convergence in 200 steps on \["):
+        monotone_root(lambda x: (x - 1.0, 1e-300), -1e300, 1e300)
+    # next to an element that converges, the error names the stuck one
+    with pytest.raises(NumericsError, match="element 1: no convergence in 200 steps"):
+        monotone_root(lambda x, idx: (x - 1.0, np.where(idx == 1, 1e-300, 1.0)),
+                      np.array([0.0, -1e300]), np.array([3.0, 1e300]))
