@@ -7,6 +7,14 @@ merges equal energies, so integer lambda reproduces the (n+1)(n+2)/2 shell
 degeneracies of the isotropic trap.  Work and memory go with the number of
 cells, about cutoff^2/(2 lambda), which is capped at MAX_CELLS.
 
+exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 with monotone_root.
+Each Newton step is a few numpy passes over the L levels: the occupied
+fraction and its slope sum (g/N) f (1 - f)/T are numpy's pairwise sums.
+Their terms are all positive, so each sum is within (log2(L) + 18) eps
+of exact, relative, with eps = 2.2e-16 (8e-15 at the 840,000 levels of
+N = 1e6, lambda = sqrt 8).  No BLAS routine runs, so the results do not
+depend on the BLAS library or its thread count.
+
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
 potential, so continuum comparisons are reported both raw and with the
@@ -31,6 +39,9 @@ MAX_SHELL = 1_000_000
 # exact_mu enumerates levels up to _CUTOFF_SCALE E_F + 36 t_abs + 2, which
 # holds about twice N states and leaves the occupation below exp(-36) there
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
+
+# largest |occupied fraction - 1| that exact_mu accepts
+_OCCUPATION_TOL = 1e-10
 
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
 
@@ -107,19 +118,29 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
                 "the ground state is ambiguous")
         return 0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1])
 
-    def constraint(mu):
-        # occupied fraction - 1, and its slope sum g f (1 - f) / (N T)
-        occ = fermi((spectrum.energies - mu) / t_abs)
-        filled = spectrum.degeneracies * occ / n_particles
-        return math.fsum(filled) - 1.0, float(np.dot(filled, 1.0 - occ)) / t_abs
+    energies = spectrum.energies
+    weights = spectrum.degeneracies / n_particles
+    del spectrum  # frees the degeneracies: the search holds two arrays of levels
 
-    mu, residual = monotone_root(constraint,
-                                 float(spectrum.energies[0]) - 60.0 * t_abs - 1.0,
-                                 float(spectrum.energies[-1]))
-    if abs(residual) > 1e-10:
+    def constraint(mu):
+        # occupied fraction - 1, and its slope sum g f (1 - f) / (N T), as
+        # pairwise numpy sums of positive terms
+        occ = fermi((energies - mu) / t_abs)
+        filled = weights * occ
+        return float(filled.sum()) - 1.0, float((filled * (1.0 - occ)).sum()) / t_abs
+
+    where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
+             f"over {energies.size} levels")
+    try:
+        mu, residual = monotone_root(constraint, float(energies[0]) - 60.0 * t_abs - 1.0,
+                                     float(energies[-1]))
+    except NumericsError as exc:
+        raise NumericsError(f"mu search for {where}: {exc}") from exc
+    if abs(residual) > _OCCUPATION_TOL:
         raise NumericsError(
-            f"occupation residual {abs(residual) * n_particles:.3e} too large")
-    return float(mu)
+            f"occupation residual {abs(residual) * n_particles:.3e} particles above "
+            f"tolerance at mu = {mu!r} for {where}")
+    return mu
 
 
 def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:

@@ -45,7 +45,7 @@ _W_NODES = (0.5 * (_TH_HI - _TH_LO) * _GL_WEIGHTS[None, :]
 
 
 def _weighted_integral(values_at_nodes) -> float:
-    return float(np.dot(_W_NODES, values_at_nodes))
+    return float((_W_NODES * values_at_nodes).sum())
 
 
 @dataclass(frozen=True)

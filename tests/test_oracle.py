@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import expit, gammaln
 
 import fermigas as fg
-from fermigas import DomainError
+from fermigas import DomainError, NumericsError, oracle, perturb
 from spectrum_reference import (dict_spectrum, eigenfunction_origin_density,
                                 origin_weight, summed_central_density)
 
@@ -127,13 +127,52 @@ def brentq_exact_mu(n_particles, lam, t_abs):
     return brentq(excess, -60.0 * t_abs - 1.0, cutoff, xtol=1e-14, rtol=8.9e-16)
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, math.sqrt(8.0)])
-@pytest.mark.parametrize("n_particles", [1_000, 10_000])
-@pytest.mark.parametrize("t", [0.05, 0.2])
+# (t, N, lambda): the oracle workload's t range [0.02, 0.2], and its largest N
+# at the anisotropy with the most levels
+BRENTQ_CASES = ([(t, n, lam) for t in (0.02, 0.05, 0.2) for n in (1_000, 10_000)
+                 for lam in (0.5, 1.0, math.sqrt(8.0))]
+                + [(t, 30_000, math.sqrt(8.0)) for t in (0.02, 0.05, 0.2)])
+
+
+@pytest.mark.parametrize("t, n_particles, lam", BRENTQ_CASES)
 def test_exact_mu_against_brentq_reference(lam, n_particles, t):
     t_abs = t * (6.0 * lam * n_particles) ** (1 / 3)
     assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(
         brentq_exact_mu(n_particles, lam, t_abs), rel=1e-14)
+
+
+def test_occupation_residual_failure_names_the_solve(monkeypatch):
+    monkeypatch.setattr(oracle, "_OCCUPATION_TOL", -1.0)  # every residual fails
+    with pytest.raises(NumericsError, match=r"occupation residual \d\.\d{3}e[-+]\d+ particles "
+                                            r"above tolerance at mu = \d+\.\d+ for N = 1000, "
+                                            r"lambda = 1\.0, t_abs = 3\.6 over \d+ levels$"):
+        fg.exact_mu(1000, 1.0, 3.6)
+
+
+def test_root_search_failure_names_the_solve(monkeypatch):
+    def stuck(g, lo, hi):
+        raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
+
+    monkeypatch.setattr(oracle, "monotone_root", stuck)
+    with pytest.raises(NumericsError, match=r"^mu search for N = 1000, lambda = 0\.5, "
+                                            r"t_abs = 2\.0 over \d+ levels: no convergence"):
+        fg.exact_mu(1000, 0.5, 2.0)
+
+
+def test_no_blas_call_in_the_level_sum_or_the_response(monkeypatch):
+    # a BLAS reduction would make the bits and the CPU cost depend on the
+    # BLAS library and its thread count
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    lam = math.sqrt(8.0)
+    t_abs = 0.2 * (6.0 * lam * 30_000) ** (1 / 3)
+    expected = brentq_exact_mu(30_000, lam, t_abs)
+    for name in ("dot", "vdot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, refuse)
+    assert fg.exact_mu(30_000, lam, t_abs) == pytest.approx(expected, rel=1e-14)
+    resp = fg.density_response(fg.PerturbationField(np.full(perturb.GRID_SIZE, 0.05)))
+    assert resp.delta_e_fermi == pytest.approx(0.05, rel=1e-14)
 
 
 @pytest.mark.parametrize("lam", [1.0, math.sqrt(8.0)])
