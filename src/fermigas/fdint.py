@@ -1,46 +1,33 @@
-"""Complete Fermi-Dirac integrals of fixed order.
+"""Complete Fermi-Dirac integrals f_k(eta) = -Li_k(-exp(eta)) of fixed order.
 
-fd(k, eta) evaluates
+fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
+{1/2, 1, 3/2, 2, 5/2, 3, 4} from one of five regimes, which band(k, eta) names:
 
-    f_k(eta) = (1/Gamma(k)) * int_0^inf  u^(k-1) / (exp(u - eta) + 1) du
+* series (eta <= -1, every k): sum_j (-1)^(j+1) z^j / j^k, z = exp(eta), by
+  Horner, cut after the first n with z^n < 2^-60 (42 terms at eta = -1).
+* taylor (|eta| < 1, integer k): 36 terms of sum_n eta_D(k - n) eta^n / n!,
+  where eta_D(s) = (1 - 2^(1-s)) zeta(s) is the Dirichlet eta function.
+* reflection (eta >= 1, integer k): the terminating Sommerfeld polynomial
+  plus (-1)^(k+1) times the series at -eta; exact, so nothing cancels.
+* quadrature (-1 < eta < 30, half-integer k): a fixed Gauss-Legendre rule in
+  v = sqrt(u), 6 panels of 24 nodes on each side of the Fermi edge.
+* sommerfeld (eta >= 30, half-integer k): the bracket series, truncated at
+  its smallest term; the reflection term has a cos(pi k) = 0 prefactor.
 
-for the closed order set k in {1/2, 1, 3/2, 2, 5/2, 3, 4}, equivalently
--Li_k(-exp(eta)).  Three regimes are used, since no single representation
-reaches 1e-10 relative accuracy everywhere:
+Each coefficient is an exact ratio of integers rounded to double once.  The
+worst relative errors against mpmath at 40 digits are: series 2.6e-16,
+taylor 4.6e-16, reflection 4.7e-16, quadrature 7.3e-16 and sommerfeld
+6.3e-16 (5.0e-15 for k = 1/2 at eta = 30 itself).
 
-* eta <= -1: alternating fugacity series sum_j (-1)^(j+1) exp(j eta)/j^k.
-* eta >= 30: asymptotic (Sommerfeld) bracket series, its coefficients built
-  from zeta(2n) = |B_2n| (2 pi)^(2n) / (2 (2n)!) in exact rational
-  arithmetic and rounded to double once.  For integer k the bracket
-  terminates and the exponentially small remainder is exactly
-  (-1)^(k+1) f_k(-eta), restoring full precision; for half-integer k that
-  reflection term carries a cos(pi k) = 0 prefactor, so the optimally
-  truncated bracket alone is within 5.0e-15 of mpmath (k = 1/2, eta = 30).
-* otherwise: one fixed Gauss-Legendre rule after the substitution u = v^2,
-  which removes the u^(k-1) endpoint singularity.  Six panels of 24 nodes
-  cover [0, sqrt(eta)] and six more cover [sqrt(eta), sqrt(max(eta,0)+60)],
-  so the Fermi edge v = sqrt(eta) is a panel boundary and the integrand is
-  below exp(-60) beyond the cutoff.  The node fractions and weights are
-  built once; a whole array of eta is evaluated as one numpy expression.
-  Against mpmath at 30 digits over 4242 (order, eta) points in the band
-  the worst relative error is 5.9e-16 (5.6e-15 for the adaptive rule it
-  replaced).
-
-fd accepts a float or an array of eta.  Series and Sommerfeld elements run
-the scalar code above; middle-band elements go through the rule in one
-batch, and a float in the middle band is a batch of one.  Each row of the
-batch is reduced on its own, so a value does not depend on the batch it
-came in: scalar and array calls agree bit for bit.
-
-fd_orders(orders, eta) gives several orders in one pass of the same band
-dispatch, of which fd is the one-order case.  The rule then builds the
-nodes and the Fermi factor 1/(exp(v^2 - eta) + 1) once per eta and reduces
-w v^(2k-1) f row by row for each order, so every order keeps the bits of
-its own fd call.
+fd_orders(orders, eta) gives several orders with one exp per eta.  An array
+runs the same float code element by element and its quadrature elements
+through the rule in batches, each row reduced on its own, so every value
+has the bits of its own scalar call.
 """
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,32 +36,73 @@ from .errors import DomainError
 SUPPORTED_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 
 _SERIES_CUTOFF = -1.0
+_TAYLOR_RADIUS = 1.0
 _SOMMERFELD_CUTOFF = 30.0
-_TAIL_DECADES = 60.0
+_SERIES_SPAN = 60.0 * math.log(2.0)  # exp(-n |eta|) < 2^-60 once n |eta| exceeds this
+_SERIES_TERMS = int(_SERIES_SPAN) + 1  # terms needed at |eta| = 1
+_TAYLOR_TERMS = 36
+_TAIL_DECADES = 60.0  # the rule's integrand is below exp(-60) beyond its cutoff
 _PANELS = 6
 _NODES = 24
 _BATCH = 256  # rows per batch: each (rows x 288) temporary stays near 0.6 MB
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+_LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680009")
+_ZETA3 = Fraction("1.20205690315959428539973816151144999076498629234049888179227156")
 
 
-def _even_bernoulli(n_max):
-    """B_0, B_2, ..., B_(2 n_max) from sum_(i<=m) C(m+1, i) B_i = 0, in which
-    the odd B_i vanish except B_1 = -1/2."""
-    b = [Fraction(1)]
-    for m in range(2, 2 * n_max + 1, 2):
-        even_terms = sum(math.comb(m + 1, i) * b[i // 2] for i in range(0, m, 2))
-        b.append((Fraction(m + 1, 2) - even_terms) / (m + 1))
-    return b
+def _tangent_numbers(n_max):
+    """[0, T_1, ..., T_(n_max)], tan x = sum_n T_n x^(2n-1)/(2n-1)! (Brent and
+    Zimmermann, Modern Computer Arithmetic, algorithm TangentNumbers)."""
+    t = [0] + [math.factorial(n - 1) for n in range(1, n_max + 1)]
+    for k in range(2, n_max + 1):
+        for j in range(k, n_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
-# 2*(1 - 2^(1-2n))*zeta(2n) for n = 1..25: coefficients of eta^(-2n) in the
-# Sommerfeld bracket, multiplied by the falling product k(k-1)...(k-2n+1).
-# Exact Bernoulli form with a 63-digit rational pi; float pi**(2n) loses 2e-15.
-_SOMMERFELD_C = tuple(
-    float((1 - Fraction(2) ** (1 - 2 * n)) * abs(b) * (2 * _PI) ** (2 * n)
-          / math.factorial(2 * n))
-    for n, b in enumerate(_even_bernoulli(25)[1:], start=1)
-)
+_T = _tangent_numbers(25)
+_P, _Q = _PI.as_integer_ratio()
+_PI_POWERS = list(accumulate(range(25), lambda pq, _: (pq[0] * _P * _P, pq[1] * _Q * _Q),
+                             initial=(1, 1)))  # (p^(2n), q^(2n)) for pi = p/q
+
+
+def _dirichlet_eta(s) -> tuple:
+    """eta_D(s) = f_s(0) as an exact (numerator, denominator), integer s <= 50.
+
+    f_0 = (1 + tanh(eta/2))/2 gives eta_D(1 - 2n) = (-1)^(n-1) T_n / 4^n and
+    eta_D(-2n) = 0; eta_D(2n) = (1 - 2^(1-2n)) zeta(2n), with zeta(2n) =
+    T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).
+    """
+    if s in (1, 3):
+        return (_LN2 if s == 1 else Fraction(3, 4) * _ZETA3).as_integer_ratio()
+    if s == 0:
+        return 1, 2
+    if s < 0:
+        n = (1 - s) // 2
+        return (0, 1) if s % 2 == 0 else ((-1) ** (n - 1) * _T[n], 4 ** n)
+    n = s // 2
+    p, q = _PI_POWERS[n]
+    return (4 ** n - 2) * _T[n] * p, 2 * 4 ** n * (4 ** n - 1) * math.factorial(s - 1) * q
+
+
+# 2 eta_D(2n) for n = 1..25: coefficients of eta^(-2n) in the Sommerfeld
+# bracket, multiplied by the falling product k(k-1)...(k-2n+1)
+_SOMMERFELD_C = tuple(2 * p / q for p, q in map(_dirichlet_eta, range(2, 51, 2)))
+
+
+# integer k: the Taylor coefficients eta_D(k - n)/n! of f_k, highest power
+# first, and the terminating Sommerfeld polynomial, twice those with k - n even
+# and n <= k
+_TAYLOR = {float(k): tuple(reversed([p / (q * math.factorial(n)) for n, (p, q) in
+                                     enumerate(map(_dirichlet_eta, range(k, k - _TAYLOR_TERMS, -1)))]))
+           for k in (1, 2, 3, 4)}
+_POLYNOMIAL = {k: tuple(2.0 * c if i % 2 == 0 else 0.0 for i, c in enumerate(t[-1 - int(k):]))
+               for k, t in _TAYLOR.items()}
+# j^-k for j = _SERIES_TERMS down to 1: sqrt(j^-2k) to 128 bits for half-integer k
+_SERIES = {k: tuple(1 / j ** round(k) if k in _TAYLOR
+                    else math.ldexp(math.isqrt((1 << 256) // j ** round(2 * k)), -128)
+                    for j in range(_SERIES_TERMS, 0, -1))
+           for k in SUPPORTED_ORDERS}
 
 
 def _require_order(k) -> float:
@@ -85,39 +113,57 @@ def _require_order(k) -> float:
     return k
 
 
-def _fugacity_series(k: float, eta: float) -> float:
+def _horner(coefficients, x: float) -> float:
     total = 0.0
-    sign = 1.0
-    for j in range(1, 100_000):
-        term = sign * math.exp(j * eta) / j ** k
-        total += term
-        if abs(term) <= 1e-17 * abs(total) or term == 0.0:
-            break
-        sign = -sign
+    for c in coefficients:
+        total = total * x + c
     return total
 
 
+def _series(k: float, eta: float, z: float) -> float:
+    """sum_j (-1)^(j+1) z^j / j^k for z = exp(-|eta|), |eta| >= 1."""
+    terms = int(_SERIES_SPAN / abs(eta)) + 1
+    return z * _horner(_SERIES[k][_SERIES_TERMS - terms:], -z)
+
+
 def _sommerfeld(k: float, eta: float) -> float:
-    bracket = 1.0
-    prod = 1.0
-    prev = math.inf
+    """The optimally truncated bracket of a half-integer order; inf where
+    eta ** k overflows a double."""
+    bracket, prod, power, prev = 1.0, 1.0, 1.0, math.inf
     inv_eta2 = 1.0 / (eta * eta)
-    power = 1.0
     for n, c in enumerate(_SOMMERFELD_C, start=1):
         prod *= (k - (2 * n - 2)) * (k - (2 * n - 1))
-        if prod == 0.0:
-            break
         power *= inv_eta2
         term = c * prod * power
         if abs(term) >= prev:
             break  # asymptotic tail started growing: truncate at smallest term
         bracket += term
         prev = abs(term)
-    value = eta ** k / math.gamma(k + 1.0) * bracket
-    if k == int(k):
-        correction = _fugacity_series(k, -eta)
-        value += correction if int(k) % 2 == 1 else -correction
-    return value
+    try:
+        return eta ** k / math.gamma(k + 1.0) * bracket
+    except OverflowError:
+        return math.inf
+
+
+def _closed_form(k: float, eta: float, z: float):
+    """f_k(eta) with z = exp(-|eta|), or None where the rule evaluates it."""
+    if eta <= _SERIES_CUTOFF:
+        return _series(k, eta, z)
+    if k in _TAYLOR:
+        if eta < _TAYLOR_RADIUS:
+            return _horner(_TAYLOR[k], eta)
+        reflection = _series(k, eta, z)
+        return _horner(_POLYNOMIAL[k], eta) + (reflection if k % 2 else -reflection)
+    return _sommerfeld(k, eta) if eta >= _SOMMERFELD_CUTOFF else None
+
+
+def band(k: float, eta: float) -> str:
+    """Name of the regime that evaluates f_k at eta."""
+    if eta <= _SERIES_CUTOFF:
+        return "series"
+    if float(k) in _TAYLOR:
+        return "taylor" if eta < _TAYLOR_RADIUS else "reflection"
+    return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "quadrature"
 
 
 def fermi(x):
@@ -147,65 +193,50 @@ def _fixed_rule(orders, eta):
                      * (2.0 / math.gamma(k)) for k in orders])
 
 
-def band(eta: float) -> str:
-    """Name of the regime that evaluates f_k at eta."""
-    if eta <= _SERIES_CUTOFF:
-        return "series"
-    return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "quadrature"
-
-
-def _fd_scalar(orders, eta: float) -> list:
+def _closed_forms(ks, eta: float) -> list:
+    """[f_k(eta) for k in ks] at one float eta, None where the rule runs."""
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
-    if eta <= _SERIES_CUTOFF:
-        return [_fugacity_series(k, eta) for k in orders]
-    if eta >= _SOMMERFELD_CUTOFF:
-        values = []
-        try:
-            for k in orders:
-                values.append(_sommerfeld(k, eta))
-        except OverflowError:  # eta ** k beyond the double range
-            raise DomainError(f"f_{k:g}(eta) overflows a double at eta = {eta!r}") from None
-        return values
-    return _fixed_rule(orders, np.array([eta]))[:, 0].tolist()
+    z = math.exp(-abs(eta))
+    values = [_closed_form(k, eta, z) for k in ks]
+    if math.inf in values:
+        raise DomainError(f"f_{ks[values.index(math.inf)]:g}(eta) overflows a double "
+                          f"at eta = {eta!r}")
+    return values
 
 
 def fd_orders(orders, eta) -> list:
-    """[f_k(eta) for k in orders]: several supported orders at once.
-
-    A float eta gives floats; an array gives arrays of its shape.  Middle-band
-    elements share one Fermi factor across the orders, and each value equals
-    fd(k, eta) bit for bit.
-    """
+    """[fd(k, eta) for k in orders], bit for bit, sharing one exp per eta: floats
+    for a float eta, else arrays of eta's shape."""
     ks = tuple(map(_require_order, orders))
     if isinstance(eta, float):  # np.asarray alone costs ~1 us
-        return _fd_scalar(ks, eta)
+        values = _closed_forms(ks, eta)
+        if None in values:
+            rule = iter(_fixed_rule([k for k, v in zip(ks, values) if v is None],
+                                    np.array([eta]))[:, 0].tolist())
+            values = [next(rule) if v is None else v for v in values]
+        return values
     try:
         eta = np.asarray(eta, dtype=float)
     except OverflowError:  # an int beyond the double range
         raise DomainError("eta must be finite, got an integer beyond the float range") from None
     if eta.ndim == 0:
-        return _fd_scalar(ks, float(eta))
+        return fd_orders(ks, float(eta))
     flat = eta.ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        raise DomainError(f"eta must be finite, got {float(flat[~finite][0])!r}")
-    out = np.empty((len(ks), flat.size))
-    middle = (flat > _SERIES_CUTOFF) & (flat < _SOMMERFELD_CUTOFF)
-    for i in np.flatnonzero(~middle):
-        out[:, i] = _fd_scalar(ks, float(flat[i]))
-    rows = np.flatnonzero(middle)
-    for start in range(0, rows.size, _BATCH):
+    # one row per order; a None of the rule's band becomes nan until the rule fills it
+    out = np.array([_closed_forms(ks, e) for e in flat.tolist()], dtype=float)
+    out = out.reshape(flat.size, len(ks)).T
+    half = [j for j, k in enumerate(ks) if k not in _TAYLOR]
+    rows = np.flatnonzero((flat > _SERIES_CUTOFF) & (flat < _SOMMERFELD_CUTOFF)) if half else []
+    for start in range(0, len(rows), _BATCH):
         part = rows[start:start + _BATCH]
-        out[:, part] = _fixed_rule(ks, flat[part])
+        out[np.ix_(half, part)] = _fixed_rule([ks[j] for j in half], flat[part])
     return [row.reshape(eta.shape) for row in out]
 
 
 def fd(order, eta):
-    """Complete Fermi-Dirac integral f_k(eta) for a supported order k.
-
-    A float eta gives a float; an array gives an array of its shape.
-    """
+    """f_k(eta) for a supported order k: a float for a float eta, else an
+    array of eta's shape."""
     return fd_orders((order,), eta)[0]
 
 

@@ -22,13 +22,13 @@ fixed particle number and fixed trap frequencies.  The t = 0 point is
 handled symbolically (m = 1, u = 3/4, c = 0) to avoid the eta -> inf
 limit.
 
-Each Newton step of the solve takes f_3 and f_2 from one Fermi factor
-(fdint.fd_orders).  The search rules are written once, for one bracket
-(_search).  Tables over many temperatures (thermo_curve, and
-profiles.msd_curve and profile_curves) run one such search per
-temperature, advanced together so that each Newton step evaluates the
-whole grid at once; each m therefore has the bits of solve_mu(t).  The
-grid solve neither reads nor fills solve_mu's cache.
+Each Newton step of the solve takes f_3 and f_2 from one fdint.fd_orders
+call: closed forms that share one exp, with no quadrature.  The search
+rules are written once, for one bracket (_search).  Tables over many
+temperatures (thermo_curve, and profiles.msd_curve and profile_curves) run
+one such search per temperature, advanced together so that each Newton
+step evaluates the whole grid at once; each m therefore has the bits of
+solve_mu(t).  The grid solve neither reads nor fills solve_mu's cache.
 """
 
 import math
@@ -170,7 +170,7 @@ def _check_cap(t: float, cap: float, quantity: str):
 def _residual_error(t: float, m: float, residual: float):
     eta = m / t
     return NumericsError(f"constraint residual {residual:.3e} above tolerance at t={t!r}, "
-                         f"eta={eta!r} ({band(eta)} band)")
+                         f"eta={eta!r} ({band(3.0, eta)} band)")
 
 
 @lru_cache(maxsize=4096)
@@ -282,7 +282,7 @@ def thermo_curve(t_grid):
 
     Equal, sample by sample, to solve_mu(t) and heat_capacity(t) (c = 0 at
     t = 0); m is solved for the whole grid in one elementwise root search,
-    and f_2, f_3, f_4 share one Fermi factor per eta.
+    and f_2, f_3, f_4 come from one fd_orders call.
     """
     ts = [_check_t(t) for t in t_grid]
     if not ts:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative, fd_orders
-from fermigas.fdint import _BATCH, _SOMMERFELD_C, fermi
+from fermigas.fdint import (_BATCH, _POLYNOMIAL, _SERIES, _SERIES_SPAN, _SOMMERFELD_C, _TAYLOR,
+                            _dirichlet_eta, band, fermi)
 
 from conftest import adaptive_fd, brute_fd, mp_fd
 
@@ -229,3 +230,92 @@ def test_continuous_across_band_edges(k, edge, delta):
     # [edge - delta, edge + delta] is at most 2 delta f_k
     below, above = fd(k, edge - delta), fd(k, edge + delta)
     assert abs(above - below) <= (2.0 * delta + 1e-14) * above
+
+
+def test_taylor_and_polynomial_coefficients_correctly_rounded():
+    # f_k(eta) = sum_n eta_D(k - n) eta^n / n!, eta_D the Dirichlet eta
+    # function; the Sommerfeld polynomial keeps twice the terms with k - n
+    # even and n <= k
+    with mpmath.workdps(40):
+        for s, exact in [(1, mpmath.log(2)), (3, 0.75 * mpmath.zeta(3))]:
+            p, q = _dirichlet_eta(s)
+            assert p / q == _correctly_rounded(exact) == _correctly_rounded(mpmath.altzeta(s))
+        for k in (1, 2, 3, 4):
+            taylor, polynomial = _TAYLOR[float(k)], _POLYNOMIAL[float(k)]
+            assert len(taylor) == 36 and len(polynomial) == k + 1
+            for n, c in enumerate(reversed(taylor)):
+                assert c == _correctly_rounded(mpmath.altzeta(k - n) / mpmath.factorial(n)), (k, n)
+            for n, c in enumerate(reversed(polynomial)):
+                exact = 2 * mpmath.altzeta(k - n) / mpmath.factorial(n) if (k - n) % 2 == 0 else 0
+                assert c == _correctly_rounded(exact), (k, n)
+
+
+def test_series_coefficients_correctly_rounded():
+    with mpmath.workdps(40):
+        for k in SUPPORTED_ORDERS:
+            coefficients = _SERIES[k]
+            assert len(coefficients) == 42  # the first n with e^-n < 2^-60
+            for j, c in enumerate(reversed(coefficients), start=1):
+                assert c == _correctly_rounded(mpmath.mpf(j) ** -mpmath.mpf(k)), (k, j)
+
+
+# 1,201 points in [-40, 60] (step 1/12, so -1, 0, 1 and 30 are on it),
+# 1,201 in [-1.05, 1.05] sharing 0, and the neighbouring doubles of -1, 0, 1, 30
+SWEEP = np.unique(np.concatenate([
+    np.linspace(-40.0, 60.0, 1201), np.linspace(-1.05, 1.05, 1201),
+    [np.nextafter(e, d) for e in (-1.0, 0.0, 1.0, 30.0) for d in (-50.0, 50.0)]]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_integer_orders_against_mpmath_sweep(k):
+    with mpmath.workdps(40):
+        exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in SWEEP])
+    assert SWEEP.size == 2409
+    assert np.max(np.abs(fd(k, SWEEP) - exact) / exact) <= 1e-15
+
+
+# the Taylor edges and every eta where the series gains or drops a term
+SERIES_STEPS = [sign * _SERIES_SPAN / n for n in range(1, 42) for sign in (-1.0, 1.0)]
+
+
+@given(
+    k=st.sampled_from(SUPPORTED_ORDERS),
+    edge=st.sampled_from([-1.0, 1.0] + SERIES_STEPS),
+    delta=st.floats(0.0, 1e-9),
+)
+@settings(max_examples=300, deadline=None)
+def test_continuous_across_taylor_edges_and_series_steps(k, edge, delta):
+    # as across the band edges, with the gap taken between the rounded
+    # points and a slack of 2e-15, where the band-edge test allows 1e-14
+    lo, hi = edge - delta, edge + delta
+    below, above = fd(k, lo), fd(k, hi)
+    assert abs(above - below) <= (hi - lo + 2e-15) * above
+
+
+def test_bit_identity_at_the_taylor_edges_and_across_mixed_orders():
+    rng = np.random.default_rng(11)
+    etas = np.concatenate([[-1.0, 1.0, 0.0, 30.0, -30.0],
+                           [np.nextafter(e, d) for e in (-1.0, 1.0) for d in (-2.0, 2.0)],
+                           rng.uniform(-45.0, 65.0, 300)])
+    orders = (1.5, 3, 2, 4)
+    together = fd_orders(orders, etas)
+    for k, values in zip(orders, together):
+        assert np.array_equal(values, fd(k, etas))
+        assert values.tolist() == [fd(k, e) for e in etas.tolist()]
+    for e in etas.tolist():
+        assert fd_orders(orders, e) == [fd(k, e) for k in orders]
+
+
+@pytest.mark.parametrize("k, eta, regime", [
+    (2, -1.0, "series"), (1.5, -1.0, "series"), (2, -0.999, "taylor"), (4, 0.999, "taylor"),
+    (1, 1.0, "reflection"), (3, 500.0, "reflection"), (0.5, 0.0, "quadrature"),
+    (2.5, 29.9, "quadrature"), (1.5, 30.0, "sommerfeld"),
+])
+def test_band_names_the_regime_that_runs(k, eta, regime):
+    assert band(k, eta) == regime
+
+
+@pytest.mark.parametrize("k, eta", [(2.5, 1e200), (1.5, np.array([0.0, 1e300]))])
+def test_half_integer_overflow_names_order_and_eta(k, eta):
+    with pytest.raises(DomainError, match=rf"f_{k:g}\(eta\) overflows a double at eta = 1e\+"):
+        fd(k, eta)
