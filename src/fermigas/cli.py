@@ -6,6 +6,9 @@ key=value config file (``#`` comments) named by the FERMIGAS_CONFIG
 environment variable is read as --key=value tokens placed right after the
 command, so later flags win.  Exit codes: 0 success, 1 numerical failure or
 unwritable output, 2 usage error.
+
+Each handler imports the library modules it uses, so mu-curve,
+heat-curve, msd-curve, scales and bose-compare run without numpy.
 """
 
 import argparse
@@ -14,9 +17,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import bose, oracle, perturb, profiles, scales, thermo
+from . import scales
 from .curves import UniversalCurve, render, write_table
 from .errors import DomainError, FermiGasError
 
@@ -139,7 +140,7 @@ def build_parser():
     sub.add_argument("--n", dest="n_particles", type=_positive_int, default=100_000)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
     sub.add_argument("--radii", type=_float_list,
-                     default=[round(x, 3) for x in np.linspace(0.0, 1.2, 25)])
+                     default=[i / 20 for i in range(25)])
 
     return parser
 
@@ -177,24 +178,35 @@ def _t_grid(p):
         raise DomainError("--t-max must exceed --t-min")
     if p["steps"] < 2:
         raise DomainError("--steps must be at least 2")
-    return np.linspace(p["t_min"], p["t_max"], p["steps"])
+    # numpy's linspace, bit for bit: lo + i*step, ending on t_max exactly
+    lo, n = p["t_min"], p["steps"]
+    step = (p["t_max"] - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [p["t_max"]]
 
 
 def _run_mu_curve(p, fmt):
-    mu_curve, _ = thermo.thermo_curve(_t_grid(p))
+    from .thermo import thermo_curve
+
+    mu_curve, _ = thermo_curve(_t_grid(p))
     return render(mu_curve, fmt)
 
 
 def _run_heat_curve(p, fmt):
-    _, c_curve = thermo.thermo_curve(_t_grid(p))
+    from .thermo import thermo_curve
+
+    _, c_curve = thermo_curve(_t_grid(p))
     return render(c_curve, fmt)
 
 
 def _run_msd_curve(p, fmt):
-    return render(profiles.msd_curve(_t_grid(p)), fmt)
+    from .profiles import msd_curve
+
+    return render(msd_curve(_t_grid(p)), fmt)
 
 
 def _run_profile(p, fmt):
+    from . import profiles
+
     if p["samples"] < 2:
         raise DomainError("--samples must be at least 2")
     curves = profiles.profile_curves(p["t"], p["samples"], p["s_max"])
@@ -242,11 +254,13 @@ def _read_delta_v_table(path):
     if len(rows) < 2:
         raise DomainError(f"{path}: need at least two (s, dV/E_F) rows")
     s, v = zip(*rows)
-    return perturb.PerturbationField.from_table(s, v)
+    return s, v
 
 
 def _run_perturb(p, fmt):
-    fld = _read_delta_v_table(p["delta_v"])
+    from . import perturb
+
+    fld = perturb.PerturbationField.from_table(*_read_delta_v_table(p["delta_v"]))
     resp = perturb.density_response(fld)
     rows = list(zip(resp.s_grid.tolist(), resp.delta_n.tolist()))
     return write_table(fmt, ("s", "delta_n"), rows,
@@ -255,6 +269,8 @@ def _run_perturb(p, fmt):
 
 
 def _run_bose_compare(p, fmt):
+    from . import bose
+
     spec = _trap_spec(p)
     sc = scales.derive_scales(spec)
     pauli = bose.pauli_pseudopotential(sc)
@@ -284,6 +300,8 @@ def _run_bose_compare(p, fmt):
 
 
 def _run_oracle(p, fmt):
+    from . import oracle
+
     comp = oracle.continuum_comparison(p["n_particles"], p["lam"], p["t"])
     pairs = [
         ("n_particles", p["n_particles"]),
@@ -305,7 +323,9 @@ def _run_oracle(p, fmt):
 
 
 def _run_validity(p, fmt):
-    rep = oracle.validity_report(p["n_particles"], p["lam"], p["radii"])
+    from .oracle import validity_report
+
+    rep = validity_report(p["n_particles"], p["lam"], p["radii"])
     rows = list(zip(rep.radii.tolist(), rep.margin.tolist(), rep.cell_scale.tolist()))
     notes = [("shell_thickness_sigma", rep.shell_thickness_sigma),
              ("inv_k_fermi_sigma", rep.inv_k_fermi_sigma)]

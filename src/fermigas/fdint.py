@@ -22,14 +22,15 @@ taylor 4.6e-16, reflection 4.7e-16, quadrature 7.3e-16 and sommerfeld
 fd_orders(orders, eta) gives several orders with one exp per eta.  An array
 runs the same float code element by element and its quadrature elements
 through the rule in batches, each row reduced on its own, so every value
-has the bits of its own scalar call.
+has the bits of its own scalar call.  numpy is imported only for the rule
+(whose nodes are built on first use), for fermi and for array inputs: a
+float eta outside the rule's band never loads it.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -168,25 +169,34 @@ def band(k: float, eta: float) -> str:
 
 def fermi(x):
     """Fermi factor 1/(exp(x) + 1) elementwise, overflow safe for any x."""
+    import numpy as np
+
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, ex, 1.0) / (1.0 + ex)
 
 
-# Node fractions and weights of _PANELS equal panels of an _NODES-point
-# Gauss-Legendre rule on [0, 1].
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_NODES)
-_FRACTIONS = ((np.arange(_PANELS)[:, None] + 0.5 * (_gl_x + 1.0)) / _PANELS).ravel()
-_WEIGHTS = np.tile(0.5 * _gl_w / _PANELS, _PANELS)
+@lru_cache(maxsize=None)
+def _rule_nodes():
+    """Node fractions and weights of _PANELS equal panels of an _NODES-point
+    Gauss-Legendre rule on [0, 1], built on first use."""
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(_NODES)
+    return (((np.arange(_PANELS)[:, None] + 0.5 * (x + 1.0)) / _PANELS).ravel(),
+            np.tile(0.5 * w / _PANELS, _PANELS))
 
 
 def _fixed_rule(orders, eta):
-    """f_k for each k in orders at every element of a 1-D array eta inside
-    the middle band, as rows of a (len(orders), eta.size) array."""
-    e = eta[:, None]
+    """f_k for each k in orders at every element of a 1-D sequence eta inside
+    the middle band, as rows of a (len(orders), len(eta)) array."""
+    import numpy as np
+
+    fractions, weights = _rule_nodes()
+    e = np.asarray(eta, dtype=float)[:, None]
     lo = np.sqrt(np.maximum(e, 0.0))
     hi = np.sqrt(np.maximum(e, 0.0) + _TAIL_DECADES)
-    v = np.concatenate([lo * _FRACTIONS, lo + (hi - lo) * _FRACTIONS], axis=1)
-    w = np.concatenate([lo * _WEIGHTS, (hi - lo) * _WEIGHTS], axis=1)
+    v = np.concatenate([lo * fractions, lo + (hi - lo) * fractions], axis=1)
+    w = np.concatenate([lo * weights, (hi - lo) * weights], axis=1)
     occupation = fermi(v * v - e)
     # a per-row sum, unlike a matrix product, rounds the same in any batch
     return np.array([(w * v ** (2.0 * k - 1.0) * occupation).sum(axis=1)
@@ -213,9 +223,11 @@ def fd_orders(orders, eta) -> list:
         values = _closed_forms(ks, eta)
         if None in values:
             rule = iter(_fixed_rule([k for k, v in zip(ks, values) if v is None],
-                                    np.array([eta]))[:, 0].tolist())
+                                    [eta])[:, 0].tolist())
             values = [next(rule) if v is None else v for v in values]
         return values
+    import numpy as np
+
     try:
         eta = np.asarray(eta, dtype=float)
     except OverflowError:  # an int beyond the double range

@@ -19,8 +19,6 @@ through the scales module.
 
 import math
 
-import numpy as np
-
 from .curves import UniversalCurve
 from .errors import DomainError, check_finite, check_real
 from .fdint import fd, fermi
@@ -102,6 +100,8 @@ def msd_curve(t_grid):
 
 def profile_curves(t_list, n_samples=300, s_max=None):
     """One sampled density curve per temperature, covering >= 0.999 of the norm."""
+    import numpy as np
+
     ts = [_check_t(t) for t in t_list]
     if not ts:
         raise DomainError("temperature list is empty")

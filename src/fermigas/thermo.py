@@ -26,20 +26,19 @@ Each Newton step of the solve takes f_3 and f_2 from one fdint.fd_orders
 call: closed forms that share one exp, with no quadrature.  The search
 rules are written once, for one bracket (_search).  Tables over many
 temperatures (thermo_curve, and profiles.msd_curve and profile_curves) run
-one such search per temperature, advanced together so that each Newton
-step evaluates the whole grid at once; each m therefore has the bits of
-solve_mu(t).  The grid solve neither reads nor fills solve_mu's cache.
+one such search per temperature, advanced together in one pass per Newton
+step over lists of floats, with the float kernel per element; each m, u
+and c therefore has the bits of the scalar call.  The grid solve neither
+reads nor fills solve_mu's cache.  The module does not use numpy.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
-from .fdint import _SOMMERFELD_CUTOFF, band, fd, fd_orders
+from .fdint import _SOMMERFELD_CUTOFF, _closed_forms, band, fd, fd_orders
 
 _RESIDUAL_TOL = 1e-12
 
@@ -75,6 +74,12 @@ def _sommerfeld_c(eta):
     y = math.pi ** 2 / (eta * eta)
     return (math.pi ** 2 / eta * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
             / ((1.0 + y) * (1.0 + y / 3.0)))
+
+
+def _c_of_eta(eta):
+    if eta >= _SOMMERFELD_CUTOFF:
+        return _sommerfeld_c(eta)
+    return _fd_c(*fd_orders((2.0, 3.0, 4.0), eta))
 
 
 def sommerfeld_mu(t: float) -> float:
@@ -129,12 +134,12 @@ def monotone_root(g, lo, hi) -> tuple:
     _search's.  Used by solve_mu, its grid form and the exact level-sum
     oracle.
 
-    Array brackets run one _search per element.  Each pass calls g(x, idx)
+    List brackets run one _search per element.  Each pass calls g(xs, idx)
     once, with the current points of the elements idx still searching, and
-    takes their (r, dr) as arrays; so each root has the bits a float
-    bracket would give.
+    takes their (r, dr) as lists; it returns lists of roots and residuals,
+    each with the bits a float bracket would give.
     """
-    if not isinstance(lo, np.ndarray):
+    if not isinstance(lo, list):
         search = _search(lo, hi)
         try:
             x = next(search)
@@ -142,14 +147,14 @@ def monotone_root(g, lo, hi) -> tuple:
                 x = search.send(g(x))
         except StopIteration as stop:
             return stop.value
-    searches = [_search(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    root, residual = np.empty(len(searches)), np.empty(len(searches))
+    searches = [_search(a, b) for a, b in zip(lo, hi)]
+    root, residual = [0.0] * len(searches), [0.0] * len(searches)
     live = list(range(len(searches)))
     xs = [next(search) for search in searches]
     while live:
-        r, dr = g(np.array(xs), np.array(live))
+        r, dr = g(xs, live)
         still, xs = [], []
-        for i, r_i, dr_i in zip(live, r.tolist(), dr.tolist()):
+        for i, r_i, dr_i in zip(live, r, dr):
             try:
                 xs.append(searches[i].send((r_i, dr_i)))
                 still.append(i)
@@ -199,9 +204,9 @@ def solve_mu(t: float) -> float:
 def _solve_mu_grid(ts) -> list:
     """solve_mu(t) for every checked t of a list, in one elementwise root search.
 
-    Equal element by element to solve_mu(t): the coefficients 6 t^3 and the
-    brackets are Python floats per element, since numpy's power and log may
-    round differently.  Neither reads nor fills solve_mu's cache.
+    Equal element by element to solve_mu(t): each element runs solve_mu's
+    float arithmetic and fd_orders' float kernel.  Neither reads nor fills
+    solve_mu's cache.
     """
     ms = [1.0] * len(ts)
     hot = [i for i, t in enumerate(ts) if t > _TINY_T]
@@ -210,27 +215,27 @@ def _solve_mu_grid(ts) -> list:
     th = [ts[i] for i in hot]
     for t in th:
         _check_cap(t, _T_MAX_MU, "m")
-    t_arr = np.array(th)
-    c3 = np.array([6.0 * t ** 3 for t in th])
-    c2 = 6.0 * t_arr * t_arr
+    c3 = [6.0 * t ** 3 for t in th]
+    c2 = [6.0 * t * t for t in th]
 
-    def constraint(m, idx):
-        f3, f2 = fd_orders((3.0, 2.0), m / t_arr[idx])
-        return c3[idx] * f3 - 1.0, c2[idx] * f2
+    def constraint(ms_live, idx):
+        r, dr = [], []
+        for m, i in zip(ms_live, idx):
+            f3, f2 = _closed_forms((3.0, 2.0), m / th[i])
+            r.append(c3[i] * f3 - 1.0)
+            dr.append(c2[i] * f2)
+        return r, dr
 
     try:
-        m, residual = monotone_root(constraint,
-                                    np.array([classical_mu(t) - 5.0 * t for t in th]),
-                                    1.0 + 5.0 * t_arr)
+        m, residual = monotone_root(constraint, [classical_mu(t) - 5.0 * t for t in th],
+                                    [1.0 + 5.0 * t for t in th])
     except NumericsError as exc:
         raise NumericsError(f"chemical-potential solve over t in [{min(th)!r}, "
                             f"{max(th)!r}]: {exc}") from exc
-    failed = np.flatnonzero(np.abs(residual) > _RESIDUAL_TOL)
-    if failed.size:
-        i = failed[0]
-        raise _residual_error(th[i], float(m[i]), float(residual[i]))
-    for i, value in zip(hot, m.tolist()):
-        ms[i] = value
+    for i, (t, value, r) in enumerate(zip(th, m, residual)):
+        if abs(r) > _RESIDUAL_TOL:
+            raise _residual_error(t, value, r)
+        ms[hot[i]] = value
     return ms
 
 
@@ -248,13 +253,8 @@ def _energy_grid(ts) -> list:
     """internal_energy(t) for every checked t of a list, from one grid solve."""
     for t in ts:
         _check_cap(t, _T_MAX_U, "u")
-    ms = _solve_mu_grid(ts)
-    us = [0.75] * len(ts)
-    hot = [i for i, t in enumerate(ts) if t > _TINY_T]
-    f4 = fd(4.0, np.array([ms[i] / ts[i] for i in hot], dtype=float))
-    for i, f in zip(hot, f4.tolist()):
-        us[i] = 18.0 * ts[i] ** 4 * f
-    return us
+    return [18.0 * t ** 4 * fd(4.0, m / t) if t > _TINY_T else 0.75
+            for t, m in zip(ts, _solve_mu_grid(ts))]
 
 
 def heat_capacity(t: float) -> float:
@@ -264,10 +264,7 @@ def heat_capacity(t: float) -> float:
         raise DomainError(f"heat capacity requires t > 0, got {t!r}")
     if t <= _TINY_T:
         return math.pi ** 2 * t  # degenerate limit, O(t^3) below resolution
-    eta = solve_mu(t) / t
-    if eta >= _SOMMERFELD_CUTOFF:
-        return _sommerfeld_c(eta)
-    return _fd_c(*fd_orders((2.0, 3.0, 4.0), eta))
+    return _c_of_eta(solve_mu(t) / t)
 
 
 def thermo_state(t: float) -> ThermoState:
@@ -282,7 +279,7 @@ def thermo_curve(t_grid):
 
     Equal, sample by sample, to solve_mu(t) and heat_capacity(t) (c = 0 at
     t = 0); m is solved for the whole grid in one elementwise root search,
-    and f_2, f_3, f_4 come from one fd_orders call.
+    and each c runs heat_capacity's float arithmetic.
     """
     ts = [_check_t(t) for t in t_grid]
     if not ts:
@@ -290,16 +287,9 @@ def thermo_curve(t_grid):
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("temperature grid must be strictly increasing")
     ms = _solve_mu_grid(ts)
-    cs = [0.0 if t == 0.0 else math.pi ** 2 * t for t in ts]  # kept for t <= _TINY_T
-    hot = [i for i, t in enumerate(ts) if t > _TINY_T]
-    # heat_capacity's arithmetic, elementwise, so each sample keeps its bits
-    eta = np.array([ms[i] / ts[i] for i in hot], dtype=float)
-    c_hot = np.empty_like(eta)
-    deg = eta >= _SOMMERFELD_CUTOFF
-    c_hot[deg] = _sommerfeld_c(eta[deg])
-    c_hot[~deg] = _fd_c(*fd_orders((2.0, 3.0, 4.0), eta[~deg]))
-    for i, c in zip(hot, c_hot.tolist()):
-        cs[i] = c
+    # heat_capacity's arithmetic, with c = 0 at t = 0
+    cs = [_c_of_eta(m / t) if t > _TINY_T else (math.pi ** 2 * t if t else 0.0)
+          for t, m in zip(ts, ms)]
     mu_curve = UniversalCurve("t", "m", tuple(zip(ts, ms)))
     c_curve = UniversalCurve("t", "c", tuple(zip(ts, cs)))
     return mu_curve, c_curve

@@ -48,8 +48,18 @@ def adaptive_fd(k, eta):
 
 
 def mp_fd(k, eta):
-    """f_k(eta) = -Li_k(-e^eta) from mpmath at its working precision."""
+    """f_k(eta) = -Li_k(-e^eta) from mpmath at its working precision.
+
+    For eta <= -1 this is the direct alternating sum of (-1)^(j+1) e^(j eta)/j^k,
+    which converges at least as fast as e^(-j): mpmath's polylog loses the
+    value deep in that band (f_1(-100) = log(1 + e^-100) came out 4.48e-44,
+    not 3.72e-44, at 40 digits).
+    """
     order = int(k) if k == int(k) else mpmath.mpf(k)
+    if eta <= -1:
+        z = mpmath.exp(eta)
+        return mpmath.nsum(lambda j: (-1) ** (int(j) + 1) * z ** j / j ** order,
+                           [1, mpmath.inf], method="direct")
     return mpmath.re(-mpmath.polylog(order, -mpmath.exp(eta)))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fermigas as fg
-from fermigas.cli import _COMMANDS, build_parser, main
+from fermigas.cli import _COMMANDS, _t_grid, build_parser, main
 from fermigas.curves import parse_csv, write_table
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -324,3 +324,103 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _imported_modules(*args):
+    """The modules a child interpreter imports, from its -X importtime report."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_import_loads_no_numpy():
+    modules = _imported_modules("-c", "import fermigas")
+    assert "fermigas" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", [["scales", "--preset", "li6-top"],
+                                  ["bose-compare", "--preset", "li6-top"],
+                                  ["mu-curve"], ["heat-curve"], ["msd-curve"]])
+def test_key_value_and_thermo_commands_load_no_numpy(argv):
+    modules = _imported_modules("-m", "fermigas", *argv)
+    assert "fermigas.cli" in modules
+    assert "numpy" not in modules
+
+
+def test_array_commands_still_load_numpy():
+    # the probe itself: a command that needs arrays shows numpy in the report
+    assert "numpy" in _imported_modules("-m", "fermigas", "validity", "--n", "1000")
+
+
+PUBLIC_NAMES = [
+    "BoseParams", "CharacteristicScales", "ContinuumComparison", "DiscreteSpectrum",
+    "DomainError", "FermiGasError", "NumericsError", "PRESETS", "PauliPseudopotential",
+    "PerturbationField", "ResponseResult", "SUPPORTED_ORDERS", "ThermoState", "TrapSpec",
+    "UniversalCurve", "ValidityReport", "bose", "bose_chemical_potential", "bose_profile",
+    "bose_radius", "breakdown_shell_distance", "build_spectrum", "classical_mu",
+    "closed_shell_count", "continuum_comparison", "continuum_reliable", "counting_check",
+    "curves", "density", "density_response", "derive_scales", "effective_radius", "errors",
+    "exact_central_density", "exact_mu", "fd", "fd_derivative", "fd_orders", "fdint",
+    "fermi_energy_shift", "from_scaled", "heat_capacity", "internal_energy",
+    "mean_field_correction", "mean_square_size", "momentum_density", "msd_curve",
+    "normalization", "oracle", "pauli_pseudopotential", "perturb", "phase_space_occupancy",
+    "profile_curves", "profiles", "scales", "semiclassical_central_density", "solve_mu",
+    "sommerfeld_mu", "thermo", "thermo_curve", "thermo_state", "to_scaled",
+    "validity_report", "zero_t_density",
+]
+
+
+def test_public_names_resolve_lazily():
+    assert len(PUBLIC_NAMES) == 64
+    assert sorted(fg.__all__) == PUBLIC_NAMES
+    names = ("bose", "curves", "errors", "fdint", "oracle", "perturb", "profiles",
+             "scales", "thermo")
+    submodules = [getattr(fg, name) for name in names]
+    assert submodules == [sys.modules[f"fermigas.{name}"] for name in names]
+    for name in PUBLIC_NAMES:
+        value = getattr(fg, name)
+        # a submodule itself, or the object that one of them defines
+        assert value in submodules or any(getattr(m, name, None) is value for m in submodules)
+    assert set(PUBLIC_NAMES) <= set(dir(fg))
+    assert fg.thermo.solve_mu is fg.solve_mu
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from fermigas import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["fd"] is fg.fdint.fd
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fg.no_such_name
+    assert not hasattr(fg, "numpy")
+    with pytest.raises(ImportError):
+        exec("from fermigas import no_such_name", {})
+
+
+def test_t_grid_is_numpy_linspace_bit_for_bit():
+    # the cli workload draws --t-max in [1, 2.5] and --steps in [100, 300]
+    rng = np.random.default_rng(12)
+    cases = [(0.0, 2.0, 200), (0.0, 50.0, 300), (0.0, 0.05, 200), (0.3, 1.7, 7),
+             (0.1, 3.3, 173), (0.0, 1.0, 2), (1e-300, 1e300, 1000)]
+    cases += [(0.0, float(t), int(n)) for t, n in zip(rng.uniform(1.0, 2.5, 500),
+                                                      rng.integers(100, 301, 500))]
+    cases += [(float(a), float(a + d), int(n)) for a, d, n in
+              zip(rng.uniform(0.0, 1.0, 300), rng.exponential(2.0, 300) + 1e-6,
+                  rng.integers(2, 500, 300))]
+    for t_min, t_max, steps in cases:
+        grid = _t_grid({"t_min": t_min, "t_max": t_max, "steps": steps})
+        expected = np.linspace(t_min, t_max, steps).tolist()
+        assert all(type(t) is float for t in grid)
+        assert grid == expected, (t_min, t_max, steps)
+
+
+def test_validity_default_radii_are_the_numpy_expression():
+    radii = build_parser().parse_args(["validity"]).radii
+    assert all(type(s) is float for s in radii)
+    assert radii == [round(x, 3) for x in np.linspace(0.0, 1.2, 25)]

@@ -319,3 +319,27 @@ def test_band_names_the_regime_that_runs(k, eta, regime):
 def test_half_integer_overflow_names_order_and_eta(k, eta):
     with pytest.raises(DomainError, match=rf"f_{k:g}\(eta\) overflows a double at eta = 1e\+"):
         fd(k, eta)
+
+
+def test_mp_fd_reference_deep_in_the_series_band():
+    # f_1(eta) = log(1 + e^eta); mpmath's polylog gave 4.48e-44 here
+    with mpmath.workdps(40):
+        value = mp_fd(1, mpmath.mpf(-100))
+        exact = mpmath.log1p(mpmath.exp(-100))
+        assert abs(value - exact) <= mpmath.mpf(10) ** -38 * exact
+    assert float(value) == pytest.approx(math.log1p(math.exp(-100.0)), rel=1e-15)
+
+
+# 160 log-spaced points of eta in [-700, -1], 41 evenly spaced, and every
+# eta where the series gains a term
+SERIES_BAND = np.unique(np.concatenate([
+    -np.geomspace(1.0, 700.0, 160), np.linspace(-700.0, -1.0, 41),
+    [-_SERIES_SPAN / n for n in range(1, 42)]]))
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_series_band_against_mpmath(k):
+    assert {band(k, e) for e in SERIES_BAND.tolist()} == {"series"}
+    with mpmath.workdps(40):
+        exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in SERIES_BAND])
+    assert np.max(np.abs(fd(k, SERIES_BAND) - exact) / exact) <= 1e-15

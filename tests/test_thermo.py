@@ -274,16 +274,16 @@ def test_chemical_potential_strictly_decreasing(t1, gap):
 
 
 def _elementwise(g, lo, hi):
-    """monotone_root on arrays, recording how many elements each g call saw."""
+    """monotone_root on lists, recording how many elements each g call saw."""
     sizes = []
 
-    def g_array(x, idx):
-        sizes.append(idx.size)
-        pairs = [g(a, float(x_i)) for a, x_i in zip(idx.tolist(), x.tolist())]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    def g_list(xs, idx):
+        sizes.append(len(idx))
+        pairs = [g(a, x_i) for a, x_i in zip(idx, xs)]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
 
-    root, residual = monotone_root(g_array, np.array(lo), np.array(hi))
-    return root, residual, sizes
+    root, residual = monotone_root(g_list, list(lo), list(hi))
+    return np.array(root), np.array(residual), sizes
 
 
 def _scalar_roots(g, lo, hi):
@@ -336,8 +336,8 @@ def test_bracket_must_straddle_the_root(lo, hi):
     # every element is checked; the error names the first bad one and its bracket
     with pytest.raises(NumericsError, match=re.escape(f"element 1: bracket [{lo!r}, {hi!r}]")
                        + " does not straddle"):
-        monotone_root(lambda x, idx: (x, np.ones_like(x)),
-                      np.array([-1.0, lo, -3.0]), np.array([1.0, hi, 3.0]))
+        monotone_root(lambda xs, idx: (xs, [1.0] * len(xs)),
+                      [-1.0, lo, -3.0], [1.0, hi, 3.0])
 
 
 def test_no_convergence_within_the_step_cap():
@@ -347,5 +347,6 @@ def test_no_convergence_within_the_step_cap():
         monotone_root(lambda x: (x - 1.0, 1e-300), -1e300, 1e300)
     # next to an element that converges, the error names the stuck one
     with pytest.raises(NumericsError, match="element 1: no convergence in 200 steps"):
-        monotone_root(lambda x, idx: (x - 1.0, np.where(idx == 1, 1e-300, 1.0)),
-                      np.array([0.0, -1e300]), np.array([3.0, 1e300]))
+        monotone_root(lambda xs, idx: ([x - 1.0 for x in xs],
+                                       [1e-300 if i == 1 else 1.0 for i in idx]),
+                      [0.0, -1e300], [3.0, 1e300])
