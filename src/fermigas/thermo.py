@@ -232,10 +232,10 @@ def _solve_mu_grid(ts) -> list:
     except NumericsError as exc:
         raise NumericsError(f"chemical-potential solve over t in [{min(th)!r}, "
                             f"{max(th)!r}]: {exc}") from exc
-    for i, (t, value, r) in enumerate(zip(th, m, residual)):
+    for i, t, value, r in zip(hot, th, m, residual):
         if abs(r) > _RESIDUAL_TOL:
             raise _residual_error(t, value, r)
-        ms[hot[i]] = value
+        ms[i] = value
     return ms
 
 
