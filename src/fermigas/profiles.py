@@ -22,8 +22,7 @@ import math
 from .curves import UniversalCurve
 from .errors import DomainError, check_finite, check_real
 from .fdint import fd, fermi
-from .thermo import (_TINY_T, _check_t, _energy_grid, _solve_mu_grid, internal_energy,
-                     solve_mu)
+from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
 
 
 def phase_space_occupancy(s, q, t, m) -> float:
@@ -87,15 +86,11 @@ def mean_square_size(t) -> float:
 
 
 def msd_curve(t_grid):
-    """Tabulate <rho^2>/R_F^2 over a grid of t >= 0, from one grid solve of m.
-
-    Equal, sample by sample, to mean_square_size(t).
-    """
+    """Tabulate <rho^2>/R_F^2 = mean_square_size(t) over a grid of t >= 0."""
     ts = [_check_t(t) for t in t_grid]
     if not ts:
         raise DomainError("temperature grid is empty")
-    msd = [0.5 * u for u in _energy_grid(ts)]
-    return UniversalCurve("t", "msd", tuple(zip(ts, msd)))
+    return UniversalCurve("t", "msd", tuple((t, mean_square_size(t)) for t in ts))
 
 
 def profile_curves(t_list, n_samples=300, s_max=None):
@@ -110,11 +105,12 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     if s_max is not None:
         s_max = check_finite("s_max", s_max)
     curves = []
-    for t, m in zip(ts, _solve_mu_grid(ts)):
+    for t in ts:
         if t <= _TINY_T:
             grid = np.linspace(0.0, 1.0 if s_max is None else s_max, int(n_samples))
             values = [zero_t_density(x) for x in grid.tolist()]
         else:
+            m = solve_mu(t)
             hi = math.sqrt(max(m, 0.0) + 25.0 * t) if s_max is None else s_max
             grid = np.linspace(0.0, hi, int(n_samples))
             values = _warm_density(grid, t, m).tolist()

@@ -22,14 +22,11 @@ fixed particle number and fixed trap frequencies.  The t = 0 point is
 handled symbolically (m = 1, u = 3/4, c = 0) to avoid the eta -> inf
 limit.
 
-Each Newton step of the solve takes f_3 and f_2 from one fdint.fd_orders
-call: closed forms that share one exp, with no quadrature.  The search
-rules are written once, for one bracket (_search).  Tables over many
-temperatures (thermo_curve, and profiles.msd_curve and profile_curves) run
-one such search per temperature, advanced together in one pass per Newton
-step over lists of floats, with the float kernel per element; each m, u
-and c therefore has the bits of the scalar call.  The grid solve neither
-reads nor fills solve_mu's cache.  The module does not use numpy.
+Each Newton step of the solve takes f_3 and f_2 from fdint's closed forms,
+which share one exp, with no quadrature.  Tables over many temperatures
+(thermo_curve, and profiles.msd_curve and profile_curves) call solve_mu once
+per temperature, so each sample has the bits of the scalar call and the
+tables read and fill solve_mu's cache.  The module does not use numpy.
 """
 
 import math
@@ -95,18 +92,18 @@ def classical_mu(t: float) -> float:
     return -t * (math.log(6.0) + 3.0 * math.log(t))
 
 
-def _search(lo: float, hi: float):
-    """The search rules for one bracket of an increasing constraint.
+def monotone_root(g, lo: float, hi: float) -> tuple:
+    """Root x of an increasing constraint on [lo, hi], as (x, r(x)).
 
-    A generator: it yields each point x to evaluate and is sent back
-    (r, dr/dx) there; it returns (root, residual).  Newton steps start from
-    the bracket end with the smaller |r|; every evaluation tightens the
+    g(x) returns (r, dr/dx) with r = value/target - 1.  Newton steps start
+    from the bracket end with the smaller |r|; every evaluation tightens the
     bracket, and a step that leaves it is replaced by bisection.  The search
     stops at a Newton step of at most 2 ulp or a bracket of at most 4 ulp;
     the second stop ends it when noise in the constraint stalls Newton.
+    Used by solve_mu and the exact level-sum oracle.
     """
-    r_lo, dr_lo = yield lo
-    r_hi, dr_hi = yield hi
+    r_lo, dr_lo = g(lo)
+    r_hi, dr_hi = g(hi)
     if not r_lo < 0.0 < r_hi:
         raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root "
                             f"(residuals {r_lo:.3e}, {r_hi:.3e})")
@@ -119,51 +116,12 @@ def _search(lo: float, hi: float):
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        r, dr = yield x
+        r, dr = g(x)
         if r < 0.0:
             lo = x
         else:
             hi = x
     raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
-
-
-def monotone_root(g, lo, hi) -> tuple:
-    """Root x of an increasing constraint on [lo, hi], as (x, r(x)).
-
-    g(x) returns (r, dr/dx) with r = value/target - 1; the search rules are
-    _search's.  Used by solve_mu, its grid form and the exact level-sum
-    oracle.
-
-    List brackets run one _search per element.  Each pass calls g(xs, idx)
-    once, with the current points of the elements idx still searching, and
-    takes their (r, dr) as lists; it returns lists of roots and residuals,
-    each with the bits a float bracket would give.
-    """
-    if not isinstance(lo, list):
-        search = _search(lo, hi)
-        try:
-            x = next(search)
-            while True:
-                x = search.send(g(x))
-        except StopIteration as stop:
-            return stop.value
-    searches = [_search(a, b) for a, b in zip(lo, hi)]
-    root, residual = [0.0] * len(searches), [0.0] * len(searches)
-    live = list(range(len(searches)))
-    xs = [next(search) for search in searches]
-    while live:
-        r, dr = g(xs, live)
-        still, xs = [], []
-        for i, r_i, dr_i in zip(live, r, dr):
-            try:
-                xs.append(searches[i].send((r_i, dr_i)))
-                still.append(i)
-            except StopIteration as stop:
-                root[i], residual[i] = stop.value
-            except NumericsError as exc:
-                raise NumericsError(f"element {i}: {exc}") from exc
-        live = still
-    return root, residual
 
 
 def _check_cap(t: float, cap: float, quantity: str):
@@ -186,10 +144,12 @@ def solve_mu(t: float) -> float:
         return 1.0
     _check_cap(t, _T_MAX_MU, "m")
 
+    c3, c2 = 6.0 * t ** 3, 6.0 * t * t
+
     def constraint(m):
         # 6 t^3 f_3(m/t) - 1 rises with m at the rate 6 t^2 f_2(m/t)
-        f3, f2 = fd_orders((3.0, 2.0), m / t)
-        return 6.0 * t ** 3 * f3 - 1.0, 6.0 * t * t * f2
+        f3, f2 = _closed_forms((3.0, 2.0), m / t)
+        return c3 * f3 - 1.0, c2 * f2
 
     try:
         m, residual = monotone_root(constraint, classical_mu(t) - 5.0 * t,
@@ -201,44 +161,6 @@ def solve_mu(t: float) -> float:
     return m
 
 
-def _solve_mu_grid(ts) -> list:
-    """solve_mu(t) for every checked t of a list, in one elementwise root search.
-
-    Equal element by element to solve_mu(t): each element runs solve_mu's
-    float arithmetic and fd_orders' float kernel.  Neither reads nor fills
-    solve_mu's cache.
-    """
-    ms = [1.0] * len(ts)
-    hot = [i for i, t in enumerate(ts) if t > _TINY_T]
-    if not hot:
-        return ms
-    th = [ts[i] for i in hot]
-    for t in th:
-        _check_cap(t, _T_MAX_MU, "m")
-    c3 = [6.0 * t ** 3 for t in th]
-    c2 = [6.0 * t * t for t in th]
-
-    def constraint(ms_live, idx):
-        r, dr = [], []
-        for m, i in zip(ms_live, idx):
-            f3, f2 = _closed_forms((3.0, 2.0), m / th[i])
-            r.append(c3[i] * f3 - 1.0)
-            dr.append(c2[i] * f2)
-        return r, dr
-
-    try:
-        m, residual = monotone_root(constraint, [classical_mu(t) - 5.0 * t for t in th],
-                                    [1.0 + 5.0 * t for t in th])
-    except NumericsError as exc:
-        raise NumericsError(f"chemical-potential solve over t in [{min(th)!r}, "
-                            f"{max(th)!r}]: {exc}") from exc
-    for i, t, value, r in zip(hot, th, m, residual):
-        if abs(r) > _RESIDUAL_TOL:
-            raise _residual_error(t, value, r)
-        ms[i] = value
-    return ms
-
-
 def internal_energy(t: float) -> float:
     """Energy per particle u(t) in units of E_F; 3/4 at t = 0."""
     t = _check_t(t)
@@ -247,14 +169,6 @@ def internal_energy(t: float) -> float:
     _check_cap(t, _T_MAX_U, "u")
     m = solve_mu(t)
     return 18.0 * t ** 4 * fd(4.0, m / t)
-
-
-def _energy_grid(ts) -> list:
-    """internal_energy(t) for every checked t of a list, from one grid solve."""
-    for t in ts:
-        _check_cap(t, _T_MAX_U, "u")
-    return [18.0 * t ** 4 * fd(4.0, m / t) if t > _TINY_T else 0.75
-            for t, m in zip(ts, _solve_mu_grid(ts))]
 
 
 def heat_capacity(t: float) -> float:
@@ -277,19 +191,13 @@ def thermo_state(t: float) -> ThermoState:
 def thermo_curve(t_grid):
     """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
 
-    Equal, sample by sample, to solve_mu(t) and heat_capacity(t) (c = 0 at
-    t = 0); m is solved for the whole grid in one elementwise root search,
-    and each c runs heat_capacity's float arithmetic.
+    Each sample is solve_mu(t) and heat_capacity(t), with c = 0 at t = 0.
     """
     ts = [_check_t(t) for t in t_grid]
     if not ts:
         raise DomainError("temperature grid is empty")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("temperature grid must be strictly increasing")
-    ms = _solve_mu_grid(ts)
-    # heat_capacity's arithmetic, with c = 0 at t = 0
-    cs = [_c_of_eta(m / t) if t > _TINY_T else (math.pi ** 2 * t if t else 0.0)
-          for t, m in zip(ts, ms)]
-    mu_curve = UniversalCurve("t", "m", tuple(zip(ts, ms)))
-    c_curve = UniversalCurve("t", "c", tuple(zip(ts, cs)))
+    mu_curve = UniversalCurve("t", "m", tuple((t, solve_mu(t)) for t in ts))
+    c_curve = UniversalCurve("t", "c", tuple((t, heat_capacity(t) if t else 0.0) for t in ts))
     return mu_curve, c_curve

@@ -50,12 +50,25 @@ def test_msd_curve(capsys):
     curve = parse_csv(out)
     assert curve.y_label == "msd"
     assert curve.samples[0][1] == 0.375
-    # the grid solve gives each sample the bits of the scalar call
+    # each sample is the scalar call, bit for bit
     code, out, _ = run_cli(capsys, "msd-curve")
     assert code == 0
     samples = parse_csv(out).samples
     assert len(samples) == 200
     assert samples == tuple((t, fg.mean_square_size(t)) for t, _ in samples)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mu-curve", "--t-max", "1e300", "--steps", "3"), "at most 3e+102 for m, got 5e+299"),
+    (("heat-curve", "--t-max", "1e300", "--steps", "3"), "at most 3e+102 for m, got 5e+299"),
+    (("msd-curve", "--t-max", "1e77", "--steps", "3"), "at most 5e+76 for u, got 1e+77"),
+    (("profile", "--t", "0,0.5,1e200"), "at most 3e+102 for m, got 1e+200"),
+])
+def test_temperature_caps(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_profile_blocks_per_temperature(capsys):

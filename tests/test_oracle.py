@@ -190,6 +190,26 @@ def test_continuum_comparison_at_acceptance_point():
     assert comp.zero_point == 1.5
 
 
+# near T -> 0 at an open shell, one ulp of mu moves the partly filled level's
+# occupation by about g_L ulp(mu)/T, so the 1e-10 residual cannot be met in
+# the variable mu; the closed shell N = 969 and (30000, sqrt 8) at 1e-11 solve
+LOW_T_DEFECT = pytest.mark.xfail(strict=True, raises=NumericsError,
+                                 reason="exact_mu occupation residual at low T")
+
+
+@pytest.mark.parametrize("n_particles, lam, t", [
+    pytest.param(1001, 1.0, 1e-8, marks=LOW_T_DEFECT),
+    pytest.param(1000, 1.0, 1e-9, marks=LOW_T_DEFECT),
+    pytest.param(1000, math.sqrt(8.0), 1e-9, marks=LOW_T_DEFECT),
+    pytest.param(30_000, math.sqrt(8.0), 1e-12, marks=LOW_T_DEFECT),
+    (969, 1.0, 1e-12),
+    (30_000, math.sqrt(8.0), 1e-11),
+])
+def test_continuum_comparison_at_low_temperature(n_particles, lam, t):
+    comp = fg.continuum_comparison(n_particles, lam, t)
+    assert math.isfinite(comp.gap_raw) and math.isfinite(comp.gap_adjusted)
+
+
 def test_continuum_error_shrinks_with_particle_number():
     sizes = (2_000, 16_000, 128_000)
     comps = [fg.continuum_comparison(n, 1.0, 0.1) for n in sizes]

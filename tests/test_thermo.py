@@ -192,7 +192,7 @@ def rule_passes(monkeypatch):
 
 def test_one_rule_pass_per_newton_step_of_a_grid(rule_passes):
     # f_2, f_3 and f_4 are closed forms: the thermodynamics runs no rule pass,
-    # where a solve per temperature took 1543 and the grid solve 15
+    # where a solve per temperature once took 1543
     fg.thermo_curve(np.linspace(0.0, 2.0, 200))
     assert rule_passes[0] == 0
     # a cold scalar c: every Newton step and then f_2, f_3, f_4
@@ -273,41 +273,11 @@ def test_chemical_potential_strictly_decreasing(t1, gap):
     assert fg.solve_mu(t1 + gap) < fg.solve_mu(t1)
 
 
-def _elementwise(g, lo, hi):
-    """monotone_root on lists, recording how many elements each g call saw."""
-    sizes = []
-
-    def g_list(xs, idx):
-        sizes.append(len(idx))
-        pairs = [g(a, x_i) for a, x_i in zip(idx, xs)]
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-
-    root, residual = monotone_root(g_list, list(lo), list(hi))
-    return np.array(root), np.array(residual), sizes
-
-
-def _scalar_roots(g, lo, hi):
-    return [monotone_root(lambda x, i=i: g(i, x), a, b) for i, (a, b) in enumerate(zip(lo, hi))]
-
-
 def test_cube_root_to_the_last_bits():
     root, residual = monotone_root(lambda x: (x ** 3 / 2.0 - 1.0, 1.5 * x * x),
                                    0.0, 4.0)
     assert abs(root - 2.0 ** (1 / 3)) <= 2 * math.ulp(root)
     assert residual == root ** 3 / 2.0 - 1.0
-    # cube roots of 2, 3, 10 and 7.5 at once: each element stops on its own
-    # step, with the bits of its float-bracket search
-    targets = [2.0, 3.0, 10.0, 7.5]
-    lo, hi = [0.0, 0.0, 1.0, 1.9], [4.0, 5.0, 3.0, 2.0]
-
-    def g(i, x):
-        return x * x * x / targets[i] - 1.0, 3.0 * x * x / targets[i]
-
-    roots, residuals, sizes = _elementwise(g, lo, hi)
-    assert [(float(x), float(r)) for x, r in zip(roots, residuals)] == _scalar_roots(g, lo, hi)
-    for x, a in zip(roots, targets):
-        assert abs(x - a ** (1 / 3)) <= 2 * math.ulp(x)
-    assert len(set(sizes[2:])) > 1  # the live set shrinks between iterations
 
 
 def test_bisects_where_the_slope_underflows():
@@ -315,29 +285,12 @@ def test_bisects_where_the_slope_underflows():
     root, _ = monotone_root(lambda x: (math.exp(x) / 2.0 - 1.0, math.exp(x) / 2.0),
                             -800.0, 10.0)
     assert root == pytest.approx(math.log(2.0), rel=1e-15)
-    # the same next to a well-scaled element that stops much earlier
-    scale = [2.0, 5.0]
-    lo, hi = [-800.0, 1.5], [10.0, 1.7]
-
-    def g(i, x):
-        return math.exp(x) / scale[i] - 1.0, math.exp(x) / scale[i]
-
-    roots, _, sizes = _elementwise(g, lo, hi)
-    assert roots.tolist() == [x for x, _ in _scalar_roots(g, lo, hi)]
-    assert roots[0] == pytest.approx(math.log(2.0), rel=1e-15)
-    assert roots[1] == pytest.approx(math.log(5.0), rel=1e-15)
-    assert sizes[-1] == 1
 
 
 @pytest.mark.parametrize("lo, hi", [(2.0, 4.0), (-4.0, -2.0), (4.0, 0.0)])
 def test_bracket_must_straddle_the_root(lo, hi):
     with pytest.raises(NumericsError, match="straddle"):
         monotone_root(lambda x: (x, 1.0), lo, hi)
-    # every element is checked; the error names the first bad one and its bracket
-    with pytest.raises(NumericsError, match=re.escape(f"element 1: bracket [{lo!r}, {hi!r}]")
-                       + " does not straddle"):
-        monotone_root(lambda xs, idx: (xs, [1.0] * len(xs)),
-                      [-1.0, lo, -3.0], [1.0, hi, 3.0])
 
 
 def test_no_convergence_within_the_step_cap():
@@ -345,8 +298,3 @@ def test_no_convergence_within_the_step_cap():
     # bisections leave [-1e300, 1e300] about 1e240 wide
     with pytest.raises(NumericsError, match=r"no convergence in 200 steps on \["):
         monotone_root(lambda x: (x - 1.0, 1e-300), -1e300, 1e300)
-    # next to an element that converges, the error names the stuck one
-    with pytest.raises(NumericsError, match="element 1: no convergence in 200 steps"):
-        monotone_root(lambda xs, idx: ([x - 1.0 for x in xs],
-                                       [1e-300 if i == 1 else 1.0 for i in idx]),
-                      [0.0, -1e300], [3.0, 1e300])
