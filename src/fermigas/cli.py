@@ -12,7 +12,6 @@ heat-curve, msd-curve, scales and bose-compare run without numpy.
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -240,6 +239,8 @@ def _run_scales(p, fmt):
 
 
 def _read_delta_v_table(path):
+    import csv
+
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):

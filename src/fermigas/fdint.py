@@ -28,7 +28,6 @@ float eta outside the rule's band never loads it.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -46,9 +45,10 @@ _TAIL_DECADES = 60.0  # the rule's integrand is below exp(-60) beyond its cutoff
 _PANELS = 6
 _NODES = 24
 _BATCH = 256  # rows per batch: each (rows x 288) temporary stays near 0.6 MB
-_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
-_LN2 = Fraction("0.693147180559945309417232121458176568075500134360255254120680009")
-_ZETA3 = Fraction("1.20205690315959428539973816151144999076498629234049888179227156")
+# pi, ln 2 and zeta(3) to 62-63 decimals, as exact (numerator, denominator)
+_PI = (314159265358979323846264338327950288419716939937510582097494459, 10 ** 62)
+_LN2 = (693147180559945309417232121458176568075500134360255254120680009, 10 ** 63)
+_ZETA3 = (120205690315959428539973816151144999076498629234049888179227156, 10 ** 62)
 
 
 def _tangent_numbers(n_max):
@@ -62,8 +62,7 @@ def _tangent_numbers(n_max):
 
 
 _T = _tangent_numbers(25)
-_P, _Q = _PI.as_integer_ratio()
-_PI_POWERS = list(accumulate(range(25), lambda pq, _: (pq[0] * _P * _P, pq[1] * _Q * _Q),
+_PI_POWERS = list(accumulate(range(25), lambda pq, _: (pq[0] * _PI[0] ** 2, pq[1] * _PI[1] ** 2),
                              initial=(1, 1)))  # (p^(2n), q^(2n)) for pi = p/q
 
 
@@ -75,7 +74,7 @@ def _dirichlet_eta(s) -> tuple:
     T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).
     """
     if s in (1, 3):
-        return (_LN2 if s == 1 else Fraction(3, 4) * _ZETA3).as_integer_ratio()
+        return _LN2 if s == 1 else (3 * _ZETA3[0], 4 * _ZETA3[1])
     if s == 0:
         return 1, 2
     if s < 0:

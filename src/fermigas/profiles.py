@@ -88,8 +88,6 @@ def mean_square_size(t) -> float:
 def msd_curve(t_grid):
     """Tabulate <rho^2>/R_F^2 = mean_square_size(t) over a grid of t >= 0."""
     ts = [_check_t(t) for t in t_grid]
-    if not ts:
-        raise DomainError("temperature grid is empty")
     return UniversalCurve("t", "msd", tuple((t, mean_square_size(t)) for t in ts))
 
 

@@ -361,6 +361,8 @@ def test_key_value_and_thermo_commands_load_no_numpy(argv):
     modules = _imported_modules("-m", "fermigas", *argv)
     assert "fermigas.cli" in modules
     assert "numpy" not in modules
+    # nor what only fdint's constant tables or the perturb table reader used
+    assert not modules & {"fractions", "decimal", "csv"}
 
 
 def test_array_commands_still_load_numpy():

@@ -127,6 +127,40 @@ def test_heat_capacity_low_t_against_mpmath():
             assert abs((fg.heat_capacity(float(t)) - exact) / exact) <= 1e-13, t
 
 
+def _t_at_eta(eta):
+    """The reduced temperature at which m(t)/t = eta."""
+    return brentq(lambda t: fg.solve_mu(t) / t - eta, 1e-3, 5.0, xtol=1e-17, rtol=8.9e-16)
+
+
+def test_heat_capacity_against_mpmath_to_3e_15():
+    # the inversion identity keeps every digit for eta >= 1; the Sommerfeld
+    # closed form it replaced was 7.0e-14 off just above eta = 30, and the
+    # plain ratio 1.5e-13 off at t = 0.0345774...
+    t30, t1 = _t_at_eta(30.0), _t_at_eta(1.0)
+    ts = np.linspace(0.01, 0.7, 120).tolist() + [0.03457743402881695, t30 * (1.0 - 1e-12),
+                                                  t30, t1 * (1.0 - 1e-12), t1]
+    for t in ts:
+        with mpmath.workdps(40):
+            exact = mp_thermo(t)[2]
+            assert abs((fg.heat_capacity(t) - exact) / exact) <= 3e-15, t
+
+
+def test_heat_capacity_continuous_across_eta_one():
+    # plain ratio just below eta = 1, inversion identity at and above it
+    below, at = (thermo._c_of_eta(e) for e in (math.nextafter(1.0, 0.0), 1.0))
+    assert abs(at - below) <= 3e-15 * at
+    t1 = _t_at_eta(1.0)
+    cs = [fg.heat_capacity(t1 * (1.0 + k * 1e-12)) for k in range(-3, 4)]
+    steps = [b - a for a, b in zip(cs, cs[1:])]
+    assert all(abs(d - steps[0]) <= 4e-15 * at for d in steps)
+
+
+def test_heat_capacity_zero_temperature_limit():
+    for t in (0.0, -0.0):
+        c = fg.heat_capacity(t)
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0
+
+
 def test_heat_capacity_matches_energy_derivative():
     h = 1e-4
     numeric = (fg.internal_energy(0.5 + h) - fg.internal_energy(0.5 - h)) / (2.0 * h)
@@ -165,9 +199,9 @@ def test_thermo_curve_thousand_point_property_run():
 
 
 def test_thermo_curve_equals_pointwise_calls():
-    # eta = m/t on both sides of 30, where c switches to the Sommerfeld form;
-    # then the CLI's default grid and 3000 log-spaced t across every band
-    for ts in ([0.0, 1e-10, 1e-4, 0.02, 0.0329, 0.0331, 0.05, 0.5, 3.0],
+    # eta = m/t on both sides of 1, where c switches to the inversion
+    # identity, and of 30; then the CLI's default grid and 3000 log-spaced t
+    for ts in ([0.0, 1e-10, 1e-4, 0.02, 0.0329, 0.0331, 0.05, 0.425, 0.426, 0.5, 3.0],
                np.linspace(0.0, 2.0, 200).tolist(), np.geomspace(1.1e-9, 50.0, 3000).tolist()):
         mu, c = fg.thermo_curve(ts)
         assert mu.samples == tuple((t, fg.solve_mu(t)) for t in ts)
@@ -235,7 +269,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         fg.solve_mu(-0.1)
     with pytest.raises(DomainError):
-        fg.heat_capacity(0.0)
+        fg.heat_capacity(-0.1)
     with pytest.raises(DomainError):
         fg.internal_energy(-1.0)
     with pytest.raises(DomainError):
@@ -244,6 +278,10 @@ def test_domain_errors():
         fg.thermo_curve([0.2, 0.1])
     with pytest.raises(DomainError):
         fg.thermo_curve([-0.5, 0.1])
+    with pytest.raises(DomainError):
+        fg.msd_curve([])
+    with pytest.raises(DomainError):
+        fg.msd_curve([0.2, 0.1])
 
 
 @pytest.mark.parametrize("entry, t", [
