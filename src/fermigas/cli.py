@@ -8,7 +8,7 @@ command, so later flags win.  Exit codes: 0 success, 1 numerical failure or
 unwritable output, 2 usage error.
 
 Each handler imports the library modules it uses, so mu-curve,
-heat-curve, msd-curve, scales and bose-compare run without numpy.
+heat-curve, msd-curve, profile, scales and bose-compare run without numpy.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import scales
-from .curves import UniversalCurve, render, write_table
+from .curves import UniversalCurve, linspace, render, write_table
 from .errors import DomainError, FermiGasError
 
 _FIG_GRID_STEPS = 200   # default t grid for the mu, heat and size curves
@@ -177,10 +177,7 @@ def _t_grid(p):
         raise DomainError("--t-max must exceed --t-min")
     if p["steps"] < 2:
         raise DomainError("--steps must be at least 2")
-    # numpy's linspace, bit for bit: lo + i*step, ending on t_max exactly
-    lo, n = p["t_min"], p["steps"]
-    step = (p["t_max"] - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [p["t_max"]]
+    return linspace(p["t_min"], p["t_max"], p["steps"])
 
 
 def _run_mu_curve(p, fmt):

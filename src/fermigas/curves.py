@@ -16,6 +16,13 @@ def _cell(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
+def linspace(lo: float, hi: float, n: int) -> list:
+    """n >= 2 floats from lo to hi, numpy's linspace bit for bit: lo + i*step,
+    ending on hi exactly."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def write_table(fmt, header=(), rows=(), notes=(), doc=None) -> str:
     """One table as text ending in a newline, in fmt "csv" or "json".
 

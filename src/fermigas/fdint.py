@@ -9,26 +9,28 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
   where eta_D(s) = (1 - 2^(1-s)) zeta(s) is the Dirichlet eta function.
 * reflection (eta >= 1, integer k): the terminating Sommerfeld polynomial
   plus (-1)^(k+1) times the series at -eta; exact, so nothing cancels.
-* quadrature (-1 < eta < 30, half-integer k): a fixed Gauss-Legendre rule in
-  v = sqrt(u), 6 panels of 24 nodes on each side of the Fermi edge.
-* sommerfeld (eta >= 30, half-integer k): the bracket series, truncated at
+* trapezoid (-1 < eta < 40, half-integer k): with x = u^2, Gamma(k) f_k is
+  the integral over the real line of u^(2k-1)/(exp(u^2 - eta) + 1), whose
+  power is even, so the integrand is meromorphic.  Its trapezoid sum of step
+  1/2 less the residues at the poles u = sqrt(eta + i(2j+1)pi) is exact
+  (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The nodes end where
+  (n/2)^2 - eta exceeds 44, the poles where a term falls below 2^-60 of the
+  sum: at most 19 nodes and 9 pole terms.
+* sommerfeld (eta >= 40, half-integer k): the bracket series, truncated at
   its smallest term; the reflection term has a cos(pi k) = 0 prefactor.
 
 Each coefficient is an exact ratio of integers rounded to double once.  The
 worst relative errors against mpmath at 40 digits are: series 2.6e-16,
-taylor 4.6e-16, reflection 4.7e-16, quadrature 7.3e-16 and sommerfeld
-6.3e-16 (5.0e-15 for k = 1/2 at eta = 30 itself).
+taylor 4.6e-16, reflection 4.7e-16, trapezoid 7.3e-16 and sommerfeld 8.1e-16.
 
-fd_orders(orders, eta) gives several orders with one exp per eta.  An array
-runs the same float code element by element and its quadrature elements
-through the rule in batches, each row reduced on its own, so every value
-has the bits of its own scalar call.  numpy is imported only for the rule
-(whose nodes are built on first use), for fermi and for array inputs: a
-float eta outside the rule's band never loads it.
+fd_orders(orders, eta) gives several orders with one exp per eta.  Every
+regime is float code, and an array runs it element by element, so every
+value has the bits of its own scalar call.  numpy is imported only for
+fermi and for array inputs.
 """
 
+import cmath
 import math
-from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError
@@ -37,14 +39,13 @@ SUPPORTED_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 
 _SERIES_CUTOFF = -1.0
 _TAYLOR_RADIUS = 1.0
-_SOMMERFELD_CUTOFF = 30.0
+_SOMMERFELD_CUTOFF = 40.0
 _SERIES_SPAN = 60.0 * math.log(2.0)  # exp(-n |eta|) < 2^-60 once n |eta| exceeds this
 _SERIES_TERMS = int(_SERIES_SPAN) + 1  # terms needed at |eta| = 1
 _TAYLOR_TERMS = 36
-_TAIL_DECADES = 60.0  # the rule's integrand is below exp(-60) beyond its cutoff
-_PANELS = 6
-_NODES = 24
-_BATCH = 256  # rows per batch: each (rows x 288) temporary stays near 0.6 MB
+_STEP = 0.5  # trapezoid step h in u = sqrt(x)
+_TAIL = 44.0  # last trapezoid node: (n h)^2 - eta <= _TAIL, exp(-44) < 2^-63
+_POLE_PHASE = -2j * math.pi / _STEP  # exp(_POLE_PHASE u) - 1: the pole terms' denominator
 # pi, ln 2 and zeta(3) to 62-63 decimals, as exact (numerator, denominator)
 _PI = (314159265358979323846264338327950288419716939937510582097494459, 10 ** 62)
 _LN2 = (693147180559945309417232121458176568075500134360255254120680009, 10 ** 63)
@@ -145,8 +146,30 @@ def _sommerfeld(k: float, eta: float) -> float:
         return math.inf
 
 
-def _closed_form(k: float, eta: float, z: float):
-    """f_k(eta) with z = exp(-|eta|), or None where the rule evaluates it."""
+def _trapezoid(k: float, eta: float) -> float:
+    """f_k for half-integer k on -1 < eta < _SOMMERFELD_CUTOFF: Gamma(k) f_k =
+    T_h - 4 pi sum_(j>=0) Im[u_j^(2k-2) / (exp(-2 pi i u_j/h) - 1)], the
+    trapezoid sum of step h in u = sqrt(x) less its pole correction."""
+    p = round(2.0 * k - 1.0)  # the even power of u
+    total = 0.5 / (math.exp(-eta) + 1.0) if p == 0 else 0.0  # half the u = 0 node
+    u, x = _STEP, _STEP * _STEP - eta
+    while x <= _TAIL:
+        total += u ** p / (math.exp(x) + 1.0)
+        u += _STEP
+        x = u * u - eta
+    trapezoid = 2.0 * _STEP * total
+    poles, j = 0.0, 0
+    while True:
+        u = cmath.sqrt(complex(eta, (2 * j + 1) * math.pi))
+        term = 4.0 * math.pi * u ** (p - 1) / (cmath.exp(_POLE_PHASE * u) - 1.0)
+        poles += term.imag
+        if abs(term) < 2.0 ** -60 * trapezoid:
+            return (trapezoid - poles) / math.gamma(k)
+        j += 1
+
+
+def _closed_form(k: float, eta: float, z: float) -> float:
+    """f_k(eta) with z = exp(-|eta|)."""
     if eta <= _SERIES_CUTOFF:
         return _series(k, eta, z)
     if k in _TAYLOR:
@@ -154,7 +177,7 @@ def _closed_form(k: float, eta: float, z: float):
             return _horner(_TAYLOR[k], eta)
         reflection = _series(k, eta, z)
         return _horner(_POLYNOMIAL[k], eta) + (reflection if k % 2 else -reflection)
-    return _sommerfeld(k, eta) if eta >= _SOMMERFELD_CUTOFF else None
+    return _sommerfeld(k, eta) if eta >= _SOMMERFELD_CUTOFF else _trapezoid(k, eta)
 
 
 def band(k: float, eta: float) -> str:
@@ -163,7 +186,7 @@ def band(k: float, eta: float) -> str:
         return "series"
     if float(k) in _TAYLOR:
         return "taylor" if eta < _TAYLOR_RADIUS else "reflection"
-    return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "quadrature"
+    return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "trapezoid"
 
 
 def fermi(x):
@@ -174,36 +197,8 @@ def fermi(x):
     return np.where(x >= 0, ex, 1.0) / (1.0 + ex)
 
 
-@lru_cache(maxsize=None)
-def _rule_nodes():
-    """Node fractions and weights of _PANELS equal panels of an _NODES-point
-    Gauss-Legendre rule on [0, 1], built on first use."""
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(_NODES)
-    return (((np.arange(_PANELS)[:, None] + 0.5 * (x + 1.0)) / _PANELS).ravel(),
-            np.tile(0.5 * w / _PANELS, _PANELS))
-
-
-def _fixed_rule(orders, eta):
-    """f_k for each k in orders at every element of a 1-D sequence eta inside
-    the middle band, as rows of a (len(orders), len(eta)) array."""
-    import numpy as np
-
-    fractions, weights = _rule_nodes()
-    e = np.asarray(eta, dtype=float)[:, None]
-    lo = np.sqrt(np.maximum(e, 0.0))
-    hi = np.sqrt(np.maximum(e, 0.0) + _TAIL_DECADES)
-    v = np.concatenate([lo * fractions, lo + (hi - lo) * fractions], axis=1)
-    w = np.concatenate([lo * weights, (hi - lo) * weights], axis=1)
-    occupation = fermi(v * v - e)
-    # a per-row sum, unlike a matrix product, rounds the same in any batch
-    return np.array([(w * v ** (2.0 * k - 1.0) * occupation).sum(axis=1)
-                     * (2.0 / math.gamma(k)) for k in orders])
-
-
 def _closed_forms(ks, eta: float) -> list:
-    """[f_k(eta) for k in ks] at one float eta, None where the rule runs."""
+    """[f_k(eta) for k in ks] at one float eta, sharing one exp."""
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
     z = math.exp(-abs(eta))
@@ -219,12 +214,7 @@ def fd_orders(orders, eta) -> list:
     for a float eta, else arrays of eta's shape."""
     ks = tuple(map(_require_order, orders))
     if isinstance(eta, float):  # np.asarray alone costs ~1 us
-        values = _closed_forms(ks, eta)
-        if None in values:
-            rule = iter(_fixed_rule([k for k, v in zip(ks, values) if v is None],
-                                    [eta])[:, 0].tolist())
-            values = [next(rule) if v is None else v for v in values]
-        return values
+        return _closed_forms(ks, eta)
     import numpy as np
 
     try:
@@ -232,17 +222,9 @@ def fd_orders(orders, eta) -> list:
     except OverflowError:  # an int beyond the double range
         raise DomainError("eta must be finite, got an integer beyond the float range") from None
     if eta.ndim == 0:
-        return fd_orders(ks, float(eta))
-    flat = eta.ravel()
-    # one row per order; a None of the rule's band becomes nan until the rule fills it
-    out = np.array([_closed_forms(ks, e) for e in flat.tolist()], dtype=float)
-    out = out.reshape(flat.size, len(ks)).T
-    half = [j for j, k in enumerate(ks) if k not in _TAYLOR]
-    rows = np.flatnonzero((flat > _SERIES_CUTOFF) & (flat < _SOMMERFELD_CUTOFF)) if half else []
-    for start in range(0, len(rows), _BATCH):
-        part = rows[start:start + _BATCH]
-        out[np.ix_(half, part)] = _fixed_rule([ks[j] for j in half], flat[part])
-    return [row.reshape(eta.shape) for row in out]
+        return _closed_forms(ks, float(eta))
+    out = np.array([_closed_forms(ks, e) for e in eta.ravel().tolist()], dtype=float)
+    return [row.reshape(eta.shape) for row in out.reshape(eta.size, len(ks)).T]
 
 
 def fd(order, eta):

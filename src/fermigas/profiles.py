@@ -19,7 +19,7 @@ through the scales module.
 
 import math
 
-from .curves import UniversalCurve
+from .curves import UniversalCurve, linspace
 from .errors import DomainError, check_finite, check_real
 from .fdint import fd, fermi
 from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
@@ -53,8 +53,8 @@ def density(s, t) -> float:
     return _warm_density(s, t, solve_mu(t))
 
 
-def _warm_density(s, t: float, m: float):
-    """Scaled density at t > _TINY_T for a float or an array of radii s."""
+def _warm_density(s: float, t: float, m: float) -> float:
+    """Scaled density at radius s and t > _TINY_T, given m = solve_mu(t)."""
     return (6.0 / math.pi ** 1.5) * t ** 1.5 * fd(1.5, (m - s * s) / t)
 
 
@@ -93,8 +93,6 @@ def msd_curve(t_grid):
 
 def profile_curves(t_list, n_samples=300, s_max=None):
     """One sampled density curve per temperature, covering >= 0.999 of the norm."""
-    import numpy as np
-
     ts = [_check_t(t) for t in t_list]
     if not ts:
         raise DomainError("temperature list is empty")
@@ -105,13 +103,12 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     curves = []
     for t in ts:
         if t <= _TINY_T:
-            grid = np.linspace(0.0, 1.0 if s_max is None else s_max, int(n_samples))
-            values = [zero_t_density(x) for x in grid.tolist()]
+            grid = linspace(0.0, 1.0 if s_max is None else s_max, int(n_samples))
+            values = [zero_t_density(s) for s in grid]
         else:
             m = solve_mu(t)
             hi = math.sqrt(max(m, 0.0) + 25.0 * t) if s_max is None else s_max
-            grid = np.linspace(0.0, hi, int(n_samples))
-            values = _warm_density(grid, t, m).tolist()
-        samples = tuple(zip(grid.tolist(), values))
-        curves.append(UniversalCurve("s", "density", samples))
+            grid = linspace(0.0, hi, int(n_samples))
+            values = [_warm_density(s, t, m) for s in grid]
+        curves.append(UniversalCurve("s", "density", tuple(zip(grid, values))))
     return curves

@@ -354,9 +354,17 @@ def test_import_loads_no_numpy():
     assert "numpy" not in modules
 
 
+def test_half_integer_fd_of_a_float_loads_no_numpy():
+    modules = _imported_modules("-c", "import fermigas; fermigas.fd(1.5, 0.3)")
+    # a submodule imported by name is not reported, but what fdint imports is
+    assert "fermigas.errors" in modules
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize("argv", [["scales", "--preset", "li6-top"],
                                   ["bose-compare", "--preset", "li6-top"],
-                                  ["mu-curve"], ["heat-curve"], ["msd-curve"]])
+                                  ["mu-curve"], ["heat-curve"], ["msd-curve"],
+                                  ["profile"], ["profile", "--momentum"]])
 def test_key_value_and_thermo_commands_load_no_numpy(argv):
     modules = _imported_modules("-m", "fermigas", *argv)
     assert "fermigas.cli" in modules
@@ -433,6 +441,20 @@ def test_t_grid_is_numpy_linspace_bit_for_bit():
         expected = np.linspace(t_min, t_max, steps).tolist()
         assert all(type(t) is float for t in grid)
         assert grid == expected, (t_min, t_max, steps)
+    # the profile grids: [0, 1] or [0, s_max] at t = 0, else [0, s_max] or
+    # [0, sqrt(max(m, 0) + 25 t)]
+    cases = [(0.0, 300, None), (0.0, 57, 1.5), (0.25, 300, None), (0.5, 300, 1.5),
+             (1.0, 2, None), (1e-12, 300, None), (5.0, 1000, None)]
+    cases += [(float(t), int(n), None if x < 0.5 else float(x)) for t, n, x in
+              zip(rng.uniform(0.0, 2.0, 40), rng.integers(2, 400, 40), rng.uniform(0.0, 3.0, 40))]
+    for t, n, s_max in cases:
+        (curve,) = fg.profile_curves([t], n, s_max)
+        if s_max is None:
+            warm = t > fg.thermo._TINY_T
+            s_max = math.sqrt(max(fg.solve_mu(t), 0.0) + 25.0 * t) if warm else 1.0
+        grid = [s for s, _ in curve.samples]
+        assert all(type(s) is float for s in grid)
+        assert grid == np.linspace(0.0, s_max, n).tolist(), (t, n, s_max)
 
 
 def test_validity_default_radii_are_the_numpy_expression():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative, fd_orders
-from fermigas.fdint import (_BATCH, _POLYNOMIAL, _SERIES, _SERIES_SPAN, _SOMMERFELD_C, _TAYLOR,
-                            _dirichlet_eta, band, fermi)
+from fermigas.fdint import (_POLYNOMIAL, _SERIES, _SERIES_SPAN, _SOMMERFELD_C, _SOMMERFELD_CUTOFF,
+                            _TAYLOR, _dirichlet_eta, _trapezoid, band, fermi)
 
 from conftest import adaptive_fd, brute_fd, mp_fd
 
@@ -161,9 +161,8 @@ def test_fermi_factor_saturates_without_warnings():
     assert occ.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
-# the fixed-rule band and the points nearest its edges; at eta = 30 itself
-# the Sommerfeld bracket takes over (5e-15 for k = 1/2, a truncated
-# asymptotic series)
+# -1 < eta < 30 and the points nearest its edges: the trapezoid band of the
+# half-integer orders, the Taylor and reflection bands of the integer ones
 MIDDLE_BAND = np.concatenate([np.arange(-1.0, 30.0, 0.5),
                               [-0.999999, -1e-9, 0.0, 1e-9, 29.999999]])
 
@@ -176,8 +175,8 @@ def test_middle_band_against_mpmath(k):
     assert np.max(np.abs(values - exact) / exact) <= 2e-15
 
 
-# the Sommerfeld band from its cutoff up; the truncated bracket of k = 1/2
-# is 5.0e-15 off at eta = 30 itself, every other order stays below 1e-15
+# eta from 30 up: the trapezoid's top, then the Sommerfeld band from its
+# cutoff at 40 (the truncated bracket of k = 1/2 is 5.0e-15 off at eta = 30)
 SOMMERFELD_BAND = np.geomspace(30.0, 1e4, 100)
 
 
@@ -186,21 +185,25 @@ def test_sommerfeld_band_against_mpmath(k):
     with mpmath.workdps(30):
         exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in SOMMERFELD_BAND])
     values = fd(k, SOMMERFELD_BAND)
-    assert np.max(np.abs(values - exact) / exact) <= (1e-14 if k == 0.5 else 2e-15)
+    assert np.max(np.abs(values - exact) / exact) <= 2e-15
 
 
 @pytest.mark.parametrize("k", SUPPORTED_ORDERS)
 def test_fixed_rule_matches_adaptive_kernel(k):
-    etas = np.linspace(-0.99, 29.99, 60)
-    old = np.array([adaptive_fd(k, float(e)) for e in etas])
-    assert np.max(np.abs(fd(k, etas) - old) / old) <= 1e-13
+    # the trapezoid evaluator itself for a half-integer order, fd otherwise,
+    # against adaptive Gauss-Legendre panels over the trapezoid band
+    etas = np.linspace(-0.99, 39.99, 60).tolist()
+    kernel = fd if k in _TAYLOR else _trapezoid
+    for eta in etas:
+        old = adaptive_fd(k, eta)
+        assert abs(kernel(k, eta) - old) <= 1e-13 * old, eta
 
 
 @pytest.mark.parametrize("k", SUPPORTED_ORDERS)
 def test_scalar_and_array_calls_bit_identical(k):
-    # all three bands, more rows than one batch, and a 2-D shape
+    # every band of the order and a 2-D shape
     rng = np.random.default_rng(7)
-    etas = rng.uniform(-3.0, 40.0, 2 * _BATCH + 37)
+    etas = rng.uniform(-3.0, 40.0, 549)
     one_by_one = np.array([fd(k, float(e)) for e in etas])
     assert np.array_equal(fd(k, etas), one_by_one)
     assert np.array_equal(fd(k, etas[5:6]), one_by_one[5:6])
@@ -221,7 +224,7 @@ def test_array_with_nonfinite_element_rejected():
 
 @given(
     k=st.sampled_from(SUPPORTED_ORDERS),
-    edge=st.sampled_from([-1.0, 30.0]),
+    edge=st.sampled_from([-1.0, _SOMMERFELD_CUTOFF]),
     delta=st.floats(0.0, 1e-6),
 )
 @settings(max_examples=150, deadline=None)
@@ -308,11 +311,25 @@ def test_bit_identity_at_the_taylor_edges_and_across_mixed_orders():
 
 @pytest.mark.parametrize("k, eta, regime", [
     (2, -1.0, "series"), (1.5, -1.0, "series"), (2, -0.999, "taylor"), (4, 0.999, "taylor"),
-    (1, 1.0, "reflection"), (3, 500.0, "reflection"), (0.5, 0.0, "quadrature"),
-    (2.5, 29.9, "quadrature"), (1.5, 30.0, "sommerfeld"),
+    (1, 1.0, "reflection"), (3, 500.0, "reflection"), (0.5, 0.0, "trapezoid"),
+    (2.5, 39.9, "trapezoid"), (1.5, 40.0, "sommerfeld"),
 ])
 def test_band_names_the_regime_that_runs(k, eta, regime):
     assert band(k, eta) == regime
+
+
+# step 1/2 on [-1, 50] (so -1, 30, 40 and 50 are on it), and the doubles on
+# either side of 30 and of the Sommerfeld cutoff
+HALF_SWEEP = np.unique(np.concatenate([
+    np.linspace(-1.0, 50.0, 103),
+    [np.nextafter(e, d) for e in (30.0, _SOMMERFELD_CUTOFF) for d in (-50.0, 50.0)]]))
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5, 2.5])
+def test_half_integer_orders_against_mpmath_sweep(k):
+    with mpmath.workdps(40):
+        exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in HALF_SWEEP])
+    assert np.max(np.abs(fd(k, HALF_SWEEP) - exact) / exact) <= 1e-15
 
 
 @pytest.mark.parametrize("k, eta", [(2.5, 1e200), (1.5, np.array([0.0, 1e300]))])

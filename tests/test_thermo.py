@@ -209,29 +209,29 @@ def test_thermo_curve_equals_pointwise_calls():
 
 
 @pytest.fixture
-def rule_passes(monkeypatch):
-    """Counts passes of the fixed FD rule; solve_mu's cache starts cold."""
+def trapezoid_calls(monkeypatch):
+    """Counts calls of the half-integer FD evaluator; solve_mu's cache starts cold."""
     count = [0]
-    rule = fdint._fixed_rule
+    trapezoid = fdint._trapezoid
 
-    def counted(orders, eta):
+    def counted(k, eta):
         count[0] += 1
-        return rule(orders, eta)
+        return trapezoid(k, eta)
 
-    monkeypatch.setattr(fdint, "_fixed_rule", counted)
+    monkeypatch.setattr(fdint, "_trapezoid", counted)
     fg.solve_mu.cache_clear()
     yield count
     fg.solve_mu.cache_clear()
 
 
-def test_one_rule_pass_per_newton_step_of_a_grid(rule_passes):
-    # f_2, f_3 and f_4 are closed forms: the thermodynamics runs no rule pass,
-    # where a solve per temperature once took 1543
+def test_one_rule_pass_per_newton_step_of_a_grid(trapezoid_calls):
+    # f_2, f_3 and f_4 are closed forms: the thermodynamics never reaches the
+    # half-integer evaluator
     fg.thermo_curve(np.linspace(0.0, 2.0, 200))
-    assert rule_passes[0] == 0
+    assert trapezoid_calls[0] == 0
     # a cold scalar c: every Newton step and then f_2, f_3, f_4
     fg.heat_capacity(0.3)
-    assert rule_passes[0] == 0
+    assert trapezoid_calls[0] == 0
 
 
 @pytest.mark.parametrize("solve, first, regime", [
