@@ -13,16 +13,15 @@ a in units of sigma_r).  Restoring units, n_B = (M omega_r^2 / 2U)(R_B^2 - rho^2
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, check_count, check_finite
+from .record import Record
 from .scales import CharacteristicScales
 
 TF_PARAMETER_FLOOR = 10.0
 
 
-@dataclass(frozen=True)
-class BoseParams:
+class BoseParams(Record):
     """Repulsive Bose gas in the same trap; interaction in trap units."""
 
     n_particles: int
@@ -70,8 +69,7 @@ def bose_profile(s_b: float, p: BoseParams) -> float:
     return rb * rb / (2.0 * p.u_bose) * (1.0 - s_b * s_b)
 
 
-@dataclass(frozen=True)
-class PauliPseudopotential:
+class PauliPseudopotential(Record):
     """Order-of-magnitude effective repulsion mimicking Pauli exclusion."""
 
     u_eff: float     # J m^3, E_F * R_F^3 / N

@@ -7,8 +7,8 @@ environment variable is read as --key=value tokens placed right after the
 command, so later flags win.  Exit codes: 0 success, 1 numerical failure or
 unwritable output, 2 usage error.
 
-Each handler imports the library modules it uses, so mu-curve,
-heat-curve, msd-curve, profile, scales and bose-compare run without numpy.
+Each handler imports the library modules it uses and calls their float
+code, so only oracle, whose exact level sums run on arrays, imports numpy.
 """
 
 import argparse
@@ -258,12 +258,11 @@ def _read_delta_v_table(path):
 def _run_perturb(p, fmt):
     from . import perturb
 
-    fld = perturb.PerturbationField.from_table(*_read_delta_v_table(p["delta_v"]))
-    resp = perturb.density_response(fld)
-    rows = list(zip(resp.s_grid.tolist(), resp.delta_n.tolist()))
-    return write_table(fmt, ("s", "delta_n"), rows,
-                       [("delta_e_fermi_over_e_fermi", resp.delta_e_fermi)],
-                       doc={"delta_e_fermi": resp.delta_e_fermi, "samples": rows})
+    values = perturb.field_values(perturb.table_values(*_read_delta_v_table(p["delta_v"])))
+    de, dn = perturb.response(values)
+    rows = list(zip(perturb.GRID_POINTS, dn))
+    return write_table(fmt, ("s", "delta_n"), rows, [("delta_e_fermi_over_e_fermi", de)],
+                       doc={"delta_e_fermi": de, "samples": rows})
 
 
 def _run_bose_compare(p, fmt):
@@ -321,12 +320,10 @@ def _run_oracle(p, fmt):
 
 
 def _run_validity(p, fmt):
-    from .oracle import validity_report
+    from .oracle import validity_table
 
-    rep = validity_report(p["n_particles"], p["lam"], p["radii"])
-    rows = list(zip(rep.radii.tolist(), rep.margin.tolist(), rep.cell_scale.tolist()))
-    notes = [("shell_thickness_sigma", rep.shell_thickness_sigma),
-             ("inv_k_fermi_sigma", rep.inv_k_fermi_sigma)]
+    rows, shell, inv_kf = validity_table(p["n_particles"], p["lam"], p["radii"])
+    notes = [("shell_thickness_sigma", shell), ("inv_k_fermi_sigma", inv_kf)]
 
     def finite(x):
         return x if math.isfinite(x) else None

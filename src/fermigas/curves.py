@@ -5,9 +5,9 @@ significant digits, which round-trips IEEE doubles exactly.
 """
 
 import json
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .record import Record
 
 AXIS_LABELS = frozenset({"t", "s", "q", "m", "c", "msd", "density"})
 
@@ -40,8 +40,7 @@ def write_table(fmt, header=(), rows=(), notes=(), doc=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class UniversalCurve:
+class UniversalCurve(Record):
     """Ordered (x, y) table for one of the dimensionless universal figures."""
 
     x_label: str

@@ -20,15 +20,19 @@ of states is asymptotic to the spectrum counted from the bottom of the
 potential, so continuum comparisons are reported both raw and with the
 suppressed zero-point energy (1 + lambda/2) restored; the adjusted gap is
 the meaningful convergence measure.
+
+numpy is imported by the functions that enumerate the spectrum, so the
+semiclassical estimates (validity_table and the other closed forms) run
+without it; validity_report wraps validity_table's floats in arrays.
 """
 
-import math
-from dataclasses import dataclass, field
+from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import DomainError, NumericsError, check_count, check_finite, to_float
 from .fdint import fermi
+from .record import Record
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_CELLS = 5_000_000
@@ -46,14 +50,13 @@ _OCCUPATION_TOL = 1e-10
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
 
 
-@dataclass(frozen=True)
-class DiscreteSpectrum:
+class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
     """Sorted levels (energy in hbar*omega_r, degeneracy) below the cutoff."""
 
     lam: float
     cutoff: float
-    energies: np.ndarray = field(repr=False)
-    degeneracies: np.ndarray = field(repr=False)
+    energies: np.ndarray
+    degeneracies: np.ndarray
 
     @property
     def state_count(self) -> int:
@@ -62,6 +65,8 @@ class DiscreteSpectrum:
 
 def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     """Exhaustively enumerate all levels with energy <= cutoff."""
+    import numpy as np
+
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
     if cutoff / lam >= MAX_CELLS:  # floor(cutoff/lam) + 1 axial levels > MAX_CELLS
@@ -99,6 +104,8 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     fill closed shells; the chemical potential is then reported at the
     midpoint of the gap between the last filled and first empty level.
     """
+    import numpy as np
+
     check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
     t_abs = check_finite("t_abs", t_abs)
@@ -174,40 +181,52 @@ def semiclassical_central_density(n_particles: int, lam: float = 1.0) -> float:
     return _SEMI_N0 * math.sqrt(n_particles * check_finite("lambda", lam, positive=True))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record, hidden=("radii", "margin", "cell_scale")):
     """Semiclassical self-consistency margins along the cloud radius."""
 
-    radii: np.ndarray = field(repr=False)
-    margin: np.ndarray = field(repr=False)       # n(r) sigma^3 / (r/sigma)
-    cell_scale: np.ndarray = field(repr=False)   # suggested cell size l/sigma
-    shell_thickness_sigma: float                 # breakdown estimate N^(-1/6)
-    inv_k_fermi_sigma: float                     # 1/(K_F sigma), same up to (48 lam)^(1/6)
+    radii: np.ndarray
+    margin: np.ndarray           # n(r) sigma^3 / (r/sigma)
+    cell_scale: np.ndarray       # suggested cell size l/sigma
+    shell_thickness_sigma: float  # breakdown estimate N^(-1/6)
+    inv_k_fermi_sigma: float      # 1/(K_F sigma), same up to (48 lam)^(1/6)
+
+
+def validity_table(n_particles: int, lam: float, radii) -> tuple:
+    """validity_report as floats: ([(s, margin, cell_scale) per radius],
+    shell_thickness_sigma, inv_k_fermi_sigma).  The margin is inf at s = 0,
+    the cell scale nan at s = 0 and for s >= 1."""
+    check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
+    radii = [to_float("radii", r) for r in radii]
+    if not radii:
+        raise DomainError("need at least one radius")
+    if not all(0.0 <= s <= 1.2 for s in radii):  # NaN fails both comparisons
+        raise DomainError(f"radii must lie in [0, 1.2], got {radii!r}")
+    stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
+    central = _SEMI_N0 * math.sqrt(n_particles * lam)
+    rows = []
+    for s in radii:
+        inside = max(1.0 - s * s, 0.0)
+        n_sigma3 = central * inside ** 1.5
+        if s == 0.0:
+            rows.append((s, math.inf, math.nan))
+            continue
+        cell = math.nan
+        if s < 1.0:
+            l_min = n_sigma3 ** (-1.0 / 3.0)
+            l_max = stretch * inside / (2.0 * s)
+            cell = math.sqrt(l_min * l_max)
+        rows.append((s, n_sigma3 / (s * stretch), cell))
+    return rows, float(n_particles) ** (-1.0 / 6.0), 1.0 / stretch
 
 
 def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
-    s = np.asarray([to_float("radii", r) for r in radii], dtype=float)
-    if s.size == 0:
-        raise DomainError("need at least one radius")
-    if not np.all((s >= 0.0) & (s <= 1.2)):  # NaN fails both comparisons
-        raise DomainError(f"radii must lie in [0, 1.2], got {s.tolist()!r}")
-    stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
-    n_sigma3 = _SEMI_N0 * math.sqrt(n_particles * lam) * np.clip(
-        1.0 - s * s, 0.0, None) ** 1.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = n_sigma3 / (s * stretch)
-        margin[s == 0] = math.inf
-        l_min = n_sigma3 ** (-1.0 / 3.0)
-        l_max = stretch * np.clip(1.0 - s * s, 0.0, None) / (2.0 * s)
-        cell = np.sqrt(l_min * l_max)
-        cell[(s == 0) | (s >= 1.0)] = math.nan
-    return ValidityReport(
-        radii=s, margin=margin, cell_scale=cell,
-        shell_thickness_sigma=float(n_particles) ** (-1.0 / 6.0),
-        inv_k_fermi_sigma=1.0 / stretch,
-    )
+    import numpy as np
+
+    rows, shell, inv_kf = validity_table(n_particles, lam, radii)
+    s, margin, cell = (np.array(column) for column in zip(*rows))
+    return ValidityReport(radii=s, margin=margin, cell_scale=cell,
+                          shell_thickness_sigma=shell, inv_k_fermi_sigma=inv_kf)
 
 
 def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
@@ -224,8 +243,7 @@ def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
     return (1.0 - s_star) * (48.0 * n_particles * lam) ** (1.0 / 6.0)
 
 
-@dataclass(frozen=True)
-class ContinuumComparison:
+class ContinuumComparison(Record):
     """Exact vs continuum chemical potential at one (N, lambda, t)."""
 
     mu_exact: float        # hbar*omega_r units, zero-point suppressed
@@ -260,6 +278,8 @@ def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
     outermost shell degeneracy)."""
+    import numpy as np
+
     check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)

@@ -15,107 +15,203 @@ zero outside.  The local-wavenumber shift itself diverges at the cloud
 edge but only the finite dn is exposed.  An interaction of strength u_int
 (dimensionless, U*N*lambda/(E_F*R_F^3)) is treated as the one-shot
 perturbation dV = u_int * zero_t_density(s), with no self-consistency loop.
+
+The integral runs over 8 Gauss-Legendre nodes per grid panel in
+theta = arcsin(s), where the sqrt(1-s^2) weight becomes the smooth cos^2
+factor, so each panel integrates the piecewise-linear field to machine
+precision.  The field at a node is a linear blend of the two grid values
+that np.interp would blend there, so the 2047 x 8 node weights collapse,
+once per process, into one weight per grid value, and dE_F is one
+2048-term sum (math.fsum).  The work runs on lists of floats
+(field_values, table_values, response), which the command line calls
+directly; the ndarray API wraps them, and only it imports numpy.
 """
 
+from __future__ import annotations
+
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from functools import cache
+from operator import mul
 
-import numpy as np
-
+from .curves import linspace
 from .errors import DomainError, check_real
-from .profiles import zero_t_density
+from .record import Record
 
 GRID_SIZE = 2048
-GRID = np.linspace(0.0, 1.0, GRID_SIZE)
+GRID_POINTS = linspace(0.0, 1.0, GRID_SIZE)  # the grid as floats; GRID is the array
 SMALLNESS_GUARD = 0.1
 
 _WEIGHT_NORM = math.pi / 16.0  # int_0^1 s^2 sqrt(1-s^2) ds
+_DN_SCALE = [(12.0 / math.pi ** 2) * math.sqrt(1.0 - s * s) for s in GRID_POINTS]
 
-# Per-segment Gauss-Legendre nodes in theta = arcsin(s): the sqrt(1-s^2)
-# weight becomes the smooth cos^2 factor, so each panel integrates the
-# piecewise-linear field to machine precision.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_THETA = np.arcsin(GRID)
-_TH_LO = _THETA[:-1, None]
-_TH_HI = _THETA[1:, None]
-_TH_NODES = _TH_LO + 0.5 * (_TH_HI - _TH_LO) * (_GL_NODES[None, :] + 1.0)
-_S_NODES = np.sin(_TH_NODES).ravel()
-_W_NODES = (0.5 * (_TH_HI - _TH_LO) * _GL_WEIGHTS[None, :]
-            * (np.sin(_TH_NODES) * np.cos(_TH_NODES)) ** 2).ravel()
-
-
-def _weighted_integral(values_at_nodes) -> float:
-    return float((_W_NODES * values_at_nodes).sum())
+# (node, weight) of the 8-point Gauss-Legendre rule on [-1, 1], the doubles
+# of numpy.polynomial.legendre.leggauss(8)
+_GAUSS_LEGENDRE = (
+    (-0.9602898564975362, 0.10122853629037706),
+    (-0.7966664774136267, 0.22238103445337443),
+    (-0.525532409916329, 0.3137066458778869),
+    (-0.18343464249564978, 0.36268378337836166),
+    (0.18343464249564978, 0.36268378337836166),
+    (0.525532409916329, 0.3137066458778869),
+    (0.7966664774136267, 0.22238103445337443),
+    (0.9602898564975362, 0.10122853629037706),
+)
 
 
-@dataclass(frozen=True)
-class PerturbationField:
+def _interp(x: float, xp, fp) -> float:
+    """np.interp(x, xp, fp) for one float x, in its arithmetic: fp at a node
+    or beyond the ends, else slope * (x - xp[j]) + fp[j] on the panel of x."""
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+@cache
+def _weights() -> list:
+    """The integral's weight on each grid value: every node's weight split
+    between the two grid values that _interp blends at the node.  Every node
+    lies at least 4e-4 of its panel's width inside the panel, far beyond
+    rounding, so it blends that panel's two values."""
+    weights = [0.0] * GRID_SIZE
+    theta = [math.asin(s) for s in GRID_POINTS]
+    sin, cos = math.sin, math.cos
+    for i in range(GRID_SIZE - 1):
+        lo, s_lo = theta[i], GRID_POINTS[i]
+        half = 0.5 * (theta[i + 1] - lo)
+        width = GRID_POINTS[i + 1] - s_lo
+        left = right = 0.0
+        for x, w in _GAUSS_LEGENDRE:
+            node = lo + half * (x + 1.0)
+            s = sin(node)
+            sc = s * cos(node)
+            node_weight = half * w * (sc * sc)
+            frac = (s - s_lo) / width
+            left += node_weight * (1.0 - frac)
+            right += node_weight * frac
+        weights[i] += left
+        weights[i + 1] += right
+    return weights
+
+
+def field_values(values: list) -> list:
+    """The list of a field's GRID_SIZE floats, checked finite and within the guard."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError("field values must be finite on [0, 1]")
+    peak = max(max(values), -min(values))
+    if peak > SMALLNESS_GUARD + 1e-12:
+        raise DomainError(
+            f"perturbation too large: max |dV|/E_F = {peak:.4g} exceeds "
+            f"the smallness guard {SMALLNESS_GUARD}")
+    return values
+
+
+def table_values(s_points, v_points) -> list:
+    """A (s, dV/E_F) table covering [0, 1], interpolated onto the grid."""
+    if len(s_points) != len(v_points) or len(s_points) < 2:
+        raise DomainError("field table needs matching 1-d s and value columns")
+    if any(b <= a for a, b in zip(s_points, s_points[1:])):
+        raise DomainError("field table abscissa must be strictly increasing")
+    if s_points[0] > 1e-9 or s_points[-1] < 1.0 - 1e-9:
+        raise DomainError(f"field table covers [{s_points[0]:g}, {s_points[-1]:g}] "
+                          "but must cover [0, 1]")
+    return [_interp(s, s_points, v_points) for s in GRID_POINTS]
+
+
+def _shift(values) -> float:
+    return math.fsum(map(mul, _weights(), values)) / _WEIGHT_NORM
+
+
+def response(values) -> tuple:
+    """(dE_F/E_F, [dn at each grid point]) for the field values on the grid."""
+    de = _shift(values)
+    return de, [c * (de - v) for c, v in zip(_DN_SCALE, values)]
+
+
+@cache
+def _grid():
+    import numpy as np
+
+    return np.array(GRID_POINTS)
+
+
+def __getattr__(name):
+    # GRID, the grid as an array, is built on first use (PEP 562)
+    if name == "GRID":
+        return _grid()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class PerturbationField(Record, hidden=("values",)):
     """dV(s)/E_F sampled on the uniform grid over [0, 1]."""
 
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         v = np.asarray(self.values, dtype=float)
         if v.shape != (GRID_SIZE,):
             raise DomainError(f"field must have {GRID_SIZE} grid values, "
                               f"got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("field values must be finite on [0, 1]")
-        peak = float(np.max(np.abs(v)))
-        if peak > SMALLNESS_GUARD + 1e-12:
-            raise DomainError(
-                f"perturbation too large: max |dV|/E_F = {peak:.4g} exceeds "
-                f"the smallness guard {SMALLNESS_GUARD}")
+        field_values(v.tolist())
         object.__setattr__(self, "values", v)
 
     @classmethod
     def from_callable(cls, fn):
-        return cls(np.array([fn(float(s)) for s in GRID]))
+        return cls([fn(s) for s in GRID_POINTS])
 
     @classmethod
     def from_table(cls, s_points, v_points):
+        import numpy as np
+
         s = np.asarray(s_points, dtype=float)
         v = np.asarray(v_points, dtype=float)
-        if s.ndim != 1 or s.shape != v.shape or s.size < 2:
+        if s.ndim != 1 or v.ndim != 1:
             raise DomainError("field table needs matching 1-d s and value columns")
-        if np.any(np.diff(s) <= 0):
-            raise DomainError("field table abscissa must be strictly increasing")
-        if s[0] > 1e-9 or s[-1] < 1.0 - 1e-9:
-            raise DomainError(
-                f"field table covers [{s[0]:g}, {s[-1]:g}] but must cover [0, 1]")
-        return cls(np.interp(GRID, s, v))
+        return cls(table_values(s.tolist(), v.tolist()))
 
     def interp(self, s):
-        return np.interp(s, GRID, self.values)
+        import numpy as np
+
+        return np.interp(s, _grid(), self.values)
 
 
-@dataclass(frozen=True)
-class ResponseResult:
+class ResponseResult(Record, hidden=("s_grid", "delta_n")):
     """Fermi-energy shift and the particle-conserving density change."""
 
     delta_e_fermi: float
-    s_grid: np.ndarray = field(repr=False)
-    delta_n: np.ndarray = field(repr=False)
+    s_grid: np.ndarray
+    delta_n: np.ndarray
 
 
 def fermi_energy_shift(fld: PerturbationField) -> float:
     """Particle-conserving dE_F/E_F for the given perturbation."""
-    return _weighted_integral(fld.interp(_S_NODES)) / _WEIGHT_NORM
+    return _shift(fld.values.tolist())
+
+
+def _response_result(values: list) -> ResponseResult:
+    import numpy as np
+
+    de, dn = response(values)
+    return ResponseResult(delta_e_fermi=de, s_grid=_grid().copy(), delta_n=np.array(dn))
 
 
 def density_response(fld: PerturbationField) -> ResponseResult:
-    de = fermi_energy_shift(fld)
-    dn = (12.0 / math.pi ** 2) * np.sqrt(1.0 - GRID ** 2) * (de - fld.values)
-    return ResponseResult(delta_e_fermi=de, s_grid=GRID.copy(), delta_n=dn)
+    return _response_result(fld.values.tolist())
 
 
 def mean_field_correction(u_int: float) -> ResponseResult:
     """One-shot response to the interaction field dV = u_int * n0(s)."""
+    from .profiles import zero_t_density  # the perturb command needs no FD kernel
+
     u_int = check_real("u_int", u_int)
     peak = abs(u_int) * zero_t_density(0.0)
     if peak > SMALLNESS_GUARD + 1e-12:
         raise DomainError(
             f"interaction strength too large: |u_int|*n0(0) = {peak:.4g} "
             f"exceeds the smallness guard {SMALLNESS_GUARD}")
-    fld = PerturbationField.from_callable(lambda s: u_int * zero_t_density(s))
-    return density_response(fld)
+    return _response_result(field_values([u_int * zero_t_density(s) for s in GRID_POINTS]))

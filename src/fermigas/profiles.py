@@ -33,7 +33,7 @@ def phase_space_occupancy(s, q, t, m) -> float:
     x = q * q + s * s - check_real("m", m)
     if t == 0.0:
         return 1.0 if x < 0 else (0.5 if x == 0 else 0.0)
-    return float(fermi(x / t))
+    return fermi(x / t)
 
 
 def zero_t_density(s) -> float:

@@ -13,9 +13,8 @@ Level energies are quoted without the zero-point offset throughout.
 """
 
 import math
-from dataclasses import dataclass, field
-
 from .errors import DomainError, check_count, check_finite
+from .record import Record
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
 HBAR = 1.054571817e-34       # J s
@@ -23,8 +22,7 @@ K_BOLTZMANN = 1.380649e-23   # J/K
 ATOMIC_MASS_KG = 1.660539067e-27
 
 
-@dataclass(frozen=True)
-class TrapSpec:
+class TrapSpec(Record):
     """Trap and gas parameters: mass [kg], omega_r [rad/s], anisotropy, N."""
 
     mass: float
@@ -42,8 +40,7 @@ class TrapSpec:
                 f"n_particles must be a positive integer, got {self.n_particles!r}")
 
 
-@dataclass(frozen=True)
-class CharacteristicScales:
+class CharacteristicScales(Record, hidden=("spec",)):
     """Derived scale bundle linking the physical trap to reduced variables."""
 
     e_fermi: float        # J
@@ -52,7 +49,7 @@ class CharacteristicScales:
     k_fermi: float        # 1/m
     sigma_r: float        # m
     level_spacing: float  # J, hbar*omega_r without the zero-point offset
-    spec: TrapSpec = field(repr=False)
+    spec: TrapSpec
 
 
 def derive_scales(spec: TrapSpec) -> CharacteristicScales:

@@ -33,12 +33,12 @@ tables read and fill solve_mu's cache.  The module does not use numpy.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
 from .fdint import _closed_forms, band, fd, fd_orders
+from .record import Record
 
 _RESIDUAL_TOL = 1e-12
 
@@ -52,8 +52,7 @@ _T_MAX_MU = 3e102
 _T_MAX_U = 5e76
 
 
-@dataclass(frozen=True)
-class ThermoState:
+class ThermoState(Record):
     """Solved reduced state at one temperature."""
 
     t: float

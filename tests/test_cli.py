@@ -361,21 +361,77 @@ def test_half_integer_fd_of_a_float_loads_no_numpy():
     assert "numpy" not in modules
 
 
+def test_fermi_factor_of_a_float_loads_no_numpy():
+    modules = _imported_modules(
+        "-c", "import fermigas; fermigas.phase_space_occupancy(0.5, 0.5, 0.2, 0.9)")
+    assert "fermigas.thermo" in modules
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize("argv", [["scales", "--preset", "li6-top"],
                                   ["bose-compare", "--preset", "li6-top"],
                                   ["mu-curve"], ["heat-curve"], ["msd-curve"],
-                                  ["profile"], ["profile", "--momentum"]])
-def test_key_value_and_thermo_commands_load_no_numpy(argv):
-    modules = _imported_modules("-m", "fermigas", *argv)
+                                  ["profile"], ["profile", "--momentum"],
+                                  ["validity"], ["validity", "--format", "json"],
+                                  ["perturb", "--delta-v", "TABLE"],
+                                  ["perturb", "--delta-v", "TABLE", "--format", "json"]])
+def test_key_value_and_thermo_commands_load_no_numpy(argv, tmp_path):
+    table = write_dv_table(tmp_path / "dv.csv")
+    modules = _imported_modules("-m", "fermigas", *[table if a == "TABLE" else a for a in argv])
     assert "fermigas.cli" in modules
     assert "numpy" not in modules
-    # nor what only fdint's constant tables or the perturb table reader used
-    assert not modules & {"fractions", "decimal", "csv"}
+    # nor what only fdint's constant tables used, nor the frozen-record
+    # machinery of dataclasses, which imports inspect
+    assert not modules & {"fractions", "decimal", "dataclasses", "inspect"}
+    # csv is imported only where the perturb table is read
+    assert ("csv" in modules) == (argv[0] == "perturb")
 
 
 def test_array_commands_still_load_numpy():
     # the probe itself: a command that needs arrays shows numpy in the report
-    assert "numpy" in _imported_modules("-m", "fermigas", "validity", "--n", "1000")
+    assert "numpy" in _imported_modules("-m", "fermigas", "oracle", "--n", "1000")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_validity_rows_are_the_report_arrays(capsys, fmt):
+    radii = [0.0, 1e-3, 0.25, 0.45, 0.5, 0.7, 0.95, 1.0, 1.05, 1.2]
+    code, out, _ = run_cli(capsys, "validity", "--n", "123457", "--lambda", "2.5",
+                           "--radii", ",".join(map(repr, radii)), "--format", fmt)
+    assert code == 0
+    rep = fg.validity_report(123457, 2.5, radii)
+    if fmt == "json":
+        doc = json.loads(out)
+        rows = [[r["s"], r["margin"], r["cell_scale"]] for r in doc["rows"]]
+        shell, inv_kf = doc["shell_thickness_sigma"], doc["inv_k_fermi_sigma"]
+        rows = [[math.inf if x is None and j == 1 else math.nan if x is None else x
+                 for j, x in enumerate(row)] for row in rows]
+    else:
+        lines = out.splitlines()
+        shell, inv_kf = (float(line.split(" = ")[1]) for line in lines[:2])
+        assert lines[2] == "s,margin,cell_scale"
+        rows = [[float(x) for x in line.split(",")] for line in lines[3:]]
+    columns = np.array(rows).T
+    for got, want in zip(columns, (rep.radii, rep.margin, rep.cell_scale)):
+        np.testing.assert_array_equal(got, want)
+    assert (shell, inv_kf) == (rep.shell_thickness_sigma, rep.inv_k_fermi_sigma)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_perturb_rows_are_the_response_arrays(tmp_path, capsys, fmt):
+    table = write_dv_table(tmp_path / "dv.csv")
+    code, out, _ = run_cli(capsys, "perturb", "--delta-v", table, "--format", fmt)
+    assert code == 0
+    s, v = np.loadtxt(table, delimiter=",", skiprows=1, unpack=True)
+    resp = fg.density_response(fg.PerturbationField.from_table(s, v))
+    if fmt == "json":
+        doc = json.loads(out)
+        de, rows = doc["delta_e_fermi"], doc["samples"]
+    else:
+        lines = out.splitlines()
+        de = float(lines[0].split(" = ")[1])
+        rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+    assert de == resp.delta_e_fermi
+    np.testing.assert_array_equal(np.array(rows), np.stack([resp.s_grid, resp.delta_n], 1))
 
 
 PUBLIC_NAMES = [

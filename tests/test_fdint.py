@@ -150,6 +150,10 @@ def test_fermi_factor_against_extended_precision():
         exact = np.array([_correctly_rounded(1 / (mpmath.exp(mpmath.mpf(float(v))) + 1))
                           for v in x])
     np.testing.assert_array_max_ulp(fermi(x), exact, maxulp=2)
+    # a float runs libm's exp, not numpy's, with the same bound
+    scalar = [fermi(v) for v in x.tolist()]
+    assert all(type(occ) is float for occ in scalar)
+    np.testing.assert_array_max_ulp(np.array(scalar), exact, maxulp=2)
     assert fermi(0.0) == 0.5
 
 
@@ -158,7 +162,8 @@ def test_fermi_factor_saturates_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         occ = fermi(x)
-    assert occ.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        scalar = [fermi(v) for v in x.tolist()]
+    assert occ.tolist() == scalar == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 # -1 < eta < 30 and the points nearest its edges: the trapezoid band of the

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 import fermigas as fg
 from fermigas import DomainError
-from fermigas.perturb import GRID, GRID_SIZE, PerturbationField
+from fermigas.perturb import (GRID, GRID_POINTS, GRID_SIZE, _GAUSS_LEGENDRE, PerturbationField,
+                              _interp)
 
 MEAN_FIELD_SHIFT = 1024.0 / (105.0 * math.pi ** 3)  # d(E_F)/E_F per unit u_int
 
@@ -151,3 +152,23 @@ def test_field_validation():
 def test_grid_shape():
     assert GRID.shape == (GRID_SIZE,)
     assert GRID[0] == 0.0 and GRID[-1] == 1.0
+
+
+def test_gauss_legendre_table_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert _GAUSS_LEGENDRE == tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+def test_float_interpolation_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for size in (2, 3, 7, 60, 2048, 5000):
+        for _ in range(5):
+            xp = np.cumsum(rng.exponential(1.0, size))
+            xp = (xp - xp[0]) / (xp[-1] - xp[0]) * rng.uniform(0.5, 2.0) - rng.uniform(0.0, 0.5)
+            fp = rng.normal(0.0, 0.05, size)
+            # the table's own abscissae, the points beyond both ends, and the grid
+            x = np.concatenate([xp, [xp[0] - 1.0, xp[-1] + 1.0], GRID_POINTS,
+                                rng.uniform(xp[0] - 0.1, xp[-1] + 0.1, 500)])
+            table = xp.tolist(), fp.tolist()
+            got = [_interp(v, *table) for v in x.tolist()]
+            np.testing.assert_array_equal(got, np.interp(x, xp, fp))
