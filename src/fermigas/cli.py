@@ -1,11 +1,12 @@
 """Command-line front-end emitting the universal curves as data tables.
 
-Subcommands map one-to-one onto library operations; output is CSV or JSON
-and byte-identical across runs for identical configuration.  A flat
-key=value config file (``#`` comments) named by the FERMIGAS_CONFIG
-environment variable is read as --key=value tokens placed right after the
-command, so later flags win.  Exit codes: 0 success, 1 numerical failure or
-unwritable output, 2 usage error.
+_COMMANDS, name -> (help, handler), is the command set: build_parser makes
+one subparser per entry, in table order, and main dispatches through it.
+Output is CSV or JSON, byte-identical across runs for one configuration.  A
+flat key=value config file (``#`` comments) named by FERMIGAS_CONFIG is read
+as --key=value tokens placed right after the command, so later flags win, as
+a trap flag (_TRAP_FLAGS) wins over that field of --preset.  Exit codes: 0
+success, 1 numerical failure or unwritable output, 2 usage error.
 
 Each handler imports the library modules it uses and calls their float
 code, so only oracle, whose exact level sums run on arrays, imports numpy.
@@ -17,7 +18,7 @@ import os
 import sys
 
 from . import scales
-from .curves import UniversalCurve, linspace, render, write_table
+from .curves import UniversalCurve, linspace, write_table
 from .errors import DomainError, FermiGasError
 
 _FIG_GRID_STEPS = 200   # default t grid for the mu, heat and size curves
@@ -60,30 +61,33 @@ def _float_list(text):
     return values
 
 
+# (flag, TrapSpec field, type, help) for each trap option; the field is also the dest
+_TRAP_FLAGS = (
+    ("--mass", "mass", _positive_float, "particle mass in kg"),
+    ("--omega-r", "omega_r", _positive_float, "radial frequency in rad/s"),
+    ("--lambda", "lam", _positive_float, "axial/radial anisotropy"),
+    ("--n", "n_particles", _positive_int, "particle number"),
+)
+
+
 def _add_trap_options(sub):
     sub.add_argument("--preset", choices=sorted(scales.PRESETS))
-    sub.add_argument("--mass", type=_positive_float, help="particle mass in kg")
-    sub.add_argument("--omega-r", type=_positive_float, help="radial frequency in rad/s")
-    sub.add_argument("--lambda", dest="lam", type=_positive_float,
-                     help="axial/radial anisotropy")
-    sub.add_argument("--n", dest="n_particles", type=_positive_int,
-                     help="particle number")
+    for flag, field, kind, hint in _TRAP_FLAGS:
+        sub.add_argument(flag, dest=field, type=kind, help=hint)
 
 
 def _trap_spec(p):
-    if p["preset"] is not None:
-        return scales.PRESETS[p["preset"]]
-    missing = [flag for flag, key in (("--mass", "mass"), ("--omega-r", "omega_r"),
-                                      ("--lambda", "lam"), ("--n", "n_particles"))
-               if p[key] is None]
-    if missing:
+    """The --preset trap, each trap flag given replacing its field."""
+    preset = scales.PRESETS.get(p["preset"])
+    missing = [flag for flag, field, _, _ in _TRAP_FLAGS if p[field] is None]
+    if preset is None and missing:
         raise DomainError("give --preset or all of " + ", ".join(missing))
-    return scales.TrapSpec(mass=p["mass"], omega_r=p["omega_r"],
-                           lam=p["lam"], n_particles=p["n_particles"])
+    return scales.TrapSpec(**{field: getattr(preset, field) if p[field] is None
+                              else p[field] for _, field, _, _ in _TRAP_FLAGS})
 
 
 def build_parser():
-    """The argument parser, one subparser per command."""
+    """The argument parser, one subparser per _COMMANDS entry."""
     parser = argparse.ArgumentParser(
         prog="fermigas",
         description="Universal curves of the harmonically trapped ideal Fermi gas",
@@ -92,36 +96,29 @@ def build_parser():
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--output", default=None, help="output path (default stdout)")
     subs = parser.add_subparsers(dest="command", required=True)
+    cmd = {name: subs.add_parser(name, help=hint, parents=[common])
+           for name, (hint, _) in _COMMANDS.items()}
 
-    def add_parser(name, hint):
-        return subs.add_parser(name, help=hint, parents=[common])
+    for name in ("mu-curve", "heat-curve", "msd-curve"):
+        cmd[name].add_argument("--t-min", type=_nonneg_float, default=0.0)
+        cmd[name].add_argument("--t-max", type=_positive_float, default=_FIG_GRID_TMAX)
+        cmd[name].add_argument("--steps", type=_positive_int, default=_FIG_GRID_STEPS)
 
-    for name, hint in (("mu-curve", "reduced chemical potential vs temperature"),
-                       ("heat-curve", "heat capacity per particle vs temperature"),
-                       ("msd-curve", "mean-square cloud size vs temperature")):
-        sub = add_parser(name, hint)
-        sub.add_argument("--t-min", type=_nonneg_float, default=0.0)
-        sub.add_argument("--t-max", type=_positive_float, default=_FIG_GRID_TMAX)
-        sub.add_argument("--steps", type=_positive_int, default=_FIG_GRID_STEPS)
-
-    sub = add_parser("profile", "universal density profile at given t")
+    sub = cmd["profile"]
     sub.add_argument("--t", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
     sub.add_argument("--s-max", type=_positive_float, default=_PROFILE_SMAX)
     sub.add_argument("--samples", type=_positive_int, default=_PROFILE_SAMPLES)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--space", dest="kind", action="store_const",
                        const="space", default="space")
-    group.add_argument("--momentum", dest="kind", action="store_const",
-                       const="momentum")
+    group.add_argument("--momentum", dest="kind", action="store_const", const="momentum")
 
-    sub = add_parser("scales", "characteristic scales of a physical trap")
-    _add_trap_options(sub)
+    _add_trap_options(cmd["scales"])
 
-    sub = add_parser("perturb", "linear response to a trap perturbation")
-    sub.add_argument("--delta-v", required=True,
-                     help="two-column CSV of (s, dV/E_F) covering [0, 1]")
+    cmd["perturb"].add_argument("--delta-v", required=True,
+                                help="two-column CSV of (s, dV/E_F) covering [0, 1]")
 
-    sub = add_parser("bose-compare", "Thomas-Fermi Bose cloud contrast")
+    sub = cmd["bose-compare"]
     _add_trap_options(sub)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--u-bose", type=_positive_float,
@@ -129,13 +126,13 @@ def build_parser():
     group.add_argument("--a-scatt", type=_positive_float,
                        help="s-wave scattering length in units of sigma_r")
 
-    sub = add_parser("oracle", "exact level-sum cross-validation")
+    sub = cmd["oracle"]
     sub.add_argument("--n", dest="n_particles", type=_positive_int, default=10_000)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
     sub.add_argument("--t", type=_positive_float, default=0.2)
     sub.add_argument("--shells", type=_float_list, default=[10, 20, 40, 80])
 
-    sub = add_parser("validity", "semiclassical validity margins")
+    sub = cmd["validity"]
     sub.add_argument("--n", dest="n_particles", type=_positive_int, default=100_000)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
     sub.add_argument("--radii", type=_float_list,
@@ -180,24 +177,15 @@ def _t_grid(p):
     return linspace(p["t_min"], p["t_max"], p["steps"])
 
 
-def _run_mu_curve(p, fmt):
-    from .thermo import thermo_curve
-
-    mu_curve, _ = thermo_curve(_t_grid(p))
-    return render(mu_curve, fmt)
-
-
-def _run_heat_curve(p, fmt):
-    from .thermo import thermo_curve
-
-    _, c_curve = thermo_curve(_t_grid(p))
-    return render(c_curve, fmt)
-
-
-def _run_msd_curve(p, fmt):
-    from .profiles import msd_curve
-
-    return render(msd_curve(_t_grid(p)), fmt)
+def _run_curve(p, fmt):
+    """mu-curve, heat-curve or msd-curve, by p["command"]."""
+    if p["command"] == "msd-curve":
+        from .profiles import msd_curve
+        curve = msd_curve(_t_grid(p))
+    else:
+        from .thermo import thermo_curve
+        curve = thermo_curve(_t_grid(p))[p["command"] == "heat-curve"]
+    return curve.to_json() if fmt == "json" else curve.to_csv()
 
 
 def _run_profile(p, fmt):
@@ -251,8 +239,7 @@ def _read_delta_v_table(path):
                 raise DomainError(f"{path}: malformed table row {row!r}")
     if len(rows) < 2:
         raise DomainError(f"{path}: need at least two (s, dV/E_F) rows")
-    s, v = zip(*rows)
-    return s, v
+    return list(zip(*rows))  # the s and dV/E_F columns
 
 
 def _run_perturb(p, fmt):
@@ -334,22 +321,22 @@ def _run_validity(p, fmt):
 
 
 _COMMANDS = {
-    "mu-curve": _run_mu_curve,
-    "heat-curve": _run_heat_curve,
-    "msd-curve": _run_msd_curve,
-    "profile": _run_profile,
-    "scales": _run_scales,
-    "perturb": _run_perturb,
-    "bose-compare": _run_bose_compare,
-    "oracle": _run_oracle,
-    "validity": _run_validity,
+    "mu-curve": ("reduced chemical potential vs temperature", _run_curve),
+    "heat-curve": ("heat capacity per particle vs temperature", _run_curve),
+    "msd-curve": ("mean-square cloud size vs temperature", _run_curve),
+    "profile": ("universal density profile at given t", _run_profile),
+    "scales": ("characteristic scales of a physical trap", _run_scales),
+    "perturb": ("linear response to a trap perturbation", _run_perturb),
+    "bose-compare": ("Thomas-Fermi Bose cloud contrast", _run_bose_compare),
+    "oracle": ("exact level-sum cross-validation", _run_oracle),
+    "validity": ("semiclassical validity margins", _run_validity),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
-        text = _COMMANDS[args.command](vars(args), args.format)
+        text = _COMMANDS[args.command][1](vars(args), args.format)
         if args.output is None:
             sys.stdout.write(text)
         else:

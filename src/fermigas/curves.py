@@ -84,8 +84,3 @@ def parse_csv(text: str) -> UniversalCurve:
         samples.append((float(a), float(b)))
     return UniversalCurve(x_label, y_label, tuple(samples))
 
-
-def render(curve: UniversalCurve, fmt: str) -> str:
-    """curve as a table in fmt "csv" or "json"."""
-    return write_table(fmt, (curve.x_label, curve.y_label), curve.samples,
-                       doc=curve.to_json_obj())

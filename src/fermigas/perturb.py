@@ -110,9 +110,15 @@ def field_values(values: list) -> list:
 
 
 def table_values(s_points, v_points) -> list:
-    """A (s, dV/E_F) table covering [0, 1], interpolated onto the grid."""
+    """A (s, dV/E_F) table of finite numbers covering [0, 1], interpolated
+    onto the grid."""
     if len(s_points) != len(v_points) or len(s_points) < 2:
         raise DomainError("field table needs matching 1-d s and value columns")
+    for column, points in (("s", s_points), ("dV/E_F", v_points)):
+        for row, x in enumerate(points, start=1):
+            if not math.isfinite(x):
+                raise DomainError(
+                    f"field table {column} must be finite, got {x!r} in row {row}")
     if any(b <= a for a, b in zip(s_points, s_points[1:])):
         raise DomainError("field table abscissa must be strictly increasing")
     if s_points[0] > 1e-9 or s_points[-1] < 1.0 - 1e-9:

@@ -19,7 +19,6 @@ from .record import Record
 # CODATA, 10 significant digits; hard-coded for reproducibility.
 HBAR = 1.054571817e-34       # J s
 K_BOLTZMANN = 1.380649e-23   # J/K
-ATOMIC_MASS_KG = 1.660539067e-27
 
 
 class TrapSpec(Record):

@@ -99,6 +99,48 @@ def test_scales_preset_json(capsys):
     assert doc["t_fermi_k"] == sc.t_fermi
 
 
+@pytest.mark.parametrize("command", ["mu-curve", "heat-curve", "msd-curve"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curve_commands_print_the_library_curve(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, command, "--t-min", "0.05", "--t-max", "1.3",
+                           "--steps", "7", "--format", fmt)
+    assert code == 0
+    grid = np.linspace(0.05, 1.3, 7).tolist()
+    mu_curve, c_curve = fg.thermo_curve(grid)
+    curve = {"mu-curve": mu_curve, "heat-curve": c_curve,
+             "msd-curve": fg.msd_curve(grid)}[command]
+    assert out == (curve.to_json() if fmt == "json" else curve.to_csv())
+
+
+LI6_TOP_FLAGS = ("--mass", "9.988e-27", "--omega-r", "3800",
+                 "--lambda", repr(math.sqrt(8.0)), "--n", "100000")
+
+
+@pytest.mark.parametrize("command", ["scales", "bose-compare"])
+@pytest.mark.parametrize("flag, value", [(None, None), ("--n", "1000"), ("--lambda", "1"),
+                                         ("--mass", "1e-26"), ("--omega-r", "500")])
+def test_trap_flags_replace_preset_fields(capsys, command, flag, value):
+    explicit = list(LI6_TOP_FLAGS)
+    override = ()
+    if flag is not None:
+        explicit[explicit.index(flag) + 1] = value
+        override = (flag, value)
+    code, want, _ = run_cli(capsys, command, *explicit)
+    assert code == 0
+    code, got, _ = run_cli(capsys, command, "--preset", "li6-top", *override)
+    assert code == 0
+    assert got == want
+
+
+def test_config_trap_entry_replaces_preset_field(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "fermigas.conf"
+    cfg.write_text("preset=li6-top\nn=1000\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, out, _ = run_cli(capsys, "scales")
+    assert code == 0
+    assert "n_particles,1000\n" in out
+
+
 def test_scales_requires_full_spec(capsys):
     code, _, err = run_cli(capsys, "scales", "--mass", "1e-26")
     assert code == 2
@@ -280,6 +322,22 @@ def test_perturb_bad_table(tmp_path, capsys):
     code, _, err = run_cli(capsys, "perturb", "--delta-v", str(table))
     assert code == 2
     assert "cover" in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("nan,0\n0.5,0.01\n1,0.02", "field table s must be finite, got nan in row 1"),
+    ("0,0\nnan,0.01\n1,0.02", "field table s must be finite, got nan in row 2"),
+    ("0,0\n0.5,0.01\nnan,0.02", "field table s must be finite, got nan in row 3"),
+    ("0,0\n0.5,nan\n1,0.02", "field table dV/E_F must be finite, got nan in row 2"),
+    ("0,0\n0.5,0.01\n1,inf", "field table dV/E_F must be finite, got inf in row 3"),
+])
+def test_perturb_non_finite_table_entry(tmp_path, capsys, rows, message):
+    table = tmp_path / "dv.csv"
+    table.write_text("s,delta_v\n" + rows + "\n")
+    code, out, err = run_cli(capsys, "perturb", "--delta-v", str(table))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_perturb_missing_file_is_io_failure(capsys):

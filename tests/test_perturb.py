@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,19 @@ def test_field_table_partial_coverage_rejected():
         PerturbationField.from_table([0.2, 0.6, 1.0], [0.0, 0.0, 0.0])
     with pytest.raises(DomainError, match="cover"):
         PerturbationField.from_table([0.0, 0.4, 0.8], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("s, v, message", [
+    ([math.nan, 0.5, 1.0], [0.0, 0.01, 0.02], "s must be finite, got nan in row 1"),
+    ([0.0, math.nan, 1.0], [0.0, 0.01, 0.02], "s must be finite, got nan in row 2"),
+    ([0.0, 0.5, math.nan], [0.0, 0.01, 0.02], "s must be finite, got nan in row 3"),
+    ([0.0, 0.5, 1.0], [0.0, math.nan, 0.02], "dV/E_F must be finite, got nan in row 2"),
+    ([0.0, 0.5, 1.0], [0.0, 0.01, math.inf], "dV/E_F must be finite, got inf in row 3"),
+    ([0.0, 0.5, 1.0], [-math.inf, 0.01, 0.02], "dV/E_F must be finite, got -inf in row 1"),
+])
+def test_field_table_non_finite_entry_rejected(s, v, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        PerturbationField.from_table(s, v)
 
 
 def test_field_validation():
