@@ -61,6 +61,22 @@ def _float_list(text):
     return values
 
 
+def _shell_list(text):
+    shells = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            shell = int(tok)
+        except ValueError:
+            shell = -1
+        if shell < 0 or shell in shells:
+            raise argparse.ArgumentTypeError(
+                f"expected distinct non-negative integers, got {tok!r} in {text!r}")
+        shells.append(shell)
+    if not shells:
+        raise argparse.ArgumentTypeError(f"expected at least one shell, got {text!r}")
+    return shells
+
+
 # (flag, TrapSpec field, type, help) for each trap option; the field is also the dest
 _TRAP_FLAGS = (
     ("--mass", "mass", _positive_float, "particle mass in kg"),
@@ -130,7 +146,7 @@ def build_parser():
     sub.add_argument("--n", dest="n_particles", type=_positive_int, default=10_000)
     sub.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
     sub.add_argument("--t", type=_positive_float, default=0.2)
-    sub.add_argument("--shells", type=_float_list, default=[10, 20, 40, 80])
+    sub.add_argument("--shells", type=_shell_list, default=[10, 20, 40, 80])
 
     sub = cmd["validity"]
     sub.add_argument("--n", dest="n_particles", type=_positive_int, default=100_000)
@@ -299,10 +315,10 @@ def _run_oracle(p, fmt):
     ]
     if p["lam"] == 1.0:
         for shell in p["shells"]:
-            n_closed = oracle.closed_shell_count(int(shell))
+            n_closed = oracle.closed_shell_count(shell)
             exact = oracle.exact_central_density(n_closed)
             semi = oracle.semiclassical_central_density(n_closed)
-            pairs.append((f"central_density_ratio_shell_{int(shell)}", exact / semi))
+            pairs.append((f"central_density_ratio_shell_{shell}", exact / semi))
     return write_table(fmt, ("key", "value"), pairs, doc=dict(pairs))
 
 

@@ -198,8 +198,13 @@ def fermi(x):
         return (ex if x >= 0 else 1.0) / (1.0 + ex)
     import numpy as np
 
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, ex, 1.0) / (1.0 + ex)
+    ex = np.abs(x)  # in place from here: two arrays of x's size besides x
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    out = np.where(x >= 0, ex, 1.0)
+    ex += 1.0
+    out /= ex
+    return out
 
 
 def _closed_forms(ks, eta: float) -> list:

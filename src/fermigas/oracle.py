@@ -1,14 +1,24 @@
 """Exact discrete-spectrum reference computations.
 
 The single-particle levels are eps = n_x + n_y + lambda*n_z in units of
-hbar*omega_r, zero-point suppressed.  Each cell (n_z, p = n_x + n_y)
-holds p + 1 states at p + lambda*n_z; one stable sort of the cell arrays
-merges equal energies, so integer lambda reproduces the (n+1)(n+2)/2 shell
-degeneracies of the isotropic trap.  Work and memory go with the number of
-cells, about cutoff^2/(2 lambda), which is capped at MAX_CELLS.
+hbar*omega_r, zero-point suppressed.  Row n_z holds p + 1 states at
+lambda*n_z + p, p = n_x + n_y.  Its base splits exactly into an integer a
+and a fraction frac, so the row lies on the ladder frac + k, k an integer,
+with fl(frac + k) == fl(lambda*n_z + p).  Rows with equal frac share a
+ladder and each adds a ramp k - a + 1 of degeneracies: one np.bincount of
+their second differences and two running sums give them all, with no
+per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
+the isotropic trap; irrational lambda has one per row, about one entry per
+cell.  build_spectrum sorts the entries and merges equal energies; exact_mu
+sums over them unsorted.  The cell count, about cutoff^2/(2 lambda), is
+capped at MAX_CELLS.
 
-exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 with monotone_root.
-Each Newton step is a few numpy passes over the L levels: the occupied
+exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 with monotone_root,
+first on a window of _WARM_WINDOW E_F around the continuum estimate
+solve_mu(t) E_F - (1 + lambda/2), then, if that window does not straddle
+the root or solve_mu fails, on the bracket of the whole spectrum.  The
+estimate only picks the bracket: the residual check is the same.  Each
+Newton step is a few numpy passes over the L levels: the occupied
 fraction and its slope sum (g/N) f (1 - f)/T are numpy's pairwise sums.
 Their terms are all positive, so each sum is within (log2(L) + 18) eps
 of exact, relative, with eps = 2.2e-16 (8e-15 at the 840,000 levels of
@@ -44,6 +54,10 @@ MAX_SHELL = 1_000_000
 # holds about twice N states and leaves the occupation below exp(-36) there
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 
+# half width, over E_F, of exact_mu's first bracket around the continuum mu;
+# the two differ by at most 0.0013 E_F for N >= 1e3 and t in [0.02, 1]
+_WARM_WINDOW = 0.01
+
 # largest |occupied fraction - 1| that exact_mu accepts
 _OCCUPATION_TOL = 1e-10
 
@@ -63,8 +77,10 @@ class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
         return int(self.degeneracies.sum())
 
 
-def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
-    """Exhaustively enumerate all levels with energy <= cutoff."""
+def _ladders(lam: float, cutoff: float):
+    """Every level with energy <= cutoff as unsorted (energies, degeneracies)
+    arrays with one entry per k of each ladder frac + k, k an integer; two
+    ladders may share a float energy."""
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
@@ -73,19 +89,52 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
         raise DomainError(f"cutoff/lambda = {cutoff / lam:.6g} axial levels exceed "
                           f"the {MAX_CELLS} cell cap")
     base = lam * np.arange(math.floor(cutoff / lam) + 1)
-    counts = np.floor(cutoff - base).astype(np.int64) + 1  # cells p = 0..count-1
-    cells = int(counts.sum())
+    top = np.floor(cutoff - base)  # row n_z holds p = 0..top
+    cells = int(top.sum()) + top.size
     if cells > MAX_CELLS:
         raise DomainError(
             f"spectrum would hold {cells} (n_z, p) cells, above the {MAX_CELLS} cap")
-    p = np.arange(cells, dtype=float) - np.repeat(np.cumsum(counts) - counts, counts)
-    energies = np.repeat(base, counts) + p
-    p += 1.0  # states per cell; float sums of them stay exact below 2^53
-    # arrays are rebound one at a time: about 32 transient bytes per cell
+    rows = top >= 0.0
+    base, top = base[rows], top[rows]
+    a = np.floor(base)
+    frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
+    fracs, first, ladder = np.unique(frac, return_index=True, return_inverse=True)
+    # ladder j holds k = lo_j..hi_j: its first row has the lowest a and runs
+    # past every other row's a, so no k in between is empty
+    lo = a[first]
+    hi = lo.copy()
+    np.maximum.at(hi, ladder, a + top)
+    size = hi - lo + 1.0
+    start = np.cumsum(size) - size
+    total = int(start[-1] + size[-1])
+    # row n_z adds the ramp k - a + 1 on k = a..a + top: second differences
+    # +1 at its first slot, -(top + 2) and +(top + 1) after its last
+    at = (start - lo)[ladder] + a
+    degs = np.bincount(np.concatenate((at, at + top + 1.0, at + top + 2.0)).astype(np.intp),
+                       np.concatenate((np.ones_like(top), -(top + 2.0), top + 1.0)),
+                       minlength=total + 2)[:total]
+    np.cumsum(degs, out=degs)
+    np.cumsum(degs, out=degs)
+    # k as a running sum of unit steps that jumps from hi_(j-1) to lo_j
+    jump = lo.copy()
+    jump[1:] -= hi[:-1]
+    energies = np.ones(total)
+    energies[start.astype(np.intp)] = jump
+    np.cumsum(energies, out=energies)
+    energies += np.repeat(fracs, size.astype(np.intp))
+    return energies, degs
+
+
+def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
+    """Exhaustively enumerate all levels with energy <= cutoff."""
+    import numpy as np
+
+    lam = check_finite("lambda", lam, positive=True)
+    energies, degs = _ladders(lam, cutoff)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
-    degs = p[order]
-    del p, order
+    degs = degs[order]
+    del order
     starts = np.flatnonzero(np.r_[True, energies[1:] != energies[:-1]])
     degs = np.add.reduceat(degs, starts)
     return DiscreteSpectrum(lam=lam, cutoff=float(cutoff), energies=energies[starts],
@@ -111,38 +160,53 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     t_abs = check_finite("t_abs", t_abs)
     e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
-    spectrum = build_spectrum(lam, cutoff)
-    if spectrum.state_count < n_particles:
-        raise DomainError(
-            f"cutoff {cutoff:.3g} holds only {spectrum.state_count} states "
-            f"for N = {n_particles}")
     if t_abs == 0.0:
-        cumulative = np.cumsum(spectrum.degeneracies)
+        spectrum = build_spectrum(lam, cutoff)
+        energies, weights = spectrum.energies, spectrum.degeneracies
+    else:
+        energies, weights = _ladders(lam, cutoff)  # unsorted: the sums need no order
+    states = int(weights.sum())
+    if states < n_particles:
+        raise DomainError(
+            f"cutoff {cutoff:.3g} holds only {states} states for N = {n_particles}")
+    if t_abs == 0.0:
+        cumulative = np.cumsum(weights)
         idx = int(np.searchsorted(cumulative, n_particles))
         if cumulative[idx] != n_particles:
             raise DomainError(
                 f"N = {n_particles} leaves a partially filled level at T = 0; "
                 "the ground state is ambiguous")
-        return 0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1])
+        return 0.5 * (energies[idx] + energies[idx + 1])
 
-    energies = spectrum.energies
-    weights = spectrum.degeneracies / n_particles
-    del spectrum  # frees the degeneracies: the search holds two arrays of levels
+    weights /= n_particles
 
     def constraint(mu):
         # occupied fraction - 1, and its slope sum g f (1 - f) / (N T), as
         # pairwise numpy sums of positive terms
-        occ = fermi((energies - mu) / t_abs)
+        x = energies - mu
+        x /= t_abs
+        occ = fermi(x)
+        del x
         filled = weights * occ
-        return float(filled.sum()) - 1.0, float((filled * (1.0 - occ)).sum()) / t_abs
+        occupied = float(filled.sum())
+        np.subtract(1.0, occ, out=occ)
+        filled *= occ
+        return occupied - 1.0, float(filled.sum()) / t_abs
 
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
              f"over {energies.size} levels")
     try:
-        mu, residual = monotone_root(constraint, float(energies[0]) - 60.0 * t_abs - 1.0,
-                                     float(energies[-1]))
-    except NumericsError as exc:
-        raise NumericsError(f"mu search for {where}: {exc}") from exc
+        # the continuum mu with the zero point removed; any failure of the
+        # window falls back to the bracket of the whole spectrum
+        guess = solve_mu(t_abs / e_fermi_est) * e_fermi_est - (1.0 + 0.5 * lam)
+        width = _WARM_WINDOW * e_fermi_est
+        mu, residual = monotone_root(constraint, guess - width, guess + width)
+    except (DomainError, NumericsError):
+        try:
+            mu, residual = monotone_root(constraint, float(energies.min()) - 60.0 * t_abs
+                                         - 1.0, float(energies.max()))
+        except NumericsError as exc:
+            raise NumericsError(f"mu search for {where}: {exc}") from exc
     if abs(residual) > _OCCUPATION_TOL:
         raise NumericsError(
             f"occupation residual {abs(residual) * n_particles:.3e} particles above "

@@ -364,6 +364,14 @@ def test_oracle_report(capsys):
     assert doc["central_density_ratio_shell_10"] == pytest.approx(1.0647, abs=1e-3)
 
 
+@pytest.mark.parametrize("shells, bad", [("10.7,10", "10.7"), ("0.5", "0.5"), ("-3", "-3"),
+                                         ("10,20,10", "10")])
+def test_oracle_shells_are_distinct_nonnegative_integers(capsys, shells, bad):
+    code, out, err = run_cli(capsys, "oracle", "--n", "2000", "--shells", shells)
+    assert (code, out) == (2, "")
+    assert f"got {bad!r} in {shells!r}" in err
+
+
 def test_oracle_at_readme_particle_number(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "100000")
     assert code == 0

@@ -10,6 +10,7 @@ from scipy.special import expit, gammaln
 
 import fermigas as fg
 from fermigas import DomainError, NumericsError, oracle, perturb
+from fermigas.thermo import monotone_root
 from spectrum_reference import (dict_spectrum, eigenfunction_origin_density,
                                 origin_weight, summed_central_density)
 
@@ -173,6 +174,53 @@ def test_no_blas_call_in_the_level_sum_or_the_response(monkeypatch):
     assert fg.exact_mu(30_000, lam, t_abs) == pytest.approx(expected, rel=1e-14)
     resp = fg.density_response(fg.PerturbationField(np.full(perturb.GRID_SIZE, 0.05)))
     assert resp.delta_e_fermi == pytest.approx(0.05, rel=1e-14)
+
+
+def test_level_sum_sorts_nothing(monkeypatch):
+    # the levels come from integer ladders, so the search needs no order
+    def refuse(*args, **kwargs):
+        raise AssertionError("sort")
+
+    cases = [(lam, 0.2 * (6.0 * lam * 30_000) ** (1 / 3)) for lam in (0.5, math.sqrt(8.0))]
+    expected = [brentq_exact_mu(30_000, lam, t_abs) for lam, t_abs in cases]
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    for (lam, t_abs), mu in zip(cases, expected):
+        assert fg.exact_mu(30_000, lam, t_abs) == pytest.approx(mu, rel=1e-14)
+
+
+def test_warm_bracket_constraint_evaluations(monkeypatch):
+    evaluations = []
+
+    def counting(g, lo, hi):
+        def counted(mu):
+            evaluations.append(mu)
+            return g(mu)
+        return monotone_root(counted, lo, hi)
+
+    monkeypatch.setattr(oracle, "monotone_root", counting)
+    for t, n_particles, lam in BRENTQ_CASES:
+        fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+    assert len(evaluations) / len(BRENTQ_CASES) <= 7.0
+
+
+@pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError])
+def test_continuum_guess_never_decides_the_answer(monkeypatch, guess):
+    cases = [(n, lam, t * (6.0 * lam * n) ** (1 / 3)) for t, n, lam in BRENTQ_CASES]
+    expected = [fg.exact_mu(*case) for case in cases]
+
+    def solve_mu(t):
+        if guess is DomainError:
+            raise DomainError(f"no continuum mu at t = {t!r}")
+        return guess
+
+    monkeypatch.setattr(oracle, "solve_mu", solve_mu)
+    for (n_particles, lam, t_abs), mu0 in zip(cases, expected):
+        mu = fg.exact_mu(n_particles, lam, t_abs)
+        assert abs(mu - mu0) <= 4.0 * math.ulp(mu0)
+        sp = fg.build_spectrum(lam, 1.5 * (6.0 * lam * n_particles) ** (1 / 3) + 45.0 * t_abs)
+        occupied = math.fsum(sp.degeneracies * expit((mu - sp.energies) / t_abs))
+        assert abs(occupied - n_particles) <= 1e-10 * n_particles
 
 
 @pytest.mark.parametrize("lam", [1.0, math.sqrt(8.0)])
