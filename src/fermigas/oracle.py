@@ -162,15 +162,15 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
     if t_abs == 0.0:
         spectrum = build_spectrum(lam, cutoff)
-        energies, weights = spectrum.energies, spectrum.degeneracies
+        energies, degs = spectrum.energies, spectrum.degeneracies
     else:
-        energies, weights = _ladders(lam, cutoff)  # unsorted: the sums need no order
-    states = int(weights.sum())
+        energies, degs = _ladders(lam, cutoff)  # unsorted: the sums need no order
+    states = int(degs.sum())
     if states < n_particles:
         raise DomainError(
             f"cutoff {cutoff:.3g} holds only {states} states for N = {n_particles}")
     if t_abs == 0.0:
-        cumulative = np.cumsum(weights)
+        cumulative = np.cumsum(degs)
         idx = int(np.searchsorted(cumulative, n_particles))
         if cumulative[idx] != n_particles:
             raise DomainError(
@@ -178,11 +178,14 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
                 "the ground state is ambiguous")
         return 0.5 * (energies[idx] + energies[idx + 1])
 
-    weights /= n_particles
+    weights = degs / n_particles
+    del degs
 
     def constraint(mu):
         # occupied fraction - 1, and its slope sum g f (1 - f) / (N T), as
-        # pairwise numpy sums of positive terms
+        # pairwise numpy sums of positive terms; x goes before filled comes,
+        # so at most five arrays of levels live: energies, weights, x and two
+        # inside fermi
         x = energies - mu
         x /= t_abs
         occ = fermi(x)
