@@ -94,7 +94,7 @@ def _ladders(lam: float, cutoff: float):
     if cells > MAX_CELLS:
         raise DomainError(
             f"spectrum would hold {cells} (n_z, p) cells, above the {MAX_CELLS} cap")
-    rows = top >= 0.0
+    rows = top >= 0.0  # the last row's base can round to above the cutoff
     base, top = base[rows], top[rows]
     a = np.floor(base)
     frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
