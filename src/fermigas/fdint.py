@@ -17,7 +17,8 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
   (n/2)^2 - eta exceeds 44, the poles where a term falls below 2^-60 of the
   sum: at most 19 nodes and 9 pole terms.
 * sommerfeld (eta >= 40, half-integer k): the bracket series, truncated at
-  its smallest term; the reflection term has a cos(pi k) = 0 prefactor.
+  its smallest term or at the first term below 2^-60 of the sum, which no
+  later term can move; the reflection term has a cos(pi k) = 0 prefactor.
 
 Each coefficient is an exact ratio of integers rounded to double once.  The
 worst relative errors against mpmath at 40 digits are: series 2.6e-16,
@@ -44,6 +45,7 @@ _SERIES_SPAN = 60.0 * math.log(2.0)  # exp(-n |eta|) < 2^-60 once n |eta| exceed
 _SERIES_TERMS = int(_SERIES_SPAN) + 1  # terms needed at |eta| = 1
 _TAYLOR_TERMS = 36
 _STEP = 0.5  # trapezoid step h in u = sqrt(x)
+_NEGLIGIBLE = 2.0 ** -60  # a Sommerfeld term this far below the bracket is dropped
 _TAIL = 44.0  # last trapezoid node: (n h)^2 - eta <= _TAIL, exp(-44) < 2^-63
 _POLE_PHASE = -2j * math.pi / _STEP  # exp(_POLE_PHASE u) - 1: the pole terms' denominator
 # pi, ln 2 and zeta(3) to 62-63 decimals, as exact (numerator, denominator)
@@ -129,15 +131,17 @@ def _series(k: float, eta: float, z: float) -> float:
 
 def _sommerfeld(k: float, eta: float) -> float:
     """The optimally truncated bracket of a half-integer order; inf where
-    eta ** k overflows a double."""
+    eta ** k overflows a double.  The terms shrink until the truncation
+    point, so once one falls below 2^-60 of the bracket, under half its
+    ulp, no later term can change the sum."""
     bracket, prod, power, prev = 1.0, 1.0, 1.0, math.inf
     inv_eta2 = 1.0 / (eta * eta)
     for n, c in enumerate(_SOMMERFELD_C, start=1):
         prod *= (k - (2 * n - 2)) * (k - (2 * n - 1))
         power *= inv_eta2
         term = c * prod * power
-        if abs(term) >= prev:
-            break  # asymptotic tail started growing: truncate at smallest term
+        if abs(term) >= prev or abs(term) < _NEGLIGIBLE * bracket:
+            break  # the tail grows (truncate at the smallest term) or is negligible
         bracket += term
         prev = abs(term)
     try:

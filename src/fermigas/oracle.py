@@ -14,10 +14,11 @@ sums over them unsorted.  The cell count, about cutoff^2/(2 lambda), is
 capped at MAX_CELLS.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 with monotone_root,
-first on a window of _WARM_WINDOW E_F around the continuum estimate
-solve_mu(t) E_F - (1 + lambda/2), then, if that window does not straddle
-the root or solve_mu fails, on the bracket of the whole spectrum.  The
-estimate only picks the bracket: the residual check is the same.  Each
+Newton starting at the continuum estimate solve_mu(t) E_F - (1 + lambda/2)
+inside a window of _WARM_WINDOW E_F around it, then, if an end of that
+window does not straddle the root or solve_mu fails, on the bracket of the
+whole spectrum.  The estimate only picks the start and the bracket: the
+residual check is the same.  Each
 Newton step is a few numpy passes over the L levels: the occupied
 fraction and its slope sum (g/N) f (1 - f)/T are numpy's pairwise sums.
 Their terms are all positive, so each sum is within (log2(L) + 18) eps
@@ -153,11 +154,16 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     fill closed shells; the chemical potential is then reported at the
     midpoint of the gap between the last filled and first empty level.
     """
+    check_count("n_particles", n_particles)
+    return _exact_mu(n_particles, check_finite("lambda", lam, positive=True),
+                     check_finite("t_abs", t_abs), None)
+
+
+def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
+    """exact_mu of checked arguments; m_continuum is solve_mu(t_abs / E_F), or
+    None to solve it here."""
     import numpy as np
 
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
-    t_abs = check_finite("t_abs", t_abs)
     e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
     if t_abs == 0.0:
@@ -199,11 +205,13 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
              f"over {energies.size} levels")
     try:
-        # the continuum mu with the zero point removed; any failure of the
-        # window falls back to the bracket of the whole spectrum
-        guess = solve_mu(t_abs / e_fermi_est) * e_fermi_est - (1.0 + 0.5 * lam)
+        # Newton from the continuum mu with the zero point removed; any
+        # failure of the window falls back to the bracket of the whole spectrum
+        if m_continuum is None:
+            m_continuum = solve_mu(t_abs / e_fermi_est)
+        guess = m_continuum * e_fermi_est - (1.0 + 0.5 * lam)
         width = _WARM_WINDOW * e_fermi_est
-        mu, residual = monotone_root(constraint, guess - width, guess + width)
+        mu, residual = monotone_root(constraint, guess - width, guess + width, guess)
     except (DomainError, NumericsError):
         try:
             mu, residual = monotone_root(constraint, float(energies.min()) - 60.0 * t_abs
@@ -331,8 +339,9 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
     lam = check_finite("lambda", lam, positive=True)
     t = _check_t(t)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
-    mu_ex = exact_mu(n_particles, lam, t * e_fermi)
-    mu_cont = solve_mu(t) * e_fermi
+    m = solve_mu(t)  # once: (t E_F)/E_F need not round back to t
+    mu_ex = _exact_mu(n_particles, lam, check_finite("t_abs", t * e_fermi), m)
+    mu_cont = m * e_fermi
     zp = 1.0 + 0.5 * lam
     return ContinuumComparison(
         mu_exact=mu_ex, mu_continuum=mu_cont, zero_point=zp,

@@ -210,14 +210,21 @@ def density_response(fld: PerturbationField) -> ResponseResult:
     return _response_result(fld.values.tolist())
 
 
-def mean_field_correction(u_int: float) -> ResponseResult:
-    """One-shot response to the interaction field dV = u_int * n0(s)."""
+@cache
+def _zero_t_density() -> list:
+    """n0(s) at each grid point, tabulated once per process."""
     from .profiles import zero_t_density  # the perturb command needs no FD kernel
 
+    return [zero_t_density(s) for s in GRID_POINTS]
+
+
+def mean_field_correction(u_int: float) -> ResponseResult:
+    """One-shot response to the interaction field dV = u_int * n0(s)."""
     u_int = check_real("u_int", u_int)
-    peak = abs(u_int) * zero_t_density(0.0)
+    n0 = _zero_t_density()
+    peak = abs(u_int) * n0[0]  # the grid starts at s = 0
     if peak > SMALLNESS_GUARD + 1e-12:
         raise DomainError(
             f"interaction strength too large: |u_int|*n0(0) = {peak:.4g} "
             f"exceeds the smallness guard {SMALLNESS_GUARD}")
-    return _response_result(field_values([u_int * zero_t_density(s) for s in GRID_POINTS]))
+    return _response_result(field_values([u_int * n for n in n0]))

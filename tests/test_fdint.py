@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative, fd_orders
 from fermigas.fdint import (_POLYNOMIAL, _SERIES, _SERIES_SPAN, _SOMMERFELD_C, _SOMMERFELD_CUTOFF,
-                            _TAYLOR, _dirichlet_eta, _trapezoid, band, fermi)
+                            _TAYLOR, _dirichlet_eta, _sommerfeld, _trapezoid, band, fermi)
 
 from conftest import adaptive_fd, brute_fd, mp_fd
 
@@ -138,6 +138,29 @@ def test_sommerfeld_coefficients_correctly_rounded():
         for n in range(1, 26):
             exact = 2 * (1 - mpmath.mpf(2) ** (1 - 2 * n)) * mpmath.zeta(2 * n)
             assert _SOMMERFELD_C[n - 1] == _correctly_rounded(exact), n
+
+
+def _sommerfeld_all_terms(k, eta):
+    """The Sommerfeld evaluation that runs every coefficient up to the
+    smallest term, however far below the bracket's last bit the terms go."""
+    bracket, prod, power, prev = 1.0, 1.0, 1.0, math.inf
+    inv_eta2 = 1.0 / (eta * eta)
+    for n, c in enumerate(_SOMMERFELD_C, start=1):
+        prod *= (k - (2 * n - 2)) * (k - (2 * n - 1))
+        power *= inv_eta2
+        term = c * prod * power
+        if abs(term) >= prev:
+            break
+        bracket += term
+        prev = abs(term)
+    return eta ** k / math.gamma(k + 1.0) * bracket
+
+
+def test_sommerfeld_early_stop_is_bit_identical():
+    etas = np.concatenate([[40.0, 60.0], np.geomspace(40.0, 4e7, 3000),
+                           np.random.default_rng(20).uniform(40.0, 400.0, 1000)]).tolist()
+    for k in (0.5, 1.5, 2.5):
+        assert [_sommerfeld(k, e) for e in etas] == [_sommerfeld_all_terms(k, e) for e in etas]
 
 
 def test_fermi_factor_against_extended_precision():

@@ -151,7 +151,7 @@ def test_occupation_residual_failure_names_the_solve(monkeypatch):
 
 
 def test_root_search_failure_names_the_solve(monkeypatch):
-    def stuck(g, lo, hi):
+    def stuck(g, lo, hi, x=None):
         raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
     monkeypatch.setattr(oracle, "monotone_root", stuck)
@@ -192,16 +192,16 @@ def test_level_sum_sorts_nothing(monkeypatch):
 def test_warm_bracket_constraint_evaluations(monkeypatch):
     evaluations = []
 
-    def counting(g, lo, hi):
+    def counting(g, lo, hi, x=None):
         def counted(mu):
             evaluations.append(mu)
             return g(mu)
-        return monotone_root(counted, lo, hi)
+        return monotone_root(counted, lo, hi, x)
 
     monkeypatch.setattr(oracle, "monotone_root", counting)
     for t, n_particles, lam in BRENTQ_CASES:
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
-    assert len(evaluations) / len(BRENTQ_CASES) <= 7.0
+    assert len(evaluations) / len(BRENTQ_CASES) <= 4.5
 
 
 @pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError])
@@ -236,6 +236,27 @@ def test_continuum_comparison_at_acceptance_point():
     # the raw gap carries the suppressed zero point, about (1 + lam/2)/E_F
     assert 0.02 <= comp.gap_raw <= 0.06
     assert comp.zero_point == 1.5
+
+
+def test_continuum_comparison_solves_mu_once(monkeypatch):
+    # the cases include t whose t_abs = t E_F does not divide back to t, where
+    # exact_mu's own continuum estimate solve_mu(t_abs / E_F) would miss the cache
+    cases = [(n, lam, t) for n in (1_000, 3_217) for lam in (0.5, math.sqrt(8.0))
+             for t in (0.03, 0.1, 0.17)]
+    assert any(t * e / e != t for e, t in
+               (((6.0 * lam * n) ** (1 / 3), t) for n, lam, t in cases))
+    calls = []
+
+    def solve_mu(t):
+        calls.append(t)
+        return fg.solve_mu(t)
+
+    monkeypatch.setattr(oracle, "solve_mu", solve_mu)
+    for n, lam, t in cases:
+        calls.clear()
+        comp = fg.continuum_comparison(n, lam, t)
+        assert calls == [t]
+        assert comp.mu_continuum == fg.solve_mu(t) * (6.0 * lam * n) ** (1 / 3)
 
 
 # near T -> 0 at an open shell, one ulp of mu moves the partly filled level's

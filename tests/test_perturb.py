@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import fermigas as fg
-from fermigas import DomainError
+from fermigas import DomainError, perturb
 from fermigas.perturb import (GRID, GRID_POINTS, GRID_SIZE, _GAUSS_LEGENDRE, PerturbationField,
                               _interp)
 
@@ -118,6 +118,16 @@ def test_mean_field_linearity():
     small = fg.mean_field_correction(1e-4).delta_e_fermi
     large = fg.mean_field_correction(1e-2).delta_e_fermi
     assert small * 100.0 == pytest.approx(large, rel=1e-10)
+
+
+def test_mean_field_table_is_the_pointwise_field():
+    # n0 is tabulated once; each call's field is u_int times that table, the
+    # bits of u_int * zero_t_density(s) at every grid point
+    for u_int in (0.05, -0.031, 1e-4, 0.123456789 / 10.0):
+        resp = fg.mean_field_correction(u_int)
+        de, dn = perturb.response([u_int * fg.zero_t_density(s) for s in GRID_POINTS])
+        assert resp.delta_e_fermi == de
+        assert resp.delta_n.tolist() == dn
 
 
 def test_smallness_guard():

@@ -331,6 +331,64 @@ def test_bracket_must_straddle_the_root(lo, hi):
         monotone_root(lambda x: (x, 1.0), lo, hi)
 
 
+def test_a_start_near_the_root_evaluates_no_end():
+    evaluations = []
+
+    def cube(x):
+        evaluations.append(x)
+        return x ** 3 / 2.0 - 1.0, 1.5 * x * x
+
+    root, residual = monotone_root(cube, 0.0, 4.0, 1.2)
+    assert abs(root - 2.0 ** (1 / 3)) <= 2 * math.ulp(root)
+    assert residual == root ** 3 / 2.0 - 1.0
+    assert evaluations[0] == 1.2 and not {0.0, 4.0} & set(evaluations)
+
+
+@pytest.mark.parametrize("lo, hi, start, crossed", [(2.0, 4.0, 3.0, 2.0),
+                                                    (-4.0, -2.0, -3.0, -2.0)])
+def test_start_in_a_bracket_that_misses_the_root(lo, hi, start, crossed):
+    # the first Newton step aims at the root 0 beyond one end; that end alone
+    # is evaluated, and its residual shows the bracket does not straddle
+    evaluations = []
+
+    def line(x):
+        evaluations.append(x)
+        return x, 1.0
+
+    with pytest.raises(NumericsError, match="straddle"):
+        monotone_root(line, lo, hi, start)
+    assert evaluations == [start, crossed]
+
+
+def _cold_solve_evaluations(monkeypatch, ts):
+    """Constraint evaluations of each solve_mu(t), each run on an empty cache."""
+    counts = []
+    closed_forms = thermo._closed_forms
+
+    def counted(ks, eta):
+        counts[-1] += 1
+        return closed_forms(ks, eta)
+
+    monkeypatch.setattr(thermo, "_closed_forms", counted)
+    for t in ts:
+        fg.solve_mu.cache_clear()
+        counts.append(0)
+        fg.solve_mu(t)
+    fg.solve_mu.cache_clear()
+    return counts
+
+
+def test_cold_solve_starts_near_the_root(monkeypatch):
+    # Newton from _mu_estimate: 7.5 evaluations per solve from the bracket
+    # ends on [1e-3, 5], and 119 on [1e-9, 3e102], where the bracket is huge
+    counts = _cold_solve_evaluations(monkeypatch, np.geomspace(1e-3, 5.0, 200).tolist())
+    assert sum(counts) / len(counts) <= 3.5
+    assert max(counts) <= 10
+    counts = _cold_solve_evaluations(monkeypatch, np.geomspace(1e-9, 3e102, 200).tolist())
+    assert sum(counts) / len(counts) <= 3.5
+    assert max(counts) <= 10
+
+
 def test_no_convergence_within_the_step_cap():
     # a slope of 1e-300 sends every Newton step out of the bracket, and 200
     # bisections leave [-1e300, 1e300] about 1e240 wide
