@@ -8,23 +8,22 @@ with fl(frac + k) == fl(lambda*n_z + p).  Rows with equal frac share a
 ladder and each adds a ramp k - a + 1 of degeneracies: one np.bincount of
 their second differences and two running sums give them all, with no
 per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
-the isotropic trap; irrational lambda has one per row, about one entry per
-cell.  build_spectrum sorts the entries and merges equal energies; exact_mu
-sums over them unsorted.  The cell count, about cutoff^2/(2 lambda), is
-capped at MAX_CELLS.
+the isotropic trap; irrational lambda has one per row.  build_spectrum
+sorts the entries and merges equal energies; exact_mu sums over them
+unsorted.  Work and memory grow with the entries, which are capped at
+MAX_ENTRIES, as the axial rows are before any per-level work; a spectrum
+of 2^53 states or more is refused, so every count is an exact float.
 
-exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 with monotone_root,
-Newton starting at the continuum estimate solve_mu(t) E_F - (1 + lambda/2)
-inside a window of _WARM_WINDOW E_F around it, then, if an end of that
-window does not straddle the root or solve_mu fails, on the bracket of the
-whole spectrum.  The estimate only picks the start and the bracket: the
-residual check is the same.  Each
-Newton step is a few numpy passes over the L levels: the occupied
-fraction and its slope sum (g/N) f (1 - f)/T are numpy's pairwise sums.
-Their terms are all positive, so each sum is within (log2(L) + 18) eps
-of exact, relative, with eps = 2.2e-16 (8e-15 at the 840,000 levels of
-N = 1e6, lambda = sqrt 8).  No BLAS routine runs, so the results do not
-depend on the BLAS library or its thread count.
+exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
+search on the whole spectrum's bracket.  Newton starts at the continuum
+estimate solve_mu(t) E_F - (1 + lambda/2), or at the bracket's low end if
+solve_mu fails; the estimate picks only the start.  Each Newton step is a
+few numpy passes over the L levels: the occupied fraction and its slope
+sum (g/N) f (1 - f)/T are numpy's pairwise sums.  Their terms are all
+positive, so each sum is within (log2(L) + 18) eps of exact, relative,
+with eps = 2.2e-16 (8e-15 at the 840,000 levels of N = 1e6, lambda =
+sqrt 8).  No BLAS routine runs, so the results do not depend on the BLAS
+library or its thread count.
 
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
@@ -46,7 +45,7 @@ from .fdint import fermi
 from .record import Record
 from .thermo import _check_t, monotone_root, solve_mu
 
-MAX_CELLS = 5_000_000
+MAX_ENTRIES = 5_000_000
 # top closed shell of exact_central_density, whose exact integer binomial
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
@@ -54,10 +53,6 @@ MAX_SHELL = 1_000_000
 # exact_mu enumerates levels up to _CUTOFF_SCALE E_F + 36 t_abs + 2, which
 # holds about twice N states and leaves the occupation below exp(-36) there
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
-
-# half width, over E_F, of exact_mu's first bracket around the continuum mu;
-# the two differ by at most 0.0013 E_F for N >= 1e3 and t in [0.02, 1]
-_WARM_WINDOW = 0.01
 
 # largest |occupied fraction - 1| that exact_mu accepts
 _OCCUPATION_TOL = 1e-10
@@ -86,17 +81,19 @@ def _ladders(lam: float, cutoff: float):
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    if cutoff / lam >= MAX_CELLS:  # floor(cutoff/lam) + 1 axial levels > MAX_CELLS
-        raise DomainError(f"cutoff/lambda = {cutoff / lam:.6g} axial levels exceed "
-                          f"the {MAX_CELLS} cell cap")
+    where = f"lambda = {lam!r}, cutoff = {cutoff!r}"
+    if cutoff / lam >= MAX_ENTRIES:  # floor(cutoff/lam) + 1 axial levels > MAX_ENTRIES
+        raise DomainError(f"{where}: cutoff/lambda = {cutoff / lam:.6g} axial levels "
+                          f"exceed the {MAX_ENTRIES} cap")
     base = lam * np.arange(math.floor(cutoff / lam) + 1)
     top = np.floor(cutoff - base)  # row n_z holds p = 0..top
-    cells = int(top.sum()) + top.size
-    if cells > MAX_CELLS:
-        raise DomainError(
-            f"spectrum would hold {cells} (n_z, p) cells, above the {MAX_CELLS} cap")
     rows = top >= 0.0  # the last row's base can round to above the cutoff
     base, top = base[rows], top[rows]
+    # twice the state count: a sum of even integers, exact below 2^54
+    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
+    if states >= 2.0 ** 53:
+        raise DomainError(f"{where}: the spectrum holds {states:.6g} states, at or above "
+                          "the 2^53 cap of exact float counts")
     a = np.floor(base)
     frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
     fracs, first, ladder = np.unique(frac, return_index=True, return_inverse=True)
@@ -108,6 +105,9 @@ def _ladders(lam: float, cutoff: float):
     size = hi - lo + 1.0
     start = np.cumsum(size) - size
     total = int(start[-1] + size[-1])
+    if total > MAX_ENTRIES:
+        raise DomainError(f"{where}: the spectrum has {total} ladder entries, above the "
+                          f"{MAX_ENTRIES} entry cap")
     # row n_z adds the ramp k - a + 1 on k = a..a + top: second differences
     # +1 at its first slot, -(top + 2) and +(top + 1) after its last
     at = (start - lo)[ladder] + a
@@ -204,20 +204,18 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
 
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
              f"over {energies.size} levels")
+    lo = float(energies.min()) - 60.0 * t_abs - 1.0
     try:
-        # Newton from the continuum mu with the zero point removed; any
-        # failure of the window falls back to the bracket of the whole spectrum
+        # Newton from the continuum mu with the zero point removed
         if m_continuum is None:
             m_continuum = solve_mu(t_abs / e_fermi_est)
-        guess = m_continuum * e_fermi_est - (1.0 + 0.5 * lam)
-        width = _WARM_WINDOW * e_fermi_est
-        mu, residual = monotone_root(constraint, guess - width, guess + width, guess)
+        start = m_continuum * e_fermi_est - (1.0 + 0.5 * lam)
     except (DomainError, NumericsError):
-        try:
-            mu, residual = monotone_root(constraint, float(energies.min()) - 60.0 * t_abs
-                                         - 1.0, float(energies.max()))
-        except NumericsError as exc:
-            raise NumericsError(f"mu search for {where}: {exc}") from exc
+        start = lo
+    try:
+        mu, residual = monotone_root(constraint, lo, float(energies.max()), start)
+    except NumericsError as exc:
+        raise NumericsError(f"mu search for {where}: {exc}") from exc
     if abs(residual) > _OCCUPATION_TOL:
         raise NumericsError(
             f"occupation residual {abs(residual) * n_particles:.3e} particles above "

@@ -83,3 +83,47 @@ def mp_thermo(t):
     eta = m / t
     f2, f3, f4 = mp_fd(2, eta), mp_fd(3, eta), mp_fd(4, eta)
     return m, 18 * t ** 4 * f4, 12 * f4 / f3 - 9 * f3 / f2
+
+
+def mp_exact_mu(n_particles, lam, t_abs):
+    """Chemical potential of the level sum eps = n_x + n_y + lam n_z, rooted
+    in mpmath at its working precision from the fugacity series
+
+        N = sum_j (-1)^(j+1) z^j / ((1 - e^(-j/T))^2 (1 - e^(-lam j/T))),
+
+    z = e^(mu/T), which expands every occupation in powers of z and sums
+    each power over the whole spectrum in closed form, with no cutoff.  The
+    series converges for mu < 0 only, so the root must lie there.
+    """
+    n = mpmath.mpf(n_particles)
+    beta, lam = 1 / mpmath.mpf(t_abs), mpmath.mpf(lam)
+    tiny = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
+
+    def count(u):
+        # (sum, d sum/du) at u = mu/T < 0
+        total = slope = mpmath.mpf(0)
+        for j in range(1, 100_000):
+            term = ((-1) ** (j + 1) * mpmath.exp(j * u)
+                    / (mpmath.expm1(-j * beta) ** 2 * -mpmath.expm1(-lam * j * beta)))
+            total += term
+            slope += j * term
+            if abs(term) <= tiny * abs(total):
+                return total, slope
+        raise ArithmeticError(f"fugacity series did not converge at u={u}")
+
+    # every occupation is below its classical e^(-x), so the sum is below
+    # z Z_1, Z_1 the one-particle partition function, and the root above
+    # ln(N / Z_1); halving toward 0 finds a point past the root, from which
+    # Newton on this convex, increasing sum falls monotonically onto it
+    u = mpmath.log(n * mpmath.expm1(-beta) ** 2 * -mpmath.expm1(-lam * beta))
+    if u >= 0:
+        raise ArithmeticError("the root lies at mu >= 0, outside the series")
+    while count(u)[0] <= n:
+        u /= 2
+    for _ in range(200):
+        total, slope = count(u)
+        step = (total - n) / slope
+        u -= step
+        if abs(step) <= mpmath.mpf(10) ** (4 - mpmath.mp.dps) * abs(u):
+            return u / beta
+    raise ArithmeticError(f"reference mu did not converge for N={n_particles}")

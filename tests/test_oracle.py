@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import expit, gammaln
 
 import fermigas as fg
+from conftest import mp_exact_mu
 from fermigas import DomainError, NumericsError, oracle, perturb
 from fermigas.thermo import monotone_root
 from spectrum_reference import (dict_spectrum, eigenfunction_origin_density,
@@ -53,13 +54,59 @@ def test_spectrum_matches_dict_enumeration(lam, n_particles, t):
 def test_cell_cap():
     # a million-state spectrum is fine when it has few cells
     assert fg.build_spectrum(1.0, 200.0).state_count == fg.closed_shell_count(200)
-    with pytest.raises(DomainError, match="cap"):  # 12.5e6 cells
-        fg.build_spectrum(1.0, 5000.0)
+    # 12.5e6 (n_z, p) cells, but one ladder of 5,001 entries
+    assert fg.build_spectrum(1.0, 5000.0).energies.size == 5001
     with pytest.raises(DomainError, match="cap"):
         fg.exact_mu(10_000, 1e-7, 0.0)
     # refused before any per-axial-level work: 1e300 levels would never finish
     with pytest.raises(DomainError, match="cap"):
         fg.build_spectrum(1e-300, 1.0)
+
+
+def test_entry_and_state_caps():
+    # 1.77e7 entries, one ladder per axial row
+    with pytest.raises(DomainError, match=r"^lambda = 2\.8284271247461903, cutoff = 10000\.0: "
+                                          r"the spectrum has 17684439 ladder entries, above "
+                                          r"the 5000000 entry cap$"):
+        fg.build_spectrum(math.sqrt(8.0), 1e4)
+    # 400,001 entries but 1.07e16 states, past exact float integers
+    with pytest.raises(DomainError, match=r"^lambda = 1\.0, cutoff = 400000\.0: the spectrum "
+                                          r"holds 1\.06668e\+16 states, at or above the 2\^53 "
+                                          r"cap of exact float counts$"):
+        fg.build_spectrum(1.0, 4e5)
+    # 9.0001e15 states, just below 2^53, still counted exactly: row 0 holds
+    # p <= 300,000 and rows 2q - 1 and 2q hold p <= 300,000 - q
+    sp = fg.build_spectrum(0.5, 3e5)
+    assert sp.state_count == math.comb(300_002, 2) + 2 * math.comb(300_002, 3)
+
+
+def test_exact_mu_of_ten_million_isotropic_particles():
+    # refused by the former cap at 1.1e7 cells, though the sum has 4,724
+    # shells; the reference sums the shells (n+1)(n+2)/2 directly
+    n_particles = 10_000_000
+    t_abs = 0.3 * (6.0 * n_particles) ** (1 / 3)
+    shells = np.arange(int(1.5 * (6.0 * n_particles) ** (1 / 3) + 45.0 * t_abs) + 1)
+    degs = (shells + 1.0) * (shells + 2.0) / 2.0
+
+    def excess(mu):
+        return math.fsum(degs * expit((mu - shells) / t_abs)) - n_particles
+
+    expected = brentq(excess, -60.0 * t_abs - 1.0, float(shells[-1]), xtol=1e-14,
+                      rtol=8.9e-16)
+    assert fg.exact_mu(n_particles, 1.0, t_abs) == pytest.approx(expected, rel=1e-14)
+
+
+# The residue, 1e-13 at t = 0.6, is the classical tail that the cutoff at
+# 36 t_abs drops (Gamma(3, 36)/2 = 1.6e-13 of N); the roadmap's cutoff fix
+# (direction 1(b)) is to tighten this bound to 1e-15.
+@pytest.mark.parametrize("n_particles, lam, t", [
+    (2, 0.5, 50.0), (1_000, 1.0, 5.0), (100_000, 1.0, 2.0), (10_000, 1.0, 0.6),
+    (10_000, math.sqrt(8.0), 0.6), (1_000, 0.5, 1.0), (30, 1.0, 1e3)])
+def test_exact_mu_against_fugacity_series(n_particles, lam, t):
+    t_abs = t * (6.0 * lam * n_particles) ** (1 / 3)
+    with mp.workdps(40):
+        expected = float(mp_exact_mu(n_particles, lam, t_abs))
+    assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(expected, rel=2e-13)
 
 
 def test_zero_temperature_closed_shells():
@@ -221,6 +268,29 @@ def test_continuum_guess_never_decides_the_answer(monkeypatch, guess):
         sp = fg.build_spectrum(lam, 1.5 * (6.0 * lam * n_particles) ** (1 / 3) + 45.0 * t_abs)
         occupied = math.fsum(sp.degeneracies * expit((mu - sp.energies) / t_abs))
         assert abs(occupied - n_particles) <= 1e-10 * n_particles
+
+
+@pytest.mark.parametrize("guess", [None, 0.0, 10.0, math.nan, DomainError])
+def test_one_root_search_per_solve(monkeypatch, guess):
+    # however good or bad the continuum guess, exact_mu searches once
+    calls = []
+
+    def counting(g, lo, hi, x=None):
+        calls.append(x)
+        return monotone_root(g, lo, hi, x)
+
+    def solve_mu(t):
+        if guess is DomainError:
+            raise DomainError(f"no continuum mu at t = {t!r}")
+        return guess
+
+    monkeypatch.setattr(oracle, "monotone_root", counting)
+    if guess is not None:
+        monkeypatch.setattr(oracle, "solve_mu", solve_mu)
+    for t, n_particles, lam in BRENTQ_CASES:
+        calls.clear()
+        fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lam", [1.0, math.sqrt(8.0)])
