@@ -10,20 +10,24 @@ their second differences and two running sums give them all, with no
 per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
 the isotropic trap; irrational lambda has one per row.  build_spectrum
 sorts the entries and merges equal energies; exact_mu sums over them
-unsorted.  Work and memory grow with the entries, which are capped at
-MAX_ENTRIES, as the axial rows are before any per-level work; a spectrum
-of 2^53 states or more is refused, so every count is an exact float.
+unsorted.  Work and memory grow with the entries and the axial rows, capped
+at MAX_ENTRIES and MAX_ROWS before any per-entry or per-row array; a
+spectrum of 2^53 states or more is refused, so every count is an exact float.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
 search on the whole spectrum's bracket.  Newton starts at the continuum
 estimate solve_mu(t) E_F - (1 + lambda/2), or at the bracket's low end if
-solve_mu fails; the estimate picks only the start.  Each Newton step is a
-few numpy passes over the L levels: the occupied fraction and its slope
-sum (g/N) f (1 - f)/T are numpy's pairwise sums.  Their terms are all
-positive, so each sum is within (log2(L) + 18) eps of exact, relative,
-with eps = 2.2e-16 (8e-15 at the 840,000 levels of N = 1e6, lambda =
-sqrt 8).  No BLAS routine runs, so the results do not depend on the BLAS
-library or its thread count.
+solve_mu fails; the estimate picks only the start.  The L levels are
+exponentiated once, b = e^((eps - ref)/T) at ref = the start (again only
+if a step lands more than _REUSE_SPAN T from ref), and each Newton step
+is the rescale u = b e^((ref - mu)/T), f = 1/(1 + u) and numpy's pairwise
+sums of the positive terms (g/N) f and (g/N) f (1 - f), in buffers
+allocated once.  The occupied fraction is within
+(X + 2|d| + (log2(L) + 27)/2) em of exact, relative, em = 2^-52, with
+d = (mu - ref)/T, |d| <= 30, and X = sum g f (1 - f)|x| / sum g f with
+x = (eps - mu)/T, below 0.9 at t <= 0.2 (README "Numerics" derives it):
+5.4e-15 at the 840,000 levels of N = 1e6, lambda = sqrt 8.  No BLAS routine
+runs, so the results do not depend on the BLAS library or its thread count.
 
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
@@ -41,11 +45,13 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NumericsError, check_count, check_finite, to_float
-from .fdint import fermi
 from .record import Record
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
+# an axial row costs 130-165 transient bytes, four entries' worth, so this
+# holds the per-row arrays to the ~191 MB peak at the entry cap
+MAX_ROWS = MAX_ENTRIES // 4
 # top closed shell of exact_central_density, whose exact integer binomial
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
@@ -56,6 +62,10 @@ _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 
 # largest |occupied fraction - 1| that exact_mu accepts
 _OCCUPATION_TOL = 1e-10
+
+# exact_mu reuses e^((eps - ref)/T) while |mu - ref| <= _REUSE_SPAN T: a span
+# below 709 keeps math.exp((ref - mu)/T) finite; the rounding grows with it
+_REUSE_SPAN = 30.0
 
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
 
@@ -82,9 +92,9 @@ def _ladders(lam: float, cutoff: float):
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
     where = f"lambda = {lam!r}, cutoff = {cutoff!r}"
-    if cutoff / lam >= MAX_ENTRIES:  # floor(cutoff/lam) + 1 axial levels > MAX_ENTRIES
-        raise DomainError(f"{where}: cutoff/lambda = {cutoff / lam:.6g} axial levels "
-                          f"exceed the {MAX_ENTRIES} cap")
+    if cutoff / lam >= MAX_ROWS:  # floor(cutoff/lam) + 1 axial rows > MAX_ROWS
+        raise DomainError(f"{where}: the spectrum has {np.floor(cutoff / lam) + 1.0:.7g} "
+                          f"axial rows, above the {MAX_ROWS} row cap")
     base = lam * np.arange(math.floor(cutoff / lam) + 1)
     top = np.floor(cutoff - base)  # row n_z holds p = 0..top
     rows = top >= 0.0  # the last row's base can round to above the cutoff
@@ -184,22 +194,26 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
                 "the ground state is ambiguous")
         return 0.5 * (energies[idx] + energies[idx + 1])
 
-    weights = degs / n_particles
-    del degs
+    weights = np.divide(degs, n_particles, out=degs)  # in place
+    # e^((eps - mu)/T) = b e^((ref - mu)/T); five arrays of levels live
+    b, occ, filled = (np.empty_like(energies) for _ in range(3))
+    ref = math.nan
 
     def constraint(mu):
-        # occupied fraction - 1, and its slope sum g f (1 - f) / (N T), as
-        # pairwise numpy sums of positive terms; x goes before filled comes,
-        # so at most five arrays of levels live: energies, weights, x and two
-        # inside fermi
-        x = energies - mu
-        x /= t_abs
-        occ = fermi(x)
-        del x
-        filled = weights * occ
+        # occupied fraction - 1 and its slope sum g f (1 - f)/(N T), pairwise
+        nonlocal ref
+        if not abs(ref - mu) <= _REUSE_SPAN * t_abs:  # the first call too
+            ref = mu
+            np.subtract(energies, ref, out=b)
+            np.divide(b, t_abs, out=b)
+            np.exp(b, out=b)  # inf far above mu: 1/(1 + inf) = 0, no NaN
+        np.multiply(b, math.exp((ref - mu) / t_abs), out=occ)
+        np.add(occ, 1.0, out=occ)
+        np.divide(1.0, occ, out=occ)
+        np.multiply(weights, occ, out=filled)
         occupied = float(filled.sum())
         np.subtract(1.0, occ, out=occ)
-        filled *= occ
+        np.multiply(filled, occ, out=filled)
         return occupied - 1.0, float(filled.sum()) / t_abs
 
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
@@ -213,7 +227,8 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     except (DomainError, NumericsError):
         start = lo
     try:
-        mu, residual = monotone_root(constraint, lo, float(energies.max()), start)
+        with np.errstate(over="ignore"):  # e^x overflows to inf above mu
+            mu, residual = monotone_root(constraint, lo, float(energies.max()), start)
     except NumericsError as exc:
         raise NumericsError(f"mu search for {where}: {exc}") from exc
     if abs(residual) > _OCCUPATION_TOL:

@@ -583,3 +583,11 @@ def test_validity_default_radii_are_the_numpy_expression():
     radii = build_parser().parse_args(["validity"]).radii
     assert all(type(s) is float for s in radii)
     assert radii == [round(x, 3) for x in np.linspace(0.0, 1.2, 25)]
+
+
+def test_oracle_at_low_temperature_prints_no_warning():
+    # e^((eps - mu)/T) overflows for the levels far above mu at t = 1e-4
+    proc = subprocess.run([sys.executable, "-m", "fermigas", "oracle", "--n", "969",
+                           "--t", "0.0001"], capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")

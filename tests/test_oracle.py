@@ -78,6 +78,14 @@ def test_entry_and_state_caps():
     # p <= 300,000 and rows 2q - 1 and 2q hold p <= 300,000 - q
     sp = fg.build_spectrum(0.5, 3e5)
     assert sp.state_count == math.comb(300_002, 2) + 2 * math.comb(300_002, 3)
+    # refused on the axial rows before the per-row work: 3.6e7 entries, and
+    # 4.95e6 rows of one entry each
+    with pytest.raises(DomainError, match=r"^lambda = 0\.001, cutoff = 4999\.0: the spectrum "
+                                          r"has 4999001 axial rows, above the 1250000 row cap$"):
+        fg.build_spectrum(0.001, 4999.0)
+    with pytest.raises(DomainError, match=r"^lambda = 2e-07, cutoff = 0\.99: the spectrum has "
+                                          r"4950001 axial rows, above the 1250000 row cap$"):
+        fg.build_spectrum(2e-7, 0.99)
 
 
 def test_exact_mu_of_ten_million_isotropic_particles():
@@ -236,8 +244,10 @@ def test_level_sum_sorts_nothing(monkeypatch):
         assert fg.exact_mu(30_000, lam, t_abs) == pytest.approx(mu, rel=1e-14)
 
 
-def test_warm_bracket_constraint_evaluations(monkeypatch):
-    evaluations = []
+def test_constraint_evaluations_per_solve(monkeypatch):
+    # Newton from the continuum start stays within the reuse span, so each
+    # solve exponentiates the levels once
+    evaluations, exp_passes = [], []
 
     def counting(g, lo, hi, x=None):
         def counted(mu):
@@ -245,24 +255,42 @@ def test_warm_bracket_constraint_evaluations(monkeypatch):
             return g(mu)
         return monotone_root(counted, lo, hi, x)
 
+    real_exp = np.exp
+
+    def counting_exp(*args, **kwargs):
+        exp_passes.append(args)
+        return real_exp(*args, **kwargs)
+
     monkeypatch.setattr(oracle, "monotone_root", counting)
+    monkeypatch.setattr(np, "exp", counting_exp)
     for t, n_particles, lam in BRENTQ_CASES:
+        exp_passes.clear()
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+        assert len(exp_passes) == 1
     assert len(evaluations) / len(BRENTQ_CASES) <= 4.5
 
 
-@pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError])
+# a float guess is the continuum mu itself; ("spans", k) starts Newton
+# k _REUSE_SPAN T from the root, so the search reuses e^((eps - ref)/T)
+# (|k| < 1) or recomputes it (|k| > 1) on either side of the root
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError] + [
+    pytest.param(("spans", k), id=f"start-{k:+g}-spans") for k in (-2.0, -0.5, 0.5, 2.0)])
 def test_continuum_guess_never_decides_the_answer(monkeypatch, guess):
     cases = [(n, lam, t * (6.0 * lam * n) ** (1 / 3)) for t, n, lam in BRENTQ_CASES]
     expected = [fg.exact_mu(*case) for case in cases]
+    start = None
 
     def solve_mu(t):
         if guess is DomainError:
             raise DomainError(f"no continuum mu at t = {t!r}")
-        return guess
+        return guess if start is None else start
 
     monkeypatch.setattr(oracle, "solve_mu", solve_mu)
     for (n_particles, lam, t_abs), mu0 in zip(cases, expected):
+        if isinstance(guess, tuple):  # exact_mu starts at m E_F - (1 + lambda/2)
+            start = ((mu0 + guess[1] * oracle._REUSE_SPAN * t_abs + 1.0 + 0.5 * lam)
+                     / (6.0 * lam * n_particles) ** (1 / 3))
         mu = fg.exact_mu(n_particles, lam, t_abs)
         assert abs(mu - mu0) <= 4.0 * math.ulp(mu0)
         sp = fg.build_spectrum(lam, 1.5 * (6.0 * lam * n_particles) ** (1 / 3) + 45.0 * t_abs)
@@ -344,6 +372,7 @@ LOW_T_DEFECT = pytest.mark.xfail(strict=True, raises=NumericsError,
     (969, 1.0, 1e-12),
     (30_000, math.sqrt(8.0), 1e-11),
 ])
+@pytest.mark.filterwarnings("error")  # e^((eps - mu)/T) overflows above mu
 def test_continuum_comparison_at_low_temperature(n_particles, lam, t):
     comp = fg.continuum_comparison(n_particles, lam, t)
     assert math.isfinite(comp.gap_raw) and math.isfinite(comp.gap_adjusted)
