@@ -202,7 +202,7 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     def constraint(mu):
         # occupied fraction - 1 and its slope sum g f (1 - f)/(N T), pairwise
         nonlocal ref
-        if not abs(ref - mu) <= _REUSE_SPAN * t_abs:  # the first call too
+        if not abs(ref - mu) <= _REUSE_SPAN * t_abs:  # ref is nan at the first call
             ref = mu
             np.subtract(energies, ref, out=b)
             np.divide(b, t_abs, out=b)

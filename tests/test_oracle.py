@@ -271,8 +271,9 @@ def test_constraint_evaluations_per_solve(monkeypatch):
 
 
 # a float guess is the continuum mu itself; ("spans", k) starts Newton
-# k _REUSE_SPAN T from the root, so the search reuses e^((eps - ref)/T)
-# (|k| < 1) or recomputes it (|k| > 1) on either side of the root
+# k _REUSE_SPAN T from the root, so the root lies inside (|k| < 1) or
+# outside (|k| > 1) the span around the start where e^((eps - ref)/T) is
+# reused, on either side
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError] + [
     pytest.param(("spans", k), id=f"start-{k:+g}-spans") for k in (-2.0, -0.5, 0.5, 2.0)])
