@@ -193,22 +193,11 @@ def band(k: float, eta: float) -> str:
     return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "trapezoid"
 
 
-def fermi(x):
-    """Fermi factor 1/(exp(x) + 1), overflow safe for any x: a float for a
-    float x, else elementwise.  numpy's exp is not libm's, so the two can
-    differ in the last bits; each is within 2 ulp of the exact value."""
-    if isinstance(x, float):
-        ex = math.exp(-abs(x))
-        return (ex if x >= 0 else 1.0) / (1.0 + ex)
-    import numpy as np
-
-    ex = np.abs(x)  # in place from here: two arrays of x's size besides x
-    np.negative(ex, out=ex)
-    np.exp(ex, out=ex)
-    out = np.where(x >= 0, ex, 1.0)
-    ex += 1.0
-    out /= ex
-    return out
+def fermi(x: float) -> float:
+    """Fermi factor 1/(exp(x) + 1) of a float x, overflow safe for any x and
+    within 2 ulp of the exact value."""
+    ex = math.exp(-abs(x))
+    return (ex if x >= 0 else 1.0) / (1.0 + ex)
 
 
 def _closed_forms(ks, eta: float) -> list:

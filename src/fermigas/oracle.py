@@ -10,9 +10,10 @@ their second differences and two running sums give them all, with no
 per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
 the isotropic trap; irrational lambda has one per row.  build_spectrum
 sorts the entries and merges equal energies; exact_mu sums over them
-unsorted.  Work and memory grow with the entries and the axial rows, capped
-at MAX_ENTRIES and MAX_ROWS before any per-entry or per-row array; a
-spectrum of 2^53 states or more is refused, so every count is an exact float.
+unsorted.  Work and memory grow with the entries and the axial rows: the
+rows are capped at MAX_ROWS before any per-row array, and the entries plus
+four per row at MAX_ENTRIES before any per-entry array; a spectrum of 2^53
+states or more is refused, so every count is an exact float.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
 search on the whole spectrum's bracket.  Newton starts at the continuum
@@ -115,9 +116,10 @@ def _ladders(lam: float, cutoff: float):
     size = hi - lo + 1.0
     start = np.cumsum(size) - size
     total = int(start[-1] + size[-1])
-    if total > MAX_ENTRIES:
-        raise DomainError(f"{where}: the spectrum has {total} ladder entries, above the "
-                          f"{MAX_ENTRIES} entry cap")
+    if total + 4 * top.size > MAX_ENTRIES:  # a row costs four entries' bytes
+        raise DomainError(f"{where}: the spectrum has {total} ladder entries and {top.size} "
+                          f"axial rows, above the {MAX_ENTRIES} entry cap counting each row "
+                          "as 4 entries")
     # row n_z adds the ramp k - a + 1 on k = a..a + top: second differences
     # +1 at its first slot, -(top + 2) and +(top + 1) after its last
     at = (start - lo)[ladder] + a
@@ -126,13 +128,11 @@ def _ladders(lam: float, cutoff: float):
                        minlength=total + 2)[:total]
     np.cumsum(degs, out=degs)
     np.cumsum(degs, out=degs)
-    # k as a running sum of unit steps that jumps from hi_(j-1) to lo_j
-    jump = lo.copy()
-    jump[1:] -= hi[:-1]
-    energies = np.ones(total)
-    energies[start.astype(np.intp)] = jump
-    np.cumsum(energies, out=energies)
-    energies += np.repeat(fracs, size.astype(np.intp))
+    # entry start_j + i of ladder j is k = lo_j + i, an exact float integer
+    sizes = size.astype(np.intp)
+    energies = np.repeat(lo - start, sizes)
+    energies += np.arange(total)
+    energies += np.repeat(fracs, sizes)
     return energies, degs
 
 
@@ -218,7 +218,7 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
 
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
              f"over {energies.size} levels")
-    lo = float(energies.min()) - 60.0 * t_abs - 1.0
+    lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
     try:
         # Newton from the continuum mu with the zero point removed
         if m_continuum is None:

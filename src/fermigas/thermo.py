@@ -5,8 +5,9 @@ t = k_B T / E_F: the chemical potential m = mu/E_F solves
 
     6 t^3 f_3(m/t) = 1,
 
-the energy per particle is u = 18 t^4 f_4(m/t) (in units of E_F) and the
-heat capacity per particle follows from implicit differentiation of the
+the energy per particle is u = 18 t^4 f_4(m/t) (in units of E_F), evaluated
+as 3 t f_4/f_3 after dividing by the solved constraint, and the heat
+capacity per particle follows from implicit differentiation of the
 constraint:
 
     c = 12 f_4(eta)/f_3(eta) - 9 f_3(eta)/f_2(eta),   eta = m/t.
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
-from .fdint import _closed_forms, band, fd, fd_orders
+from .fdint import _closed_forms, band, fd_orders
 from .record import Record
 
 _RESIDUAL_TOL = 1e-12
@@ -48,10 +49,8 @@ _RESIDUAL_TOL = 1e-12
 # resolution while eta = m/t overflows intermediate powers
 _TINY_T = 1e-9
 
-# the factors 6 t^3 of the constraint and 18 t^4 of u overflow a double just
-# above these (at 3.1e102 and 5.6e76)
+# the factor 6 t^3 of the constraint overflows a double just above this (at 3.1e102)
 _T_MAX_MU = 3e102
-_T_MAX_U = 5e76
 
 
 class ThermoState(Record):
@@ -135,12 +134,6 @@ def monotone_root(g, lo: float, hi: float, x=None) -> tuple:
     raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
 
-def _check_cap(t: float, cap: float, quantity: str):
-    if t > cap:
-        raise DomainError(f"reduced temperature must be at most {cap:g} for {quantity}, "
-                          f"got {t!r}")
-
-
 def _residual_error(t: float, m: float, residual: float):
     eta = m / t
     return NumericsError(f"constraint residual {residual:.3e} above tolerance at t={t!r}, "
@@ -168,7 +161,9 @@ def solve_mu(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
-    _check_cap(t, _T_MAX_MU, "m")
+    if t > _T_MAX_MU:
+        raise DomainError(f"reduced temperature must be at most {_T_MAX_MU:g} for m, "
+                          f"got {t!r}")
 
     c3, c2 = 6.0 * t ** 3, 6.0 * t * t
 
@@ -188,13 +183,14 @@ def solve_mu(t: float) -> float:
 
 
 def internal_energy(t: float) -> float:
-    """Energy per particle u(t) in units of E_F; 3/4 at t = 0."""
+    """Energy per particle u(t) in units of E_F; 3/4 at t = 0.  18 t^4 f_4(m/t)
+    over the solved 6 t^3 f_3(m/t) = 1 is 3 t f_4/f_3, which no power of t can
+    overflow and the rounding of m moves far less than f_4 alone."""
     t = _check_t(t)
     if t <= _TINY_T:
         return 0.75
-    _check_cap(t, _T_MAX_U, "u")
-    m = solve_mu(t)
-    return 18.0 * t ** 4 * fd(4.0, m / t)
+    f4, f3 = _closed_forms((4.0, 3.0), solve_mu(t) / t)
+    return 3.0 * t * f4 / f3
 
 
 def heat_capacity(t: float) -> float:

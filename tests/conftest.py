@@ -4,8 +4,8 @@ import math
 
 import mpmath
 from scipy.integrate import quad
+from scipy.special import expit
 
-from fermigas.fdint import fermi
 from quadrature import adaptive_gl_split
 
 
@@ -41,7 +41,7 @@ def adaptive_fd(k, eta):
     scale = max(math.exp(min(eta, 0.0)), max(eta, 0.0) ** k / math.gamma(k + 1.0))
 
     def integrand(v):
-        return 2.0 * v ** (2.0 * k - 1.0) * fermi(v * v - eta)
+        return 2.0 * v ** (2.0 * k - 1.0) * expit(eta - v * v)
 
     raw = adaptive_gl_split(integrand, edges, abs_tol=1e-13 * max(scale, 1e-3))
     return raw / math.gamma(k)

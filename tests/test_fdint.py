@@ -172,8 +172,6 @@ def test_fermi_factor_against_extended_precision():
     with mpmath.workdps(30):
         exact = np.array([_correctly_rounded(1 / (mpmath.exp(mpmath.mpf(float(v))) + 1))
                           for v in x])
-    np.testing.assert_array_max_ulp(fermi(x), exact, maxulp=2)
-    # a float runs libm's exp, not numpy's, with the same bound
     scalar = [fermi(v) for v in x.tolist()]
     assert all(type(occ) is float for occ in scalar)
     np.testing.assert_array_max_ulp(np.array(scalar), exact, maxulp=2)
@@ -181,12 +179,11 @@ def test_fermi_factor_against_extended_precision():
 
 
 def test_fermi_factor_saturates_without_warnings():
-    x = np.array([-1e308, -1e4, -750.0, 750.0, 1e4, 1e308, -math.inf, math.inf])
+    x = [-1e308, -1e4, -750.0, 750.0, 1e4, 1e308, -math.inf, math.inf]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        occ = fermi(x)
-        scalar = [fermi(v) for v in x.tolist()]
-    assert occ.tolist() == scalar == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        scalar = [fermi(v) for v in x]
+    assert scalar == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
 
 # -1 < eta < 30 and the points nearest its edges: the trapezoid band of the

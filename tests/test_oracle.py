@@ -66,9 +66,16 @@ def test_cell_cap():
 def test_entry_and_state_caps():
     # 1.77e7 entries, one ladder per axial row
     with pytest.raises(DomainError, match=r"^lambda = 2\.8284271247461903, cutoff = 10000\.0: "
-                                          r"the spectrum has 17684439 ladder entries, above "
-                                          r"the 5000000 entry cap$"):
+                                          r"the spectrum has 17684439 ladder entries and 3536 "
+                                          r"axial rows, above the 5000000 entry cap counting "
+                                          r"each row as 4 entries$"):
         fg.build_spectrum(math.sqrt(8.0), 1e4)
+    # under each cap alone (4.37e6 entries, 1.25e6 rows), but the per-row and
+    # per-entry arrays together would peak near 280 MB
+    with pytest.raises(DomainError, match=r"^lambda = 4\.800385538807578e-06, cutoff = 6\.0: "
+                                          r"the spectrum has 4374653 ladder entries and "
+                                          r"1249900 axial rows, above the 5000000 entry cap"):
+        fg.build_spectrum(4.800385538807578e-06, 6.0)
     # 400,001 entries but 1.07e16 states, past exact float integers
     with pytest.raises(DomainError, match=r"^lambda = 1\.0, cutoff = 400000\.0: the spectrum "
                                           r"holds 1\.06668e\+16 states, at or above the 2\^53 "
