@@ -311,7 +311,7 @@ def test_energy_takes_the_chemical_potential_cap(entry, per_t):
 
 
 def test_internal_energy_against_mpmath():
-    # 3 t f_4/f_3 over m's whole domain; 18 t^4 f_4 was 4.5e-14 off at t = 3.3e75
+    # over m's whole domain, 40 digits against the double's 1.1e-16
     with mpmath.workdps(40):
         for t in np.geomspace(1e-3, 3e102, 40).tolist():
             exact = mp_thermo(t)[1]
