@@ -296,15 +296,30 @@ def test_overflowing_temperature_rejected(entry, t):
         entry(t)
 
 
+def _msd_curve_last(t):
+    return fg.msd_curve([0.5, t]).samples[-1][1]
+
+
+@pytest.mark.parametrize("entry, t, per_t", [
+    pytest.param(fg.internal_energy, 1e77, 3.0, id="internal_energy-1e+77"),
+    pytest.param(fg.internal_energy, 1.2e77, 3.0, id="internal_energy-1.2e+77"),
+    pytest.param(fg.mean_square_size, 1e77, 1.5, id="mean_square_size-1e+77"),
+    pytest.param(_msd_curve_last, 1e77, 1.5, id="msd_curve-1e+77"),
+])
+def test_accepted_above_the_former_energy_cap(entry, t, per_t):
+    # u and <rho^2> once refused t above 5e76; now u = 3t and <rho^2> = 3t/2 there
+    assert entry(t) == pytest.approx(per_t * t, rel=1e-12)
+
+
 @pytest.mark.parametrize("entry, per_t", [
     pytest.param(fg.internal_energy, 3.0, id="internal_energy"),
     pytest.param(fg.mean_square_size, 1.5, id="mean_square_size"),
-    pytest.param(lambda t: fg.msd_curve([0.5, t]).samples[-1][1], 1.5, id="msd_curve"),
+    pytest.param(_msd_curve_last, 1.5, id="msd_curve"),
 ])
 def test_energy_takes_the_chemical_potential_cap(entry, per_t):
     # the classical limits u = 3t and <rho^2> = 3t/2 hold up to m's cap,
     # and above it the refusal names m
-    for t in [1e77, 1.2e77] + np.geomspace(1e77, 3e102, 12).tolist():
+    for t in np.geomspace(1e77, 3e102, 12).tolist():
         assert entry(t) == pytest.approx(per_t * t, rel=1e-12)
     with pytest.raises(DomainError, match=re.escape("at most 3e+102 for m, got 4e+102")):
         entry(4e102)
