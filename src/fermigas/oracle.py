@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NumericsError, check_count, check_finite, to_float
+from .fdint import _closed_forms
 from .record import Record
 from .thermo import _check_t, monotone_root, solve_mu
 
@@ -57,9 +58,11 @@ MAX_ROWS = MAX_ENTRIES // 4
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
 
-# exact_mu enumerates levels up to _CUTOFF_SCALE E_F + 36 t_abs + 2, which
-# holds about twice N states and leaves the occupation below exp(-36) there
+# exact_mu brackets mu by _CUTOFF_SCALE E_F + 2, which holds about twice N
+# states, enumerates the levels up to _TAIL_GAP T above that and sums the rest
+# per axial row in closed form
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
+_TAIL_GAP = 12.0
 
 # largest |occupied fraction - 1| that exact_mu accepts
 _OCCUPATION_TOL = 1e-10
@@ -87,7 +90,8 @@ class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
 def _ladders(lam: float, cutoff: float):
     """Every level with energy <= cutoff as unsorted (energies, degeneracies)
     arrays with one entry per k of each ladder frac + k, k an integer; two
-    ladders may share a float energy."""
+    ladders may share a float energy.  Also returns each axial row's base
+    lambda*n_z and top p, for n_z = 0..rows - 1."""
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
@@ -100,6 +104,14 @@ def _ladders(lam: float, cutoff: float):
     top = np.floor(cutoff - base)  # row n_z holds p = 0..top
     rows = top >= 0.0  # the last row's base can round to above the cutoff
     base, top = base[rows], top[rows]
+    # a ladder holds its first row's top + 1 entries and one slot for the
+    # integer part a of each of its rows, so the entries are at least
+    # max(rows, top[0] + 1): refuse on that before the per-row arrays
+    least = max(top.size, top[0] + 1.0)
+    if least + 4 * top.size > MAX_ENTRIES:
+        raise DomainError(f"{where}: the spectrum has at least {least:.0f} ladder entries and "
+                          f"{top.size} axial rows, above the {MAX_ENTRIES} entry cap counting "
+                          "each row as 4 entries")
     # twice the state count: a sum of even integers, exact below 2^54
     states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
     if states >= 2.0 ** 53:
@@ -133,7 +145,7 @@ def _ladders(lam: float, cutoff: float):
     energies = np.repeat(lo - start, sizes)
     energies += np.arange(total)
     energies += np.repeat(fracs, sizes)
-    return energies, degs
+    return energies, degs, base, top
 
 
 def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
@@ -141,7 +153,7 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
-    energies, degs = _ladders(lam, cutoff)
+    energies, degs = _ladders(lam, cutoff)[:2]
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -169,23 +181,53 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
                      check_finite("t_abs", t_abs), None)
 
 
+def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
+    """[S_1, S_2, S_3], S_j = sum of g e^(-j (eps - cutoff)/T) over the levels
+    above the cutoff, from the axial rows' base and top that
+    _ladders(lam, cutoff) returned.  With q = e^(-j/T), row n_z adds
+    e^(-j (base - cutoff)/T) sum_(p >= p0) (p + 1) q^p, p0 = top + 1, which is
+    e^(-j (base + p0 - cutoff)/T) ((p0 + 1)/(1 - q) + q/(1 - q)^2); the rows
+    n_z >= rows, wholly above the cutoff, add
+    e^(-j (lambda rows - cutoff)/T) / ((1 - e^(-j lambda/T)) (1 - q)^2)."""
+    import numpy as np
+
+    rows = top.size
+    powers = np.empty((3, rows))
+    # e^(-(eps_0 - cutoff)/T) of each row's first level above the cutoff:
+    # eps_0 = fl(base + p0) as in the ladders, and eps_0 - cutoff is exact
+    first = top + 1.0
+    first += base
+    first -= cutoff
+    np.divide(first, -t_abs, out=powers[0])
+    np.exp(powers[0], out=powers[0])
+    np.multiply(powers[0], powers[0], out=powers[1])
+    np.multiply(powers[1], powers[0], out=powers[2])
+    plain = np.add.reduce(powers, 1).tolist()
+    powers *= top + 2.0  # p0 + 1
+    ramped = np.add.reduce(powers, 1).tolist()
+    past = math.exp(-(lam * rows - cutoff) / t_abs)
+    sums = []
+    for j, (row_sum, ramp_sum) in enumerate(zip(plain, ramped), 1):
+        gap = -math.expm1(-j / t_abs)  # 1 - q
+        beyond = past ** j / -math.expm1(-j * lam / t_abs)
+        sums.append((ramp_sum + (row_sum * math.exp(-j / t_abs) + beyond) / gap) / gap)
+    return sums
+
+
 def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     """exact_mu of checked arguments; m_continuum is solve_mu(t_abs / E_F), or
     None to solve it here."""
     import numpy as np
 
     e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
-    cutoff = _CUTOFF_SCALE * e_fermi_est + 36.0 * t_abs + 2.0
+    hi = _CUTOFF_SCALE * e_fermi_est + 2.0
     if t_abs == 0.0:
-        spectrum = build_spectrum(lam, cutoff)
+        spectrum = build_spectrum(lam, hi)
         energies, degs = spectrum.energies, spectrum.degeneracies
-    else:
-        energies, degs = _ladders(lam, cutoff)  # unsorted: the sums need no order
-    states = int(degs.sum())
-    if states < n_particles:
-        raise DomainError(
-            f"cutoff {cutoff:.3g} holds only {states} states for N = {n_particles}")
-    if t_abs == 0.0:
+        states = int(degs.sum())
+        if states < n_particles:
+            raise DomainError(
+                f"cutoff {hi:.3g} holds only {states} states for N = {n_particles}")
         cumulative = np.cumsum(degs)
         idx = int(np.searchsorted(cumulative, n_particles))
         if cumulative[idx] != n_particles:
@@ -194,13 +236,19 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
                 "the ground state is ambiguous")
         return 0.5 * (energies[idx] + energies[idx + 1])
 
+    # mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
+    cutoff = hi + _TAIL_GAP * t_abs
+    energies, degs, base, top = _ladders(lam, cutoff)  # unsorted: no order needed
+    s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
+    del base, top
     weights = np.divide(degs, n_particles, out=degs)  # in place
     # e^((eps - mu)/T) = b e^((ref - mu)/T); five arrays of levels live
     b, occ, filled = (np.empty_like(energies) for _ in range(3))
     ref = math.nan
 
     def constraint(mu):
-        # occupied fraction - 1 and its slope sum g f (1 - f)/(N T), pairwise
+        # occupied fraction - 1 and its slope sum g f (1 - f)/(N T), pairwise,
+        # plus the tail sum_j (-1)^(j+1) z^j S_j/N, z = e^((mu - cutoff)/T)
         nonlocal ref
         if not abs(ref - mu) <= _REUSE_SPAN * t_abs:  # ref is nan at the first call
             ref = mu
@@ -214,21 +262,27 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
         occupied = float(filled.sum())
         np.subtract(1.0, occ, out=occ)
         np.multiply(filled, occ, out=filled)
-        return occupied - 1.0, float(filled.sum()) / t_abs
+        z = math.exp((mu - cutoff) / t_abs)
+        return (occupied + z * (s1 - z * (s2 - z * s3)) - 1.0,
+                (float(filled.sum()) + z * (s1 - z * (2.0 * s2 - 3.0 * z * s3))) / t_abs)
 
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
              f"over {energies.size} levels")
     lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
     try:
-        # Newton from the continuum mu with the zero point removed
+        # Newton from the continuum mu with the zero point removed, moved for
+        # the constant -(2 + lambda^2)/(24 lambda) of the smooth level density
         if m_continuum is None:
             m_continuum = solve_mu(t_abs / e_fermi_est)
+        t = t_abs / e_fermi_est
+        f2, f1 = _closed_forms((2.0, 1.0), m_continuum / t)
+        m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi_est ** 2 * t) * (f1 / f2)
         start = m_continuum * e_fermi_est - (1.0 + 0.5 * lam)
     except (DomainError, NumericsError):
         start = lo
     try:
         with np.errstate(over="ignore"):  # e^x overflows to inf above mu
-            mu, residual = monotone_root(constraint, lo, float(energies.max()), start)
+            mu, residual = monotone_root(constraint, lo, hi, start)
     except NumericsError as exc:
         raise NumericsError(f"mu search for {where}: {exc}") from exc
     if abs(residual) > _OCCUPATION_TOL:

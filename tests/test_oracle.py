@@ -43,7 +43,8 @@ def test_irrational_anisotropy_keeps_planar_shells_distinct():
 @pytest.mark.parametrize("t", [0.0, 0.02, 0.05, 0.2])
 def test_spectrum_matches_dict_enumeration(lam, n_particles, t):
     e_fermi = (6.0 * lam * n_particles) ** (1 / 3)
-    cutoff = 2 ** (1 / 3) * e_fermi + 36.0 * t * e_fermi + 2.0  # exact_mu's cutoff
+    # past exact_mu's window, which ends 12 t_abs above 2^(1/3) E_F + 2
+    cutoff = 2 ** (1 / 3) * e_fermi + 36.0 * t * e_fermi + 2.0
     sp = fg.build_spectrum(lam, cutoff)
     energies, degeneracies = dict_spectrum(lam, cutoff)
     assert np.array_equal(sp.energies, energies)
@@ -71,9 +72,10 @@ def test_entry_and_state_caps():
                                           r"each row as 4 entries$"):
         fg.build_spectrum(math.sqrt(8.0), 1e4)
     # under each cap alone (4.37e6 entries, 1.25e6 rows), but the per-row and
-    # per-entry arrays together would peak near 280 MB
+    # per-entry arrays together would peak near 280 MB; every row holds at
+    # least one ladder entry, so it is refused before the per-row arrays
     with pytest.raises(DomainError, match=r"^lambda = 4\.800385538807578e-06, cutoff = 6\.0: "
-                                          r"the spectrum has 4374653 ladder entries and "
+                                          r"the spectrum has at least 1249900 ladder entries and "
                                           r"1249900 axial rows, above the 5000000 entry cap"):
         fg.build_spectrum(4.800385538807578e-06, 6.0)
     # 400,001 entries but 1.07e16 states, past exact float integers
@@ -93,6 +95,21 @@ def test_entry_and_state_caps():
     with pytest.raises(DomainError, match=r"^lambda = 2e-07, cutoff = 0\.99: the spectrum has "
                                           r"4950001 axial rows, above the 1250000 row cap$"):
         fg.build_spectrum(2e-7, 0.99)
+    # 7.89e6 entries up to 2^(1/3) E_F + 2 + 36 t_abs, refused before the
+    # level sum ended its window 12 t_abs above 2^(1/3) E_F + 2
+    lam = math.sqrt(8.0)
+    e_fermi = (6.0 * lam * 10_000_000) ** (1 / 3)
+    assert fg.exact_mu(10_000_000, lam, 0.3 * e_fermi) == pytest.approx(
+        fg.solve_mu(0.3) * e_fermi - (1.0 + 0.5 * lam), rel=1e-3)
+
+
+def test_entry_cap_refuses_before_the_per_row_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-row work")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    with pytest.raises(DomainError, match="entry cap"):
+        fg.build_spectrum(4.800385538807578e-06, 6.0)
 
 
 def test_exact_mu_of_ten_million_isotropic_particles():
@@ -111,9 +128,10 @@ def test_exact_mu_of_ten_million_isotropic_particles():
     assert fg.exact_mu(n_particles, 1.0, t_abs) == pytest.approx(expected, rel=1e-14)
 
 
-# The residue, 1e-13 at t = 0.6, is the classical tail that the cutoff at
-# 36 t_abs drops (Gamma(3, 36)/2 = 1.6e-13 of N); the roadmap's cutoff fix
-# (direction 1(b)) is to tighten this bound to 1e-15.
+# The series sums every level with no cutoff; exact_mu sums the levels more
+# than 12 t_abs above its bracket by the same Boltzmann series per axial row,
+# so no tail is dropped (a cutoff at 36 t_abs dropped Gamma(3, 36)/2 =
+# 1.6e-13 of N, and mu rose by up to 1e-13 to make up for it).
 @pytest.mark.parametrize("n_particles, lam, t", [
     (2, 0.5, 50.0), (1_000, 1.0, 5.0), (100_000, 1.0, 2.0), (10_000, 1.0, 0.6),
     (10_000, math.sqrt(8.0), 0.6), (1_000, 0.5, 1.0), (30, 1.0, 1e3)])
@@ -121,7 +139,7 @@ def test_exact_mu_against_fugacity_series(n_particles, lam, t):
     t_abs = t * (6.0 * lam * n_particles) ** (1 / 3)
     with mp.workdps(40):
         expected = float(mp_exact_mu(n_particles, lam, t_abs))
-    assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(expected, rel=2e-13)
+    assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(expected, rel=1e-15)
 
 
 def test_zero_temperature_closed_shells():
@@ -253,8 +271,8 @@ def test_level_sum_sorts_nothing(monkeypatch):
 
 def test_constraint_evaluations_per_solve(monkeypatch):
     # Newton from the continuum start stays within the reuse span, so each
-    # solve exponentiates the levels once
-    evaluations, exp_passes = [], []
+    # solve exponentiates the levels once, and the tail's axial rows once
+    evaluations, exp_sizes, shapes = [], [], []
 
     def counting(g, lo, hi, x=None):
         def counted(mu):
@@ -262,19 +280,27 @@ def test_constraint_evaluations_per_solve(monkeypatch):
             return g(mu)
         return monotone_root(counted, lo, hi, x)
 
-    real_exp = np.exp
+    real_exp, real_ladders = np.exp, oracle._ladders
 
-    def counting_exp(*args, **kwargs):
-        exp_passes.append(args)
-        return real_exp(*args, **kwargs)
+    def counting_exp(x, *args, **kwargs):
+        exp_sizes.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    def recording_ladders(lam, cutoff):
+        energies, degs, base, top = real_ladders(lam, cutoff)
+        shapes.append((energies.size, top.size))
+        return energies, degs, base, top
 
     monkeypatch.setattr(oracle, "monotone_root", counting)
+    monkeypatch.setattr(oracle, "_ladders", recording_ladders)
     monkeypatch.setattr(np, "exp", counting_exp)
     for t, n_particles, lam in BRENTQ_CASES:
-        exp_passes.clear()
+        exp_sizes.clear()
+        shapes.clear()
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
-        assert len(exp_passes) == 1
-    assert len(evaluations) / len(BRENTQ_CASES) <= 4.5
+        (levels, rows), = shapes
+        assert sorted(exp_sizes) == sorted([levels, rows])
+    assert len(evaluations) / len(BRENTQ_CASES) <= 3.0
 
 
 # a float guess is the continuum mu itself; ("spans", k) starts Newton
