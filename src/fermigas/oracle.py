@@ -100,18 +100,19 @@ def _ladders(lam: float, cutoff: float):
     if cutoff / lam >= MAX_ROWS:  # floor(cutoff/lam) + 1 axial rows > MAX_ROWS
         raise DomainError(f"{where}: the spectrum has {np.floor(cutoff / lam) + 1.0:.7g} "
                           f"axial rows, above the {MAX_ROWS} row cap")
-    base = lam * np.arange(math.floor(cutoff / lam) + 1)
-    top = np.floor(cutoff - base)  # row n_z holds p = 0..top
-    rows = top >= 0.0  # the last row's base can round to above the cutoff
-    base, top = base[rows], top[rows]
-    # a ladder holds its first row's top + 1 entries and one slot for the
-    # integer part a of each of its rows, so the entries are at least
-    # max(rows, top[0] + 1): refuse on that before the per-row arrays
-    least = max(top.size, top[0] + 1.0)
-    if least + 4 * top.size > MAX_ENTRIES:
-        raise DomainError(f"{where}: the spectrum has at least {least:.0f} ladder entries and "
-                          f"{top.size} axial rows, above the {MAX_ENTRIES} entry cap counting "
+    rows = math.floor(cutoff / lam) + 1
+    if cutoff - lam * (rows - 1) < 0.0:  # the last row's base can round above the cutoff
+        rows -= 1
+    # a ladder holds its first row's top + 1 entries and a distinct slot for
+    # the integer part of each of its rows' bases, so the entries are at least
+    # max(rows, floor(cutoff) + 1): refuse on that before any per-row array
+    least = max(rows, math.floor(cutoff) + 1)
+    if least + 4 * rows > MAX_ENTRIES:
+        raise DomainError(f"{where}: the spectrum has at least {least} ladder entries and "
+                          f"{rows} axial rows, above the {MAX_ENTRIES} entry cap counting "
                           "each row as 4 entries")
+    base = lam * np.arange(rows)
+    top = np.floor(cutoff - base)  # row n_z holds p = 0..top
     # twice the state count: a sum of even integers, exact below 2^54
     states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
     if states >= 2.0 ** 53:
@@ -272,9 +273,9 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     try:
         # Newton from the continuum mu with the zero point removed, moved for
         # the constant -(2 + lambda^2)/(24 lambda) of the smooth level density
-        if m_continuum is None:
-            m_continuum = solve_mu(t_abs / e_fermi_est)
         t = t_abs / e_fermi_est
+        if m_continuum is None:
+            m_continuum = solve_mu(t)
         f2, f1 = _closed_forms((2.0, 1.0), m_continuum / t)
         m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi_est ** 2 * t) * (f1 / f2)
         start = m_continuum * e_fermi_est - (1.0 + 0.5 * lam)
