@@ -11,23 +11,38 @@ per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
 the isotropic trap; irrational lambda has one per row.  build_spectrum
 sorts the entries and merges equal energies; exact_mu sums over them
 unsorted.  Work and memory grow with the entries and the axial rows: the
-rows are capped at MAX_ROWS before any per-row array, and the entries plus
-four per row at MAX_ENTRIES before any per-entry array; a spectrum of 2^53
-states or more is refused, so every count is an exact float.
+rows are capped at MAX_ROWS, and the entries plus four per row at
+MAX_ENTRIES, first on the lower bound max(rows, floor(cutoff) + 1) of the
+entries before any per-row array, then on their count before any
+per-entry array; a spectrum of 2^53 states or more is refused, so every
+count is an exact float.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
-search on the whole spectrum's bracket.  Newton starts at the continuum
-estimate solve_mu(t) E_F - (1 + lambda/2), or at the bracket's low end if
-solve_mu fails; the estimate picks only the start.  The L levels are
+search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds about 2N
+states, so mu <= hi.  Ladders are enumerated only up to the cutoff
+E_c = hi + 12 T.  Every level above it has x = (eps - mu)/T > 12, where
+f = e^-x - e^-2x + e^-3x to within e^-36 relative, and per axial row these
+terms are geometric series in p: _tail_sums gives their sums S_j over all
+levels above E_c in closed form, so each step adds the tail as
+sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  At
+lambda = sqrt 8 the window holds 58%, 37%, 26% and 19% of the levels up to
+E_c + 24 T at t = 0.02, 0.05, 0.1 and 0.2.  Newton starts at the continuum
+estimate solve_mu(t) E_F - (1 + lambda/2), raised by
+(2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the constant
+term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack and
+van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
+fails; the estimate picks only the start.  The L window levels are
 exponentiated once, b = e^((eps - ref)/T) at ref = the start (again only
 if a step lands more than _REUSE_SPAN T from ref), and each Newton step
 is the rescale u = b e^((ref - mu)/T), f = 1/(1 + u) and numpy's pairwise
 sums of the positive terms (g/N) f and (g/N) f (1 - f), in buffers
-allocated once.  The occupied fraction is within
+allocated once.  The window's occupied fraction is within
 (X + 2|d| + (log2(L) + 27)/2) em of exact, relative, em = 2^-52, with
-d = (mu - ref)/T, |d| <= 30, and X = sum g f (1 - f)|x| / sum g f with
-x = (eps - mu)/T, below 0.9 at t <= 0.2 (README "Numerics" derives it):
-5.4e-15 at the 840,000 levels of N = 1e6, lambda = sqrt 8.  No BLAS routine
+d = (mu - ref)/T, |d| <= 30, and X = sum g f (1 - f)|x| / sum g f, below
+0.9 at t <= 0.2 (README "Numerics" derives it): 5.1e-15 at the 157,678
+levels of N = 1e6, lambda = sqrt 8, t = 0.2.  The tail holds at most
+Gamma(3, 12)/2 = 5.2e-4 of N in the classical limit, and less when
+degenerate, so its rounding adds a few em of that share.  No BLAS routine
 runs, so the results do not depend on the BLAS library or its thread count.
 
 These sums validate the continuum treatment.  Note the continuum density

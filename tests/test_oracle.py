@@ -95,8 +95,8 @@ def test_entry_and_state_caps():
     with pytest.raises(DomainError, match=r"^lambda = 2e-07, cutoff = 0\.99: the spectrum has "
                                           r"4950001 axial rows, above the 1250000 row cap$"):
         fg.build_spectrum(2e-7, 0.99)
-    # 7.89e6 entries up to 2^(1/3) E_F + 2 + 36 t_abs, refused before the
-    # level sum ended its window 12 t_abs above 2^(1/3) E_F + 2
+    # up to 2^(1/3) E_F + 2 + 36 t_abs the spectrum holds 7.89e6 entries, past
+    # the cap; the level sum's window ends 12 t_abs above 2^(1/3) E_F + 2
     lam = math.sqrt(8.0)
     e_fermi = (6.0 * lam * 10_000_000) ** (1 / 3)
     assert fg.exact_mu(10_000_000, lam, 0.3 * e_fermi) == pytest.approx(
