@@ -142,6 +142,24 @@ def test_exact_mu_against_fugacity_series(n_particles, lam, t):
     assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("lam, cutoff, t_abs", [
+    (1.0, 20.5, 0.7), (0.5, 13.0, 3.0), (math.sqrt(8.0), 31.7, 1.3), (2.5, 9.99, 40.0),
+    (0.3, 6.2, 0.05)])
+def test_tail_sums_against_direct_level_sums(lam, cutoff, t_abs):
+    # S_j = sum of g e^(-j (eps - cutoff)/T) over every level above the
+    # cutoff, summed here level by level until the terms are negligible
+    energies, degs, base, top = oracle._ladders(lam, cutoff)
+    sums = oracle._tail_sums(cutoff, t_abs, lam, base, top)
+    far = cutoff + 50.0 * t_abs + 2.0
+    levels = [(lam * nz + p, p + 1.0) for nz in range(int(far / lam) + 1)
+              for p in range(int(far - lam * nz) + 1) if lam * nz + p > cutoff]
+    for j, s_j in enumerate(sums, 1):
+        expected = math.fsum(g * math.exp(-j * (eps - cutoff) / t_abs) for eps, g in levels)
+        assert s_j == pytest.approx(expected, rel=1e-13)
+    # the window ends at the cutoff, and each row's tail starts above it
+    assert float(energies.max()) <= cutoff < float((base + top + 1.0).min())
+
+
 def test_zero_temperature_closed_shells():
     # N = 4 fills shells 0 and 1 (1 + 3 states): gap midpoint 1.5
     assert fg.exact_mu(4, 1.0, 0.0) == 1.5
