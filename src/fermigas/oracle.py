@@ -10,12 +10,13 @@ their second differences and two running sums give them all, with no
 per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
 the isotropic trap; irrational lambda has one per row.  build_spectrum
 sorts the entries and merges equal energies; exact_mu sums over them
-unsorted.  Work and memory grow with the entries and the axial rows: the
-rows are capped at MAX_ROWS, and the entries plus four per row at
-MAX_ENTRIES, first on the lower bound max(rows, floor(cutoff) + 1) of the
-entries before any per-row array, then on their count before any
-per-entry array; a spectrum of 2^53 states or more is refused, so every
-count is an exact float.
+unsorted.  Work and memory grow with the entries and the axial rows, so
+the entries plus four per row are capped at MAX_ENTRIES: first on the lower
+bound max(rows, floor(cutoff) + 1) of the entries before any per-row
+array, then on their count before any per-entry array.  build_spectrum
+alone also refuses a spectrum of 2^53 states or more, so that its counts
+are exact floats; the level sum weighs each level by the float g/N and
+needs no such guard.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
 search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds about 2N
@@ -66,9 +67,6 @@ from .record import Record
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
-# an axial row costs 130-165 transient bytes, four entries' worth, so this
-# holds the per-row arrays to the ~191 MB peak at the entry cap
-MAX_ROWS = MAX_ENTRIES // 4
 # top closed shell of exact_central_density, whose exact integer binomial
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
@@ -111,28 +109,24 @@ def _ladders(lam: float, cutoff: float):
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    where = f"lambda = {lam!r}, cutoff = {cutoff!r}"
-    if cutoff / lam >= MAX_ROWS:  # floor(cutoff/lam) + 1 axial rows > MAX_ROWS
-        raise DomainError(f"{where}: the spectrum has {np.floor(cutoff / lam) + 1.0:.7g} "
-                          f"axial rows, above the {MAX_ROWS} row cap")
-    rows = math.floor(cutoff / lam) + 1
-    if cutoff - lam * (rows - 1) < 0.0:  # the last row's base can round above the cutoff
-        rows -= 1
+
+    def check_entries(entries, rows, bound=""):
+        if entries + 4 * rows > MAX_ENTRIES:  # a row costs four entries' bytes
+            raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum has "
+                              f"{bound}{entries:.16g} ladder entries and {rows:.16g} axial rows, "
+                              f"above the {MAX_ENTRIES} entry cap counting each row as 4 entries")
+
+    # floor(cutoff/lambda) + 1 rows as a float: inf, not an OverflowError,
+    # when the quotient is past float range
+    rows = float(np.floor(cutoff / lam)) + 1.0
+    if cutoff - lam * (rows - 1.0) < 0.0:  # the last row's base can round above the cutoff
+        rows -= 1.0
     # a ladder holds its first row's top + 1 entries and a distinct slot for
     # the integer part of each of its rows' bases, so the entries are at least
     # max(rows, floor(cutoff) + 1): refuse on that before any per-row array
-    least = max(rows, math.floor(cutoff) + 1)
-    if least + 4 * rows > MAX_ENTRIES:
-        raise DomainError(f"{where}: the spectrum has at least {least} ladder entries and "
-                          f"{rows} axial rows, above the {MAX_ENTRIES} entry cap counting "
-                          "each row as 4 entries")
-    base = lam * np.arange(rows)
+    check_entries(max(rows, math.floor(cutoff) + 1.0), rows, "at least ")
+    base = lam * np.arange(int(rows))
     top = np.floor(cutoff - base)  # row n_z holds p = 0..top
-    # twice the state count: a sum of even integers, exact below 2^54
-    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
-    if states >= 2.0 ** 53:
-        raise DomainError(f"{where}: the spectrum holds {states:.6g} states, at or above "
-                          "the 2^53 cap of exact float counts")
     a = np.floor(base)
     frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
     fracs, first, ladder = np.unique(frac, return_index=True, return_inverse=True)
@@ -144,10 +138,7 @@ def _ladders(lam: float, cutoff: float):
     size = hi - lo + 1.0
     start = np.cumsum(size) - size
     total = int(start[-1] + size[-1])
-    if total + 4 * top.size > MAX_ENTRIES:  # a row costs four entries' bytes
-        raise DomainError(f"{where}: the spectrum has {total} ladder entries and {top.size} "
-                          f"axial rows, above the {MAX_ENTRIES} entry cap counting each row "
-                          "as 4 entries")
+    check_entries(total, top.size)
     # row n_z adds the ramp k - a + 1 on k = a..a + top: second differences
     # +1 at its first slot, -(top + 2) and +(top + 1) after its last
     at = (start - lo)[ladder] + a
@@ -169,14 +160,22 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
-    energies, degs = _ladders(lam, cutoff)[:2]
+    cutoff = check_finite("cutoff", cutoff)
+    energies, degs, base, top = _ladders(lam, cutoff)
+    # twice the state count: a sum of even integers, exact below 2^54, so
+    # every count below, the T = 0 running sums included, is an exact float
+    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
+    if states >= 2.0 ** 53:
+        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum holds "
+                          f"{states:.6g} states, at or above the 2^53 cap of exact float counts")
+    del base, top
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
     del order
     starts = np.flatnonzero(np.r_[True, energies[1:] != energies[:-1]])
     degs = np.add.reduceat(degs, starts)
-    return DiscreteSpectrum(lam=lam, cutoff=float(cutoff), energies=energies[starts],
+    return DiscreteSpectrum(lam=lam, cutoff=cutoff, energies=energies[starts],
                             degeneracies=degs)
 
 
@@ -239,18 +238,16 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     hi = _CUTOFF_SCALE * e_fermi_est + 2.0
     if t_abs == 0.0:
         spectrum = build_spectrum(lam, hi)
-        energies, degs = spectrum.energies, spectrum.degeneracies
-        states = int(degs.sum())
-        if states < n_particles:
-            raise DomainError(
-                f"cutoff {hi:.3g} holds only {states} states for N = {n_particles}")
-        cumulative = np.cumsum(degs)
+        cumulative = np.cumsum(spectrum.degeneracies)
+        if cumulative[-1] < n_particles:
+            raise DomainError(f"cutoff {hi:.3g} holds only {int(cumulative[-1])} states "
+                              f"for N = {n_particles}")
         idx = int(np.searchsorted(cumulative, n_particles))
         if cumulative[idx] != n_particles:
             raise DomainError(
                 f"N = {n_particles} leaves a partially filled level at T = 0; "
                 "the ground state is ambiguous")
-        return 0.5 * (energies[idx] + energies[idx + 1])
+        return 0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1])
 
     # mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs

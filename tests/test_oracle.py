@@ -59,9 +59,13 @@ def test_cell_cap():
     assert fg.build_spectrum(1.0, 5000.0).energies.size == 5001
     with pytest.raises(DomainError, match="cap"):
         fg.exact_mu(10_000, 1e-7, 0.0)
-    # refused before any per-axial-level work: 1e300 levels would never finish
-    with pytest.raises(DomainError, match="cap"):
-        fg.build_spectrum(1e-300, 1.0)
+    # refused before any per-axial-level work: 1e300 levels would never
+    # finish, and at 5e-324 the row count cutoff/lambda overflows to inf
+    for lam, rows in ((1e-300, re.escape("9.999999999999999e+299")), (5e-324, "inf")):
+        with pytest.raises(DomainError, match=rf"^lambda = {lam!r}, cutoff = 1\.0: the spectrum "
+                                              rf"has at least {rows} ladder entries and {rows} "
+                                              "axial rows, above the 5000000 entry cap"):
+            fg.build_spectrum(lam, 1.0)
 
 
 def test_entry_and_state_caps():
@@ -90,10 +94,14 @@ def test_entry_and_state_caps():
     # refused on the axial rows before the per-row work: 3.6e7 entries, and
     # 4.95e6 rows of one entry each
     with pytest.raises(DomainError, match=r"^lambda = 0\.001, cutoff = 4999\.0: the spectrum "
-                                          r"has 4999001 axial rows, above the 1250000 row cap$"):
+                                          r"has at least 4999001 ladder entries and 4999001 "
+                                          r"axial rows, above the 5000000 entry cap counting "
+                                          r"each row as 4 entries$"):
         fg.build_spectrum(0.001, 4999.0)
     with pytest.raises(DomainError, match=r"^lambda = 2e-07, cutoff = 0\.99: the spectrum has "
-                                          r"4950001 axial rows, above the 1250000 row cap$"):
+                                          r"at least 4950001 ladder entries and 4950001 axial "
+                                          r"rows, above the 5000000 entry cap counting each row "
+                                          r"as 4 entries$"):
         fg.build_spectrum(2e-7, 0.99)
     # up to 2^(1/3) E_F + 2 + 36 t_abs the spectrum holds 7.89e6 entries, past
     # the cap; the level sum's window ends 12 t_abs above 2^(1/3) E_F + 2
@@ -107,9 +115,12 @@ def test_entry_cap_refuses_before_the_per_row_arrays(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-row work")
 
+    monkeypatch.setattr(np, "arange", refuse)
     monkeypatch.setattr(np, "unique", refuse)
-    with pytest.raises(DomainError, match="entry cap"):
-        fg.build_spectrum(4.800385538807578e-06, 6.0)
+    for lam, cutoff in ((4.800385538807578e-06, 6.0), (0.001, 4999.0), (2e-7, 0.99),
+                        (5e-324, 1.0)):
+        with pytest.raises(DomainError, match="entry cap"):
+            fg.build_spectrum(lam, cutoff)
 
 
 def test_exact_mu_of_ten_million_isotropic_particles():
@@ -134,7 +145,9 @@ def test_exact_mu_of_ten_million_isotropic_particles():
 # 1.6e-13 of N, and mu rose by up to 1e-13 to make up for it).
 @pytest.mark.parametrize("n_particles, lam, t", [
     (2, 0.5, 50.0), (1_000, 1.0, 5.0), (100_000, 1.0, 2.0), (10_000, 1.0, 0.6),
-    (10_000, math.sqrt(8.0), 0.6), (1_000, 0.5, 1.0), (30, 1.0, 1e3)])
+    (10_000, math.sqrt(8.0), 0.6), (1_000, 0.5, 1.0), (30, 1.0, 1e3),
+    # 1.73e16 states, past exact float counts, which only build_spectrum needs
+    (10_000_000, 1.0, 100.0), (10_000_000, 0.5, 100.0)])
 def test_exact_mu_against_fugacity_series(n_particles, lam, t):
     t_abs = t * (6.0 * lam * n_particles) ** (1 / 3)
     with mp.workdps(40):
