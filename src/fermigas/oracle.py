@@ -162,8 +162,8 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
     energies, degs, base, top = _ladders(lam, cutoff)
-    # twice the state count: a sum of even integers, exact below 2^54, so
-    # every count below, the T = 0 running sums included, is an exact float
+    # twice the state count: a sum of even integers, exact below 2^54; below
+    # 2^53 states every count of the spectrum, running sums included, is exact
     states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
     if states >= 2.0 ** 53:
         raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum holds "
