@@ -29,27 +29,6 @@ _PROFILE_SAMPLES = 300
 CONFIG_ENV_VAR = "FERMIGAS_CONFIG"
 
 
-def _positive_float(text):
-    v = float(text)
-    if not (v > 0 and math.isfinite(v)):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return v
-
-
-def _nonneg_float(text):
-    v = float(text)
-    if not (v >= 0 and math.isfinite(v)):
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return v
-
-
-def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return v
-
-
 def _float_list(text):
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -79,10 +58,10 @@ def _shell_list(text):
 
 # (flag, TrapSpec field, type, help) for each trap option; the field is also the dest
 _TRAP_FLAGS = (
-    ("--mass", "mass", _positive_float, "particle mass in kg"),
-    ("--omega-r", "omega_r", _positive_float, "radial frequency in rad/s"),
-    ("--lambda", "lam", _positive_float, "axial/radial anisotropy"),
-    ("--n", "n_particles", _positive_int, "particle number"),
+    ("--mass", "mass", float, "particle mass in kg"),
+    ("--omega-r", "omega_r", float, "radial frequency in rad/s"),
+    ("--lambda", "lam", float, "axial/radial anisotropy"),
+    ("--n", "n_particles", int, "particle number"),
 )
 
 
@@ -116,14 +95,14 @@ def build_parser():
            for name, (hint, _) in _COMMANDS.items()}
 
     for name in ("mu-curve", "heat-curve", "msd-curve"):
-        cmd[name].add_argument("--t-min", type=_nonneg_float, default=0.0)
-        cmd[name].add_argument("--t-max", type=_positive_float, default=_FIG_GRID_TMAX)
-        cmd[name].add_argument("--steps", type=_positive_int, default=_FIG_GRID_STEPS)
+        cmd[name].add_argument("--t-min", type=float, default=0.0)
+        cmd[name].add_argument("--t-max", type=float, default=_FIG_GRID_TMAX)
+        cmd[name].add_argument("--steps", type=int, default=_FIG_GRID_STEPS)
 
     sub = cmd["profile"]
     sub.add_argument("--t", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    sub.add_argument("--s-max", type=_positive_float, default=_PROFILE_SMAX)
-    sub.add_argument("--samples", type=_positive_int, default=_PROFILE_SAMPLES)
+    sub.add_argument("--s-max", type=float, default=_PROFILE_SMAX)
+    sub.add_argument("--samples", type=int, default=_PROFILE_SAMPLES)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--space", dest="kind", action="store_const",
                        const="space", default="space")
@@ -137,20 +116,20 @@ def build_parser():
     sub = cmd["bose-compare"]
     _add_trap_options(sub)
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--u-bose", type=_positive_float,
+    group.add_argument("--u-bose", type=float,
                        help="contact interaction in trap units")
-    group.add_argument("--a-scatt", type=_positive_float,
+    group.add_argument("--a-scatt", type=float,
                        help="s-wave scattering length in units of sigma_r")
 
     sub = cmd["oracle"]
-    sub.add_argument("--n", dest="n_particles", type=_positive_int, default=10_000)
-    sub.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
-    sub.add_argument("--t", type=_positive_float, default=0.2)
+    sub.add_argument("--n", dest="n_particles", type=int, default=10_000)
+    sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sub.add_argument("--t", type=float, default=0.2)
     sub.add_argument("--shells", type=_shell_list, default=[10, 20, 40, 80])
 
     sub = cmd["validity"]
-    sub.add_argument("--n", dest="n_particles", type=_positive_int, default=100_000)
-    sub.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
+    sub.add_argument("--n", dest="n_particles", type=int, default=100_000)
+    sub.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sub.add_argument("--radii", type=_float_list,
                      default=[i / 20 for i in range(25)])
 
@@ -166,6 +145,7 @@ def _load_config_file(path):
         raise DomainError(f"cannot read config file {path!r}: {exc}")
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            raw = raw.rstrip("\n")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -186,10 +166,12 @@ def parse_argv(argv) -> argparse.Namespace:
 
 
 def _t_grid(p):
-    if p["t_max"] <= p["t_min"]:
-        raise DomainError("--t-max must exceed --t-min")
+    # a finite grid of t >= 0; NaN fails every comparison
+    if not 0.0 <= p["t_min"] < p["t_max"] < math.inf:
+        raise DomainError(f"need 0 <= --t-min < --t-max < inf, got --t-min {p['t_min']!r} "
+                          f"and --t-max {p['t_max']!r}")
     if p["steps"] < 2:
-        raise DomainError("--steps must be at least 2")
+        raise DomainError(f"--steps must be at least 2, got {p['steps']}")
     return linspace(p["t_min"], p["t_max"], p["steps"])
 
 
@@ -207,8 +189,6 @@ def _run_curve(p, fmt):
 def _run_profile(p, fmt):
     from . import profiles
 
-    if p["samples"] < 2:
-        raise DomainError("--samples must be at least 2")
     curves = profiles.profile_curves(p["t"], p["samples"], p["s_max"])
     if p["kind"] == "momentum":
         # the momentum density is the same function of q = |k|/K_F

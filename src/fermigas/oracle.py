@@ -19,16 +19,18 @@ are exact floats; the level sum weighs each level by the float g/N and
 needs no such guard.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
-search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds about 2N
-states, so mu <= hi.  Ladders are enumerated only up to the cutoff
-E_c = hi + 12 T.  Every level above it has x = (eps - mu)/T > 12, where
-f = e^-x - e^-2x + e^-3x to within 2.3e-16 (e^-36) relative; per axial
-row these terms are geometric series in p: _tail_sums gives their sums S_j
-over all levels above E_c in closed form, so each step adds the tail as
-sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  At
-lambda = sqrt 8 the window holds 58%, 37%, 26% and 19% of the levels up to
-E_c + 24 T at t = 0.02, 0.05, 0.1 and 0.2.  Newton starts at the continuum
-estimate solve_mu(t) E_F - (1 + lambda/2), raised by
+search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds more than 2N
+states (at least the volume hi^3/(6 lambda) under it), so mu <= hi and at
+T = 0 the level above the Nth state exists.  Ladders are enumerated only
+up to the cutoff E_c = hi + 12 T.  Every level above it has
+x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x to within 2.3e-16
+(e^-36) relative; per axial row these terms are geometric series in p:
+_tail_sums gives their sums S_j over all levels above E_c in closed form,
+so each step adds the tail as sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N
+and no level is dropped.  At lambda = sqrt 8 the window holds 58%, 37%,
+26% and 19% of the levels up to E_c + 24 T at t = 0.02, 0.05, 0.1 and
+0.2.  Newton starts at the continuum estimate solve_mu(t) E_F -
+(1 + lambda/2), raised by
 (2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the constant
 term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack and
 van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
@@ -71,7 +73,7 @@ MAX_ENTRIES = 5_000_000
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
 
-# exact_mu brackets mu by _CUTOFF_SCALE E_F + 2, which holds about twice N
+# exact_mu brackets mu by _CUTOFF_SCALE E_F + 2, which holds more than twice N
 # states, enumerates the levels up to _TAIL_GAP T above that and sums the rest
 # per axial row in closed form
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
@@ -239,15 +241,12 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     if t_abs == 0.0:
         spectrum = build_spectrum(lam, hi)
         cumulative = np.cumsum(spectrum.degeneracies)
-        if cumulative[-1] < n_particles:
-            raise DomainError(f"cutoff {hi:.3g} holds only {int(cumulative[-1])} states "
-                              f"for N = {n_particles}")
         idx = int(np.searchsorted(cumulative, n_particles))
         if cumulative[idx] != n_particles:
             raise DomainError(
                 f"N = {n_particles} leaves a partially filled level at T = 0; "
                 "the ground state is ambiguous")
-        return 0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1])
+        return float(0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1]))
 
     # mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs
@@ -444,5 +443,6 @@ def counting_check(n_particles: int, lam: float = 1.0):
     threshold = e_fermi - zp
     idx = int(np.searchsorted(spectrum.energies, threshold, side="right"))
     cumulative = int(spectrum.degeneracies[:idx].sum())
-    edge_deg = int(spectrum.degeneracies[min(idx, len(spectrum.energies) - 1)])
+    # row 0's integer levels put one in (threshold, e_fermi + 1]: idx is in range
+    edge_deg = int(spectrum.degeneracies[idx])
     return abs(cumulative - n_particles), edge_deg

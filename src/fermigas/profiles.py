@@ -20,7 +20,7 @@ through the scales module.
 import math
 
 from .curves import UniversalCurve, linspace
-from .errors import DomainError, check_finite, check_real
+from .errors import DomainError, check_finite, check_real, to_float
 from .fdint import fd, fermi
 from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
 
@@ -96,10 +96,11 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     ts = [_check_t(t) for t in t_list]
     if not ts:
         raise DomainError("temperature list is empty")
-    if n_samples < 2:
-        raise DomainError(f"need at least 2 samples per curve, got {n_samples}")
+    n = to_float("n_samples", n_samples, "an integer of at least 2")
+    if not (n >= 2.0 and n % 1.0 == 0.0):  # NaN and inf fail both
+        raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     if s_max is not None:
-        s_max = check_finite("s_max", s_max)
+        s_max = check_finite("s_max", s_max, positive=True)
     curves = []
     for t in ts:
         if t <= _TINY_T:

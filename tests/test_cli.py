@@ -200,6 +200,8 @@ def test_output_file_and_empty_curve_guard(tmp_path, capsys):
     assert code == 2
     assert not missing.exists()
     assert "--steps" in err
+    with pytest.raises(fg.DomainError, match="empty curve file"):
+        parse_csv("# only\n")
 
 
 def test_unwritable_output_is_numerical_failure(capsys):
@@ -226,6 +228,40 @@ def test_usage_errors(capsys):
                    "--lambda", "1", "--n", huge_n)[0] == 2
     assert run_cli(capsys, "bose-compare", "--mass", "1e-26", "--omega-r", "1000",
                    "--lambda", "1", "--n", huge_n)[0] == 2
+    assert run_cli(capsys, "profile", "--t", "abc")[0] == 2
+    assert run_cli(capsys, "oracle", "--shells", ",")[0] == 2
+    # a value argparse cannot read is argparse's usage error
+    assert "invalid float value: 'abc'" in run_cli(capsys, "oracle", "--lambda", "abc")[2]
+    assert "invalid int value: '2.5'" in run_cli(capsys, "scales", "--preset", "li6-top",
+                                                  "--n", "2.5")[2]
+    # one out-of-domain value per number flag: the library check names it
+    li6 = ("--preset", "li6-top")
+    for argv, message in [
+        (("scales", *li6, "--mass", "-1"), "mass must be finite and positive, got -1.0"),
+        (("scales", *li6, "--omega-r", "0"), "omega_r must be finite and positive, got 0.0"),
+        (("scales", *li6, "--lambda", "nan"), "lambda must be finite and positive, got nan"),
+        (("scales", *li6, "--n", "0"), "n_particles must be finite and at least 1, got 0.0"),
+        (("bose-compare", *li6, "--n", "-3"),
+         "n_particles must be finite and at least 1, got -3.0"),
+        (("bose-compare", *li6, "--u-bose", "-0.5"),
+         "u_bose must be finite and positive, got -0.5"),
+        (("bose-compare", *li6, "--a-scatt", "inf"),
+         "a_scatt must be finite and positive, got inf"),
+        (("mu-curve", "--t-min", "-1"),
+         "need 0 <= --t-min < --t-max < inf, got --t-min -1.0 and --t-max 2.0"),
+        (("heat-curve", "--t-max", "inf"),
+         "need 0 <= --t-min < --t-max < inf, got --t-min 0.0 and --t-max inf"),
+        (("msd-curve", "--steps", "-4"), "--steps must be at least 2, got -4"),
+        (("profile", "--s-max", "0"), "s_max must be finite and positive, got 0.0"),
+        (("profile", "--samples", "1"), "n_samples must be an integer of at least 2, got 1"),
+        (("oracle", "--n", "0"), "n_particles must be finite and at least 1, got 0.0"),
+        (("oracle", "--lambda", "-1"), "lambda must be finite and positive, got -1.0"),
+        (("oracle", "--t", "-0.5"),
+         "reduced temperature must be finite and non-negative, got -0.5"),
+        (("validity", "--n", "-5"), "n_particles must be finite and at least 1, got -5.0"),
+        (("validity", "--lambda", "inf"), "lambda must be finite and positive, got inf"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", f"fermigas: error: {message}\n"), argv
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys, monkeypatch):
@@ -288,6 +324,14 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "mu-curve")
     assert code == 2
     assert "tmax" in err
+    cfg.write_text("t-max=0.5\nsteps\n")
+    code, out, err = run_cli(capsys, "mu-curve")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{cfg}:2: expected key=value, got 'steps'\n")
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(tmp_path / "missing.conf"))
+    code, out, err = run_cli(capsys, "mu-curve")
+    assert (code, out) == (2, "")
+    assert "cannot read config file" in err
 
 
 def test_config_file_choices_checked(tmp_path, capsys, monkeypatch):
@@ -315,6 +359,11 @@ def test_perturb_round_trip(tmp_path, capsys):
     assert out.startswith("# delta_e_fermi_over_e_fermi = ")
     assert "s,delta_n" in out
 
+    # the table's header row is optional
+    bare = tmp_path / "bare.csv"
+    bare.write_text(Path(table).read_text().split("\n", 1)[1])
+    assert run_cli(capsys, "perturb", "--delta-v", str(bare)) == (0, out, "")
+
 
 def test_perturb_bad_table(tmp_path, capsys):
     table = tmp_path / "partial.csv"
@@ -322,6 +371,12 @@ def test_perturb_bad_table(tmp_path, capsys):
     code, _, err = run_cli(capsys, "perturb", "--delta-v", str(table))
     assert code == 2
     assert "cover" in err
+    for text, message in [("s,dv\n0,0\n1,0\nend\n", "malformed table row ['end']"),
+                          ("s,dv\n0,0\n", "need at least two (s, dV/E_F) rows")]:
+        table.write_text(text)
+        code, out, err = run_cli(capsys, "perturb", "--delta-v", str(table))
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -370,6 +425,15 @@ def test_oracle_shells_are_distinct_nonnegative_integers(capsys, shells, bad):
     code, out, err = run_cli(capsys, "oracle", "--n", "2000", "--shells", shells)
     assert (code, out) == (2, "")
     assert f"got {bad!r} in {shells!r}" in err
+
+
+def test_oracle_at_zero_temperature(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--t", "0", "--n", "20", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["mu_exact_hbar_omega"] == 3.5
+    code, out, err = run_cli(capsys, "oracle", "--t", "0")
+    assert (code, out) == (2, "")
+    assert "N = 10000 leaves a partially filled level at T = 0" in err
 
 
 def test_oracle_at_readme_particle_number(capsys):

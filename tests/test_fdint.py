@@ -234,6 +234,7 @@ def test_scalar_and_array_calls_bit_identical(k):
     assert np.array_equal(fd(k, etas[5:6]), one_by_one[5:6])
     assert np.array_equal(fd(k, etas[:60].reshape(6, 10)), one_by_one[:60].reshape(6, 10))
     assert isinstance(fd(k, etas[0]), float)
+    assert type(fd(k, 2)) is float and fd(k, 2) == fd(k, 2.0)
     # several orders sharing one Fermi factor give each order's own bits
     orders = (k, 3.0, 2.0, 4.0)
     for order, values in zip(orders, fd_orders(orders, etas)):

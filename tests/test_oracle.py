@@ -177,7 +177,9 @@ def test_zero_temperature_closed_shells():
     # N = 4 fills shells 0 and 1 (1 + 3 states): gap midpoint 1.5
     assert fg.exact_mu(4, 1.0, 0.0) == 1.5
     # N = 20 fills shells 0..3: gap midpoint 3.5
-    assert fg.exact_mu(20, 1.0, 0.0) == 3.5
+    mu = fg.exact_mu(20, 1.0, 0.0)
+    assert mu == 3.5 and type(mu) is float
+    assert type(fg.continuum_comparison(20, 1.0, 0.0).mu_exact) is float
 
 
 def test_zero_temperature_partial_shell_rejected():
@@ -540,6 +542,8 @@ def test_breakdown_shell_distance_exponent():
     dist = [fg.breakdown_shell_distance(int(n)) for n in ns]
     slope = float(np.polyfit(np.log(ns), np.log(dist), 1)[0])
     assert abs(slope - (-1.0 / 6.0)) <= 0.02
+    with pytest.raises(DomainError, match="N = 10 is too small"):
+        fg.breakdown_shell_distance(10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,

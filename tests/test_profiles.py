@@ -233,7 +233,10 @@ def test_profile_curves_domain_errors():
         fg.profile_curves([-0.1])
     with pytest.raises(DomainError):
         fg.profile_curves([0.5], n_samples=1)
-    with pytest.raises(DomainError, match="s_max must be finite and non-negative"):
+    for n_samples in (math.nan, math.inf, 2.5):
+        with pytest.raises(DomainError, match=f"n_samples .* got {n_samples!r}"):
+            fg.profile_curves([0.5], n_samples=n_samples)
+    with pytest.raises(DomainError, match="s_max must be finite and positive"):
         fg.profile_curves([0.5], s_max=-1.0)
 
 
