@@ -8,15 +8,18 @@ with fl(frac + k) == fl(lambda*n_z + p).  Rows with equal frac share a
 ladder and each adds a ramp k - a + 1 of degeneracies: one np.bincount of
 their second differences and two running sums give them all, with no
 per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
-the isotropic trap; irrational lambda has one per row.  build_spectrum
-sorts the entries and merges equal energies; exact_mu sums over them
-unsorted.  Work and memory grow with the entries and the axial rows, so
-the entries plus four per row are capped at MAX_ENTRIES: first on the lower
-bound max(rows, floor(cutoff) + 1) of the entries before any per-row
-array, then on their count before any per-entry array.  build_spectrum
-alone also refuses a spectrum of 2^53 states or more, so that its counts
-are exact floats; the level sum weighs each level by the float g/N and
-needs no such guard.
+the isotropic trap; irrational lambda has one per row.  A level is kept iff
+its float energy is <= the cutoff, so a smaller cutoff's ladders are a
+larger one's masked by energy, in order: _levels keeps each lambda's at the
+largest cutoff asked so far, up to MAX_ENTRIES entries that stay in memory,
+and masks them.  build_spectrum sorts the entries and merges equal
+energies; exact_mu sums over them unsorted.  Work and memory grow with the
+entries and the axial rows, so the entries plus four per row are capped at
+MAX_ENTRIES: first on the lower bound max(rows, floor(cutoff) + 1) of the
+entries before any per-row array, then on their count before any per-entry
+array.  build_spectrum alone also refuses a spectrum of 2^53 states or
+more, so that its counts are exact floats; the level sum weighs each level
+by the float g/N and needs no such guard.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
 search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds more than 2N
@@ -62,6 +65,7 @@ without it; validity_report wraps validity_table's floats in arrays.
 from __future__ import annotations
 
 import math
+import threading
 
 from .errors import DomainError, NumericsError, check_count, check_finite, to_float
 from .fdint import _closed_forms
@@ -69,6 +73,7 @@ from .record import Record
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
+_KEPT, _KEPT_LOCK = {}, threading.Lock()  # lambda: (cutoff, *ladders), oldest first
 # top closed shell of exact_central_density, whose exact integer binomial
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
@@ -102,11 +107,36 @@ class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
         return int(self.degeneracies.sum())
 
 
+def _tops(base, cutoff: float):
+    """Each axial row's largest p with fl(base + p) <= cutoff."""
+    top = (cutoff - base) // 1.0  # the difference is rounded: off by at most one
+    top -= base + top > cutoff
+    top += base + (top + 1.0) <= cutoff
+    return top
+
+
+def _levels(lam: float, cutoff: float):
+    """_ladders(lam, cutoff) bit for bit, in fresh arrays (module docstring)."""
+    with _KEPT_LOCK:
+        kept = _KEPT.get(lam)
+        if kept is None or not cutoff <= kept[0]:
+            _KEPT.pop(lam, None)  # freed before the larger build
+            kept = (cutoff, *_ladders(lam, cutoff)[:3])
+            for array in kept[1:]:
+                array.flags.writeable = False
+            while sum(e.size + 4 * b.size for _, e, _, b in (kept, *_KEPT.values())) > MAX_ENTRIES:
+                del _KEPT[next(iter(_KEPT))]
+            _KEPT[lam] = kept
+    _, energies, degs, base = kept
+    inside, base = energies <= cutoff, base[base <= cutoff]
+    return energies[inside], degs[inside], base, _tops(base, cutoff)
+
+
 def _ladders(lam: float, cutoff: float):
-    """Every level with energy <= cutoff as unsorted (energies, degeneracies)
-    arrays with one entry per k of each ladder frac + k, k an integer; two
-    ladders may share a float energy.  Also returns each axial row's base
-    lambda*n_z and top p, for n_z = 0..rows - 1."""
+    """Every level of float energy <= cutoff as unsorted (energies,
+    degeneracies) arrays with one entry per k of each ladder frac + k, k an
+    integer; two ladders may share a float energy.  Also returns each axial
+    row's base lambda*n_z and top p, for n_z = 0..rows - 1."""
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
@@ -118,17 +148,17 @@ def _ladders(lam: float, cutoff: float):
                               f"{bound}{entries:.16g} ladder entries and {rows:.16g} axial rows, "
                               f"above the {MAX_ENTRIES} entry cap counting each row as 4 entries")
 
-    # floor(cutoff/lambda) + 1 rows as a float: inf, not an OverflowError,
-    # when the quotient is past float range
+    # floor(cutoff/lambda) + 1 rows as a float (inf past float range, not an
+    # OverflowError), moved by one to the rows of float base <= cutoff
     rows = float(np.floor(cutoff / lam)) + 1.0
-    if cutoff - lam * (rows - 1.0) < 0.0:  # the last row's base can round above the cutoff
-        rows -= 1.0
+    rows -= cutoff - lam * (rows - 1.0) < 0.0
+    rows += lam * rows <= cutoff
     # a ladder holds its first row's top + 1 entries and a distinct slot for
     # the integer part of each of its rows' bases, so the entries are at least
     # max(rows, floor(cutoff) + 1): refuse on that before any per-row array
     check_entries(max(rows, math.floor(cutoff) + 1.0), rows, "at least ")
     base = lam * np.arange(int(rows))
-    top = np.floor(cutoff - base)  # row n_z holds p = 0..top
+    top = _tops(base, cutoff)
     a = np.floor(base)
     frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
     fracs, first, ladder = np.unique(frac, return_index=True, return_inverse=True)
@@ -163,7 +193,7 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    energies, degs, base, top = _ladders(lam, cutoff)
+    energies, degs, base, top = _levels(lam, cutoff)
     # twice the state count: a sum of even integers, exact below 2^54; below
     # 2^53 states every count of the spectrum, running sums included, is exact
     states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
@@ -201,7 +231,7 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
 def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
     """[S_1, S_2, S_3], S_j = sum of g e^(-j (eps - cutoff)/T) over the levels
     above the cutoff, from the axial rows' base and top that
-    _ladders(lam, cutoff) returned.  With q = e^(-j/T), row n_z adds
+    _levels(lam, cutoff) returned.  With q = e^(-j/T), row n_z adds
     e^(-j (base - cutoff)/T) sum_(p >= p0) (p + 1) q^p, p0 = top + 1, which is
     e^(-j (base + p0 - cutoff)/T) ((p0 + 1)/(1 - q) + q/(1 - q)^2); the rows
     n_z >= rows, wholly above the cutoff, add
@@ -250,7 +280,7 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
 
     # mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs
-    energies, degs, base, top = _ladders(lam, cutoff)  # unsorted: no order needed
+    energies, degs, base, top = _levels(lam, cutoff)  # unsorted: no order needed
     s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
     del base, top
     weights = np.divide(degs, n_particles, out=degs)  # in place

@@ -101,15 +101,21 @@ def profile_curves(t_list, n_samples=300, s_max=None):
         raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     if s_max is not None:
         s_max = check_finite("s_max", s_max, positive=True)
+        grid = linspace(0.0, s_max, int(n_samples))
+        # a subnormal s_max rounds the step to repeated or overshooting radii
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError(f"s_max = {s_max!r} and n_samples = {n_samples!r} give a radius "
+                              "grid that is not strictly increasing")
     curves = []
     for t in ts:
         if t <= _TINY_T:
-            grid = linspace(0.0, 1.0 if s_max is None else s_max, int(n_samples))
+            if s_max is None:
+                grid = linspace(0.0, 1.0, int(n_samples))
             values = [zero_t_density(s) for s in grid]
         else:
             m = solve_mu(t)
-            hi = math.sqrt(max(m, 0.0) + 25.0 * t) if s_max is None else s_max
-            grid = linspace(0.0, hi, int(n_samples))
+            if s_max is None:
+                grid = linspace(0.0, math.sqrt(max(m, 0.0) + 25.0 * t), int(n_samples))
             values = [_warm_density(s, t, m) for s in grid]
         curves.append(UniversalCurve("s", "density", tuple(zip(grid, values))))
     return curves

@@ -11,13 +11,15 @@ import numpy as np
 
 def dict_spectrum(lam, cutoff):
     """(energies, degeneracies) by planar shells stacked over the axial
-    ladder, equal energies merged in a dict keyed by the float energy."""
+    ladder, equal energies merged in a dict keyed by the float energy; a
+    level is kept iff its float energy is at or below the cutoff."""
     levels = {}
-    for nz in range(int(math.floor(cutoff / lam)) + 1):
+    for nz in range(int(math.floor(cutoff / lam)) + 2):
         base = lam * nz
-        for p in range(int(math.floor(cutoff - base)) + 1):
+        for p in range(max(int(math.floor(cutoff - base)) + 2, 0)):
             e = p + base
-            levels[e] = levels.get(e, 0) + p + 1
+            if e <= cutoff:
+                levels[e] = levels.get(e, 0) + p + 1
     energies = np.array(sorted(levels), dtype=float)
     return energies, np.array([levels[e] for e in energies], dtype=float)
 

@@ -253,6 +253,8 @@ def test_usage_errors(capsys):
          "need 0 <= --t-min < --t-max < inf, got --t-min 0.0 and --t-max inf"),
         (("msd-curve", "--steps", "-4"), "--steps must be at least 2, got -4"),
         (("profile", "--s-max", "0"), "s_max must be finite and positive, got 0.0"),
+        (("profile", "--s-max", "1e-320"), "s_max = 1e-320 and n_samples = 300 give a "
+                                           "radius grid that is not strictly increasing"),
         (("profile", "--samples", "1"), "n_samples must be an integer of at least 2, got 1"),
         (("oracle", "--n", "0"), "n_particles must be finite and at least 1, got 0.0"),
         (("oracle", "--lambda", "-1"), "lambda must be finite and positive, got -1.0"),

@@ -52,6 +52,18 @@ def test_spectrum_matches_dict_enumeration(lam, n_particles, t):
     assert sp.state_count == int(degeneracies.sum())
 
 
+@pytest.mark.parametrize("lam, cutoff", [(1.0 / 3.0, 70.66666666666666),
+                                         (math.sqrt(8.0), 17.31370849898476)])
+def test_spectrum_at_a_rounded_level_energy_matches_dict_enumeration(lam, cutoff):
+    # each cutoff is a level's float energy that a floor of the rounded
+    # cutoff/lambda or cutoff - lambda n_z misses (see the tail sums below)
+    sp = fg.build_spectrum(lam, cutoff)
+    energies, degeneracies = dict_spectrum(lam, cutoff)
+    assert cutoff in energies
+    assert np.array_equal(sp.energies, energies)
+    assert np.array_equal(sp.degeneracies, degeneracies)
+
+
 def test_cell_cap():
     # a million-state spectrum is fine when it has few cells
     assert fg.build_spectrum(1.0, 200.0).state_count == fg.closed_shell_count(200)
@@ -155,9 +167,15 @@ def test_exact_mu_against_fugacity_series(n_particles, lam, t):
     assert fg.exact_mu(n_particles, lam, t_abs) == pytest.approx(expected, rel=1e-15)
 
 
+# the last two cutoffs are float energies of levels that a floor of a rounded
+# quotient or difference misses: at lambda = 1/3, 212 lambda rounds down to
+# 70.66666666666666, but the cutoff over lambda to 211.99999999999997; at
+# lambda = sqrt(8), 4 lambda + 6 rounds to 17.31370849898476, but the cutoff
+# less 4 lambda to 5.999999999999998
 @pytest.mark.parametrize("lam, cutoff, t_abs", [
     (1.0, 20.5, 0.7), (0.5, 13.0, 3.0), (math.sqrt(8.0), 31.7, 1.3), (2.5, 9.99, 40.0),
-    (0.3, 6.2, 0.05)])
+    (0.3, 6.2, 0.05), (1.0 / 3.0, 70.66666666666666, 2.0),
+    (math.sqrt(8.0), 17.31370849898476, 0.5)])
 def test_tail_sums_against_direct_level_sums(lam, cutoff, t_abs):
     # S_j = sum of g e^(-j (eps - cutoff)/T) over every level above the
     # cutoff, summed here level by level until the terms are negligible
@@ -165,12 +183,124 @@ def test_tail_sums_against_direct_level_sums(lam, cutoff, t_abs):
     sums = oracle._tail_sums(cutoff, t_abs, lam, base, top)
     far = cutoff + 50.0 * t_abs + 2.0
     levels = [(lam * nz + p, p + 1.0) for nz in range(int(far / lam) + 1)
-              for p in range(int(far - lam * nz) + 1) if lam * nz + p > cutoff]
+              for p in range(int(far - lam * nz) + 1)]
     for j, s_j in enumerate(sums, 1):
-        expected = math.fsum(g * math.exp(-j * (eps - cutoff) / t_abs) for eps, g in levels)
+        expected = math.fsum(g * math.exp(-j * (eps - cutoff) / t_abs)
+                             for eps, g in levels if eps > cutoff)
         assert s_j == pytest.approx(expected, rel=1e-13)
-    # the window ends at the cutoff, and each row's tail starts above it
+    # the window holds every level whose float energy is at or below the
+    # cutoff, and each row's tail starts above it, so each level counts once
+    window, inside = {}, {}
+    for eps, g in zip(energies.tolist(), degs.tolist()):
+        window[eps] = window.get(eps, 0.0) + g
+    for eps, g in levels:
+        if eps <= cutoff:
+            inside[eps] = inside.get(eps, 0.0) + g
+    assert window == inside
     assert float(energies.max()) <= cutoff < float((base + top + 1.0).min())
+    assert cutoff < lam * top.size
+
+
+def test_kept_ladders_equal_a_fresh_build():
+    # every served cutoff below the kept one, at level energies, one ulp on
+    # either side of them and in between, gives _ladders' arrays in its order
+    rng = np.random.default_rng(27)
+    lams = [0.5, 1.0, math.sqrt(8.0), 1.0 / 3.0, 2.0, math.pi, *rng.uniform(0.05, 5.0, 4)]
+    pairs = 0
+    for lam in lams:
+        oracle._KEPT.clear()
+        top = 300.0 if lam == 1.0 / 3.0 else 60.0
+        oracle._levels(lam, top)
+        levels = np.unique(oracle._ladders(lam, top)[0])
+        cutoffs = [x for v in rng.choice(levels, 30, replace=False).tolist()
+                   for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+        cutoffs += rng.uniform(0.0, top, 20).tolist() + [0.0, top]
+        if lam == 1.0 / 3.0:
+            cutoffs.append(70.66666666666666)
+        for cutoff in cutoffs:
+            served, fresh = oracle._levels(lam, cutoff), oracle._ladders(lam, cutoff)
+            for got, want in zip(served, fresh):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lam, cutoff)
+            pairs += 1
+        assert set(oracle._KEPT) == {lam}
+    assert pairs >= 1_000
+
+
+def _bits(value):
+    if isinstance(value, fg.DiscreteSpectrum):
+        return (value.lam, value.cutoff, value.energies.tobytes(), value.degeneracies.tobytes())
+    return value
+
+
+def test_results_do_not_depend_on_the_kept_ladders(monkeypatch):
+    def results(lam):
+        closed = int(fg.build_spectrum(lam, 6.0).degeneracies[:4].sum())
+        return [_bits(fg.build_spectrum(lam, 40.0)), fg.exact_mu(2_000, lam, 1.7),
+                fg.exact_mu(closed, lam, 0.0), fg.continuum_comparison(3_000, lam, 0.1),
+                fg.continuum_comparison(500, lam, 0.05), fg.counting_check(1_000, lam)]
+
+    for lam, other in ((0.5, math.sqrt(8.0)), (math.sqrt(8.0), math.pi), (1.0, 1.0 / 3.0)):
+        # a cap of the other lambda's build at cutoff 150 (3,349 to 4,297
+        # entries, rows counting 4) holds each case's ladders (at most 1,730)
+        # but not both, so building the other lambda evicts the first
+        energies, _, base, _ = oracle._ladders(other, 150.0)
+        monkeypatch.setattr(oracle, "MAX_ENTRIES", energies.size + 4 * base.size)
+        oracle._KEPT.clear()
+        cold = results(lam)
+        assert results(lam) == cold
+        fg.build_spectrum(other, 150.0)
+        assert list(oracle._KEPT) == [other]
+        assert results(lam) == cold
+        assert list(oracle._KEPT) == [lam]
+
+
+def test_kept_ladders_stay_within_the_entry_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ENTRIES", 2_500)
+    oracle._KEPT.clear()
+
+    def kept():
+        return sum(e.size + 4 * b.size for _, e, _, b in oracle._KEPT.values())
+
+    # 305 to 1,981 entries each, rows counting 4
+    builds = [(0.5, 30.0), (1.0, 200.0), (math.sqrt(8.0), 60.0), (0.5, 60.0), (math.pi, 80.0),
+              (1.0, 10.0), (math.sqrt(8.0), 100.0), (2.0, 20.0), (0.5, 40.0)]
+    order, evictions = [], 0
+    for lam, cutoff in builds:
+        if lam not in oracle._KEPT or cutoff > oracle._KEPT[lam][0]:
+            order = [x for x in order if x != lam] + [lam]  # built anew: newest
+        oracle._levels(lam, cutoff)
+        assert kept() <= oracle.MAX_ENTRIES
+        gone = [x for x in order if x not in oracle._KEPT]
+        assert order[:len(gone)] == gone  # the oldest lambdas go first
+        order = order[len(gone):]
+        evictions += len(gone)
+        assert list(oracle._KEPT) == order
+    assert evictions >= 3
+    # a refusal stays a refusal with any lambda kept at any cutoff
+    with pytest.raises(DomainError, match="entry cap"):
+        oracle._levels(math.sqrt(8.0), 150.0)
+    assert kept() <= oracle.MAX_ENTRIES
+
+
+def test_returned_arrays_cannot_change_later_results():
+    oracle._KEPT.clear()
+    lam = math.sqrt(8.0)
+    fresh = [a.copy() for a in oracle._ladders(lam, 30.0)]
+    for cutoff in (30.0, 30.0, 20.0):  # the build, then two served from it
+        for array in oracle._levels(lam, cutoff):
+            array[:] = -1.0
+    for got, want in zip(oracle._levels(lam, 30.0), fresh):
+        assert got.tobytes() == want.tobytes()
+    for array in oracle._KEPT[lam][1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = -1.0
+    spectrum = fg.build_spectrum(lam, 25.0)
+    expected = _bits(spectrum)
+    spectrum.energies[:] = 0.0
+    spectrum.degeneracies[:] = 0.0
+    assert _bits(fg.build_spectrum(lam, 25.0)) == expected
+    t_abs = 0.1 * (6.0 * lam * 300) ** (1 / 3)
+    assert fg.exact_mu(300, lam, t_abs) == fg.exact_mu(300, lam, t_abs)
 
 
 def test_zero_temperature_closed_shells():
@@ -313,27 +443,38 @@ def test_constraint_evaluations_per_solve(monkeypatch):
             return g(mu)
         return monotone_root(counted, lo, hi, x)
 
-    real_exp, real_ladders = np.exp, oracle._ladders
+    real_exp, real_levels, real_ladders = np.exp, oracle._levels, oracle._ladders
+    builds = []
 
     def counting_exp(x, *args, **kwargs):
         exp_sizes.append(np.size(x))
         return real_exp(x, *args, **kwargs)
 
-    def recording_ladders(lam, cutoff):
-        energies, degs, base, top = real_ladders(lam, cutoff)
+    def recording_levels(lam, cutoff):
+        energies, degs, base, top = real_levels(lam, cutoff)
         shapes.append((energies.size, top.size))
         return energies, degs, base, top
 
+    def counting_ladders(lam, cutoff):
+        builds.append((lam, cutoff))
+        return real_ladders(lam, cutoff)
+
     monkeypatch.setattr(oracle, "monotone_root", counting)
-    monkeypatch.setattr(oracle, "_ladders", recording_ladders)
+    monkeypatch.setattr(oracle, "_levels", recording_levels)
+    monkeypatch.setattr(oracle, "_ladders", counting_ladders)
     monkeypatch.setattr(np, "exp", counting_exp)
     for t, n_particles, lam in BRENTQ_CASES:
-        exp_sizes.clear()
-        shapes.clear()
-        fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
-        (levels, rows), = shapes
-        assert sorted(exp_sizes) == sorted([levels, rows])
-    assert len(evaluations) / len(BRENTQ_CASES) <= 3.0
+        oracle._KEPT.clear()
+        # cold, then warm: the second solve enumerates no ladder
+        for expected_builds in (1, 0):
+            exp_sizes.clear()
+            shapes.clear()
+            builds.clear()
+            fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+            (levels, rows), = shapes
+            assert sorted(exp_sizes) == sorted([levels, rows])
+            assert len(builds) == expected_builds
+    assert len(evaluations) / (2 * len(BRENTQ_CASES)) <= 3.0
 
 
 # a float guess is the continuum mu itself; ("spans", k) starts Newton

@@ -238,6 +238,12 @@ def test_profile_curves_domain_errors():
             fg.profile_curves([0.5], n_samples=n_samples)
     with pytest.raises(DomainError, match="s_max must be finite and positive"):
         fg.profile_curves([0.5], s_max=-1.0)
+    # the step 1e-320/299 rounds to 7 subnormal units, so the grid overshoots
+    # s_max; with 3 samples it stays strictly increasing
+    with pytest.raises(DomainError, match=r"^s_max = 1e-320 and n_samples = 300 give a "
+                                          r"radius grid that is not strictly increasing$"):
+        fg.profile_curves([0.0, 0.5], s_max=1e-320)
+    assert [s for s, _ in fg.profile_curves([0.5], 3, 1e-320)[0].samples] == [0.0, 5e-321, 1e-320]
 
 
 def test_density_domain_errors():

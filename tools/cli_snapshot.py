@@ -58,6 +58,7 @@ BAD_VALUES = [
     ("profile", "--t", "abc"),
     ("profile", "--t", "-0.5"),
     ("profile", "--s-max", "0"),
+    ("profile", "--s-max", "1e-320"),
     ("profile", "--samples", "1"),
     ("oracle", "--n", "0"),
     ("oracle", "--lambda", "-1"),
