@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import scales
-from .curves import UniversalCurve, linspace, write_table
+from .curves import MAX_SAMPLES, UniversalCurve, linspace, write_table
 from .errors import DomainError, FermiGasError
 
 _FIG_GRID_STEPS = 200   # default t grid for the mu, heat and size curves
@@ -172,6 +172,8 @@ def _t_grid(p):
                           f"and --t-max {p['t_max']!r}")
     if p["steps"] < 2:
         raise DomainError(f"--steps must be at least 2, got {p['steps']}")
+    if p["steps"] > MAX_SAMPLES:
+        raise DomainError(f"--steps must be at most {MAX_SAMPLES}, got {p['steps']}")
     return linspace(p["t_min"], p["t_max"], p["steps"])
 
 
@@ -303,9 +305,7 @@ def _run_oracle(p, fmt):
 
 
 def _run_validity(p, fmt):
-    from .oracle import validity_table
-
-    rows, shell, inv_kf = validity_table(p["n_particles"], p["lam"], p["radii"])
+    rows, shell, inv_kf = scales.validity_table(p["n_particles"], p["lam"], p["radii"])
     notes = [("shell_thickness_sigma", shell), ("inv_k_fermi_sigma", inv_kf)]
 
     def finite(x):

@@ -10,6 +10,9 @@ from .errors import DomainError
 from .record import Record
 
 AXIS_LABELS = frozenset({"t", "s", "q", "m", "c", "msd", "density"})
+# most samples a table asks linspace for (profile_curves' n_samples, the CLI's
+# --steps): far above the default 300, and refused before any list is built
+MAX_SAMPLES = 1_000_000
 
 
 def _cell(value) -> str:

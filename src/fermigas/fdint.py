@@ -27,7 +27,10 @@ taylor 4.6e-16, reflection 4.7e-16, trapezoid 7.3e-16 and sommerfeld 8.1e-16.
 fd_orders(orders, eta) gives several orders with one exp per eta.  Every
 regime is float code, and an array runs it element by element, so every
 value has the bits of its own scalar call.  numpy is imported only for
-array inputs.
+array inputs.  fd, fd_orders and fd_derivative are the entry for outside
+callers, which checks the order and maps arrays; the package's modules pass
+a float eta and supported orders straight to _closed_forms, the kernel
+entry behind them.
 """
 
 import cmath

@@ -12,14 +12,15 @@ the isotropic trap; irrational lambda has one per row.  A level is kept iff
 its float energy is <= the cutoff, so a smaller cutoff's ladders are a
 larger one's masked by energy, in order: _levels keeps each lambda's at the
 largest cutoff asked so far, up to MAX_ENTRIES entries that stay in memory,
-and masks them.  build_spectrum sorts the entries and merges equal
-energies; exact_mu sums over them unsorted.  Work and memory grow with the
-entries and the axial rows, so the entries plus four per row are capped at
-MAX_ENTRIES: first on the lower bound max(rows, floor(cutoff) + 1) of the
-entries before any per-row array, then on their count before any per-entry
-array.  build_spectrum alone also refuses a spectrum of 2^53 states or
-more, so that its counts are exact floats; the level sum weighs each level
-by the float g/N and needs no such guard.
+and masks them.  Only build_spectrum, and the T = 0 exact_mu through it,
+sorts the entries and merges equal energies; exact_mu at T > 0 sums over
+them unsorted and counting_check counts them by masked sums.  Work and
+memory grow with the entries and the axial rows, so the entries plus four
+per row are capped at MAX_ENTRIES: first on the lower bound max(rows,
+floor(cutoff) + 1) of the entries before any per-row array, then on their
+count before any per-entry array.  build_spectrum and counting_check
+refuse 2^53 states or more, so that their counts are exact floats; the
+level sum weighs each level by the float g/N and needs no such guard.
 
 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
 search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds more than 2N
@@ -58,8 +59,8 @@ suppressed zero-point energy (1 + lambda/2) restored; the adjusted gap is
 the meaningful convergence measure.
 
 numpy is imported by the functions that enumerate the spectrum, so the
-semiclassical estimates (validity_table and the other closed forms) run
-without it; validity_report wraps validity_table's floats in arrays.
+semiclassical estimates (the closed forms) run without it; validity_report
+wraps the floats of scales.validity_table in arrays.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ from __future__ import annotations
 import math
 import threading
 
-from .errors import DomainError, NumericsError, check_count, check_finite, to_float
+from .errors import DomainError, NumericsError, check_count, check_finite
 from .fdint import _closed_forms
 from .record import Record
+from .scales import _SEMI_N0, validity_table
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
@@ -90,8 +92,6 @@ _OCCUPATION_TOL = 1e-10
 # exact_mu reuses e^((eps - ref)/T) while |mu - ref| <= _REUSE_SPAN T: a span
 # below 709 keeps math.exp((ref - mu)/T) finite; the rounding grows with it
 _REUSE_SPAN = 30.0
-
-_SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # prefactor of sqrt(N*lam)
 
 
 class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
@@ -187,20 +187,24 @@ def _ladders(lam: float, cutoff: float):
     return energies, degs, base, top
 
 
+def _counted_levels(lam: float, cutoff: float):
+    """_levels' energies and degeneracies below 2^53 states, where every count is exact."""
+    energies, degs, _, top = _levels(lam, cutoff)
+    # twice the state count: a sum of even integers, exact below 2^54
+    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
+    if states >= 2.0 ** 53:
+        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum holds "
+                          f"{states:.6g} states, at or above the 2^53 cap of exact float counts")
+    return energies, degs
+
+
 def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     """Exhaustively enumerate all levels with energy <= cutoff."""
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    energies, degs, base, top = _levels(lam, cutoff)
-    # twice the state count: a sum of even integers, exact below 2^54; below
-    # 2^53 states every count of the spectrum, running sums included, is exact
-    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
-    if states >= 2.0 ** 53:
-        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum holds "
-                          f"{states:.6g} states, at or above the 2^53 cap of exact float counts")
-    del base, top
+    energies, degs = _counted_levels(lam, cutoff)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -375,35 +379,6 @@ class ValidityReport(Record, hidden=("radii", "margin", "cell_scale")):
     inv_k_fermi_sigma: float      # 1/(K_F sigma), same up to (48 lam)^(1/6)
 
 
-def validity_table(n_particles: int, lam: float, radii) -> tuple:
-    """validity_report as floats: ([(s, margin, cell_scale) per radius],
-    shell_thickness_sigma, inv_k_fermi_sigma).  The margin is inf at s = 0,
-    the cell scale nan at s = 0 and for s >= 1."""
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
-    radii = [to_float("radii", r) for r in radii]
-    if not radii:
-        raise DomainError("need at least one radius")
-    if not all(0.0 <= s <= 1.2 for s in radii):  # NaN fails both comparisons
-        raise DomainError(f"radii must lie in [0, 1.2], got {radii!r}")
-    stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
-    central = _SEMI_N0 * math.sqrt(n_particles * lam)
-    rows = []
-    for s in radii:
-        inside = max(1.0 - s * s, 0.0)
-        n_sigma3 = central * inside ** 1.5
-        if s == 0.0:
-            rows.append((s, math.inf, math.nan))
-            continue
-        cell = math.nan
-        if s < 1.0:
-            l_min = n_sigma3 ** (-1.0 / 3.0)
-            l_max = stretch * inside / (2.0 * s)
-            cell = math.sqrt(l_min * l_max)
-        rows.append((s, n_sigma3 / (s * stretch), cell))
-    return rows, float(n_particles) ** (-1.0 / 6.0), 1.0 / stretch
-
-
 def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
     import numpy as np
 
@@ -462,17 +437,12 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
 def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
-    outermost shell degeneracy)."""
-    import numpy as np
-
+    outermost shell degeneracy), from masked sums over the unsorted ladders."""
     check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
     e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
-    spectrum = build_spectrum(lam, e_fermi + 1.0)
-    zp = 1.0 + 0.5 * lam
-    threshold = e_fermi - zp
-    idx = int(np.searchsorted(spectrum.energies, threshold, side="right"))
-    cumulative = int(spectrum.degeneracies[:idx].sum())
-    # row 0's integer levels put one in (threshold, e_fermi + 1]: idx is in range
-    edge_deg = int(spectrum.degeneracies[idx])
-    return abs(cumulative - n_particles), edge_deg
+    energies, degs = _counted_levels(lam, check_finite("cutoff", e_fermi + 1.0))
+    below = energies <= e_fermi - (1.0 + 0.5 * lam)
+    # row 0's integer levels put one in (e_fermi - 1 - lam/2, e_fermi + 1]: an edge exists
+    edge = energies.min(where=~below, initial=math.inf)
+    return abs(int(degs.sum(where=below)) - n_particles), int(degs.sum(where=energies == edge))

@@ -19,9 +19,9 @@ through the scales module.
 
 import math
 
-from .curves import UniversalCurve, linspace
+from .curves import MAX_SAMPLES, UniversalCurve, linspace
 from .errors import DomainError, check_finite, check_real, to_float
-from .fdint import fd, fermi
+from .fdint import _closed_forms, fermi
 from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
 
 
@@ -55,7 +55,7 @@ def density(s, t) -> float:
 
 def _warm_density(s: float, t: float, m: float) -> float:
     """Scaled density at radius s and t > _TINY_T, given m = solve_mu(t)."""
-    return (6.0 / math.pi ** 1.5) * t ** 1.5 * fd(1.5, (m - s * s) / t)
+    return (6.0 / math.pi ** 1.5) * t ** 1.5 * _closed_forms((1.5,), (m - s * s) / t)[0]
 
 
 def momentum_density(q, t) -> float:
@@ -73,7 +73,7 @@ def normalization(t) -> float:
     if t <= _TINY_T:
         return 1.0
     m = solve_mu(t)  # first: its cap keeps t ** 3 below the double range
-    return 6.0 * t ** 3 * fd(3.0, m / t)
+    return 6.0 * t ** 3 * _closed_forms((3.0,), m / t)[0]
 
 
 def mean_square_size(t) -> float:
@@ -99,6 +99,8 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     n = to_float("n_samples", n_samples, "an integer of at least 2")
     if not (n >= 2.0 and n % 1.0 == 0.0):  # NaN and inf fail both
         raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
+    if n > MAX_SAMPLES:
+        raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples!r}")
     if s_max is not None:
         s_max = check_finite("s_max", s_max, positive=True)
         grid = linspace(0.0, s_max, int(n_samples))

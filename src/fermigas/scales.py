@@ -10,15 +10,18 @@ anisotropy lambda is
 with companion length R_F (classical excursion at E_F), wavenumber K_F
 (free-particle momentum at E_F) and ground-state width sigma_r.
 Level energies are quoted without the zero-point offset throughout.
+continuum_reliable and validity_table say where the continuum picture holds.
 """
 
 import math
-from .errors import DomainError, check_count, check_finite
+from .errors import DomainError, check_count, check_finite, to_float
 from .record import Record
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
 HBAR = 1.054571817e-34       # J s
 K_BOLTZMANN = 1.380649e-23   # J/K
+
+_SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # continuum n(0) sigma^3 / sqrt(N*lam)
 
 
 class TrapSpec(Record):
@@ -89,6 +92,35 @@ def continuum_reliable(spec: TrapSpec, t: float) -> bool:
     """True when k_B*T is at least the level spacing, i.e. t*(6*lam*N)^(1/3) >= 1."""
     t = check_finite("reduced temperature", t)
     return t * (6.0 * spec.lam * spec.n_particles) ** (1.0 / 3.0) >= 1.0
+
+
+def validity_table(n_particles: int, lam: float, radii) -> tuple:
+    """oracle.validity_report as floats: ([(s, margin, cell_scale) per radius],
+    shell_thickness_sigma, inv_k_fermi_sigma).  The margin is inf at s = 0,
+    the cell scale nan at s = 0 and for s >= 1."""
+    check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
+    radii = [to_float("radii", r) for r in radii]
+    if not radii:
+        raise DomainError("need at least one radius")
+    if not all(0.0 <= s <= 1.2 for s in radii):  # NaN fails both comparisons
+        raise DomainError(f"radii must lie in [0, 1.2], got {radii!r}")
+    stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
+    central = _SEMI_N0 * math.sqrt(n_particles * lam)
+    rows = []
+    for s in radii:
+        inside = max(1.0 - s * s, 0.0)
+        n_sigma3 = central * inside ** 1.5
+        if s == 0.0:
+            rows.append((s, math.inf, math.nan))
+            continue
+        cell = math.nan
+        if s < 1.0:
+            l_min = n_sigma3 ** (-1.0 / 3.0)
+            l_max = stretch * inside / (2.0 * s)
+            cell = math.sqrt(l_min * l_max)
+        rows.append((s, n_sigma3 / (s * stretch), cell))
+    return rows, float(n_particles) ** (-1.0 / 6.0), 1.0 / stretch
 
 
 # Spin-polarized 6Li in a TOP trap (intrinsic anisotropy sqrt(8)), the

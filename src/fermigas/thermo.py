@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
-from .fdint import _closed_forms, band, fd_orders
+from .fdint import _closed_forms, band
 from .record import Record
 
 _RESIDUAL_TOL = 1e-12
@@ -68,9 +68,9 @@ def _check_t(t) -> float:
 
 def _c_of_eta(eta):
     if eta < 1.0:
-        f2, f3, f4 = fd_orders((2.0, 3.0, 4.0), eta)
+        f2, f3, f4 = _closed_forms((2.0, 3.0, 4.0), eta)
         return 12.0 * f4 / f3 - 9.0 * f3 / f2
-    r2, r3, r4 = fd_orders((2.0, 3.0, 4.0), -eta)
+    r2, r3, r4 = _closed_forms((2.0, 3.0, 4.0), -eta)
     e2, pi2 = eta * eta, math.pi ** 2
     y = pi2 / e2
     p2, p3 = 0.5 * e2 + pi2 / 6.0, eta * (e2 + pi2) / 6.0

@@ -1,12 +1,16 @@
-"""Loop-form references for the exact oracle.
+"""Loop-form and sorted-spectrum references for the exact oracle.
 
-The oracle computes these sums as array identities; the plain loops they
-replace stay here so the tests can compare the two routes term by term.
+The oracle computes these sums as array identities; the plain loops and
+the sort-and-merge counting they replace stay here so the tests can
+compare the two routes term by term.
 """
 
 import math
 
 import numpy as np
+
+import fermigas as fg
+from fermigas.errors import check_count, check_finite
 
 
 def dict_spectrum(lam, cutoff):
@@ -22,6 +26,20 @@ def dict_spectrum(lam, cutoff):
                 levels[e] = levels.get(e, 0) + p + 1
     energies = np.array(sorted(levels), dtype=float)
     return energies, np.array([levels[e] for e in energies], dtype=float)
+
+
+def sorted_counting_check(n_particles, lam=1.0):
+    """counting_check by the sort-and-merge route: build_spectrum's sorted,
+    merged levels, a binary search for the threshold, the count below it
+    and the degeneracy of the level just above it."""
+    check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
+    e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
+    spectrum = fg.build_spectrum(lam, e_fermi + 1.0)
+    threshold = e_fermi - (1.0 + 0.5 * lam)
+    idx = int(np.searchsorted(spectrum.energies, threshold, side="right"))
+    cumulative = int(spectrum.degeneracies[:idx].sum())
+    return abs(cumulative - n_particles), int(spectrum.degeneracies[idx])
 
 
 def origin_weight(m):

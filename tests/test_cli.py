@@ -256,6 +256,11 @@ def test_usage_errors(capsys):
         (("profile", "--s-max", "1e-320"), "s_max = 1e-320 and n_samples = 300 give a "
                                            "radius grid that is not strictly increasing"),
         (("profile", "--samples", "1"), "n_samples must be an integer of at least 2, got 1"),
+        (("profile", "--samples", "100000000000000000000"),
+         "n_samples must be at most 1000000, got 100000000000000000000"),
+        (("heat-curve", "--steps", "1000001"), "--steps must be at most 1000000, got 1000001"),
+        (("mu-curve", "--steps", "100000000000000000000"),
+         "--steps must be at most 1000000, got 100000000000000000000"),
         (("oracle", "--n", "0"), "n_particles must be finite and at least 1, got 0.0"),
         (("oracle", "--lambda", "-1"), "lambda must be finite and positive, got -1.0"),
         (("oracle", "--t", "-0.5"),
@@ -517,6 +522,24 @@ def test_key_value_and_thermo_commands_load_no_numpy(argv, tmp_path):
     assert not modules & {"fractions", "decimal", "dataclasses", "inspect"}
     # csv is imported only where the perturb table is read
     assert ("csv" in modules) == (argv[0] == "perturb")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_validity_loads_no_exact_sum_module(fmt):
+    # the margins are closed forms in scales; the exact level sums, the
+    # equation of state and the FD kernel stay unloaded
+    probe = ("import json, sys\n"
+             "from fermigas.cli import main\n"
+             f"code = main(['validity', '--format', '{fmt}'])\n"
+             "sys.stderr.write(json.dumps([code, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stderr)
+    assert code == 0 and proc.stdout
+    assert "fermigas.scales" in modules and "fermigas.cli" in modules
+    assert not set(modules) & {"fermigas.oracle", "fermigas.thermo", "fermigas.fdint"}
+    assert fg.oracle.validity_table is fg.scales.validity_table
 
 
 def test_array_commands_still_load_numpy():

@@ -13,7 +13,7 @@ from conftest import mp_exact_mu
 from fermigas import DomainError, NumericsError, oracle, perturb
 from fermigas.thermo import monotone_root
 from spectrum_reference import (dict_spectrum, eigenfunction_origin_density,
-                                origin_weight, summed_central_density)
+                                origin_weight, sorted_counting_check, summed_central_density)
 
 
 def test_isotropic_shell_degeneracies():
@@ -599,6 +599,84 @@ def test_continuum_error_shrinks_with_particle_number():
 def test_zero_temperature_state_counting(n):
     difference, edge_degeneracy = fg.counting_check(n)
     assert difference <= edge_degeneracy
+
+
+def _threshold(n_particles, lam):
+    """counting_check's threshold E_F - (1 + lambda/2) for N particles."""
+    return (6.0 * lam * n_particles) ** (1.0 / 3.0) - (1.0 + 0.5 * lam)
+
+
+def _counts_onto(level, lam):
+    """Float N whose threshold is the level's energy and one ulp below and
+    above it, found by ulp steps of N from the cube; None where no N lands."""
+    found = []
+    for target in (math.nextafter(level, -math.inf), level, math.nextafter(level, math.inf)):
+        n = (target + 1.0 + 0.5 * lam) ** 3 / (6.0 * lam)
+        for _ in range(400):
+            gap = _threshold(n, lam) - target
+            if gap == 0.0:
+                break
+            n = math.nextafter(n, -math.inf if gap > 0.0 else math.inf)
+        found.append(n if gap == 0.0 else None)
+    return found
+
+
+COUNTING_LAMBDAS = [0.5, 1.0, 2.0, math.sqrt(8.0), 1.0 / 3.0, math.pi,
+                    *np.exp(np.random.default_rng(29).uniform(math.log(0.25), math.log(4.0), 4))]
+
+
+def test_counting_check_matches_the_sorted_spectrum():
+    # the masked sums over the unsorted ladders give the sort-and-merge
+    # answer bit for bit: log-spaced N, closed-shell counts (the states up to
+    # a level) and their neighbours, and N whose threshold is a level energy
+    # or one ulp from it, where <= decides which side the level counts on
+    cases, landed = [], 0
+    for lam in map(float, COUNTING_LAMBDAS):
+        cases += [(float(n), lam) for n in np.logspace(0, 7, 57)]
+        sp = fg.build_spectrum(lam, _threshold(1e7, lam))
+        closed = np.cumsum(sp.degeneracies)
+        for i in np.linspace(0, sp.energies.size - 2, 12).astype(int).tolist():
+            cases += [(int(closed[i]) + d, lam) for d in (-1, 0, 1) if closed[i] + d >= 1]
+            counts = _counts_onto(float(sp.energies[i + 1]), lam)
+            landed += counts[1] is not None
+            cases += [(n, lam) for n in counts if n is not None]
+    assert len(cases) >= 1_000
+    assert landed >= 100  # most levels have an N whose threshold is the level itself
+    for n, lam in cases:
+        got, want = fg.counting_check(n, lam), sorted_counting_check(n, lam)
+        assert got == want and list(map(type, got)) == list(map(type, want)), (n, lam)
+
+
+def test_counting_check_sorts_nothing(monkeypatch):
+    # the ladders are kept from the first call; later counts read them by
+    # masks, with no sort, no merge and no DiscreteSpectrum
+    def refuse(*args, **kwargs):
+        raise AssertionError("sort or merge")
+
+    cases = [(n, lam) for lam in (1.0, math.sqrt(8.0), 1.0 / 3.0)
+             for n in (10_000_000, 176_851, 969, 1)]
+    expected = [sorted_counting_check(n, lam) for n, lam in cases]
+    for name in ("argsort", "sort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(oracle, "DiscreteSpectrum", refuse)
+    monkeypatch.setattr(oracle, "build_spectrum", refuse)
+    assert [fg.counting_check(n, lam) for n, lam in cases] == expected
+
+
+@pytest.mark.parametrize("n_particles, lam, message", [
+    # one ladder per axial row: 5.4e6 entries up to E_F + 1
+    (1e10, math.sqrt(8.0), r"the spectrum has \d+ ladder entries and \d+ axial rows, above"),
+    # 1.08e7 axial rows, refused on the rows before any per-row array
+    (1000, 1e-7, r"the spectrum has at least \d+ ladder entries and \d+ axial rows"),
+    # 400,001 entries holding 1.07e16 states, past exact float counts
+    (1.07e16, 1.0, r"holds 1\.07\d+e\+16 states, at or above the 2\^53 cap"),
+])
+def test_counting_check_refuses_as_the_sorted_spectrum(n_particles, lam, message):
+    with pytest.raises(DomainError, match=message) as got:
+        fg.counting_check(n_particles, lam)
+    with pytest.raises(DomainError) as want:
+        sorted_counting_check(n_particles, lam)
+    assert str(got.value) == str(want.value)
 
 
 def test_ground_state_central_density():

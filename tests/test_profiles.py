@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 import fermigas as fg
-from fermigas import DomainError
+from fermigas import DomainError, profiles
+from fermigas.curves import MAX_SAMPLES
+from fermigas.fdint import band
 
 from conftest import mp_thermo
 
@@ -244,6 +247,40 @@ def test_profile_curves_domain_errors():
                                           r"radius grid that is not strictly increasing$"):
         fg.profile_curves([0.0, 0.5], s_max=1e-320)
     assert [s for s, _ in fg.profile_curves([0.5], 3, 1e-320)[0].samples] == [0.0, 5e-321, 1e-320]
+
+
+def test_profile_curves_sample_cap(monkeypatch):
+    # refused before linspace builds a list of that length
+    sizes = []
+
+    def recording_linspace(lo, hi, n):
+        sizes.append(n)
+        return [lo, hi]
+
+    monkeypatch.setattr(profiles, "linspace", recording_linspace)
+    assert MAX_SAMPLES == 1_000_000
+    for n_samples, s_max in ((10 ** 20, None), (MAX_SAMPLES + 1, 1.0), (1e300, None)):
+        with pytest.raises(DomainError, match=rf"^n_samples must be at most 1000000, "
+                                              rf"got {re.escape(repr(n_samples))}$"):
+            fg.profile_curves([0.0, 0.5], n_samples, s_max)
+    assert sizes == []
+    fg.profile_curves([0.0], MAX_SAMPLES)
+    assert sizes == [MAX_SAMPLES]
+
+
+def test_density_and_normalization_are_the_fd_formulas():
+    # bit for bit the public fd of the module docstring's formulas, in every
+    # regime that f_3/2 and f_3 reach
+    bands = set()
+    for t in np.logspace(-3, 3, 61).tolist():
+        m = fg.solve_mu(t)
+        assert fg.normalization(t) == 6.0 * t ** 3 * fg.fd(3.0, m / t)
+        bands.add(band(3.0, m / t))
+        for s in (0.0, 0.5, 0.9, 1.0, 1.5, 3.0):
+            eta = (m - s * s) / t
+            assert fg.density(s, t) == (6.0 / math.pi ** 1.5) * t ** 1.5 * fg.fd(1.5, eta)
+            bands.add(band(1.5, eta))
+    assert bands == {"series", "taylor", "reflection", "trapezoid", "sommerfeld"}
 
 
 def test_density_domain_errors():

@@ -23,6 +23,32 @@ def oracle_mu(t):
                   xtol=1e-14, rtol=8.9e-16)
 
 
+def c_by_fd_orders(eta):
+    """c of eta = m/t by the public fd_orders: the plain ratio below eta = 1,
+    else the inversion identity of the thermo module docstring."""
+    if eta < 1.0:
+        f2, f3, f4 = fg.fd_orders((2, 3, 4), eta)
+        return 12.0 * f4 / f3 - 9.0 * f3 / f2
+    r2, r3, r4 = fg.fd_orders((2, 3, 4), -eta)
+    e2, pi2 = eta * eta, math.pi ** 2
+    y = pi2 / e2
+    p2, p3 = 0.5 * e2 + pi2 / 6.0, eta * (e2 + pi2) / 6.0
+    p4 = e2 * e2 / 24.0 + pi2 * e2 / 12.0 + 7.0 * pi2 * pi2 / 360.0
+    d = (pi2 * e2 * e2 / 12.0 * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
+         - 12.0 * (p4 * r2 + p2 * r4 - r2 * r4) - 9.0 * (2.0 * p3 * r3 + r3 * r3))
+    return d / ((p3 + r3) * (p2 - r2))
+
+
+def test_heat_capacity_is_the_fd_orders_formula():
+    # bit for bit, with f_2..f_4 in the series and Taylor regimes
+    bands = set()
+    for t in np.logspace(-3, 3, 61).tolist():
+        eta = fg.solve_mu(t) / t
+        assert fg.heat_capacity(t) == c_by_fd_orders(eta)
+        bands.add(fdint.band(2.0, eta if eta < 1.0 else -eta))
+    assert bands == {"series", "taylor"}
+
+
 def test_readme_solve_mu_example():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     line = next(ln for ln in readme.splitlines() if ln.startswith("fg.solve_mu(0.5)"))

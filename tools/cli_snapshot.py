@@ -10,7 +10,7 @@ stderr and exit (the exit code).  `diff -r` of the snapshots of two
 checkouts then shows every change a user would see.  The list is every
 command at default flags in CSV and JSON, the oracle's low-temperature,
 anisotropic and large-N cases, and values outside each number flag's
-domain.
+domain, the sample and step cap included.
 """
 
 import os
@@ -60,6 +60,13 @@ BAD_VALUES = [
     ("profile", "--s-max", "0"),
     ("profile", "--s-max", "1e-320"),
     ("profile", "--samples", "1"),
+    # above the sample cap: a checkout without the cap starts building a list
+    # of this length, so snapshot such a checkout with its own copy of this tool
+    ("profile", "--samples", "1000001"),
+    ("profile", "--samples", "100000000000000000000"),
+    ("mu-curve", "--steps", "100000000000000000000"),
+    ("heat-curve", "--steps", "1000001"),
+    ("msd-curve", "--steps", "1000001"),
     ("oracle", "--n", "0"),
     ("oracle", "--lambda", "-1"),
     ("oracle", "--lambda", "abc"),
