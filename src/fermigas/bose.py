@@ -14,9 +14,9 @@ a in units of sigma_r).  Restoring units, n_B = (M omega_r^2 / 2U)(R_B^2 - rho^2
 import math
 import warnings
 
-from .errors import DomainError, check_count, check_finite
+from .errors import DomainError, check_finite
 from .record import Record
-from .scales import CharacteristicScales
+from .scales import CharacteristicScales, _trap_scales
 
 TF_PARAMETER_FLOOR = 10.0
 
@@ -30,8 +30,7 @@ class BoseParams(Record):
     a_scatt: float = None
 
     def __post_init__(self):
-        check_count("n_particles", self.n_particles)
-        check_finite("lambda", self.lam, positive=True)
+        _trap_scales(self.n_particles, self.lam)
         if (self.u_bose is None) == (self.a_scatt is None):
             raise DomainError("give exactly one of u_bose or a_scatt")
         if self.u_bose is None:

@@ -58,6 +58,10 @@ potential, so continuum comparisons are reported both raw and with the
 suppressed zero-point energy (1 + lambda/2) restored; the adjusted gap is
 the meaningful convergence measure.
 
+Every entry point that takes (N, lambda) checks them, and gets E_F in
+hbar*omega_r and R_F/sigma, from scales._trap_scales, which refuses
+48 N lambda past the float range with one message naming both.
+
 numpy is imported by the functions that enumerate the spectrum, so the
 semiclassical estimates (the closed forms) run without it; validity_report
 wraps the floats of scales.validity_table in arrays.
@@ -71,7 +75,7 @@ import threading
 from .errors import DomainError, NumericsError, check_count, check_finite
 from .fdint import _closed_forms
 from .record import Record
-from .scales import _SEMI_N0, validity_table
+from .scales import _SEMI_N0, _trap_scales, validity_table
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
@@ -227,9 +231,8 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     fill closed shells; the chemical potential is then reported at the
     midpoint of the gap between the last filled and first empty level.
     """
-    check_count("n_particles", n_particles)
-    return _exact_mu(n_particles, check_finite("lambda", lam, positive=True),
-                     check_finite("t_abs", t_abs), None)
+    lam, e_fermi, _ = _trap_scales(n_particles, lam)
+    return _exact_mu(n_particles, lam, e_fermi, check_finite("t_abs", t_abs), None)
 
 
 def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
@@ -265,13 +268,12 @@ def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
     return sums
 
 
-def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
-    """exact_mu of checked arguments; m_continuum is solve_mu(t_abs / E_F), or
-    None to solve it here."""
+def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_continuum):
+    """exact_mu of checked arguments, E_F in hbar*omega_r; m_continuum is
+    solve_mu(t_abs / E_F), or None to solve it here."""
     import numpy as np
 
-    e_fermi_est = (6.0 * lam * n_particles) ** (1.0 / 3.0)
-    hi = _CUTOFF_SCALE * e_fermi_est + 2.0
+    hi = _CUTOFF_SCALE * e_fermi + 2.0
     if t_abs == 0.0:
         spectrum = build_spectrum(lam, hi)
         cumulative = np.cumsum(spectrum.degeneracies)
@@ -318,12 +320,12 @@ def _exact_mu(n_particles: int, lam: float, t_abs: float, m_continuum):
     try:
         # Newton from the continuum mu with the zero point removed, moved for
         # the constant -(2 + lambda^2)/(24 lambda) of the smooth level density
-        t = t_abs / e_fermi_est
+        t = t_abs / e_fermi
         if m_continuum is None:
             m_continuum = solve_mu(t)
         f2, f1 = _closed_forms((2.0, 1.0), m_continuum / t)
-        m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi_est ** 2 * t) * (f1 / f2)
-        start = m_continuum * e_fermi_est - (1.0 + 0.5 * lam)
+        m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi ** 2 * t) * (f1 / f2)
+        start = m_continuum * e_fermi - (1.0 + 0.5 * lam)
     except (DomainError, NumericsError):
         start = lo
     try:
@@ -365,8 +367,7 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
 
 def semiclassical_central_density(n_particles: int, lam: float = 1.0) -> float:
     """Continuum central density n(0) * sigma^3 = (2/sqrt(3) pi^2) sqrt(N*lam)."""
-    check_count("n_particles", n_particles)
-    return _SEMI_N0 * math.sqrt(n_particles * check_finite("lambda", lam, positive=True))
+    return _SEMI_N0 * math.sqrt(n_particles * _trap_scales(n_particles, lam)[0])
 
 
 class ValidityReport(Record, hidden=("radii", "margin", "cell_scale")):
@@ -391,15 +392,14 @@ def validity_report(n_particles: int, lam: float, radii) -> ValidityReport:
 def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
     """Distance from the cloud edge, in units of sigma, at which the density
     drops to one particle per quantum volume (n(r) sigma^3 = 1)."""
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
+    lam, _, stretch = _trap_scales(n_particles, lam)
     x = (1.0 / (_SEMI_N0 * math.sqrt(n_particles * lam))) ** (2.0 / 3.0)
     if x >= 1.0:
         raise DomainError(
             f"N = {n_particles} is too small: the whole cloud is below one "
             "particle per quantum volume")
     s_star = math.sqrt(1.0 - x)
-    return (1.0 - s_star) * (48.0 * n_particles * lam) ** (1.0 / 6.0)
+    return (1.0 - s_star) * stretch
 
 
 class ContinuumComparison(Record):
@@ -419,12 +419,10 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
     from the potential bottom, so the adjusted gap restores the suppressed
     zero point before differencing.
     """
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
+    lam, e_fermi, _ = _trap_scales(n_particles, lam)
     t = _check_t(t)
-    e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
     m = solve_mu(t)  # once: (t E_F)/E_F need not round back to t
-    mu_ex = _exact_mu(n_particles, lam, check_finite("t_abs", t * e_fermi), m)
+    mu_ex = _exact_mu(n_particles, lam, e_fermi, t * e_fermi, m)  # finite: solve_mu caps t
     mu_cont = m * e_fermi
     zp = 1.0 + 0.5 * lam
     return ContinuumComparison(
@@ -438,10 +436,8 @@ def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
     outermost shell degeneracy), from masked sums over the unsorted ladders."""
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
-    e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
-    energies, degs = _counted_levels(lam, check_finite("cutoff", e_fermi + 1.0))
+    lam, e_fermi, _ = _trap_scales(n_particles, lam)
+    energies, degs = _counted_levels(lam, e_fermi + 1.0)
     below = energies <= e_fermi - (1.0 + 0.5 * lam)
     # row 0's integer levels put one in (e_fermi - 1 - lam/2, e_fermi + 1]: an edge exists
     edge = energies.min(where=~below, initial=math.inf)

@@ -8,7 +8,12 @@ anisotropy lambda is
     E_F = hbar * omega_r * (6 * lambda * N)**(1/3)
 
 with companion length R_F (classical excursion at E_F), wavenumber K_F
-(free-particle momentum at E_F) and ground-state width sigma_r.
+(free-particle momentum at E_F) and ground-state width sigma_r, and
+R_F/sigma_r = K_F sigma_r = (48 lambda N)^(1/6).  _trap_scales checks
+(N, lambda) for every entry point here, in bose and in oracle: N >= 1 and
+lambda > 0, both finite, and 48 N lambda finite.  It is the one place that
+computes E_F/(hbar omega_r) and R_F/sigma_r.  derive_scales also refuses a
+trap whose SI scales leave the float range, naming mass and omega_r.
 Level energies are quoted without the zero-point offset throughout.
 continuum_reliable and validity_table say where the continuum picture holds.
 """
@@ -24,6 +29,18 @@ K_BOLTZMANN = 1.380649e-23   # J/K
 _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # continuum n(0) sigma^3 / sqrt(N*lam)
 
 
+def _trap_scales(n_particles, lam) -> tuple:
+    """(lambda, E_F/(hbar omega_r), R_F/sigma_r = K_F sigma_r) of N >= 1 particles at
+    lambda > 0, both finite; DomainError unless 48 N lambda is finite as well."""
+    n_particles = check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
+    stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
+    if stretch == math.inf:
+        raise DomainError(f"48 * n_particles * lambda must be finite, got n_particles = "
+                          f"{n_particles!r} and lambda = {lam!r}")
+    return lam, (6.0 * lam * n_particles) ** (1.0 / 3.0), stretch
+
+
 class TrapSpec(Record):
     """Trap and gas parameters: mass [kg], omega_r [rad/s], anisotropy, N."""
 
@@ -35,8 +52,7 @@ class TrapSpec(Record):
     def __post_init__(self):
         check_finite("mass", self.mass, positive=True)
         check_finite("omega_r", self.omega_r, positive=True)
-        check_finite("lambda", self.lam, positive=True)
-        check_count("n_particles", self.n_particles)
+        _trap_scales(self.n_particles, self.lam)
         if int(self.n_particles) != self.n_particles:
             raise DomainError(
                 f"n_particles must be a positive integer, got {self.n_particles!r}")
@@ -55,18 +71,19 @@ class CharacteristicScales(Record, hidden=("spec",)):
 
 
 def derive_scales(spec: TrapSpec) -> CharacteristicScales:
-    e_fermi = HBAR * spec.omega_r * (6.0 * spec.lam * spec.n_particles) ** (1.0 / 3.0)
-    sigma_r = math.sqrt(HBAR / (spec.mass * spec.omega_r))
-    stretch = (48.0 * spec.n_particles * spec.lam) ** (1.0 / 6.0)
-    return CharacteristicScales(
-        e_fermi=e_fermi,
-        t_fermi=e_fermi / K_BOLTZMANN,
-        r_fermi=stretch * sigma_r,
-        k_fermi=stretch / sigma_r,
-        sigma_r=sigma_r,
-        level_spacing=HBAR * spec.omega_r,
-        spec=spec,
-    )
+    _, e_reduced, stretch = _trap_scales(spec.n_particles, spec.lam)
+    level_spacing = HBAR * spec.omega_r
+    e_fermi = level_spacing * e_reduced
+    try:
+        sigma_r = math.sqrt(HBAR / (spec.mass * spec.omega_r))
+        k_fermi = stretch / sigma_r
+    except ZeroDivisionError:  # mass * omega_r or sigma_r rounded to 0
+        sigma_r = k_fermi = 0.0
+    values = (e_fermi, e_fermi / K_BOLTZMANN, stretch * sigma_r, k_fermi, sigma_r, level_spacing)
+    if not all(0.0 < v < math.inf for v in values):
+        raise DomainError(f"mass = {spec.mass!r} and omega_r = {spec.omega_r!r} give SI "
+                          "scales outside the float range")
+    return CharacteristicScales(*values, spec=spec)
 
 
 def effective_radius(x: float, y: float, z: float, lam: float) -> float:
@@ -91,21 +108,19 @@ def from_scaled(spec: TrapSpec, s: float, q: float, t: float):
 def continuum_reliable(spec: TrapSpec, t: float) -> bool:
     """True when k_B*T is at least the level spacing, i.e. t*(6*lam*N)^(1/3) >= 1."""
     t = check_finite("reduced temperature", t)
-    return t * (6.0 * spec.lam * spec.n_particles) ** (1.0 / 3.0) >= 1.0
+    return t * _trap_scales(spec.n_particles, spec.lam)[1] >= 1.0
 
 
 def validity_table(n_particles: int, lam: float, radii) -> tuple:
     """oracle.validity_report as floats: ([(s, margin, cell_scale) per radius],
     shell_thickness_sigma, inv_k_fermi_sigma).  The margin is inf at s = 0,
     the cell scale nan at s = 0 and for s >= 1."""
-    check_count("n_particles", n_particles)
-    lam = check_finite("lambda", lam, positive=True)
+    lam, _, stretch = _trap_scales(n_particles, lam)
     radii = [to_float("radii", r) for r in radii]
     if not radii:
         raise DomainError("need at least one radius")
     if not all(0.0 <= s <= 1.2 for s in radii):  # NaN fails both comparisons
         raise DomainError(f"radii must lie in [0, 1.2], got {radii!r}")
-    stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
     central = _SEMI_N0 * math.sqrt(n_particles * lam)
     rows = []
     for s in radii:

@@ -211,6 +211,10 @@ def test_unwritable_output_is_numerical_failure(capsys):
     assert "failure" in err
 
 
+TRAP_OVERFLOW = ("48 * n_particles * lambda must be finite, "
+                 "got n_particles = 1e+307 and lambda = 10.0")
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "mu-curve", "--steps", "0")[0] == 2
     assert run_cli(capsys, "mu-curve", "--t-max", "-1")[0] == 2
@@ -267,6 +271,22 @@ def test_usage_errors(capsys):
          "reduced temperature must be finite and non-negative, got -0.5"),
         (("validity", "--n", "-5"), "n_particles must be finite and at least 1, got -5.0"),
         (("validity", "--lambda", "inf"), "lambda must be finite and positive, got inf"),
+        # 48 N lambda past the float range: one trap check for every command
+        (("scales", "--mass", "1e-26", "--omega-r", "1000", "--lambda", "10",
+          "--n", "1" + "0" * 307), TRAP_OVERFLOW),
+        (("bose-compare", "--mass", "1e-26", "--omega-r", "1000", "--lambda", "10",
+          "--n", "1" + "0" * 307), TRAP_OVERFLOW),
+        (("oracle", "--lambda", "10", "--n", "1" + "0" * 307), TRAP_OVERFLOW),
+        (("validity", "--lambda", "10", "--n", "1" + "0" * 307), TRAP_OVERFLOW),
+        # SI scales past the float range
+        (("scales", "--mass", "1e-300", "--omega-r", "1e-300", "--lambda", "1", "--n", "1000"),
+         "mass = 1e-300 and omega_r = 1e-300 give SI scales outside the float range"),
+        (("scales", "--mass", "1e-26", "--omega-r", "1e300", "--lambda", "1",
+          "--n", "1" + "0" * 300),
+         "mass = 1e-26 and omega_r = 1e+300 give SI scales outside the float range"),
+        (("bose-compare", "--mass", "1e-26", "--omega-r", "1e300", "--lambda", "1",
+          "--n", "1" + "0" * 300),
+         "mass = 1e-26 and omega_r = 1e+300 give SI scales outside the float range"),
     ]:
         assert run_cli(capsys, *argv) == (2, "", f"fermigas: error: {message}\n"), argv
 
@@ -372,6 +392,17 @@ def test_perturb_round_trip(tmp_path, capsys):
     assert run_cli(capsys, "perturb", "--delta-v", str(bare)) == (0, out, "")
 
 
+def test_perturb_table_skips_comment_and_blank_lines(tmp_path, capsys):
+    table = write_dv_table(tmp_path / "dv.csv")
+    code, out, _ = run_cli(capsys, "perturb", "--delta-v", table)
+    assert code == 0
+    lines = Path(table).read_text().split("\n")
+    lines[20:20] = ["# a comment between data rows", "", "   # indented"]
+    commented = tmp_path / "commented.csv"
+    commented.write_text("\n".join(lines))
+    assert run_cli(capsys, "perturb", "--delta-v", str(commented)) == (0, out, "")
+
+
 def test_perturb_bad_table(tmp_path, capsys):
     table = tmp_path / "partial.csv"
     table.write_text("0.5,0.0\n1.0,0.0\n")
@@ -379,7 +410,9 @@ def test_perturb_bad_table(tmp_path, capsys):
     assert code == 2
     assert "cover" in err
     for text, message in [("s,dv\n0,0\n1,0\nend\n", "malformed table row ['end']"),
-                          ("s,dv\n0,0\n", "need at least two (s, dV/E_F) rows")]:
+                          ("s,dv\n0,0\n", "need at least two (s, dV/E_F) rows"),
+                          ("s,dv\n0,0\n0.5,0.01\n0.5,0.02\n1,0.03\n",
+                           "field table abscissa must be strictly increasing")]:
         table.write_text(text)
         code, out, err = run_cli(capsys, "perturb", "--delta-v", str(table))
         assert (code, out) == (2, "")

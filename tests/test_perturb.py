@@ -137,6 +137,42 @@ def test_smallness_guard():
         fg.mean_field_correction(0.2)
 
 
+def test_mean_field_correction_checks_its_field_once(monkeypatch):
+    # the guard |u_int| n0(0) <= SMALLNESS_GUARD bounds the whole field, since
+    # n0 falls from s = 0: the largest accepted u_int of either sign passes
+    # field_values, so mean_field_correction never needs that second pass
+    n0 = perturb._zero_t_density()
+    edge = (perturb.SMALLNESS_GUARD + 1e-12) / n0[0]
+    for u_int in (edge, -edge):
+        assert perturb.field_values([u_int * n for n in n0])
+    expected = fg.mean_field_correction(edge)
+
+    def refuse(values):
+        raise AssertionError("mean_field_correction re-checked its field")
+
+    monkeypatch.setattr(perturb, "field_values", refuse)
+    resp = fg.mean_field_correction(edge)
+    assert resp.delta_e_fermi == expected.delta_e_fermi
+    assert resp.delta_n.tolist() == expected.delta_n.tolist()
+    with pytest.raises(DomainError, match="smallness guard"):
+        fg.mean_field_correction(-2.0 * edge)
+
+
+COLUMNS = "field table needs matching 1-d s and value columns"
+
+
+@pytest.mark.parametrize("s, v, message", [
+    ([0.0, 1.0], [0.01], COLUMNS),            # columns of different lengths
+    ([0.0], [0.0], COLUMNS),                  # a single row
+    ([[0.0, 1.0]], [[0.01, 0.01]], COLUMNS),  # 2-d columns
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.01, 0.02, 0.03],
+     "field table abscissa must be strictly increasing"),
+])
+def test_field_table_malformed_columns_rejected(s, v, message):
+    with pytest.raises(DomainError, match=message):
+        PerturbationField.from_table(s, v)
+
+
 def test_field_table_interpolation():
     s = np.linspace(0.0, 1.0, 40)
     fld = PerturbationField.from_table(s, 0.01 * s * s)

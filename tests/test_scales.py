@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,56 @@ def test_negative_temperature_rejected():
 def test_invalid_trap_spec_rejected(kwargs):
     with pytest.raises(DomainError):
         fg.TrapSpec(**kwargs)
+
+
+def test_trap_spec_checks_particle_number_before_lambda():
+    with pytest.raises(DomainError, match="n_particles must be finite and at least 1"):
+        fg.TrapSpec(mass=1e-26, omega_r=1.0, lam=math.nan, n_particles=0)
+
+
+# every entry point that takes (N, lambda) shares one check: 48 N lambda
+# past the float range is refused with one message naming both
+TRAP_OVERFLOW = ("48 * n_particles * lambda must be finite, "
+                 "got n_particles = 1e+307 and lambda = 10.0")
+
+
+@pytest.mark.parametrize("call", [
+    lambda n, lam: fg.TrapSpec(mass=1e-26, omega_r=1000.0, lam=lam, n_particles=n),
+    lambda n, lam: fg.BoseParams(n, lam, u_bose=1.0),
+    lambda n, lam: fg.exact_mu(n, lam, 0.1),
+    lambda n, lam: fg.semiclassical_central_density(n, lam),
+    lambda n, lam: fg.breakdown_shell_distance(n, lam),
+    lambda n, lam: fg.continuum_comparison(n, lam, 0.1),
+    lambda n, lam: fg.counting_check(n, lam),
+    lambda n, lam: fg.validity_report(n, lam, [0.5]),
+    lambda n, lam: fg.scales.validity_table(n, lam, [0.5]),
+], ids=["TrapSpec", "BoseParams", "exact_mu", "semiclassical_central_density",
+        "breakdown_shell_distance", "continuum_comparison", "counting_check",
+        "validity_report", "validity_table"])
+def test_trap_beyond_the_float_range_rejected(call):
+    for n in (10 ** 307, 1e307):
+        with pytest.raises(DomainError, match=re.escape(TRAP_OVERFLOW)):
+            call(n, 10.0)
+
+
+def test_trap_float_range_edge():
+    # 48 N lambda overflows from N lambda = 1.7976931348623157e308 / 48 = 3.745e306
+    assert math.isfinite(fg.semiclassical_central_density(3.7e306, 1.0))
+    assert math.isfinite(fg.breakdown_shell_distance(1.0, 3.7e306))
+    with pytest.raises(DomainError, match=re.escape("48 * n_particles * lambda must be finite")):
+        fg.semiclassical_central_density(3.75e306, 1.0)
+
+
+@pytest.mark.parametrize("mass, omega_r, n_particles", [
+    (1e-300, 1e-300, 1000),     # mass * omega_r rounds to 0
+    (1e10, 1e300, 1),           # mass * omega_r overflows: sigma_r rounds to 0
+    (1e-26, 1e300, 10 ** 300),  # E_F overflows
+], ids=["m_omega_underflow", "sigma_underflow", "e_fermi_overflow"])
+def test_si_scales_outside_the_float_range_rejected(mass, omega_r, n_particles):
+    spec = fg.TrapSpec(mass=mass, omega_r=omega_r, lam=1.0, n_particles=n_particles)
+    message = f"mass = {mass!r} and omega_r = {omega_r!r} give SI scales outside the float range"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        fg.derive_scales(spec)
 
 
 def test_continuum_reliability_flag():

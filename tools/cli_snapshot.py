@@ -9,8 +9,9 @@ FERMIGAS_CONFIG unset, and leaves OUTDIR/<name>/ holding argv, stdout,
 stderr and exit (the exit code).  `diff -r` of the snapshots of two
 checkouts then shows every change a user would see.  The list is every
 command at default flags in CSV and JSON, the oracle's low-temperature,
-anisotropic and large-N cases, and values outside each number flag's
-domain, the sample and step cap included.
+anisotropic and large-N cases, values outside each number flag's domain,
+the sample and step cap included, and traps whose scales leave the float
+range.
 """
 
 import os
@@ -45,6 +46,16 @@ BAD_VALUES = [
     ("scales", *LI6, "--n", "0"),
     ("scales", *LI6, "--n", "2.5"),
     ("scales", *LI6, "--n", "1" + "0" * 400),
+    # 48 N lambda past the float range, then SI scales past it
+    ("scales", "--mass", "1e-26", "--omega-r", "1000", "--lambda", "10", "--n", "1" + "0" * 307),
+    ("bose-compare", "--mass", "1e-26", "--omega-r", "1000", "--lambda", "10",
+     "--n", "1" + "0" * 307),
+    ("oracle", "--lambda", "10", "--n", "1" + "0" * 307),
+    ("validity", "--lambda", "10", "--n", "1" + "0" * 307),
+    ("scales", "--mass", "1e-300", "--omega-r", "1e-300", "--lambda", "1", "--n", "1000"),
+    ("scales", "--mass", "1e-26", "--omega-r", "1e300", "--lambda", "1", "--n", "1" + "0" * 300),
+    ("bose-compare", "--mass", "1e-26", "--omega-r", "1e300", "--lambda", "1",
+     "--n", "1" + "0" * 300),
     ("bose-compare", *LI6, "--n", "-3"),
     ("bose-compare", *LI6, "--u-bose", "-0.5"),
     ("bose-compare", *LI6, "--a-scatt", "inf"),
