@@ -77,8 +77,20 @@ class PauliPseudopotential(Record):
 
 
 def pauli_pseudopotential(scales: CharacteristicScales) -> PauliPseudopotential:
-    n = scales.spec.n_particles
-    u_eff = scales.e_fermi * scales.r_fermi ** 3 / n
+    return _pauli_pseudopotential(scales)[0]
+
+
+def _pauli_pseudopotential(scales: CharacteristicScales):
+    """pauli_pseudopotential(scales) and its u_eff in trap units, hbar omega_r sigma_r^3,
+    refused with one message if either leaves the float range."""
+    spec = scales.spec
+    try:
+        u_eff = scales.e_fermi * scales.r_fermi ** 3 / spec.n_particles
+        u_trap = u_eff / (scales.level_spacing * scales.sigma_r ** 3)
+    except ArithmeticError:  # R_F^3 or sigma_r^3 past the float range, or a zero divisor
+        u_eff = u_trap = math.inf
+    if not (0.0 < u_eff < math.inf and 0.0 < u_trap < math.inf):
+        raise DomainError(f"mass = {spec.mass!r} and omega_r = {spec.omega_r!r} give a Pauli "
+                          "pseudopotential outside the float range")
     a_eff = 1.0 / scales.k_fermi
-    return PauliPseudopotential(u_eff=u_eff, a_eff=a_eff,
-                                kf_a_eff=scales.k_fermi * a_eff)
+    return PauliPseudopotential(u_eff=u_eff, a_eff=a_eff, kf_a_eff=scales.k_fermi * a_eff), u_trap

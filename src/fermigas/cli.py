@@ -182,9 +182,10 @@ def _run_curve(p, fmt):
     if p["command"] == "msd-curve":
         from .profiles import msd_curve
         curve = msd_curve(_t_grid(p))
-    else:
-        from .thermo import thermo_curve
-        curve = thermo_curve(_t_grid(p))[p["command"] == "heat-curve"]
+    else:  # only the printed column of thermo_curve
+        from .thermo import heat_capacity, solve_mu
+        label, column = ("c", heat_capacity) if p["command"] == "heat-curve" else ("m", solve_mu)
+        curve = UniversalCurve("t", label, tuple((t, column(t)) for t in _t_grid(p)))
     return curve.to_json() if fmt == "json" else curve.to_csv()
 
 
@@ -255,9 +256,7 @@ def _run_bose_compare(p, fmt):
 
     spec = _trap_spec(p)
     sc = scales.derive_scales(spec)
-    pauli = bose.pauli_pseudopotential(sc)
-    hbar_omega = scales.HBAR * spec.omega_r
-    u_eff_trap = pauli.u_eff / (hbar_omega * sc.sigma_r ** 3)
+    pauli, u_eff_trap = bose._pauli_pseudopotential(sc)
     u_bose, a_scatt = p["u_bose"], p["a_scatt"]
     if u_bose is None and a_scatt is None:
         u_bose = u_eff_trap  # the gas mimicked by its own Pauli pseudopotential

@@ -1,40 +1,39 @@
 """Exact discrete-spectrum reference computations.
 
 The single-particle levels are eps = n_x + n_y + lambda*n_z in units of
-hbar*omega_r, zero-point suppressed.  Row n_z holds p + 1 states at
-lambda*n_z + p, p = n_x + n_y.  Its base splits exactly into an integer a
-and a fraction frac, so the row lies on the ladder frac + k, k an integer,
-with fl(frac + k) == fl(lambda*n_z + p).  Rows with equal frac share a
-ladder and each adds a ramp k - a + 1 of degeneracies: one np.bincount of
-their second differences and two running sums give them all, with no
-per-cell array.  Integer lambda has one ladder, the (n+1)(n+2)/2 shells of
-the isotropic trap; irrational lambda has one per row.  A level is kept iff
-its float energy is <= the cutoff, so a smaller cutoff's ladders are a
-larger one's masked by energy, in order: _levels keeps each lambda's at the
-largest cutoff asked so far, up to MAX_ENTRIES entries that stay in memory,
-and masks them.  Only build_spectrum, and the T = 0 exact_mu through it,
-sorts the entries and merges equal energies; exact_mu at T > 0 sums over
-them unsorted and counting_check counts them by masked sums.  Work and
-memory grow with the entries and the axial rows, so the entries plus four
-per row are capped at MAX_ENTRIES: first on the lower bound max(rows,
-floor(cutoff) + 1) of the entries before any per-row array, then on their
-count before any per-entry array.  build_spectrum and counting_check
-refuse 2^53 states or more, so that their counts are exact floats; the
-level sum weighs each level by the float g/N and needs no such guard.
+hbar*omega_r, zero-point suppressed: axial row n_z holds p + 1 states at
+fl(base + p), base = lambda*n_z, p = n_x + n_y.  The T = 0 counts read the
+bases alone (_count): counting_check counts at E_F - (1 + lambda/2), and
+exact_mu bisects from there, on levels, for the one the Nth state fills.
+The level sum and build_spectrum enumerate ladders: base splits exactly
+into an integer a and a fraction frac, so the row lies on the ladder
+frac + k, k an integer, with fl(frac + k) == fl(base + p).  Rows with equal
+frac share a ladder and each adds a ramp k - a + 1 of degeneracies: one
+np.bincount of their second differences and two running sums give them
+all, with no per-cell array.  Integer lambda has one ladder; irrational
+lambda has one per row.  A level is kept iff its float energy is <= the
+cutoff, so a smaller cutoff's ladders are a larger one's masked by energy,
+in order: _levels keeps each lambda's at the largest cutoff asked so far,
+up to MAX_ENTRIES entries that stay in memory, and masks them; only
+build_spectrum sorts.  The entries plus four per row are capped at
+MAX_ENTRIES, by _rows on the lower bound max(rows, floor(cutoff) + 1)
+before any per-row array, then on their count.  Counts refuse 2^53 states
+or more up to their cutoff, so as to be exact floats; the level sum weighs
+levels by the float g/N and needs no such guard.
 
-exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
-search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds more than 2N
-states (at least the volume hi^3/(6 lambda) under it), so mu <= hi and at
-T = 0 the level above the Nth state exists.  Ladders are enumerated only
-up to the cutoff E_c = hi + 12 T.  Every level above it has
-x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x to within 2.3e-16
-(e^-36) relative; per axial row these terms are geometric series in p:
-_tail_sums gives their sums S_j over all levels above E_c in closed form,
-so each step adds the tail as sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N
-and no level is dropped.  At lambda = sqrt 8 the window holds 58%, 37%,
-26% and 19% of the levels up to E_c + 24 T at t = 0.02, 0.05, 0.1 and
-0.2.  Newton starts at the continuum estimate solve_mu(t) E_F -
-(1 + lambda/2), raised by
+At T > 0 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one
+monotone_root search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds
+more than 2N states (at least the volume hi^3/(6 lambda) under it), so
+mu <= hi, and at T = 0 the level above the Nth state is at most hi.
+Ladders are enumerated only up to the cutoff E_c = hi + 12 T.  Every level
+above it has x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x to
+within 2.3e-16 (e^-36) relative; per axial row these terms are geometric
+series in p: _tail_sums gives their sums S_j over all levels above E_c in
+closed form, so each step adds the tail as
+sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  At
+lambda = sqrt 8 the window holds 58%, 37%, 26% and 19% of the levels up to
+E_c + 24 T at t = 0.02, 0.05, 0.1 and 0.2.  Newton starts at the continuum
+estimate solve_mu(t) E_F - (1 + lambda/2), raised by
 (2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the constant
 term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack and
 van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
@@ -136,21 +135,16 @@ def _levels(lam: float, cutoff: float):
     return energies[inside], degs[inside], base, _tops(base, cutoff)
 
 
-def _ladders(lam: float, cutoff: float):
-    """Every level of float energy <= cutoff as unsorted (energies,
-    degeneracies) arrays with one entry per k of each ladder frac + k, k an
-    integer; two ladders may share a float energy.  Also returns each axial
-    row's base lambda*n_z and top p, for n_z = 0..rows - 1."""
+def _check_entries(lam: float, cutoff: float, entries, rows, bound=""):
+    if entries + 4 * rows > MAX_ENTRIES:  # a row costs four entries' bytes
+        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum has "
+                          f"{bound}{entries:.16g} ladder entries and {rows:.16g} axial rows, "
+                          f"above the {MAX_ENTRIES} entry cap counting each row as 4 entries")
+
+
+def _rows(lam: float, cutoff: float):
+    """Each axial row's base lambda*n_z <= cutoff, refused if the rows alone pass the entry cap."""
     import numpy as np
-
-    lam = check_finite("lambda", lam, positive=True)
-    cutoff = check_finite("cutoff", cutoff)
-
-    def check_entries(entries, rows, bound=""):
-        if entries + 4 * rows > MAX_ENTRIES:  # a row costs four entries' bytes
-            raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum has "
-                              f"{bound}{entries:.16g} ladder entries and {rows:.16g} axial rows, "
-                              f"above the {MAX_ENTRIES} entry cap counting each row as 4 entries")
 
     # floor(cutoff/lambda) + 1 rows as a float (inf past float range, not an
     # OverflowError), moved by one to the rows of float base <= cutoff
@@ -160,8 +154,33 @@ def _ladders(lam: float, cutoff: float):
     # a ladder holds its first row's top + 1 entries and a distinct slot for
     # the integer part of each of its rows' bases, so the entries are at least
     # max(rows, floor(cutoff) + 1): refuse on that before any per-row array
-    check_entries(max(rows, math.floor(cutoff) + 1.0), rows, "at least ")
-    base = lam * np.arange(int(rows))
+    _check_entries(lam, cutoff, max(rows, math.floor(cutoff) + 1.0), rows, "at least ")
+    return lam * np.arange(int(rows))
+
+
+def _count(lam: float, base, eps: float):
+    """(states <= eps, refused at 2^53, the highest level <= eps, the lowest level above it and
+    its degeneracy): row n_z holds (t + 1)(t + 2)/2 states to its top t, t + 2 at base + t + 1."""
+    top = _tops(base, eps).clip(min=-1.0)  # a row above eps holds none
+    # twice the state count: a sum of even integers, exact below 2^54
+    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
+    if states >= 2.0 ** 53:
+        raise DomainError(f"lambda = {lam!r}, cutoff = {eps!r}: the spectrum holds "
+                          f"{states:.6g} states, at or above the 2^53 cap of exact float counts")
+    above = top + 1.0 + base
+    high = float(above.min())
+    low = float((top + base).max(where=top >= 0.0, initial=-math.inf))
+    return int(states), low, high, int((top + 2.0).sum(where=above == high))
+
+
+def _ladders(lam: float, cutoff: float):
+    """Every level of float energy <= cutoff as unsorted (energies,
+    degeneracies) arrays with one entry per k of each ladder frac + k, k an
+    integer; two ladders may share a float energy.  Also returns each axial
+    row's base lambda*n_z and top p, for n_z = 0..rows - 1."""
+    import numpy as np
+
+    base = _rows(lam, cutoff)
     top = _tops(base, cutoff)
     a = np.floor(base)
     frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
@@ -174,7 +193,7 @@ def _ladders(lam: float, cutoff: float):
     size = hi - lo + 1.0
     start = np.cumsum(size) - size
     total = int(start[-1] + size[-1])
-    check_entries(total, top.size)
+    _check_entries(lam, cutoff, total, top.size)
     # row n_z adds the ramp k - a + 1 on k = a..a + top: second differences
     # +1 at its first slot, -(top + 2) and +(top + 1) after its last
     at = (start - lo)[ladder] + a
@@ -191,24 +210,14 @@ def _ladders(lam: float, cutoff: float):
     return energies, degs, base, top
 
 
-def _counted_levels(lam: float, cutoff: float):
-    """_levels' energies and degeneracies below 2^53 states, where every count is exact."""
-    energies, degs, _, top = _levels(lam, cutoff)
-    # twice the state count: a sum of even integers, exact below 2^54
-    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
-    if states >= 2.0 ** 53:
-        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum holds "
-                          f"{states:.6g} states, at or above the 2^53 cap of exact float counts")
-    return energies, degs
-
-
 def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     """Exhaustively enumerate all levels with energy <= cutoff."""
     import numpy as np
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    energies, degs = _counted_levels(lam, cutoff)
+    energies, degs, base, _ = _levels(lam, cutoff)
+    _count(lam, base, cutoff)  # exact float counts
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -275,17 +284,25 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
 
     hi = _CUTOFF_SCALE * e_fermi + 2.0
     if t_abs == 0.0:
-        spectrum = build_spectrum(lam, hi)
-        cumulative = np.cumsum(spectrum.degeneracies)
-        idx = int(np.searchsorted(cumulative, n_particles))
-        if cumulative[idx] != n_particles:
-            raise DomainError(
-                f"N = {n_particles} leaves a partially filled level at T = 0; "
-                "the ground state is ambiguous")
-        return float(0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1]))
+        base = _rows(lam, hi)
+        _count(lam, base, hi)  # exact float counts
+        # bisect from the continuum Fermi level: the Nth state's level stays in [lower, upper)
+        lower, upper, eps = 0.0, hi, e_fermi - (1.0 + 0.5 * lam)
+        while (found := _count(lam, base, eps))[0] != n_particles:
+            count, low, high, _ = found
+            lower, upper = (high, upper) if count < n_particles else (lower, low)
+            if not lower < upper:
+                raise DomainError(f"N = {n_particles} leaves a partially filled level at T = 0; "
+                                  "the ground state is ambiguous")
+            eps = min(0.5 * (lower + upper), math.nextafter(upper, -math.inf))
+            base = base[:int(upper / lam) + 2]  # rows above upper hold no state below it
+        return 0.5 * (found[1] + found[2])
 
     # mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs
+    if not cutoff < MAX_ENTRIES:  # row 0 alone holds floor(cutoff) + 1 ladder entries
+        raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the level "
+                          f"sum runs up to {cutoff!r}, past the {MAX_ENTRIES} entry cap")
     energies, degs, base, top = _levels(lam, cutoff)  # unsorted: no order needed
     s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
     del base, top
@@ -435,10 +452,9 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
 def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
-    outermost shell degeneracy), from masked sums over the unsorted ladders."""
+    outermost shell degeneracy), counted on the axial rows up to E_F + 1."""
     lam, e_fermi, _ = _trap_scales(n_particles, lam)
-    energies, degs = _counted_levels(lam, e_fermi + 1.0)
-    below = energies <= e_fermi - (1.0 + 0.5 * lam)
-    # row 0's integer levels put one in (e_fermi - 1 - lam/2, e_fermi + 1]: an edge exists
-    edge = energies.min(where=~below, initial=math.inf)
-    return abs(int(degs.sum(where=below)) - n_particles), int(degs.sum(where=energies == edge))
+    base = _rows(lam, e_fermi + 1.0)
+    _count(lam, base, e_fermi + 1.0)  # exact float counts
+    count, _, _, edge = _count(lam, base, e_fermi - (1.0 + 0.5 * lam))
+    return abs(count - n_particles), edge

@@ -19,7 +19,7 @@ continuum_reliable and validity_table say where the continuum picture holds.
 """
 
 import math
-from .errors import DomainError, check_count, check_finite, to_float
+from .errors import DomainError, check_count, check_finite, check_real, to_float
 from .record import Record
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
@@ -88,7 +88,13 @@ def derive_scales(spec: TrapSpec) -> CharacteristicScales:
 
 def effective_radius(x: float, y: float, z: float, lam: float) -> float:
     """Single coordinate rho on which every trap profile depends."""
-    return math.sqrt(x * x + y * y + lam * lam * z * z)
+    x, y, z = check_real("x", x), check_real("y", y), check_real("z", z)
+    lam = check_finite("lambda", lam, positive=True)
+    rho = math.sqrt(x * x + y * y + lam * lam * z * z)
+    if rho == math.inf:
+        raise DomainError(f"x = {x!r}, y = {y!r}, z = {z!r} and lambda = {lam!r}: "
+                          "x^2 + y^2 + lambda^2 z^2 overflows the float range")
+    return rho
 
 
 def to_scaled(spec: TrapSpec, rho: float, wavenumber: float, temperature: float):

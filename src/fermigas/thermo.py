@@ -80,17 +80,25 @@ def _c_of_eta(eta):
     return d / ((p3 + r3) * (p2 - r2))
 
 
+def _limit_form(name, t, m):
+    """m of a limiting form at t; DomainError naming t where it overflows to -inf."""
+    if m == -math.inf:
+        raise DomainError(f"reduced temperature must keep the {name} form of m finite, "
+                          f"got {t!r}")
+    return m
+
+
 def sommerfeld_mu(t: float) -> float:
     """Low-temperature expansion 1 - (pi^2/3) t^2 (exact to this order)."""
     t = _check_t(t)
-    return 1.0 - (math.pi ** 2 / 3.0) * t * t
+    return _limit_form("Sommerfeld", t, 1.0 - (math.pi ** 2 / 3.0) * t * t)
 
 
 def classical_mu(t: float) -> float:
     """High-temperature form -t ln(6 t^3)."""
     t = check_finite("reduced temperature", t, positive=True)
     # log-space form: t**3 underflows for subnormal-range t
-    return -t * (math.log(6.0) + 3.0 * math.log(t))
+    return _limit_form("classical", t, -t * (math.log(6.0) + 3.0 * math.log(t)))
 
 
 def monotone_root(g, lo: float, hi: float, x=None) -> tuple:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import fermigas as fg
-from fermigas.errors import check_count, check_finite
+from fermigas.errors import DomainError, check_count, check_finite
 
 
 def dict_spectrum(lam, cutoff):
@@ -40,6 +40,22 @@ def sorted_counting_check(n_particles, lam=1.0):
     idx = int(np.searchsorted(spectrum.energies, threshold, side="right"))
     cumulative = int(spectrum.degeneracies[:idx].sum())
     return abs(cumulative - n_particles), int(spectrum.degeneracies[idx])
+
+
+def sorted_zero_t_mu(n_particles, lam):
+    """The T = 0 exact_mu by the sort-and-merge route: build_spectrum's
+    sorted, merged levels up to 2^(1/3) E_F + 2, their running state count,
+    a binary search for N in it and the midpoint of the gap above."""
+    check_count("n_particles", n_particles)
+    lam = check_finite("lambda", lam, positive=True)
+    e_fermi = (6.0 * lam * n_particles) ** (1.0 / 3.0)
+    spectrum = fg.build_spectrum(lam, 2.0 ** (1.0 / 3.0) * e_fermi + 2.0)
+    cumulative = np.cumsum(spectrum.degeneracies)
+    idx = int(np.searchsorted(cumulative, n_particles))
+    if cumulative[idx] != n_particles:
+        raise DomainError(f"N = {n_particles} leaves a partially filled level at T = 0; "
+                          "the ground state is ambiguous")
+    return float(0.5 * (spectrum.energies[idx] + spectrum.energies[idx + 1]))
 
 
 def origin_weight(m):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -85,6 +86,23 @@ def test_pauli_pseudopotential_li6():
     assert pauli.kf_a_eff == 1.0
     # interparticle spacing approx 0.1 micron
     assert abs(pauli.a_eff - 0.1e-6) <= 0.02e-6
+
+
+@pytest.mark.parametrize("mass, omega_r, lam, n", [(1e-200, 1e-100, 1.0, 1000),
+                                                  (1e100, 1e100, 1.0, 1000),
+                                                  (1e-270, 1e30, 1e-6, 1)],
+                         ids=["r_fermi_cubed_overflows", "u_eff_underflows",
+                              "trap_units_overflow"])
+def test_pauli_pseudopotential_outside_the_float_range_rejected(mass, omega_r, lam, n):
+    # the SI scales are in range (R_F = 6.2e133 m, then 6.2e-117 m), but
+    # E_F R_F^3/N is not: R_F^3 overflows, then rounds to 0; in the third
+    # trap u_eff is in range, but sigma_r^3 overflows, so u_eff in units of
+    # hbar omega_r sigma_r^3 is not
+    sc = fg.derive_scales(fg.TrapSpec(mass=mass, omega_r=omega_r, lam=lam, n_particles=n))
+    message = (f"mass = {mass!r} and omega_r = {omega_r!r} give a Pauli pseudopotential "
+               "outside the float range")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fg.pauli_pseudopotential(sc)
 
 
 def test_pauli_mimicry_radius_within_order_unity():

@@ -44,6 +44,34 @@ def test_heat_curve_json(capsys):
     assert doc["samples"][0] == [0.0, 0.0]
 
 
+def test_thermo_curves_compute_only_their_column(capsys, monkeypatch):
+    # mu-curve never calls heat_capacity; heat-curve calls solve_mu only
+    # inside heat_capacity, once per grid point
+    calls = []
+
+    def refuse(t):
+        raise AssertionError("heat capacity column of mu-curve")
+
+    monkeypatch.setattr(fg.thermo, "heat_capacity", refuse)
+    code, out, _ = run_cli(capsys, "mu-curve", "--t-max", "1.0", "--steps", "5")
+    assert code == 0
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert parse_csv(out).samples == tuple((t, fg.solve_mu(t)) for t in grid)
+    monkeypatch.undo()
+
+    real = fg.thermo.heat_capacity
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(fg.thermo, "heat_capacity", counted)
+    code, out, _ = run_cli(capsys, "heat-curve", "--t-max", "1.0", "--steps", "5")
+    assert code == 0
+    assert calls == list(grid)
+    assert parse_csv(out).samples == tuple((t, real(t)) for t in calls)
+
+
 def test_msd_curve(capsys):
     code, out, _ = run_cli(capsys, "msd-curve", "--t-max", "1.0", "--steps", "3")
     assert code == 0
@@ -288,6 +316,20 @@ def test_usage_errors(capsys):
           "--n", "1" + "0" * 300),
          "mass = 1e-26 and omega_r = 1e+300 give SI scales outside the float range"),
     ]:
+        assert run_cli(capsys, *argv) == (2, "", f"fermigas: error: {message}\n"), argv
+
+
+def test_bose_compare_pauli_pseudopotential_outside_the_float_range(capsys):
+    # SI scales in range, but E_F R_F^3/N or its trap-unit form u_eff /
+    # (hbar omega_r sigma_r^3) is not: R_F^3 overflows, sigma_r^3 overflows,
+    # hbar omega_r sigma_r^3 rounds to 0, u_eff / (hbar omega_r sigma_r^3) to 0
+    for mass, omega_r, lam, n in [("1e-200", "1e-100", "1", "1000"),
+                                  ("1e-270", "1e30", "1e-06", "1"),
+                                  ("1e-110", "1e300", "1e-06", "1" + "0" * 30),
+                                  ("1e-300", "1e110", "1e-06", "1")]:
+        message = (f"mass = {float(mass)!r} and omega_r = {float(omega_r)!r} give a Pauli "
+                   "pseudopotential outside the float range")
+        argv = ("bose-compare", "--mass", mass, "--omega-r", omega_r, "--lambda", lam, "--n", n)
         assert run_cli(capsys, *argv) == (2, "", f"fermigas: error: {message}\n"), argv
 
 

@@ -12,8 +12,8 @@ import fermigas as fg
 from conftest import mp_exact_mu
 from fermigas import DomainError, NumericsError, oracle, perturb
 from fermigas.thermo import monotone_root
-from spectrum_reference import (dict_spectrum, eigenfunction_origin_density,
-                                origin_weight, sorted_counting_check, summed_central_density)
+from spectrum_reference import (dict_spectrum, eigenfunction_origin_density, origin_weight,
+                                sorted_counting_check, sorted_zero_t_mu, summed_central_density)
 
 
 def test_isotropic_shell_degeneracies():
@@ -664,8 +664,6 @@ def test_counting_check_sorts_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("n_particles, lam, message", [
-    # one ladder per axial row: 5.4e6 entries up to E_F + 1
-    (1e10, math.sqrt(8.0), r"the spectrum has \d+ ladder entries and \d+ axial rows, above"),
     # 1.08e7 axial rows, refused on the rows before any per-row array
     (1000, 1e-7, r"the spectrum has at least \d+ ladder entries and \d+ axial rows"),
     # 400,001 entries holding 1.07e16 states, past exact float counts
@@ -677,6 +675,100 @@ def test_counting_check_refuses_as_the_sorted_spectrum(n_particles, lam, message
     with pytest.raises(DomainError) as want:
         sorted_counting_check(n_particles, lam)
     assert str(got.value) == str(want.value)
+
+
+def test_counting_check_answers_past_the_entry_cap(monkeypatch):
+    # the axial rows give the count with no ladder entry, so only their lower
+    # bound (at most 1,343 here) meets the cap: at a cap of 2,000 the sorted
+    # route refuses each case (2,550 to 54,758 entries up to E_F + 1) and
+    # counting_check gives its answer at the default cap; at N = 1e10,
+    # lambda = sqrt 8 the ladders hold 5.4e6 entries, past the default cap,
+    # and the sorted route gives this answer at a cap of 1e7
+    cases = [(n, lam) for lam in (math.sqrt(8.0), math.pi) for n in (100_000, 1e6, 1e7)]
+    expected = [sorted_counting_check(n, lam) for n, lam in cases]
+    oracle._KEPT.clear()  # a kept spectrum past the lowered cap would serve the sorted route
+    monkeypatch.setattr(oracle, "MAX_ENTRIES", 2_000)
+    for (n, lam), want in zip(cases, expected):
+        with pytest.raises(DomainError, match="entry cap"):
+            sorted_counting_check(n, lam)
+        assert fg.counting_check(n, lam) == want
+    monkeypatch.undo()
+    assert fg.counting_check(1e10, math.sqrt(8.0)) == (2181.0, 3063)
+
+
+def test_zero_temperature_mu_matches_the_sorted_spectrum():
+    # the bisection on the axial rows gives the sort-and-merge answer or its
+    # refusal: the first 400 closed-shell counts, and one state past each,
+    # which leaves a level partly filled unless that level holds one state
+    cases = []
+    for lam in map(float, COUNTING_LAMBDAS):
+        closed = np.cumsum(fg.build_spectrum(lam, 402.0).degeneracies)[:400]
+        cases += [(int(n) + d, lam) for n in closed for d in (0, 1)]
+    refused = 0
+    for n, lam in cases:
+        try:
+            want = sorted_zero_t_mu(n, lam)
+        except DomainError as exc:
+            refused += 1
+            with pytest.raises(DomainError) as got:
+                fg.exact_mu(n, lam, 0.0)
+            assert str(got.value) == str(exc), (n, lam)
+        else:
+            got = fg.exact_mu(n, lam, 0.0)
+            assert got == want and type(got) is float, (n, lam)
+    assert 3_000 <= refused <= 5_000  # 3,827: both answers are common
+
+
+@pytest.mark.parametrize("n_particles, lam", [(100_000, 1e-5), (10_000, 1e-4), (10**6, 1e-3),
+                                              (10**7, math.sqrt(8.0))])
+def test_zero_temperature_mu_bisects_the_count(monkeypatch, n_particles, lam):
+    # at (1e5, 1e-5), 428,901 axial rows and 18,288 levels between the
+    # continuum Fermi level and mu: a walk level by level would count that
+    # often, the bisection counts 20 times here, 17 to 15 in the others
+    count, calls = oracle._count, []
+    monkeypatch.setattr(oracle, "_count", lambda *args: calls.append(args) or count(*args))
+    try:
+        got = fg.exact_mu(n_particles, lam, 0.0)
+    except DomainError as exc:
+        got = str(exc)
+    monkeypatch.undo()
+    try:
+        want = sorted_zero_t_mu(n_particles, lam)
+    except DomainError as exc:
+        want = str(exc)
+    assert got == want
+    assert len(calls) <= 64
+
+
+def test_zero_temperature_counts_read_only_the_rows(monkeypatch):
+    # counting_check and the T = 0 exact_mu build no ladder entry, read no
+    # kept ladder, and neither sort nor take a running sum
+    def refuse(*args, **kwargs):
+        raise AssertionError("ladder, sort or running sum")
+
+    cases = [(n, lam) for lam in (1.0, math.sqrt(8.0), 1.0 / 3.0)
+             for n in (1, 969, 176_851, 10_000_000)]
+    counts = [sorted_counting_check(n, lam) for n, lam in cases]
+    closed = [(int(n), lam) for lam in (1.0, math.sqrt(8.0), 1.0 / 3.0)
+              for n in np.cumsum(fg.build_spectrum(lam, 60.0).degeneracies)[::10]]
+    mus = [sorted_zero_t_mu(n, lam) for n, lam in closed]
+    for name in ("_ladders", "_levels", "build_spectrum", "DiscreteSpectrum"):
+        monkeypatch.setattr(oracle, name, refuse)
+    for name in ("argsort", "sort", "unique", "cumsum", "searchsorted"):
+        monkeypatch.setattr(np, name, refuse)
+    assert [fg.counting_check(n, lam) for n, lam in cases] == counts
+    assert [fg.exact_mu(n, lam, 0.0) for n, lam in closed] == mus
+    with pytest.raises(DomainError, match="partially filled"):
+        fg.exact_mu(1000, math.sqrt(8.0), 0.0)
+
+
+@pytest.mark.parametrize("t_abs", [1e300, 1e308])
+def test_level_window_past_the_entry_cap_names_t_abs(t_abs):
+    # the window ends 12 t_abs above 2^(1/3) E_F + 2: 1.2e301 and inf
+    with pytest.raises(DomainError, match=rf"^t_abs = {re.escape(repr(t_abs))} at N = 1000, "
+                                          r"lambda = 1\.0: the level sum runs up to "
+                                          r"(1\.2\d*e\+301|inf), past the 5000000 entry cap$"):
+        fg.exact_mu(1000, 1.0, t_abs)
 
 
 def test_ground_state_central_density():

@@ -160,6 +160,28 @@ def test_continuum_reliability_flag():
     assert not fg.continuum_reliable(spec, 1e-4)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.0, 0.0, 1.0), "x must be finite, got nan"),
+    ((0.0, math.inf, 0.0, 1.0), "y must be finite, got inf"),
+    ((0.0, 0.0, -math.inf, 1.0), "z must be finite, got -inf"),
+    ((0.0, 0.0, 1.0, 0.0), "lambda must be finite and positive, got 0.0"),
+    ((0.0, 0.0, 1.0, math.nan), "lambda must be finite and positive, got nan"),
+    ((1e300, 1.0, 0.2, 0.2), "x = 1e+300, y = 1.0, z = 0.2 and lambda = 0.2: "
+                             "x^2 + y^2 + lambda^2 z^2 overflows the float range"),
+    ((0.0, 0.0, 1e160, 1e160), "x = 0.0, y = 0.0, z = 1e+160 and lambda = 1e+160: "
+                               "x^2 + y^2 + lambda^2 z^2 overflows the float range"),
+])
+def test_effective_radius_checks_its_arguments(args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fg.effective_radius(*args)
+
+
+def test_effective_radius_keeps_its_bits():
+    for x, y, z, lam in [(0.6, 0.0, 0.0, math.sqrt(8.0)), (0.0, 0.0, 0.6 / math.sqrt(8.0),
+                         math.sqrt(8.0)), (-1.0, 2.5, 1e-3, 0.3), (1e150, -1e150, 1e100, 7.0)]:
+        assert fg.effective_radius(x, y, z, lam) == math.sqrt(x * x + y * y + lam * lam * z * z)
+
+
 def test_effective_radius_weights_axial_coordinate():
     lam = 3.0
     assert fg.effective_radius(2.0, 0.0, 0.0, lam) == pytest.approx(2.0)

@@ -95,6 +95,21 @@ def test_classical_form():
         fg.classical_mu(0.0)
 
 
+@pytest.mark.parametrize("form, name, t", [
+    (fg.sommerfeld_mu, "Sommerfeld", 1e300), (fg.sommerfeld_mu, "Sommerfeld", 1.7e308),
+    (fg.classical_mu, "classical", 1.7e308)])
+def test_limiting_forms_refuse_to_overflow(form, name, t):
+    # t^2, or t times the log, leaves the float range: a value of m would be -inf
+    with pytest.raises(DomainError, match=rf"^reduced temperature must keep the {name} form "
+                                          rf"of m finite, got {re.escape(repr(t))}$"):
+        form(t)
+    # finite values keep their bits: the forms as written, at the edge of the range
+    for t in (1e-300, 0.3, 2.0, 1e100, 1e153):
+        assert fg.sommerfeld_mu(t) == 1.0 - (math.pi ** 2 / 3.0) * t * t
+    for t in (5e-324, 0.3, 2.0, 1e100, 1e304):
+        assert fg.classical_mu(t) == -t * (math.log(6.0) + 3.0 * math.log(t))
+
+
 def test_sommerfeld_agreement_window():
     # the 0.02 agreement of the low-t form actually extends to t ~ 0.42;
     # over the full [0, 0.5] range the gap peaks near 0.0405 at t = 0.5

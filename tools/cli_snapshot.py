@@ -9,9 +9,9 @@ FERMIGAS_CONFIG unset, and leaves OUTDIR/<name>/ holding argv, stdout,
 stderr and exit (the exit code).  `diff -r` of the snapshots of two
 checkouts then shows every change a user would see.  The list is every
 command at default flags in CSV and JSON, the oracle's low-temperature,
-anisotropic and large-N cases, values outside each number flag's domain,
-the sample and step cap included, and traps whose scales leave the float
-range.
+anisotropic, large-N and T = 0 cases, values outside each number flag's
+domain, the sample and step cap included, and traps whose scales or Pauli
+pseudopotential leave the float range.
 """
 
 import os
@@ -35,6 +35,7 @@ ORACLE = [
     ("oracle", "--n", "969", "--t", "0.0001"),
     ("oracle", "--n", "1", "--t", "0.001"),
     ("oracle", "--n", "20", "--t", "0"),
+    ("oracle", "--lambda", "2.8284271247461903", "--n", "6", "--t", "0"),
     ("oracle", "--t", "0"),
 ]
 
@@ -56,6 +57,8 @@ BAD_VALUES = [
     ("scales", "--mass", "1e-26", "--omega-r", "1e300", "--lambda", "1", "--n", "1" + "0" * 300),
     ("bose-compare", "--mass", "1e-26", "--omega-r", "1e300", "--lambda", "1",
      "--n", "1" + "0" * 300),
+    # SI scales in range whose Pauli pseudopotential E_F R_F^3/N is not
+    ("bose-compare", "--mass", "1e-200", "--omega-r", "1e-100", "--lambda", "1", "--n", "1000"),
     ("bose-compare", *LI6, "--n", "-3"),
     ("bose-compare", *LI6, "--u-bose", "-0.5"),
     ("bose-compare", *LI6, "--a-scatt", "inf"),
