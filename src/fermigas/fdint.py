@@ -12,19 +12,24 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
 * trapezoid (-1 < eta < 40, half-integer k): with x = u^2, Gamma(k) f_k is
   the integral over the real line of u^(2k-1)/(exp(u^2 - eta) + 1), whose
   power is even, so the integrand is meromorphic.  Its trapezoid sum of step
-  1/2 less the residues at the poles u = sqrt(eta + i(2j+1)pi) is exact
-  (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The nodes end where
-  (n/2)^2 - eta exceeds 44, the poles where a term falls below 2^-60 of the
-  sum: at most 19 nodes and 9 pole terms.
+  1/4 less the residues at the poles u = sqrt(eta + i(2j+1)pi) is exact
+  (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The nodes are tabled
+  as (e^(u^2), 2h u^p), so a call takes one exp, e^-eta; they end where
+  u^2 exceeds eta + 44 and are summed from the outermost in.  The poles end
+  where a term falls below 2^-60 of the sum: at most 36 nodes and 4 pole
+  terms.
 * sommerfeld (eta >= 40, half-integer k): the bracket series, truncated at
   its smallest term or at the first term below 2^-60 of the sum, which no
   later term can move; the reflection term has a cos(pi k) = 0 prefactor.
 
-Each coefficient is an exact ratio of integers rounded to double once.  The
-worst relative errors against mpmath at 40 digits are: series 2.6e-16,
-taylor 4.6e-16, reflection 4.7e-16, trapezoid 7.3e-16 and sommerfeld 8.1e-16.
+Each coefficient is an exact ratio of integers rounded to double once, and
+is tabled at import: the series cut to every term count, the Sommerfeld
+terms c_n k(k-1)...(k-2n+1) and Gamma of each order.  The worst relative
+errors against mpmath at 40 digits are: series 2.6e-16, taylor 4.6e-16,
+reflection 4.7e-16, trapezoid 8.3e-16 and sommerfeld 8.1e-16.
 
-fd_orders(orders, eta) gives several orders with one exp per eta.  Every
+fd_orders(orders, eta) gives several orders at one eta: the regime is
+picked once, and the series and reflection orders share one exp.  Every
 regime is float code, and an array runs it element by element, so every
 value has the bits of its own scalar call.  numpy is imported only for
 array inputs.  fd, fd_orders and fd_derivative are the entry for outside
@@ -35,6 +40,7 @@ entry behind them.
 
 import cmath
 import math
+from bisect import bisect_left
 from itertools import accumulate
 
 from .errors import DomainError
@@ -47,10 +53,12 @@ _SOMMERFELD_CUTOFF = 40.0
 _SERIES_SPAN = 60.0 * math.log(2.0)  # exp(-n |eta|) < 2^-60 once n |eta| exceeds this
 _SERIES_TERMS = int(_SERIES_SPAN) + 1  # terms needed at |eta| = 1
 _TAYLOR_TERMS = 36
-_STEP = 0.5  # trapezoid step h in u = sqrt(x)
-_NEGLIGIBLE = 2.0 ** -60  # a Sommerfeld term this far below the bracket is dropped
-_TAIL = 44.0  # last trapezoid node: (n h)^2 - eta <= _TAIL, exp(-44) < 2^-63
+_STEP = 0.25  # trapezoid step h in u = sqrt(x)
+_NEGLIGIBLE = 2.0 ** -60  # a Sommerfeld or pole term this far below the sum is dropped
+_TAIL = 44.0  # last trapezoid node: (n h)^2 <= eta + _TAIL, exp(-44) < 2^-63
+_NODES = int(math.sqrt(_SOMMERFELD_CUTOFF + _TAIL) / _STEP)  # 36 off the centre
 _POLE_PHASE = -2j * math.pi / _STEP  # exp(_POLE_PHASE u) - 1: the pole terms' denominator
+_FOUR_PI = 4.0 * math.pi
 # pi, ln 2 and zeta(3) to 62-63 decimals, as exact (numerator, denominator)
 _PI = (314159265358979323846264338327950288419716939937510582097494459, 10 ** 62)
 _LN2 = (693147180559945309417232121458176568075500134360255254120680009, 10 ** 63)
@@ -109,6 +117,45 @@ _SERIES = {k: tuple(1 / j ** round(k) if k in _TAYLOR
                     else math.ldexp(math.isqrt((1 << 256) // j ** round(2 * k)), -128)
                     for j in range(_SERIES_TERMS, 0, -1))
            for k in SUPPORTED_ORDERS}
+# _SERIES_BY[k][n]: the last n coefficients, the Horner sum of the first n terms
+_SERIES_BY = {k: tuple(c[_SERIES_TERMS - n:] for n in range(_SERIES_TERMS + 1))
+              for k, c in _SERIES.items()}
+_HALF_ORDERS = tuple(k for k in SUPPORTED_ORDERS if k not in _TAYLOR)
+
+
+def _sommerfeld_terms(k: float) -> tuple:
+    """c_n k(k-1)...(k-2n+1) for n = 1..25, the falling product grown one
+    factor pair at a time."""
+    terms, prod = [], 1.0
+    for n, c in enumerate(_SOMMERFELD_C, start=1):
+        prod *= (k - (2 * n - 2)) * (k - (2 * n - 1))
+        terms.append(c * prod)
+    return tuple(terms)
+
+
+# half-integer k: the bracket's coefficients and Gamma(k + 1)
+_SOMMERFELD = {k: (_sommerfeld_terms(k), math.gamma(k + 1.0)) for k in _HALF_ORDERS}
+
+
+def _trapezoid_table(k: float) -> tuple:
+    """The trapezoid nodes u = n h of a half-integer order from n = _NODES
+    down to 1, and to 0 with half weight where the power p = 2k - 1 is 0:
+    their keys -u^2 (exact, ascending) for the cut, the pairs
+    (e^(u^2), 2 h u^p), the pole terms' power p - 1 and Gamma(k)."""
+    p = round(2.0 * k - 1.0)
+    us = [n * _STEP for n in range(_NODES, -1 if p == 0 else 0, -1)]
+    return ([-u * u for u in us], [(math.exp(u * u), 2.0 * _STEP * u ** p if u else _STEP) for u in us],
+            p - 1, math.gamma(k))
+
+
+_TRAPEZOID = {k: _trapezoid_table(k) for k in _HALF_ORDERS}
+# Im(eta + i(2j+1)pi), the heights of the poles u_j^2; at most 4 are reached
+# on the band
+_POLE_HEIGHTS = tuple((2 * j + 1) * math.pi for j in range(8))
+
+
+def _eta_error(eta) -> DomainError:
+    return DomainError(f"eta must be finite, got {eta!r}")
 
 
 def _require_order(k) -> float:
@@ -126,10 +173,22 @@ def _horner(coefficients, x: float) -> float:
     return total
 
 
-def _series(k: float, eta: float, z: float) -> float:
-    """sum_j (-1)^(j+1) z^j / j^k for z = exp(-|eta|), |eta| >= 1."""
-    terms = int(_SERIES_SPAN / abs(eta)) + 1
-    return z * _horner(_SERIES[k][_SERIES_TERMS - terms:], -z)
+def _series(k: float, x: float, z: float) -> float:
+    """sum_j (-1)^(j+1) z^j / j^k for z = exp(-x), x = |eta| >= 1."""
+    total, minus_z = 0.0, -z
+    for c in _SERIES_BY[k][int(_SERIES_SPAN / x) + 1]:
+        total = total * minus_z + c
+    return z * total
+
+
+def _reflection(k: float, eta: float, z: float) -> float:
+    """f_k for integer k at eta >= 1, z = exp(-eta): the Sommerfeld
+    polynomial plus (-1)^(k+1) times the series at -eta."""
+    total = 0.0
+    for c in _POLYNOMIAL[k]:
+        total = total * eta + c
+    reflection = _series(k, eta, z)
+    return total + (reflection if k % 2 else -reflection)
 
 
 def _sommerfeld(k: float, eta: float) -> float:
@@ -137,18 +196,19 @@ def _sommerfeld(k: float, eta: float) -> float:
     eta ** k overflows a double.  The terms shrink until the truncation
     point, so once one falls below 2^-60 of the bracket, under half its
     ulp, no later term can change the sum."""
-    bracket, prod, power, prev = 1.0, 1.0, 1.0, math.inf
+    terms, gamma = _SOMMERFELD[k]
+    bracket, power, prev = 1.0, 1.0, math.inf
     inv_eta2 = 1.0 / (eta * eta)
-    for n, c in enumerate(_SOMMERFELD_C, start=1):
-        prod *= (k - (2 * n - 2)) * (k - (2 * n - 1))
+    for c in terms:
         power *= inv_eta2
-        term = c * prod * power
-        if abs(term) >= prev or abs(term) < _NEGLIGIBLE * bracket:
+        term = c * power
+        size = abs(term)
+        if size >= prev or size < _NEGLIGIBLE * bracket:
             break  # the tail grows (truncate at the smallest term) or is negligible
         bracket += term
-        prev = abs(term)
+        prev = size
     try:
-        return eta ** k / math.gamma(k + 1.0) * bracket
+        return eta ** k / gamma * bracket
     except OverflowError:
         return math.inf
 
@@ -156,42 +216,34 @@ def _sommerfeld(k: float, eta: float) -> float:
 def _trapezoid(k: float, eta: float) -> float:
     """f_k for half-integer k on -1 < eta < _SOMMERFELD_CUTOFF: Gamma(k) f_k =
     T_h - 4 pi sum_(j>=0) Im[u_j^(2k-2) / (exp(-2 pi i u_j/h) - 1)], the
-    trapezoid sum of step h in u = sqrt(x) less its pole correction."""
-    p = round(2.0 * k - 1.0)  # the even power of u
-    total = 0.5 / (math.exp(-eta) + 1.0) if p == 0 else 0.0  # half the u = 0 node
-    u, x = _STEP, _STEP * _STEP - eta
-    while x <= _TAIL:
-        total += u ** p / (math.exp(x) + 1.0)
-        u += _STEP
-        x = u * u - eta
-    trapezoid = 2.0 * _STEP * total
-    poles, j = 0.0, 0
-    while True:
-        u = cmath.sqrt(complex(eta, (2 * j + 1) * math.pi))
-        term = 4.0 * math.pi * u ** (p - 1) / (cmath.exp(_POLE_PHASE * u) - 1.0)
+    trapezoid sum of step h in u = sqrt(x) less its pole correction.  A node
+    term u^p/(e^(u^2 - eta) + 1) is (2h u^p)/(e^(u^2) e^-eta + 1) from the
+    table, with one exp per call.  The nodes with u^2 <= eta + _TAIL run
+    from the outermost in, the small terms first."""
+    keys, nodes, power, gamma = _TRAPEZOID[k]
+    w = math.exp(-eta)
+    trapezoid = 0.0
+    for e, c in nodes[bisect_left(keys, -(eta + _TAIL)):]:
+        trapezoid += c / (e * w + 1.0)
+    poles, floor = 0.0, _NEGLIGIBLE * trapezoid
+    for height in _POLE_HEIGHTS:
+        u = cmath.sqrt(complex(eta, height))
+        term = _FOUR_PI * u ** power / (cmath.exp(_POLE_PHASE * u) - 1.0)
         poles += term.imag
-        if abs(term) < 2.0 ** -60 * trapezoid:
-            return (trapezoid - poles) / math.gamma(k)
-        j += 1
-
-
-def _closed_form(k: float, eta: float, z: float) -> float:
-    """f_k(eta) with z = exp(-|eta|)."""
-    if eta <= _SERIES_CUTOFF:
-        return _series(k, eta, z)
-    if k in _TAYLOR:
-        if eta < _TAYLOR_RADIUS:
-            return _horner(_TAYLOR[k], eta)
-        reflection = _series(k, eta, z)
-        return _horner(_POLYNOMIAL[k], eta) + (reflection if k % 2 else -reflection)
-    return _sommerfeld(k, eta) if eta >= _SOMMERFELD_CUTOFF else _trapezoid(k, eta)
+        if abs(term) < floor:
+            break
+    return (trapezoid - poles) / gamma
 
 
 def band(k: float, eta: float) -> str:
-    """Name of the regime that evaluates f_k at eta."""
+    """Name of the regime that evaluates f_k at eta; DomainError where fd
+    refuses the order or eta."""
+    k = _require_order(k)
+    if not math.isfinite(eta):
+        raise _eta_error(eta)
     if eta <= _SERIES_CUTOFF:
         return "series"
-    if float(k) in _TAYLOR:
+    if k in _TAYLOR:
         return "taylor" if eta < _TAYLOR_RADIUS else "reflection"
     return "sommerfeld" if eta >= _SOMMERFELD_CUTOFF else "trapezoid"
 
@@ -204,14 +256,26 @@ def fermi(x: float) -> float:
 
 
 def _closed_forms(ks, eta: float) -> list:
-    """[f_k(eta) for k in ks] at one float eta, sharing one exp."""
+    """[f_k(eta) for k in ks] at one float eta: the regime is picked once, and
+    the series and reflection orders share z = exp(-|eta|)."""
     if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta!r}")
-    z = math.exp(-abs(eta))
-    values = [_closed_form(k, eta, z) for k in ks]
-    if math.inf in values:
-        raise DomainError(f"f_{ks[values.index(math.inf)]:g}(eta) overflows a double "
-                          f"at eta = {eta!r}")
+        raise _eta_error(eta)
+    values = []
+    if eta <= _SERIES_CUTOFF:  # no order overflows here
+        z = math.exp(eta)
+        for k in ks:
+            values.append(_series(k, -eta, z))
+    elif eta < _TAYLOR_RADIUS:
+        for k in ks:
+            values.append(_horner(_TAYLOR[k], eta) if k in _TAYLOR else _trapezoid(k, eta))
+    else:
+        z = math.exp(-eta)
+        half = _trapezoid if eta < _SOMMERFELD_CUTOFF else _sommerfeld
+        for k in ks:
+            values.append(_reflection(k, eta, z) if k in _TAYLOR else half(k, eta))
+        if math.inf in values:
+            raise DomainError(f"f_{ks[values.index(math.inf)]:g}(eta) overflows a double "
+                              f"at eta = {eta!r}")
     return values
 
 

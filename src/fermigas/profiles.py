@@ -24,6 +24,8 @@ from .errors import DomainError, check_finite, check_real, to_float
 from .fdint import _closed_forms, fermi
 from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
 
+_DENSITY_SCALE = 6.0 / math.pi ** 1.5
+
 
 def phase_space_occupancy(s, q, t, m) -> float:
     """Fermi factor at scaled energy q^2 + s^2; a step function at t = 0."""
@@ -50,12 +52,13 @@ def density(s, t) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return zero_t_density(s)
-    return _warm_density(s, t, solve_mu(t))
+    return _warm_densities((s,), t, solve_mu(t))[0]
 
 
-def _warm_density(s: float, t: float, m: float) -> float:
-    """Scaled density at radius s and t > _TINY_T, given m = solve_mu(t)."""
-    return (6.0 / math.pi ** 1.5) * t ** 1.5 * _closed_forms((1.5,), (m - s * s) / t)[0]
+def _warm_densities(radii, t: float, m: float) -> list:
+    """Scaled densities at each radius s and t > _TINY_T, given m = solve_mu(t)."""
+    scale = _DENSITY_SCALE * t ** 1.5
+    return [scale * _closed_forms((1.5,), (m - s * s) / t)[0] for s in radii]
 
 
 def momentum_density(q, t) -> float:
@@ -118,6 +121,6 @@ def profile_curves(t_list, n_samples=300, s_max=None):
             m = solve_mu(t)
             if s_max is None:
                 grid = linspace(0.0, math.sqrt(max(m, 0.0) + 25.0 * t), int(n_samples))
-            values = [_warm_density(s, t, m) for s in grid]
+            values = _warm_densities(grid, t, m)
         curves.append(UniversalCurve("s", "density", tuple(zip(grid, values))))
     return curves

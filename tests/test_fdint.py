@@ -1,14 +1,18 @@
+import cmath
 import math
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative, fd_orders
-from fermigas.fdint import (_POLYNOMIAL, _SERIES, _SERIES_SPAN, _SOMMERFELD_C, _SOMMERFELD_CUTOFF,
-                            _TAYLOR, _dirichlet_eta, _sommerfeld, _trapezoid, band, fermi)
+from fermigas import DomainError, SUPPORTED_ORDERS, fd, fd_derivative, fd_orders, fdint
+from fermigas.fdint import (_POLYNOMIAL, _SERIES, _SERIES_SPAN, _SERIES_TERMS, _SOMMERFELD_C,
+                            _SOMMERFELD_CUTOFF, _TAYLOR, _dirichlet_eta, _sommerfeld, _trapezoid,
+                            band, fermi)
 
 from conftest import adaptive_fd, brute_fd, mp_fd
 
@@ -386,3 +390,117 @@ def test_series_band_against_mpmath(k):
     with mpmath.workdps(40):
         exact = np.array([float(mp_fd(k, mpmath.mpf(float(e)))) for e in SERIES_BAND])
     assert np.max(np.abs(fd(k, SERIES_BAND) - exact) / exact) <= 1e-15
+
+
+@pytest.mark.parametrize("k, eta, message", [
+    (7.0, 0.5, r"unsupported Fermi-Dirac order 7\.0"),
+    (0.7, -3.0, r"unsupported Fermi-Dirac order 0\.7"),
+    (1.5, math.nan, "eta must be finite, got nan"),
+    (2.0, math.inf, "eta must be finite, got inf"),
+    (0.5, -math.inf, "eta must be finite, got -inf"),
+])
+def test_band_refuses_what_fd_refuses(k, eta, message):
+    with pytest.raises(DomainError, match=message) as refused:
+        band(k, eta)
+    with pytest.raises(DomainError) as fd_refused:
+        fd(k, eta)
+    assert str(refused.value) == str(fd_refused.value)
+
+
+# the trapezoid band of the half-integer orders, densely, and the doubles
+# just inside its edges
+TRAPEZOID_BAND = np.concatenate([np.linspace(-1.0, 40.0, 4101)[1:-1],
+                                 [np.nextafter(-1.0, 0.0), np.nextafter(40.0, 0.0)]]).tolist()
+
+
+def test_trapezoid_node_table_is_exact():
+    # the nodes u = n/4 run from the outermost in; each key is -u^2, exact,
+    # and each entry exp(u^2) and 2 h u^p, half of it at u = 0
+    for k in (0.5, 1.5, 2.5):
+        keys, nodes, power, gamma = fdint._TRAPEZOID[k]
+        p = round(2 * k - 1)
+        assert power == p - 1 and gamma == math.gamma(k)
+        assert len(keys) == len(nodes) == 36 + (p == 0) and keys == sorted(keys)
+        for n, (key, (e, c)) in enumerate(zip(keys, nodes)):
+            u = (36 - n) / 4
+            assert Fraction(key) == -Fraction(36 - n, 4) ** 2 and key == -(u * u)
+            assert e == math.exp(u * u)
+            assert c == (0.5 * u ** p if u else 0.25)
+
+
+def test_trapezoid_cost_is_pinned(monkeypatch):
+    # at most 36 nodes off the centre and 4 pole terms per value: a later
+    # edit cannot silently double the work
+    poles, cuts = [], []
+    real_cut = fdint.bisect_left
+
+    def counting_exp(z):
+        poles[-1] += 1
+        return cmath.exp(z)
+
+    def counting_cut(keys, x):
+        n = real_cut(keys, x)
+        cuts.append(sum(1 for key in keys[n:] if key < 0.0))
+        return n
+
+    monkeypatch.setattr(fdint, "cmath", SimpleNamespace(sqrt=cmath.sqrt, exp=counting_exp))
+    monkeypatch.setattr(fdint, "bisect_left", counting_cut)
+    for k in (0.5, 1.5, 2.5):
+        poles.clear()
+        cuts.clear()
+        for eta in TRAPEZOID_BAND:
+            poles.append(0)
+            fd(k, eta)
+        assert 2 <= min(poles) and max(poles) <= 4, k
+        assert sum(poles) / len(poles) <= 3.5, k
+        assert len(cuts) == len(TRAPEZOID_BAND) and max(cuts) <= 36, k
+
+
+def _horner_reference(coefficients, x):
+    total = 0.0
+    for c in coefficients:
+        total = total * x + c
+    return total
+
+
+def _series_reference(k, eta):
+    # the Horner sum of the first int(span / |eta|) + 1 terms of the series
+    z = math.exp(-abs(eta))
+    terms = int(_SERIES_SPAN / abs(eta)) + 1
+    return z * _horner_reference(_SERIES[k][_SERIES_TERMS - terms:], -z)
+
+
+def _reference(k, eta):
+    """f_k(eta) from the series, Taylor, reflection and Sommerfeld formulas,
+    written out here term by term."""
+    if eta <= -1.0:
+        return _series_reference(k, eta)
+    if k in _TAYLOR:
+        if eta < 1.0:
+            return _horner_reference(_TAYLOR[k], eta)
+        reflection = _series_reference(k, eta)
+        return _horner_reference(_POLYNOMIAL[k], eta) + (reflection if k % 2 else -reflection)
+    assert eta >= _SOMMERFELD_CUTOFF
+    return _sommerfeld_all_terms(k, eta)
+
+
+# every band but the trapezoid, for every order it serves: the series from
+# -700 to -1 (with every eta where it gains a term), the Taylor band, the
+# reflection up to 1e12 and the Sommerfeld bracket up to 1e100
+GUARDED = {
+    "series": np.concatenate([SERIES_BAND, np.random.default_rng(32).uniform(-60.0, -1.0, 400),
+                              [np.nextafter(-1.0, -2.0)]]),
+    "taylor": np.concatenate([np.linspace(-1.0, 1.0, 401)[1:-1],
+                              [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)]]),
+    "reflection": np.concatenate([np.linspace(1.0, 60.0, 400), np.geomspace(60.0, 1e12, 200)]),
+    "sommerfeld": np.concatenate([np.linspace(40.0, 80.0, 321), np.geomspace(80.0, 1e100, 200)]),
+}
+
+
+@pytest.mark.parametrize("k", SUPPORTED_ORDERS)
+def test_exact_regimes_keep_their_bits(k):
+    served = ("series", "taylor", "reflection") if k in _TAYLOR else ("series", "sommerfeld")
+    for regime in served:
+        etas = [e for e in GUARDED[regime].tolist() if band(k, e) == regime]
+        assert len(etas) >= 200, regime
+        assert [fd(k, e) for e in etas] == [_reference(k, e) for e in etas], regime

@@ -1,5 +1,5 @@
-"""Print one sha256 per (workload, seed) over the library outputs of the
-benchmark's figures and oracle operation lists.
+"""Print one sha256 per (workload, seed, operation kind) over the library
+outputs of the benchmark's figures and oracle operation lists.
 
     python tools/output_digest.py SEED...
 
@@ -10,11 +10,17 @@ every operation is built by perfbench/worker.prepare and run in order in
 this one process, and its output, or its error, is put through
 worker.encode.  The digest hashes floats by float.hex and arrays by the
 sha256 of their bytes, so two checkouts print the same line exactly when
-every output is bit-identical.
+every output of that kind is bit-identical.  A line reads
+
+    WORKLOAD SEED KIND COUNT SHA256
+
+where a serializer's kind names the kind of the operation whose curve it
+writes (to_csv<profile_curves), so a change shows which outputs moved.
 """
 
 import hashlib
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +53,25 @@ def canonical(value, out):
         raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
-def digest(worker, ops) -> str:
-    """sha256 over the encoded output, or the error, of each operation in turn."""
+def digests(worker, ops) -> dict:
+    """{kind: (count, sha256)} over the encoded output, or the error, of each
+    operation of that kind in list order; every kind runs in one pass."""
     worker.clear_mu_cache()
     results = [None] * len(ops)
-    parts = []
+    counts, parts = Counter(), defaultdict(list)
     for i, op in enumerate(ops):
+        kind = op["kind"]
+        if "source" in op:  # a serializer: name the kind of the curve it writes
+            kind += "<" + ops[op["source"]]["kind"]
+        counts[kind] += 1
         try:
             results[i] = worker.prepare(op, results)()
         except Exception as exc:
-            parts.append(f"error:{type(exc).__name__}: {exc}")
+            parts[kind].append(f"error:{type(exc).__name__}: {exc}")
             continue
-        canonical(worker.encode(op, results[i]), parts)
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        canonical(worker.encode(op, results[i]), parts[kind])
+    return {kind: (counts[kind], hashlib.sha256("\n".join(parts[kind]).encode()).hexdigest())
+            for kind in sorted(counts)}
 
 
 def main(argv):
@@ -78,7 +90,8 @@ def main(argv):
     for workload in WORKLOADS:
         for seed in seeds:
             ops = workloads.generate(workload, seed, SECONDS)
-            print(f"{workload} {seed} {len(ops)} {digest(worker, ops)}")
+            for kind, (count, sha) in digests(worker, ops).items():
+                print(f"{workload} {seed} {kind} {count} {sha}")
 
 
 if __name__ == "__main__":
