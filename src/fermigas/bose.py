@@ -34,13 +34,16 @@ class BoseParams(Record):
         if (self.u_bose is None) == (self.a_scatt is None):
             raise DomainError("give exactly one of u_bose or a_scatt")
         if self.u_bose is None:
-            a_scatt = check_finite("a_scatt", self.a_scatt, positive=True)
-            object.__setattr__(self, "u_bose", 4.0 * math.pi * a_scatt)
+            given, value = "a_scatt", check_finite("a_scatt", self.a_scatt, positive=True)
+            object.__setattr__(self, "u_bose", 4.0 * math.pi * value)
         else:
-            u_bose = check_finite("u_bose", self.u_bose, positive=True)
-            object.__setattr__(self, "a_scatt", u_bose / (4.0 * math.pi))
-        # the Thomas-Fermi regime needs a repulsive interaction
-        check_finite("u_bose", self.u_bose, positive=True)
+            given, value = "u_bose", check_finite("u_bose", self.u_bose, positive=True)
+            object.__setattr__(self, "a_scatt", value / (4.0 * math.pi))
+        # the Thomas-Fermi regime needs a repulsive interaction, and R_B^5 a float
+        if not 0.0 < bose_radius(self) < math.inf:
+            raise DomainError(f"{given} = {value!r} at n_particles = {self.n_particles!r} and "
+                              f"lambda = {self.lam!r}: R_B^5 = 15 lambda U N/(4 pi) leaves "
+                              "the float range")
         tf = self.u_bose * self.n_particles / self.lam
         if tf < TF_PARAMETER_FLOOR:
             warnings.warn(

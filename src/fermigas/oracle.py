@@ -37,19 +37,17 @@ estimate solve_mu(t) E_F - (1 + lambda/2), raised by
 (2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the constant
 term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack and
 van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
-fails; the estimate picks only the start.  The L window levels are
-exponentiated once, b = e^((eps - ref)/T) at ref = the start (again only
-if a step lands more than _REUSE_SPAN T from ref), and each Newton step
-is the rescale u = b e^((ref - mu)/T), f = 1/(1 + u) and numpy's pairwise
-sums of the positive terms (g/N) f and (g/N) f (1 - f), in buffers
-allocated once.  The window's occupied fraction is within
-(X + 2|d| + (log2(L) + 27)/2) em of exact, relative, em = 2^-52, with
-d = (mu - ref)/T, |d| <= 30, and X = sum g f (1 - f)|x| / sum g f, below
-0.9 at t <= 0.2 (README "Numerics" derives it): 5.1e-15 at the 157,678
-levels of N = 1e6, lambda = sqrt 8, t = 0.2.  The tail holds at most
-Gamma(3, 12)/2 = 5.2e-4 of N in the classical limit, and less when
-degenerate, so its rounding adds a few em of that share.  No BLAS routine
-runs, so the results do not depend on the BLAS library or its thread count.
+fails or t rounds to 0; the estimate picks only the start.  Each Newton step exponentiates
+the L window levels, u = e^((eps - mu)/T), then takes f = 1/(1 + u) and
+numpy's pairwise sums of the positive terms (g/N) f and (g/N) f (1 - f),
+in two buffers allocated once.  The window's occupied fraction is within
+(X + (log2(L) + 24)/2) em of exact, relative, em = 2^-52, with
+X = sum g f (1 - f)|x| / sum g f, below 0.9 at t <= 0.2 (README "Numerics"
+derives it): 4.8e-15 at the 157,678 levels of N = 1e6, lambda = sqrt 8,
+t = 0.2.  The tail holds at most Gamma(3, 12)/2 = 5.2e-4 of N in the
+classical limit, and less when degenerate, so its rounding adds a few em
+of that share.  No BLAS routine runs, so the results do not depend on the
+BLAS library or its thread count.
 
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
@@ -69,6 +67,7 @@ wraps the floats of scales.validity_table in arrays.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 from .errors import DomainError, NumericsError, check_count, check_finite
@@ -91,10 +90,6 @@ _TAIL_GAP = 12.0
 
 # largest |occupied fraction - 1| that exact_mu accepts
 _OCCUPATION_TOL = 1e-10
-
-# exact_mu reuses e^((eps - ref)/T) while |mu - ref| <= _REUSE_SPAN T: a span
-# below 709 keeps math.exp((ref - mu)/T) finite; the rounding grows with it
-_REUSE_SPAN = 30.0
 
 
 class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
@@ -229,8 +224,14 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
 
 
 def closed_shell_count(n: int) -> int:
-    """Particles filling isotropic shells 0..n completely."""
-    return (n + 1) * (n + 2) * (n + 3) // 6
+    """Particles filling isotropic shells 0..n completely, n a non-negative integer."""
+    try:
+        shell = operator.index(n)
+    except TypeError:  # a float, even an integral one, or no number
+        shell = -1
+    if shell < 0:
+        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    return (shell + 1) * (shell + 2) * (shell + 3) // 6
 
 
 def exact_mu(n_particles: int, lam: float, t_abs: float):
@@ -304,23 +305,18 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the level "
                           f"sum runs up to {cutoff!r}, past the {MAX_ENTRIES} entry cap")
     energies, degs, base, top = _levels(lam, cutoff)  # unsorted: no order needed
-    s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
+    with np.errstate(over="ignore"):  # (eps - E_c)/T is -inf at a subnormal T: e^-inf = 0
+        s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
     del base, top
     weights = np.divide(degs, n_particles, out=degs)  # in place
-    # e^((eps - mu)/T) = b e^((ref - mu)/T); five arrays of levels live
-    b, occ, filled = (np.empty_like(energies) for _ in range(3))
-    ref = math.nan
+    occ, filled = np.empty_like(energies), np.empty_like(energies)  # four arrays of levels live
 
     def constraint(mu):
         # occupied fraction - 1 and its slope sum g f (1 - f)/(N T), pairwise,
         # plus the tail sum_j (-1)^(j+1) z^j S_j/N, z = e^((mu - cutoff)/T)
-        nonlocal ref
-        if not abs(ref - mu) <= _REUSE_SPAN * t_abs:  # ref is nan at the first call
-            ref = mu
-            np.subtract(energies, ref, out=b)
-            np.divide(b, t_abs, out=b)
-            np.exp(b, out=b)  # inf far above mu: 1/(1 + inf) = 0, no NaN
-        np.multiply(b, math.exp((ref - mu) / t_abs), out=occ)
+        np.subtract(energies, mu, out=occ)
+        np.divide(occ, t_abs, out=occ)
+        np.exp(occ, out=occ)  # inf far above mu: 1/(1 + inf) = 0, no NaN
         np.add(occ, 1.0, out=occ)
         np.divide(1.0, occ, out=occ)
         np.multiply(weights, occ, out=filled)
@@ -343,7 +339,7 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         f2, f1 = _closed_forms((2.0, 1.0), m_continuum / t)
         m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi ** 2 * t) * (f1 / f2)
         start = m_continuum * e_fermi - (1.0 + 0.5 * lam)
-    except (DomainError, NumericsError):
+    except (DomainError, NumericsError, ZeroDivisionError):  # t rounds to 0 at a subnormal T
         start = lo
     try:
         with np.errstate(over="ignore"):  # e^x overflows to inf above mu

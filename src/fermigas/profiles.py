@@ -56,9 +56,11 @@ def density(s, t) -> float:
 
 
 def _warm_densities(radii, t: float, m: float) -> list:
-    """Scaled densities at each radius s and t > _TINY_T, given m = solve_mu(t)."""
+    """Scaled densities at each radius s and t > _TINY_T, given m = solve_mu(t);
+    0 where (m - s^2)/t overflows to -inf, far outside the cloud, as f_(3/2) is there."""
     scale = _DENSITY_SCALE * t ** 1.5
-    return [scale * _closed_forms((1.5,), (m - s * s) / t)[0] for s in radii]
+    return [scale * _closed_forms((1.5,), eta)[0] if eta > -math.inf else 0.0
+            for eta in ((m - s * s) / t for s in radii)]
 
 
 def momentum_density(q, t) -> float:

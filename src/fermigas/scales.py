@@ -97,18 +97,29 @@ def effective_radius(x: float, y: float, z: float, lam: float) -> float:
     return rho
 
 
+def _convert(spec: TrapSpec, names, values, convert) -> tuple:
+    """convert(derive_scales(spec), *values) of values each finite and >= 0,
+    refused naming the value whose result leaves the float range."""
+    values = [check_finite(name, value) for name, value in zip(names, values)]
+    results = convert(derive_scales(spec), *values)
+    for name, value, result in zip(names, values, results):
+        if result == math.inf:
+            raise DomainError(f"{name} = {value!r} converts to a value past the float range")
+    return results
+
+
 def to_scaled(spec: TrapSpec, rho: float, wavenumber: float, temperature: float):
     """Map (rho [m], |k| [1/m], T [K]) to the dimensionless triple (s, q, t)."""
-    temperature = check_finite("temperature", temperature)
-    sc = derive_scales(spec)
-    return rho / sc.r_fermi, wavenumber / sc.k_fermi, K_BOLTZMANN * temperature / sc.e_fermi
+    return _convert(spec, ("rho", "wavenumber", "temperature"), (rho, wavenumber, temperature),
+                    lambda sc, rho, k, temp: (rho / sc.r_fermi, k / sc.k_fermi,
+                                              K_BOLTZMANN * temp / sc.e_fermi))
 
 
 def from_scaled(spec: TrapSpec, s: float, q: float, t: float):
     """Inverse of to_scaled: recover (rho [m], |k| [1/m], T [K])."""
-    t = check_finite("reduced temperature", t)
-    sc = derive_scales(spec)
-    return s * sc.r_fermi, q * sc.k_fermi, t * sc.e_fermi / K_BOLTZMANN
+    return _convert(spec, ("s", "q", "reduced temperature"), (s, q, t),
+                    lambda sc, s, q, t: (s * sc.r_fermi, q * sc.k_fermi,
+                                         t * sc.e_fermi / K_BOLTZMANN))
 
 
 def continuum_reliable(spec: TrapSpec, t: float) -> bool:

@@ -71,6 +71,17 @@ def test_scattering_length_conversion():
         BoseParams(10_000, 1.0, u_bose=-1.0)
 
 
+@pytest.mark.parametrize("kwargs, given", [
+    (dict(n_particles=1000, lam=1.0, a_scatt=1e308), "a_scatt = 1e+308"),  # U = 4 pi a is inf
+    (dict(n_particles=1000, lam=1.0, a_scatt=1e307), "a_scatt = 1e+307"),
+    (dict(n_particles=1e300, lam=1.0, u_bose=1e300), "u_bose = 1e+300"),
+])
+def test_bose_radius_past_the_float_range_names_the_given_argument(kwargs, given):
+    with pytest.raises(DomainError, match=rf"^{re.escape(given)} at n_particles = .*: "
+                                          r"R_B\^5 = 15 lambda U N/\(4 pi\) leaves the float range$"):
+        BoseParams(**kwargs)
+
+
 def test_thomas_fermi_warning_threshold():
     with pytest.warns(UserWarning, match="Thomas-Fermi"):
         BoseParams(10, 1.0, u_bose=0.1)

@@ -518,6 +518,15 @@ def test_oracle_at_zero_temperature(capsys):
     assert "N = 10000 leaves a partially filled level at T = 0" in err
 
 
+def test_oracle_at_a_subnormal_temperature_prints_no_warning():
+    proc = subprocess.run([sys.executable, "-m", "fermigas", "oracle", "--n", "1000",
+                           "--t", "1e-320"],
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("fermigas: numerical failure: occupation residual")
+    assert "Warning" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def test_oracle_at_readme_particle_number(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "100000")
     assert code == 0

@@ -29,6 +29,12 @@ def test_isotropic_cumulative_count_is_stars_and_bars():
         assert cumulative[n] == fg.closed_shell_count(n)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, 3.0, math.nan, "3", None])
+def test_closed_shell_count_refuses_all_but_non_negative_integers(n):
+    with pytest.raises(DomainError, match=rf"^n must be a non-negative integer, got {re.escape(repr(n))}$"):
+        fg.closed_shell_count(n)
+
+
 def test_irrational_anisotropy_keeps_planar_shells_distinct():
     lam = math.sqrt(8.0)
     cutoff = 12.0
@@ -403,6 +409,14 @@ def test_root_search_failure_names_the_solve(monkeypatch):
         fg.exact_mu(1000, 0.5, 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_subnormal_temperature_fails_cleanly():
+    # t_abs/E_F rounds to 0: Newton starts at the bracket's low end, the tail's
+    # exponents overflow to -inf silently, and the solve refuses its residual
+    with pytest.raises(NumericsError, match=r"^occupation residual .* t_abs = 5e-324 over"):
+        fg.exact_mu(1000, 1.0, 5e-324)
+
+
 def test_no_blas_call_in_the_level_sum_or_the_response(monkeypatch):
     # a BLAS reduction would make the bits and the CPU cost depend on the
     # BLAS library and its thread count
@@ -433,8 +447,8 @@ def test_level_sum_sorts_nothing(monkeypatch):
 
 
 def test_constraint_evaluations_per_solve(monkeypatch):
-    # Newton from the continuum start stays within the reuse span, so each
-    # solve exponentiates the levels once, and the tail's axial rows once
+    # each constraint evaluation exponentiates the levels once, and each
+    # solve the tail's axial rows once
     evaluations, exp_sizes, shapes = [], [], []
 
     def counting(g, lo, hi, x=None):
@@ -470,17 +484,17 @@ def test_constraint_evaluations_per_solve(monkeypatch):
             exp_sizes.clear()
             shapes.clear()
             builds.clear()
+            steps = len(evaluations)
             fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+            steps = len(evaluations) - steps
             (levels, rows), = shapes
-            assert sorted(exp_sizes) == sorted([levels, rows])
+            assert sorted(exp_sizes) == sorted([levels] * steps + [rows])
             assert len(builds) == expected_builds
     assert len(evaluations) / (2 * len(BRENTQ_CASES)) <= 3.0
 
 
 # a float guess is the continuum mu itself; ("spans", k) starts Newton
-# k _REUSE_SPAN T from the root, so the root lies inside (|k| < 1) or
-# outside (|k| > 1) the span around the start where e^((eps - ref)/T) is
-# reused, on either side
+# 30 k T from the root, on either side
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError] + [
     pytest.param(("spans", k), id=f"start-{k:+g}-spans") for k in (-2.0, -0.5, 0.5, 2.0)])
@@ -497,7 +511,7 @@ def test_continuum_guess_never_decides_the_answer(monkeypatch, guess):
     monkeypatch.setattr(oracle, "solve_mu", solve_mu)
     for (n_particles, lam, t_abs), mu0 in zip(cases, expected):
         if isinstance(guess, tuple):  # exact_mu starts at m E_F - (1 + lambda/2)
-            start = ((mu0 + guess[1] * oracle._REUSE_SPAN * t_abs + 1.0 + 0.5 * lam)
+            start = ((mu0 + guess[1] * 30.0 * t_abs + 1.0 + 0.5 * lam)
                      / (6.0 * lam * n_particles) ** (1 / 3))
         mu = fg.exact_mu(n_particles, lam, t_abs)
         assert abs(mu - mu0) <= 4.0 * math.ulp(mu0)

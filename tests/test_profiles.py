@@ -63,6 +63,15 @@ def test_density_evaporated_tail_value():
     assert fg.density(1.0, 0.1) > 0.0
 
 
+def test_density_far_outside_the_cloud_is_zero():
+    # (m - s^2)/t overflows to -inf: f_(3/2) is 0 there, as it is below eta = -745
+    assert fg.density(1.4e154, 0.5) == 0.0
+    assert fg.momentum_density(1e200, 0.5) == 0.0
+    curve, = fg.profile_curves([0.5], 3, 1e200)
+    assert curve.samples == ((0.0, fg.density(0.0, 0.5)), (5e199, 0.0), (1e200, 0.0))
+    assert fg.density(1e154, 2.0) == 0.0  # eta = (m - 1e308)/2 is finite, far below -745
+
+
 def test_density_radially_non_increasing():
     for t in (0.0, 0.25, 1.0):
         vals = [fg.density(s, t) for s in np.linspace(0.0, 2.5, 60)]

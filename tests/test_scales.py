@@ -88,6 +88,29 @@ def test_negative_temperature_rejected():
         fg.from_scaled(spec, 0.0, 0.0, -0.1)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.0, 0.0), "rho must be finite and non-negative, got nan"),
+    ((-1.0, 0.0, 0.0), "rho must be finite and non-negative, got -1.0"),
+    ((0.0, math.inf, 0.0), "wavenumber must be finite and non-negative, got inf"),
+    ((1e308, 0.0, 0.0), "rho = 1e+308 converts to a value past the float range"),
+    ((0.0, 0.0, 1e308), "temperature = 1e+308 converts to a value past the float range"),
+])
+def test_to_scaled_checks_each_argument_and_result(args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fg.to_scaled(fg.PRESETS["li6-top"], *args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.0, 0.0), "s must be finite and non-negative, got nan"),
+    ((0.0, -1.0, 0.0), "q must be finite and non-negative, got -1.0"),
+    ((0.0, 0.0, math.inf), "reduced temperature must be finite and non-negative, got inf"),
+    ((0.0, 1e308, 0.0), "q = 1e+308 converts to a value past the float range"),
+])
+def test_from_scaled_checks_each_argument_and_result(args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        fg.from_scaled(fg.PRESETS["li6-top"], *args)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(mass=0.0, omega_r=1.0, lam=1.0, n_particles=1),
     dict(mass=-1e-26, omega_r=1.0, lam=1.0, n_particles=1),

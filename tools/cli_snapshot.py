@@ -37,6 +37,8 @@ ORACLE = [
     ("oracle", "--n", "20", "--t", "0"),
     ("oracle", "--lambda", "2.8284271247461903", "--n", "6", "--t", "0"),
     ("oracle", "--t", "0"),
+    # t E_F is subnormal: the solve's own error, and no numpy warning
+    ("oracle", "--n", "1000", "--t", "1e-320"),
 ]
 
 BAD_VALUES = [
@@ -73,6 +75,7 @@ BAD_VALUES = [
     ("profile", "--t", "-0.5"),
     ("profile", "--s-max", "0"),
     ("profile", "--s-max", "1e-320"),
+    ("profile", "--s-max", "1e200", "--samples", "3"),  # s^2 past the float range: density 0
     ("profile", "--samples", "1"),
     # above the sample cap: a checkout without the cap starts building a list
     # of this length, so snapshot such a checkout with its own copy of this tool
