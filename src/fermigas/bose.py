@@ -39,6 +39,9 @@ class BoseParams(Record):
         else:
             given, value = "u_bose", check_finite("u_bose", self.u_bose, positive=True)
             object.__setattr__(self, "a_scatt", value / (4.0 * math.pi))
+            if self.a_scatt == 0.0:
+                raise DomainError(f"u_bose = {value!r} gives a_scatt = u_bose/(4 pi) = 0.0, "
+                                  "below the float range")
         # the Thomas-Fermi regime needs a repulsive interaction, and R_B^5 a float
         if not 0.0 < bose_radius(self) < math.inf:
             raise DomainError(f"{given} = {value!r} at n_particles = {self.n_particles!r} and "

@@ -6,13 +6,20 @@ significant digits, which round-trips IEEE doubles exactly.
 
 import json
 
-from .errors import DomainError
+from .errors import DomainError, to_float
 from .record import Record
 
 AXIS_LABELS = frozenset({"t", "s", "q", "m", "c", "msd", "density"})
-# most samples a table asks linspace for (profile_curves' n_samples, the CLI's
-# --steps): far above the default 300, and refused before any list is built
+# most samples a table asks linspace for: far above the default 300
 MAX_SAMPLES = 1_000_000
+
+
+def sample_count(name, value) -> int:
+    """value as an int; DomainError unless a whole number from 2 to MAX_SAMPLES."""
+    n = to_float(name, value, f"an integer from 2 to {MAX_SAMPLES}")
+    if not (2.0 <= n <= MAX_SAMPLES and n % 1.0 == 0.0):  # NaN fails both
+        raise DomainError(f"{name} must be an integer from 2 to {MAX_SAMPLES}, got {value!r}")
+    return int(n)
 
 
 def _cell(value) -> str:

@@ -16,12 +16,16 @@ class NumericsError(FermiGasError, RuntimeError):
 
 
 def to_float(name, value, rule="finite") -> float:
-    """float(value); DomainError naming the parameter for an int beyond the float range."""
+    """value as a float, by __float__ or __index__ but never from text; else DomainError."""
+    if type(value) is float:
+        return value
     try:
-        return float(value)
+        if hasattr(type(value), "__float__") or hasattr(type(value), "__index__"):
+            return float(value)
+        got = repr(value)  # text, or no number
     except OverflowError:  # an int beyond the double range
-        raise DomainError(f"{name} must be {rule}, "
-                          "got an integer beyond the float range") from None
+        got = "an integer beyond the float range"
+    raise DomainError(f"{name} must be {rule}, got {got}")
 
 
 def check_real(name, value) -> float:
@@ -42,8 +46,8 @@ def check_finite(name, value, positive=False) -> float:
 
 
 def check_count(name, value) -> float:
-    """value as a float; DomainError unless finite and at least 1."""
-    n = to_float(name, value, "finite and at least 1")
-    if not (math.isfinite(n) and n >= 1.0):
-        raise DomainError(f"{name} must be finite and at least 1, got {n!r}")
+    """value as a float; DomainError unless a whole number of at least 1."""
+    n = to_float(name, value, "a positive integer")
+    if not (n >= 1.0 and n % 1.0 == 0.0):  # NaN fails both, inf the second
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
     return n

@@ -15,7 +15,8 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
   1/4 less the residues at the poles u = sqrt(eta + i(2j+1)pi) is exact
   (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The nodes are tabled
   as (e^(u^2), 2h u^p), so a call takes one exp, e^-eta; they end where
-  u^2 exceeds eta + 44 and are summed from the outermost in.  The poles end
+  u^2 exceeds eta + 44 (eta + 48 for k = 5/2, whose u^4 weight lifts the
+  dropped tail) and are summed from the outermost in.  The poles end
   where a term falls below 2^-60 of the sum: at most 36 nodes and 4 pole
   terms.
 * sommerfeld (eta >= 40, half-integer k): the bracket series, truncated at
@@ -55,8 +56,11 @@ _SERIES_TERMS = int(_SERIES_SPAN) + 1  # terms needed at |eta| = 1
 _TAYLOR_TERMS = 36
 _STEP = 0.25  # trapezoid step h in u = sqrt(x)
 _NEGLIGIBLE = 2.0 ** -60  # a Sommerfeld or pole term this far below the sum is dropped
-_TAIL = 44.0  # last trapezoid node: (n h)^2 <= eta + _TAIL, exp(-44) < 2^-63
-_NODES = int(math.sqrt(_SOMMERFELD_CUTOFF + _TAIL) / _STEP)  # 36 off the centre
+# last trapezoid node of order k: (n h)^2 <= eta + _TAIL[k].  The nodes dropped
+# hold at most 1.8e-20, 9.3e-19 and 6.6e-19 of the sum at k = 1/2, 3/2 and 5/2
+# on the band (2^-60 = 8.7e-19): the u^4 weight of 5/2 needs a cut of its own
+_TAIL = {0.5: 44.0, 1.5: 44.0, 2.5: 48.0}
+_NODES = int(math.sqrt(_SOMMERFELD_CUTOFF + _TAIL[0.5]) / _STEP)  # 36 off the centre
 _POLE_PHASE = -2j * math.pi / _STEP  # exp(_POLE_PHASE u) - 1: the pole terms' denominator
 _FOUR_PI = 4.0 * math.pi
 # pi, ln 2 and zeta(3) to 62-63 decimals, as exact (numerator, denominator)
@@ -218,12 +222,12 @@ def _trapezoid(k: float, eta: float) -> float:
     T_h - 4 pi sum_(j>=0) Im[u_j^(2k-2) / (exp(-2 pi i u_j/h) - 1)], the
     trapezoid sum of step h in u = sqrt(x) less its pole correction.  A node
     term u^p/(e^(u^2 - eta) + 1) is (2h u^p)/(e^(u^2) e^-eta + 1) from the
-    table, with one exp per call.  The nodes with u^2 <= eta + _TAIL run
+    table, with one exp per call.  The nodes with u^2 <= eta + _TAIL[k] run
     from the outermost in, the small terms first."""
     keys, nodes, power, gamma = _TRAPEZOID[k]
     w = math.exp(-eta)
     trapezoid = 0.0
-    for e, c in nodes[bisect_left(keys, -(eta + _TAIL)):]:
+    for e, c in nodes[bisect_left(keys, -(eta + _TAIL[k])):]:
         trapezoid += c / (e * w + 1.0)
     poles, floor = 0.0, _NEGLIGIBLE * trapezoid
     for height in _POLE_HEIGHTS:

@@ -159,11 +159,12 @@ class PerturbationField(Record, hidden=("values",)):
     def __post_init__(self):
         import numpy as np
 
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy the caller cannot write to
         if v.shape != (GRID_SIZE,):
             raise DomainError(f"field must have {GRID_SIZE} grid values, "
                               f"got shape {v.shape}")
         field_values(v.tolist())
+        v.flags.writeable = False  # checked once: finite and within the guard
         object.__setattr__(self, "values", v)
 
     @classmethod

@@ -19,8 +19,8 @@ through the scales module.
 
 import math
 
-from .curves import MAX_SAMPLES, UniversalCurve, linspace
-from .errors import DomainError, check_finite, check_real, to_float
+from .curves import UniversalCurve, linspace, sample_count
+from .errors import DomainError, check_finite, check_real
 from .fdint import _closed_forms, fermi
 from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
 
@@ -65,7 +65,7 @@ def _warm_densities(radii, t: float, m: float) -> list:
 
 def momentum_density(q, t) -> float:
     """Scaled momentum density; identical in form to the spatial one."""
-    return density(q, t)
+    return density(check_finite("q", q), t)
 
 
 def normalization(t) -> float:
@@ -101,14 +101,10 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     ts = [_check_t(t) for t in t_list]
     if not ts:
         raise DomainError("temperature list is empty")
-    n = to_float("n_samples", n_samples, "an integer of at least 2")
-    if not (n >= 2.0 and n % 1.0 == 0.0):  # NaN and inf fail both
-        raise DomainError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
-    if n > MAX_SAMPLES:
-        raise DomainError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples!r}")
+    n = sample_count("n_samples", n_samples)
     if s_max is not None:
         s_max = check_finite("s_max", s_max, positive=True)
-        grid = linspace(0.0, s_max, int(n_samples))
+        grid = linspace(0.0, s_max, n)
         # a subnormal s_max rounds the step to repeated or overshooting radii
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError(f"s_max = {s_max!r} and n_samples = {n_samples!r} give a radius "
@@ -117,12 +113,12 @@ def profile_curves(t_list, n_samples=300, s_max=None):
     for t in ts:
         if t <= _TINY_T:
             if s_max is None:
-                grid = linspace(0.0, 1.0, int(n_samples))
+                grid = linspace(0.0, 1.0, n)
             values = [zero_t_density(s) for s in grid]
         else:
             m = solve_mu(t)
             if s_max is None:
-                grid = linspace(0.0, math.sqrt(max(m, 0.0) + 25.0 * t), int(n_samples))
+                grid = linspace(0.0, math.sqrt(max(m, 0.0) + 25.0 * t), n)
             values = _warm_densities(grid, t, m)
         curves.append(UniversalCurve("s", "density", tuple(zip(grid, values))))
     return curves

@@ -10,10 +10,10 @@ anisotropy lambda is
 with companion length R_F (classical excursion at E_F), wavenumber K_F
 (free-particle momentum at E_F) and ground-state width sigma_r, and
 R_F/sigma_r = K_F sigma_r = (48 lambda N)^(1/6).  _trap_scales checks
-(N, lambda) for every entry point here, in bose and in oracle: N >= 1 and
-lambda > 0, both finite, and 48 N lambda finite.  It is the one place that
-computes E_F/(hbar omega_r) and R_F/sigma_r.  derive_scales also refuses a
-trap whose SI scales leave the float range, naming mass and omega_r.
+(N, lambda) for every entry point here, in bose and in oracle: N a whole
+number >= 1, lambda > 0 and finite, and 48 N lambda finite.  It is the one
+place that computes E_F/(hbar omega_r) and R_F/sigma_r.  derive_scales also
+refuses a trap whose SI scales leave the float range, naming mass and omega_r.
 Level energies are quoted without the zero-point offset throughout.
 continuum_reliable and validity_table say where the continuum picture holds.
 """
@@ -30,8 +30,8 @@ _SEMI_N0 = 2.0 / (math.sqrt(3.0) * math.pi ** 2)  # continuum n(0) sigma^3 / sqr
 
 
 def _trap_scales(n_particles, lam) -> tuple:
-    """(lambda, E_F/(hbar omega_r), R_F/sigma_r = K_F sigma_r) of N >= 1 particles at
-    lambda > 0, both finite; DomainError unless 48 N lambda is finite as well."""
+    """(lambda, E_F/(hbar omega_r), R_F/sigma_r = K_F sigma_r) of N >= 1 particles, a
+    whole number, at finite lambda > 0; DomainError unless 48 N lambda is finite as well."""
     n_particles = check_count("n_particles", n_particles)
     lam = check_finite("lambda", lam, positive=True)
     stretch = (48.0 * n_particles * lam) ** (1.0 / 6.0)
@@ -53,9 +53,6 @@ class TrapSpec(Record):
         check_finite("mass", self.mass, positive=True)
         check_finite("omega_r", self.omega_r, positive=True)
         _trap_scales(self.n_particles, self.lam)
-        if int(self.n_particles) != self.n_particles:
-            raise DomainError(
-                f"n_particles must be a positive integer, got {self.n_particles!r}")
 
 
 class CharacteristicScales(Record, hidden=("spec",)):

@@ -82,6 +82,17 @@ def test_bose_radius_past_the_float_range_names_the_given_argument(kwargs, given
         BoseParams(**kwargs)
 
 
+@pytest.mark.parametrize("u_bose", [5e-324, 1e-323, 2e-323])
+def test_subnormal_interaction_refused_naming_u_bose(u_bose):
+    # a_scatt = u_bose/(4 pi) rounds to 0.0, a value BoseParams refuses when given
+    with pytest.raises(DomainError, match=rf"^u_bose = {re.escape(repr(u_bose))} gives a_scatt "):
+        BoseParams(1000, 1.0, u_bose=u_bose)
+    with pytest.raises(DomainError, match="a_scatt must be finite and positive, got 0.0"):
+        BoseParams(1000, 1.0, a_scatt=0.0)
+    with pytest.warns(UserWarning, match="Thomas-Fermi"):  # the least that keeps a_scatt > 0
+        assert BoseParams(1000, 1.0, u_bose=4e-323).a_scatt == 5e-324
+
+
 def test_thomas_fermi_warning_threshold():
     with pytest.warns(UserWarning, match="Thomas-Fermi"):
         BoseParams(10, 1.0, u_bose=0.1)

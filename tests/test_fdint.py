@@ -456,6 +456,46 @@ def test_trapezoid_cost_is_pinned(monkeypatch):
         assert len(cuts) == len(TRAPEZOID_BAND) and max(cuts) <= 36, k
 
 
+def _dropped_share(monkeypatch, k):
+    """The largest share of the whole trapezoid sum T_h that the nodes fd leaves
+    out, past its cut and past its table, holds at order k across the band."""
+    kept = []
+    real_cut = fdint.bisect_left
+
+    def recording_cut(keys, x):
+        n = real_cut(keys, x)
+        kept.append(sum(1 for key in keys[n:] if key < 0.0))  # nodes u = 1/4 .. kept/4
+        return n
+
+    monkeypatch.setattr(fdint, "bisect_left", recording_cut)
+    p = round(2 * k - 1)
+    worst = 0.0
+    for eta in TRAPEZOID_BAND:
+        kept.clear()
+        fd(k, eta)
+        # every node off the centre up to u^2 = eta + 200, far past any 2^-60
+        terms = [0.5 * u ** p / (math.exp(u * u - eta) + 1.0)
+                 for u in (n / 4 for n in range(1, int(4.0 * math.sqrt(eta + 200.0))))]
+        centre = 0.25 / (math.exp(-eta) + 1.0) if p == 0 else 0.0
+        worst = max(worst, math.fsum(terms[kept[0]:]) / math.fsum([centre, *terms]))
+    return worst
+
+
+def test_trapezoid_drops_under_2_to_the_minus_60(monkeypatch):
+    # the rule of the series, pole and Sommerfeld cuts; k = 5/2, whose u^4
+    # weight lifts the tail, needs a later cut than exp(-44)
+    for k in (0.5, 2.5):
+        assert _dropped_share(monkeypatch, k) < 2.0 ** -60, k
+
+
+# the cut of k = 3/2 is exp(-44) too, which leaves 9.3e-19 of T_h (1.07 x
+# 2^-60) out just before the node u^2 = 729/16 enters at eta = 1.5625; a later
+# cut moves about one f_3/2 value in 7,000 by an ulp, densities among them
+@pytest.mark.xfail(strict=True, reason="k = 3/2 drops up to 1.07 x 2^-60 of T_h")
+def test_trapezoid_drops_under_2_to_the_minus_60_at_order_3_2(monkeypatch):
+    assert _dropped_share(monkeypatch, 1.5) < 2.0 ** -60
+
+
 def _horner_reference(coefficients, x):
     total = 0.0
     for c in coefficients:

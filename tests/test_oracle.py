@@ -620,42 +620,36 @@ def _threshold(n_particles, lam):
     return (6.0 * lam * n_particles) ** (1.0 / 3.0) - (1.0 + 0.5 * lam)
 
 
-def _counts_onto(level, lam):
-    """Float N whose threshold is the level's energy and one ulp below and
-    above it, found by ulp steps of N from the cube; None where no N lands."""
-    found = []
-    for target in (math.nextafter(level, -math.inf), level, math.nextafter(level, math.inf)):
-        n = (target + 1.0 + 0.5 * lam) ** 3 / (6.0 * lam)
-        for _ in range(400):
-            gap = _threshold(n, lam) - target
-            if gap == 0.0:
-                break
-            n = math.nextafter(n, -math.inf if gap > 0.0 else math.inf)
-        found.append(n if gap == 0.0 else None)
-    return found
-
-
 COUNTING_LAMBDAS = [0.5, 1.0, 2.0, math.sqrt(8.0), 1.0 / 3.0, math.pi,
                     *np.exp(np.random.default_rng(29).uniform(math.log(0.25), math.log(4.0), 4))]
 
 
 def test_counting_check_matches_the_sorted_spectrum():
-    # the masked sums over the unsorted ladders give the sort-and-merge
-    # answer bit for bit: log-spaced N, closed-shell counts (the states up to
-    # a level) and their neighbours, and N whose threshold is a level energy
-    # or one ulp from it, where <= decides which side the level counts on
+    # the row counts give the sort-and-merge answer bit for bit: whole N,
+    # log-spaced and rounded, and the closed-shell counts (the states up to a
+    # level) with their neighbours; at thresholds on a level energy and one ulp
+    # either side, where <= decides which side the level counts on, the row
+    # counter _count gives the sorted spectrum's cumulative count, edge levels
+    # and degeneracy (no whole N puts its threshold on a chosen level)
     cases, landed = [], 0
     for lam in map(float, COUNTING_LAMBDAS):
-        cases += [(float(n), lam) for n in np.logspace(0, 7, 57)]
+        cases += [(n, lam) for n in sorted({round(n) for n in np.logspace(0, 7, 57).tolist()})]
         sp = fg.build_spectrum(lam, _threshold(1e7, lam))
         closed = np.cumsum(sp.degeneracies)
-        for i in np.linspace(0, sp.energies.size - 2, 12).astype(int).tolist():
+        base = oracle._rows(lam, sp.cutoff)
+        for i in np.linspace(0, sp.energies.size - 3, 16).astype(int).tolist():
             cases += [(int(closed[i]) + d, lam) for d in (-1, 0, 1) if closed[i] + d >= 1]
-            counts = _counts_onto(float(sp.energies[i + 1]), lam)
-            landed += counts[1] is not None
-            cases += [(n, lam) for n in counts if n is not None]
-    assert len(cases) >= 1_000
-    assert landed >= 100  # most levels have an N whose threshold is the level itself
+            level = float(sp.energies[i + 1])
+            counts = []
+            for eps in (math.nextafter(level, -math.inf), level, math.nextafter(level, math.inf)):
+                j = int(np.searchsorted(sp.energies, eps, side="right"))
+                want = (int(closed[j - 1]), float(sp.energies[j - 1]), float(sp.energies[j]),
+                        int(sp.degeneracies[j]))
+                counts.append(oracle._count(lam, base, eps))
+                assert counts[-1] == want, (eps, lam)
+            landed += counts[0] != counts[1] == counts[2]  # the level counts from itself on
+    assert len(cases) >= 1_000 and all(isinstance(n, int) for n, _ in cases)
+    assert landed >= 100
     for n, lam in cases:
         got, want = fg.counting_check(n, lam), sorted_counting_check(n, lam)
         assert got == want and list(map(type, got)) == list(map(type, want)), (n, lam)

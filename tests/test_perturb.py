@@ -209,6 +209,19 @@ def test_field_validation():
         PerturbationField(bad)
 
 
+def test_field_keeps_a_read_only_copy():
+    # a later write to the caller's array cannot skip the finiteness check and
+    # the smallness guard, and the record's own values cannot be written
+    given = np.zeros(GRID_SIZE)
+    fld = PerturbationField(given)
+    given[:] = 5.0
+    assert fg.fermi_energy_shift(fld) == 0.0
+    assert not np.shares_memory(given, fld.values)
+    with pytest.raises(ValueError, match="read-only"):
+        fld.values[0] = 1e300
+    assert fg.density_response(fld).delta_e_fermi == 0.0
+
+
 def test_grid_shape():
     assert GRID.shape == (GRID_SIZE,)
     assert GRID[0] == 0.0 and GRID[-1] == 1.0

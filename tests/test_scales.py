@@ -126,7 +126,7 @@ def test_invalid_trap_spec_rejected(kwargs):
 
 
 def test_trap_spec_checks_particle_number_before_lambda():
-    with pytest.raises(DomainError, match="n_particles must be finite and at least 1"):
+    with pytest.raises(DomainError, match="n_particles must be a positive integer"):
         fg.TrapSpec(mass=1e-26, omega_r=1.0, lam=math.nan, n_particles=0)
 
 

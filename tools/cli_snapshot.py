@@ -73,6 +73,7 @@ BAD_VALUES = [
     ("msd-curve", "--steps", "abc"),
     ("profile", "--t", "abc"),
     ("profile", "--t", "-0.5"),
+    ("profile", "--t", "inf"),
     ("profile", "--s-max", "0"),
     ("profile", "--s-max", "1e-320"),
     ("profile", "--s-max", "1e200", "--samples", "3"),  # s^2 past the float range: density 0
@@ -82,6 +83,7 @@ BAD_VALUES = [
     ("profile", "--samples", "1000001"),
     ("profile", "--samples", "100000000000000000000"),
     ("mu-curve", "--steps", "100000000000000000000"),
+    ("mu-curve", "--steps", "-4"),
     ("heat-curve", "--steps", "1000001"),
     ("msd-curve", "--steps", "1000001"),
     ("oracle", "--n", "0"),
