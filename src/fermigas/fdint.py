@@ -15,13 +15,15 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
   1/4 less the residues at the poles u = sqrt(eta + i(2j+1)pi) is exact
   (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The nodes are tabled
   as (e^(u^2), 2h u^p), so a call takes one exp, e^-eta; they end where
-  u^2 exceeds eta + 44 (eta + 48 for k = 5/2, whose u^4 weight lifts the
-  dropped tail) and are summed from the outermost in.  The poles end
-  where a term falls below 2^-60 of the sum: at most 36 nodes and 4 pole
-  terms.
-* sommerfeld (eta >= 40, half-integer k): the bracket series, truncated at
-  its smallest term or at the first term below 2^-60 of the sum, which no
-  later term can move; the reflection term has a cos(pi k) = 0 prefactor.
+  u^2 exceeds eta + 48 and are summed from the outermost in.  The poles
+  end where a term falls below 2^-60 of the sum: at most 36 nodes and 4
+  pole terms.
+* sommerfeld (eta >= 40, half-integer k): the bracket series, cut at its
+  first term below 2^-60 of the sum; the terms fall until then, so no
+  later term can move it.  The reflection term has a cos(pi k) = 0 prefactor.
+
+The series, node, pole and Sommerfeld cuts keep one rule: what each
+drops is below 2^-60 of its sum.
 
 Each coefficient is an exact ratio of integers rounded to double once, and
 is tabled at import: the series cut to every term count, the Sommerfeld
@@ -34,9 +36,9 @@ picked once, and the series and reflection orders share one exp.  Every
 regime is float code, and an array runs it element by element, so every
 value has the bits of its own scalar call.  numpy is imported only for
 array inputs.  fd, fd_orders and fd_derivative are the entry for outside
-callers, which checks the order and maps arrays; the package's modules pass
-a float eta and supported orders straight to _closed_forms, the kernel
-entry behind them.
+callers, which checks the order (a number, not text) and maps arrays; the
+package's modules pass a float eta and supported orders straight to
+_closed_forms, the kernel entry behind them.
 """
 
 import cmath
@@ -44,7 +46,7 @@ import math
 from bisect import bisect_left
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, check_real, to_float
 
 SUPPORTED_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 
@@ -56,11 +58,9 @@ _SERIES_TERMS = int(_SERIES_SPAN) + 1  # terms needed at |eta| = 1
 _TAYLOR_TERMS = 36
 _STEP = 0.25  # trapezoid step h in u = sqrt(x)
 _NEGLIGIBLE = 2.0 ** -60  # a Sommerfeld or pole term this far below the sum is dropped
-# last trapezoid node of order k: (n h)^2 <= eta + _TAIL[k].  The nodes dropped
-# hold at most 1.8e-20, 9.3e-19 and 6.6e-19 of the sum at k = 1/2, 3/2 and 5/2
-# on the band (2^-60 = 8.7e-19): the u^4 weight of 5/2 needs a cut of its own
-_TAIL = {0.5: 44.0, 1.5: 44.0, 2.5: 48.0}
-_NODES = int(math.sqrt(_SOMMERFELD_CUTOFF + _TAIL[0.5]) / _STEP)  # 36 off the centre
+_TAIL = 48.0  # last trapezoid node: (n h)^2 <= eta + _TAIL, which drops under 2^-60 of the sum
+# nodes off the centre, u <= 9: node 37 and on hold under 2^-65 of the sum below eta = 40
+_NODES = 36
 _POLE_PHASE = -2j * math.pi / _STEP  # exp(_POLE_PHASE u) - 1: the pole terms' denominator
 _FOUR_PI = 4.0 * math.pi
 # pi, ln 2 and zeta(3) to 62-63 decimals, as exact (numerator, denominator)
@@ -158,12 +158,8 @@ _TRAPEZOID = {k: _trapezoid_table(k) for k in _HALF_ORDERS}
 _POLE_HEIGHTS = tuple((2 * j + 1) * math.pi for j in range(8))
 
 
-def _eta_error(eta) -> DomainError:
-    return DomainError(f"eta must be finite, got {eta!r}")
-
-
 def _require_order(k) -> float:
-    k = float(k)
+    k = to_float("order", k, "a supported Fermi-Dirac order")
     if k not in SUPPORTED_ORDERS:
         raise DomainError(f"unsupported Fermi-Dirac order {k!r}; "
                           f"supported: {SUPPORTED_ORDERS}")
@@ -196,21 +192,18 @@ def _reflection(k: float, eta: float, z: float) -> float:
 
 
 def _sommerfeld(k: float, eta: float) -> float:
-    """The optimally truncated bracket of a half-integer order; inf where
-    eta ** k overflows a double.  The terms shrink until the truncation
-    point, so once one falls below 2^-60 of the bracket, under half its
-    ulp, no later term can change the sum."""
+    """The bracket of a half-integer order, cut at its first term below 2^-60
+    of the sum; inf where eta ** k overflows a double.  For eta >= 40 the
+    terms shrink past that point, so no later term can change the sum."""
     terms, gamma = _SOMMERFELD[k]
-    bracket, power, prev = 1.0, 1.0, math.inf
+    bracket, power = 1.0, 1.0
     inv_eta2 = 1.0 / (eta * eta)
     for c in terms:
         power *= inv_eta2
         term = c * power
-        size = abs(term)
-        if size >= prev or size < _NEGLIGIBLE * bracket:
-            break  # the tail grows (truncate at the smallest term) or is negligible
+        if abs(term) < _NEGLIGIBLE * bracket:
+            break
         bracket += term
-        prev = size
     try:
         return eta ** k / gamma * bracket
     except OverflowError:
@@ -222,12 +215,12 @@ def _trapezoid(k: float, eta: float) -> float:
     T_h - 4 pi sum_(j>=0) Im[u_j^(2k-2) / (exp(-2 pi i u_j/h) - 1)], the
     trapezoid sum of step h in u = sqrt(x) less its pole correction.  A node
     term u^p/(e^(u^2 - eta) + 1) is (2h u^p)/(e^(u^2) e^-eta + 1) from the
-    table, with one exp per call.  The nodes with u^2 <= eta + _TAIL[k] run
+    table, with one exp per call.  The nodes with u^2 <= eta + _TAIL run
     from the outermost in, the small terms first."""
     keys, nodes, power, gamma = _TRAPEZOID[k]
     w = math.exp(-eta)
     trapezoid = 0.0
-    for e, c in nodes[bisect_left(keys, -(eta + _TAIL[k])):]:
+    for e, c in nodes[bisect_left(keys, -(eta + _TAIL)):]:
         trapezoid += c / (e * w + 1.0)
     poles, floor = 0.0, _NEGLIGIBLE * trapezoid
     for height in _POLE_HEIGHTS:
@@ -243,8 +236,7 @@ def band(k: float, eta: float) -> str:
     """Name of the regime that evaluates f_k at eta; DomainError where fd
     refuses the order or eta."""
     k = _require_order(k)
-    if not math.isfinite(eta):
-        raise _eta_error(eta)
+    eta = check_real("eta", eta)
     if eta <= _SERIES_CUTOFF:
         return "series"
     if k in _TAYLOR:
@@ -263,7 +255,7 @@ def _closed_forms(ks, eta: float) -> list:
     """[f_k(eta) for k in ks] at one float eta: the regime is picked once, and
     the series and reflection orders share z = exp(-|eta|)."""
     if not math.isfinite(eta):
-        raise _eta_error(eta)
+        check_real("eta", eta)  # refuses it
     values = []
     if eta <= _SERIES_CUTOFF:  # no order overflows here
         z = math.exp(eta)
@@ -310,6 +302,6 @@ def fd(order, eta):
 def fd_derivative(order, eta):
     """d f_k / d eta, which equals f_(k-1)(eta)."""
     k = _require_order(order)
-    if float(k - 1.0) not in SUPPORTED_ORDERS:
+    if k - 1.0 not in SUPPORTED_ORDERS:
         raise DomainError(f"order {k} - 1 is outside the supported set")
     return fd(k - 1.0, eta)

@@ -180,12 +180,11 @@ def _ladders(lam: float, cutoff: float):
     a = np.floor(base)
     frac = base - a  # exact, so fl(frac + (a + p)) == fl(base + p)
     fracs, first, ladder = np.unique(frac, return_index=True, return_inverse=True)
-    # ladder j holds k = lo_j..hi_j: its first row has the lowest a and runs
-    # past every other row's a, so no k in between is empty
+    # ladder j holds k = lo_j..lo_j + top: its first row has the lowest a,
+    # and a + top, the largest k with fl(frac + k) <= cutoff, is the same
+    # for every row of the ladder
     lo = a[first]
-    hi = lo.copy()
-    np.maximum.at(hi, ladder, a + top)
-    size = hi - lo + 1.0
+    size = top[first] + 1.0
     start = np.cumsum(size) - size
     total = int(start[-1] + size[-1])
     _check_entries(lam, cutoff, total, top.size)
@@ -453,4 +452,4 @@ def counting_check(n_particles: int, lam: float = 1.0):
     base = _rows(lam, e_fermi + 1.0)
     _count(lam, base, e_fermi + 1.0)  # exact float counts
     count, _, _, edge = _count(lam, base, e_fermi - (1.0 + 0.5 * lam))
-    return abs(count - n_particles), edge
+    return abs(count - int(n_particles)), edge

@@ -141,7 +141,9 @@ def response(values) -> tuple:
 def _grid():
     import numpy as np
 
-    return np.array(GRID_POINTS)
+    grid = np.array(GRID_POINTS)
+    grid.flags.writeable = False  # shared by every caller
+    return grid
 
 
 def __getattr__(name):

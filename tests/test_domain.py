@@ -3,7 +3,8 @@
 A particle number is a whole number: every entry point that takes one
 refuses 2.5 and the text "3" with the one message of errors.check_count.
 A number is a real number, not text: every scalar check refuses "0.5" and
-b"0.5" with a DomainError that names its argument and shows the value.
+b"0.5" with a DomainError that names its argument and shows the value.  A
+Fermi-Dirac order is a number too, so text, bytes and None are refused.
 """
 
 import re
@@ -26,6 +27,10 @@ def bose(**changes):
 
 # the names that take a particle number; every other name takes a real number
 COUNTS = {"n_particles", "n_closed_shell"}
+# the bad values each argument gets: a fraction and text for a count, text,
+# bytes and None for the Fermi-Dirac order and eta, text and bytes elsewhere
+BAD = {**dict.fromkeys(COUNTS, (2.5, "3")), "order": ("1.5", b"1.5", None),
+       "eta": ("0.3", b"0.3", None)}
 
 # entry point -> (argument name as its message gives it, call with the bad value there)
 ENTRIES = {
@@ -131,13 +136,20 @@ ENTRIES = {
     ],
     "bose_profile": [("s_b", lambda x: fg.bose_profile(x, bose()))],
     "mean_field_correction": [("u_int", fg.mean_field_correction)],
+    "fd": [("order", lambda x: fg.fd(x, 0.3))],
+    "fd_orders": [("order", lambda x: fg.fd_orders([1.5, x], 0.3))],
+    "fd_derivative": [("order", lambda x: fg.fd_derivative(x, 0.3))],
+    "band": [
+        ("order", lambda x: fg.fdint.band(x, 0.3)),
+        ("eta", lambda x: fg.fdint.band(1.5, x)),
+    ],
 }
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_entry_point_refuses_fractional_counts_and_text(entry):
     for name, call in ENTRIES[entry]:
-        for bad in ((2.5, "3") if name in COUNTS else ("0.5", b"0.5")):
+        for bad in BAD.get(name, ("0.5", b"0.5")):
             with pytest.raises(fg.DomainError) as refused:
                 call(bad)
             message = str(refused.value)

@@ -167,6 +167,29 @@ def test_sommerfeld_early_stop_is_bit_identical():
         assert [_sommerfeld(k, e) for e in etas] == [_sommerfeld_all_terms(k, e) for e in etas]
 
 
+def test_sommerfeld_terms_fall_until_the_cut():
+    # from eta = 40 up, each order's bracket terms fall strictly until one is
+    # below 2^-60 of the sum, within the tabled terms, so the bracket needs
+    # no stop at its smallest term
+    etas = np.concatenate([np.linspace(40.0, 80.0, 401), np.geomspace(80.0, 1e300, 3000),
+                           np.random.default_rng(36).uniform(40.0, 400.0, 1000)]).tolist()
+    for k in (0.5, 1.5, 2.5):
+        terms, _ = fdint._SOMMERFELD[k]
+        for eta in etas:
+            bracket, power, prev = 1.0, 1.0, math.inf
+            inv_eta2 = 1.0 / (eta * eta)
+            for c in terms:
+                power *= inv_eta2
+                term = c * power
+                if abs(term) < 2.0 ** -60 * bracket:
+                    break
+                assert abs(term) < prev, (k, eta)
+                bracket += term
+                prev = abs(term)
+            else:
+                pytest.fail(f"k = {k}, eta = {eta!r}: no term falls below 2^-60")
+
+
 def test_fermi_factor_against_extended_precision():
     # exp, the sum and the quotient each round once; like the direct
     # 1/(exp(x) + 1), which can differ from it by 3 ulp, the result stays
@@ -482,18 +505,10 @@ def _dropped_share(monkeypatch, k):
 
 
 def test_trapezoid_drops_under_2_to_the_minus_60(monkeypatch):
-    # the rule of the series, pole and Sommerfeld cuts; k = 5/2, whose u^4
-    # weight lifts the tail, needs a later cut than exp(-44)
-    for k in (0.5, 2.5):
+    # the rule of the series, pole and Sommerfeld cuts, met by one node cut
+    # at every order; the u^4 weight of k = 5/2 lifts its tail the most
+    for k in (0.5, 1.5, 2.5):
         assert _dropped_share(monkeypatch, k) < 2.0 ** -60, k
-
-
-# the cut of k = 3/2 is exp(-44) too, which leaves 9.3e-19 of T_h (1.07 x
-# 2^-60) out just before the node u^2 = 729/16 enters at eta = 1.5625; a later
-# cut moves about one f_3/2 value in 7,000 by an ulp, densities among them
-@pytest.mark.xfail(strict=True, reason="k = 3/2 drops up to 1.07 x 2^-60 of T_h")
-def test_trapezoid_drops_under_2_to_the_minus_60_at_order_3_2(monkeypatch):
-    assert _dropped_share(monkeypatch, 1.5) < 2.0 ** -60
 
 
 def _horner_reference(coefficients, x):

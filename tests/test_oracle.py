@@ -615,6 +615,14 @@ def test_zero_temperature_state_counting(n):
     assert difference <= edge_degeneracy
 
 
+def test_counting_check_difference_is_an_int():
+    # a whole float N counts as the int N: the difference is an int either way
+    for n in (1000, 1000.0, np.float64(1000.0), np.int64(1000), 1e6):
+        difference, edge_degeneracy = fg.counting_check(n)
+        assert type(difference) is int and type(edge_degeneracy) is int, n
+    assert fg.counting_check(1000.0) == fg.counting_check(1000) == (31, 171)
+
+
 def _threshold(n_particles, lam):
     """counting_check's threshold E_F - (1 + lambda/2) for N particles."""
     return (6.0 * lam * n_particles) ** (1.0 / 3.0) - (1.0 + 0.5 * lam)

@@ -227,6 +227,18 @@ def test_grid_shape():
     assert GRID[0] == 0.0 and GRID[-1] == 1.0
 
 
+def test_grid_is_read_only():
+    # GRID is the one array behind every field's interpolation: a write to it
+    # would move them all; a response's s_grid is the caller's own copy
+    with pytest.raises(ValueError, match="read-only"):
+        GRID[:] = 0.0
+    fld = PerturbationField(np.linspace(0.0, 0.01, GRID_SIZE))
+    assert fld.interp(0.5) == pytest.approx(0.005, rel=1e-12)
+    s_grid = fg.density_response(fld).s_grid
+    s_grid[0] = 1.0
+    assert GRID[0] == 0.0 and fld.interp(0.0) == 0.0
+
+
 def test_gauss_legendre_table_is_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(8)
     assert _GAUSS_LEGENDRE == tuple(zip(nodes.tolist(), weights.tolist()))

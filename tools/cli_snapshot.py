@@ -8,10 +8,11 @@ in a fresh process, with OUTDIR as its working directory and
 FERMIGAS_CONFIG unset, and leaves OUTDIR/<name>/ holding argv, stdout,
 stderr and exit (the exit code).  `diff -r` of the snapshots of two
 checkouts then shows every change a user would see.  The list is every
-command at default flags in CSV and JSON, the oracle's low-temperature,
-anisotropic, large-N and T = 0 cases, values outside each number flag's
-domain, the sample and step cap included, and traps whose scales or Pauli
-pseudopotential leave the float range.
+command at default flags in CSV and JSON, a density profile at low
+temperature, whose f_3/2 reaches the top of the trapezoid band, the
+oracle's low-temperature, anisotropic, large-N and T = 0 cases, values
+outside each number flag's domain, the sample and step cap included, and
+traps whose scales or Pauli pseudopotential leave the float range.
 """
 
 import os
@@ -28,6 +29,9 @@ DEFAULTS = [
     ("profile", "--momentum"), ("scales", *LI6), ("perturb", "--delta-v", TABLE),
     ("bose-compare", *LI6), ("oracle",), ("validity",),
 ]
+
+# t = 0.03 and 0.1 put the profile's f_3/2 at eta up to about 33 and 10
+LOW_T = [("profile", "--t", "0.03,0.1")]
 
 ORACLE = [
     ("oracle", "--lambda", "2.8284271247461903"),
@@ -102,7 +106,7 @@ BAD_VALUES = [
 def invocations():
     """(name, argv) of every invocation; the names are unique path components."""
     runs = [(*argv, "--format", fmt) for argv in DEFAULTS for fmt in ("csv", "json")]
-    runs += [*ORACLE, *BAD_VALUES]
+    runs += [*LOW_T, *ORACLE, *BAD_VALUES]
     named = [(re.sub(r"[^\w.+-]+", "_", " ".join(argv))[:100], argv) for argv in runs]
     assert len({name for name, _ in named}) == len(named)
     return named
