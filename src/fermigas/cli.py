@@ -9,7 +9,8 @@ a trap flag (_TRAP_FLAGS) wins over that field of --preset.  Exit codes: 0
 success, 1 numerical failure or unwritable output, 2 usage error.
 
 Each handler imports the library modules it uses and calls their float
-code, so only oracle, whose exact level sums run on arrays, imports numpy.
+code, so numpy is imported only where oracle falls back to its level sum on
+arrays (oracle module docstring).
 """
 
 import argparse

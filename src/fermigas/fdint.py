@@ -277,20 +277,21 @@ def _closed_forms(ks, eta: float) -> list:
 
 def fd_orders(orders, eta) -> list:
     """[fd(k, eta) for k in orders], bit for bit, sharing one exp per eta: floats
-    for a float eta, else arrays of eta's shape."""
+    for a number eta, else arrays of eta's shape.  eta and each of its entries
+    is a number as check_real takes it, never text, bytes or None."""
     ks = tuple(map(_require_order, orders))
     if isinstance(eta, float):  # np.asarray alone costs ~1 us
         return _closed_forms(ks, eta)
+    if isinstance(eta, (str, bytes)) or not hasattr(eta, "__len__"):  # a scalar
+        return _closed_forms(ks, check_real("eta", eta))
     import numpy as np
 
-    try:
-        eta = np.asarray(eta, dtype=float)
-    except OverflowError:  # an int beyond the double range
-        raise DomainError("eta must be finite, got an integer beyond the float range") from None
+    eta = np.asarray(eta, dtype=object)  # each entry as given: text is refused, not parsed
+    values = [_closed_forms(ks, check_real("eta", e)) for e in eta.ravel().tolist()]
     if eta.ndim == 0:
-        return _closed_forms(ks, float(eta))
-    out = np.array([_closed_forms(ks, e) for e in eta.ravel().tolist()], dtype=float)
-    return [row.reshape(eta.shape) for row in out.reshape(eta.size, len(ks)).T]
+        return values[0]
+    out = np.array(values, dtype=float).reshape(eta.size, len(ks))
+    return [row.reshape(eta.shape) for row in out.T]
 
 
 def fd(order, eta):

@@ -21,26 +21,25 @@ before any per-row array, then on their count.  Counts refuse 2^53 states
 or more up to their cutoff, so as to be exact floats; the level sum weighs
 levels by the float g/N and needs no such guard.
 
-At T > 0 exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one
-monotone_root search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds
-more than 2N states (at least the volume hi^3/(6 lambda) under it), so
-mu <= hi, and at T = 0 the level above the Nth state is at most hi.
+At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
+exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
+search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds more than 2N
+states (at least the volume hi^3/(6 lambda) under it), so mu <= hi, and at
+T = 0 the level above the Nth state is at most hi.
 Ladders are enumerated only up to the cutoff E_c = hi + 12 T.  Every level
 above it has x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x to
 within 2.3e-16 (e^-36) relative; per axial row these terms are geometric
 series in p: _tail_sums gives their sums S_j over all levels above E_c in
 closed form, so each step adds the tail as
-sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  At
-lambda = sqrt 8 the window holds 58%, 37%, 26% and 19% of the levels up to
-E_c + 24 T at t = 0.02, 0.05, 0.1 and 0.2.  Newton starts at the continuum
-estimate solve_mu(t) E_F - (1 + lambda/2), raised by
-(2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the constant
-term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack and
-van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
-fails or t rounds to 0; the estimate picks only the start.  Each Newton step exponentiates
-the L window levels, u = e^((eps - mu)/T), then takes f = 1/(1 + u) and
-numpy's pairwise sums of the positive terms (g/N) f and (g/N) f (1 - f),
-in two buffers allocated once.  The window's occupied fraction is within
+sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  Both
+routes start Newton at the continuum estimate solve_mu(t) E_F - (1 + lambda/2),
+raised by (2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the
+constant term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack
+and van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
+fails or t rounds to 0; the estimate picks only the start.  Each Newton step
+exponentiates the L window levels, u = e^((eps - mu)/T), then takes
+f = 1/(1 + u) and numpy's pairwise sums of the positive terms (g/N) f and
+(g/N) f (1 - f), in two buffers allocated once.  The window's occupied fraction is within
 (X + (log2(L) + 24)/2) em of exact, relative, em = 2^-52, with
 X = sum g f (1 - f)|x| / sum g f, below 0.9 at t <= 0.2 (README "Numerics"
 derives it): 4.8e-15 at the 157,678 levels of N = 1e6, lambda = sqrt 8,
@@ -48,6 +47,21 @@ t = 0.2.  The tail holds at most Gamma(3, 12)/2 = 5.2e-4 of N in the
 classical limit, and less when degenerate, so its rounding adds a few em
 of that share.  No BLAS routine runs, so the results do not depend on the
 BLAS library or its thread count.
+
+The pole sum (_pole_mu) needs no spectrum.  With mu_b = mu + 1 + lambda/2,
+N = (1/2 pi i) int Z(beta) e^(beta mu_b) pi T/sin(pi T beta) dbeta, Z(beta) =
+[2 sinh(beta/2)]^-2 [2 sinh(lambda beta/2)]^-1, is the sum of its residues
+(Brack and Bhaduri, Semiclassical Physics (1997), ch. 3): at beta = 0 the cubic
+mu_b^3/(6 lambda) + (pi^2 T^2/6 - (2 + lambda^2)/24) mu_b/lambda; the shell
+terms of the double poles 2 pi i k and simple poles 2 pi i j/lambda, which
+merge into triple poles where fl(k lambda) is an integer j, one test for both
+loops, and decay as e^-y, y = 2 pi^2 k T, with 1/sinh y = 2 e^-y/(1 - e^-2y);
+and the reflection terms (-1)^(m+1) Z(m/T) e^(-m mu_b/T) at beta = -m/T, fast
+only well above the lowest level.  So the route needs the root above T/2, and
+searches [T/2, hi]; at most _POLE_TERMS terms; and shell terms summing, in
+absolute value, below N at hi, which fails near a lambda whose k lambda is near
+an integer it does not round to.  At T >= T* = 0.1 it measured within 3.5e-16
+of the level sum on the oracle and cli workloads' inputs; below, e^-y > e^-2k.
 
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
@@ -60,12 +74,13 @@ hbar*omega_r and R_F/sigma, from scales._trap_scales, which refuses
 48 N lambda past the float range with one message naming both.
 
 numpy is imported by the functions that enumerate the spectrum, so the
-semiclassical estimates (the closed forms) run without it; validity_report
-wraps the floats of scales.validity_table in arrays.
+closed forms and the pole sum run without it; validity_report wraps the
+floats of scales.validity_table in arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import threading
@@ -90,6 +105,11 @@ _TAIL_GAP = 12.0
 
 # largest |occupied fraction - 1| that exact_mu accepts
 _OCCUPATION_TOL = 1e-10
+
+# exact_mu's pole sum: from T* hbar*omega_r up, in at most _POLE_TERMS k, j and m terms
+_POLE_T = 0.1
+_POLE_TERMS = 1000
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
 
 class DiscreteSpectrum(Record, hidden=("energies", "degeneracies")):
@@ -277,11 +297,116 @@ def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
     return sums
 
 
+def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
+    """(residual, (n_k, n_j, n_m)): residual(mu) = (N(mu)/N - 1, dN/dmu / N) from
+    the poles k <= n_k, j <= n_j and m <= n_m, or None (module docstring)."""
+    zp, pt = 1.0 + 0.5 * lam, math.pi * t_abs
+    top, step = hi + zp, 2.0 * math.pi * pt  # step: y = 2 pi^2 k T of the k = 1 pole
+    # a term is at most 2 pi T e^-y w^2 (1 + 1/lambda), w = top + pi T + lambda,
+    # below 2^-60 N past y = cut; the poles kept lie below Im beta = 2 pi (n_k + 1/2),
+    # halfway between two k poles, so no j pole is kept apart from a k pole near it
+    w = top + pt + lam
+    reach = (math.log(2.0 * pt * w * w * (1.0 + 1.0 / lam) / n_particles) + 41.6) / step - 0.5
+    if not (reach + 1.0) * (1.0 + lam) < _POLE_TERMS:  # or NaN past the float range
+        return None
+    n_k = max(math.ceil(reach), 0)
+    head = _SPLIT * lam - (_SPLIT * lam - lam)  # lambda = head + tail, 26 bits each
+
+    def gap(k, j):  # k lambda - j, rounded once: k head and k tail are exact
+        return (k * head - j) + k * (lam - head)
+
+    ks, js = [], []
+    for k in range(1, n_k + 1):
+        e = math.exp(-k * step)
+        csch, coth = 2.0 * e / (1.0 - e * e), (1.0 + e * e) / (1.0 - e * e)
+        j = round(k * lam)
+        if k * lam == j:  # the k pole and the j pole merge into a triple pole
+            pre = (-2.0 if j % 2 else 2.0) * pt * csch / lam
+            a0 = 0.5 * pt * pt * (coth * coth + csch * csch) + (2.0 + lam * lam) / 24.0
+            ks.append((pre * pt * coth, pre * a0, -0.5 * pre))
+        else:  # sin(pi k lambda) = (-1)^j sin(pi (k lambda - j))
+            d = math.pi * gap(k, j)
+            c = (-1.0 if j % 2 else 1.0) * pt * csch / math.sin(d)
+            ks.append((-c, -c * (pt * coth + 0.5 * lam / math.tan(d)), 0.0))
+    for j in range(1, int((n_k + 0.5) * lam) + 1):
+        k, p = round(j / lam), 0.0
+        if k * lam != j:  # else summed with its k pole
+            e = math.exp(-j * step / lam)
+            s = math.sin(math.pi * gap(k, j) / lam)  # +-sin(pi j/lambda)
+            p = (-1.0 if j % 2 else 1.0) * pt * e / ((1.0 - e * e) * lam * s * s)
+        js.append((0.0, p, 0.0))
+    if not sum(abs(q) * top + abs(p) + abs(r) * top * top for q, p, r in ks + js) < n_particles:
+        return None
+    # (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is, each term below the one
+    # before at mu >= T/2, up to one below 2^-60 N there
+    x_lo, ms = math.exp(-0.5 - 2.0 * zp / t_abs), []
+    for m in range(1, _POLE_TERMS + 1):
+        ms.append((1.0 if m % 2 else -1.0)
+                  / (math.expm1(-m / t_abs) ** 2 * -math.expm1(-m * lam / t_abs)))
+        if abs(ms[-1]) * x_lo ** m < 2.0 ** -60 * n_particles:
+            break
+    else:
+        return None
+    c1 = pt * pt / 6.0 - (2.0 + lam * lam) / 24.0
+
+    def residual(mu):
+        mb = mu + zp  # counted from the potential bottom
+        total = complex(mb * (mb * mb / 6.0 + c1) / lam, 0.0)
+        slope = complex((0.5 * mb * mb + c1) / lam, 0.0)
+        # the real parts of sum_n e^(i n theta) (q mu + i (p + r mu^2)) and of its
+        # slope, over the k poles (theta = 2 pi mu) and the j poles (2 pi mu/lambda)
+        for terms, turns, omega in ((ks, mb, 2.0 * math.pi), (js, mb / lam, 2.0 * math.pi / lam)):
+            w1, w = cmath.exp(complex(0.0, 2.0 * math.pi * math.remainder(turns, 1.0))), 1.0
+            for n, (q, p, r) in enumerate(terms, 1):
+                w *= w1
+                c = complex(q * mb, p + r * mb * mb)
+                total += w * c
+                slope += w * complex(q - n * omega * c.imag, 2.0 * r * mb + n * omega * c.real)
+        x, xm = math.exp(-(mb + zp) / t_abs), 1.0
+        for m, weight in enumerate(ms, 1):
+            xm *= x
+            total += weight * xm
+            slope -= m * weight * xm / t_abs
+        return total.real / n_particles - 1.0, slope.real / n_particles
+
+    return residual, (n_k, len(js), len(ms))
+
+
+def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float):
+    """exact_mu from the pole sum, or None where it does not apply (module docstring)."""
+    lo = 0.5 * t_abs
+    found = _pole_sum(n_particles, lam, t_abs, hi) if lo < hi else None
+    if found is None:
+        return None
+    residual, terms = found
+    # the route needs N(T/2) < N, which N(start) < N implies when start >= T/2;
+    # the search reuses N(start)
+    start = min(max(lo, start), hi)
+    known = {start: residual(start)}
+    if not (known[start][0] < 0.0 or residual(lo)[0] < 0.0):
+        return None
+    where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} by the pole sum "
+             "over k <= {}, j <= {} and m <= {}".format(*terms))
+    return _solve(lambda mu: known.pop(mu, None) or residual(mu), lo, hi, start,
+                  n_particles, where)
+
+
+def _solve(constraint, lo: float, hi: float, start: float, n_particles: int, where: str):
+    """exact_mu's one root search and residual check; failures name the solve (where)."""
+    try:
+        mu, residual = monotone_root(constraint, lo, hi, start)
+    except NumericsError as exc:
+        raise NumericsError(f"mu search for {where}: {exc}") from exc
+    if abs(residual) > _OCCUPATION_TOL:
+        raise NumericsError(
+            f"occupation residual {abs(residual) * n_particles:.3e} particles above "
+            f"tolerance at mu = {mu!r} for {where}")
+    return mu
+
+
 def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_continuum):
     """exact_mu of checked arguments, E_F in hbar*omega_r; m_continuum is
     solve_mu(t_abs / E_F), or None to solve it here."""
-    import numpy as np
-
     hi = _CUTOFF_SCALE * e_fermi + 2.0
     if t_abs == 0.0:
         base = _rows(lam, hi)
@@ -297,8 +422,23 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
             eps = min(0.5 * (lower + upper), math.nextafter(upper, -math.inf))
             base = base[:int(upper / lam) + 2]  # rows above upper hold no state below it
         return 0.5 * (found[1] + found[2])
+    lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
+    try:
+        # Newton from the continuum mu with the zero point removed, moved for
+        # the constant -(2 + lambda^2)/(24 lambda) of the smooth level density
+        t = t_abs / e_fermi
+        if m_continuum is None:
+            m_continuum = solve_mu(t)
+        f2, f1 = _closed_forms((2.0, 1.0), m_continuum / t)
+        m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi ** 2 * t) * (f1 / f2)
+        start = m_continuum * e_fermi - (1.0 + 0.5 * lam)
+    except (DomainError, NumericsError, ZeroDivisionError):  # t rounds to 0 at a subnormal T
+        start = lo
+    if t_abs >= _POLE_T and (mu := _pole_mu(n_particles, lam, t_abs, hi, start)) is not None:
+        return mu
+    import numpy as np
 
-    # mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
+    # the level sum: mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs
     if not cutoff < MAX_ENTRIES:  # row 0 alone holds floor(cutoff) + 1 ladder entries
         raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the level "
@@ -328,28 +468,8 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
 
     where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
              f"over {energies.size} levels")
-    lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
-    try:
-        # Newton from the continuum mu with the zero point removed, moved for
-        # the constant -(2 + lambda^2)/(24 lambda) of the smooth level density
-        t = t_abs / e_fermi
-        if m_continuum is None:
-            m_continuum = solve_mu(t)
-        f2, f1 = _closed_forms((2.0, 1.0), m_continuum / t)
-        m_continuum += (2.0 + lam * lam) / (24.0 * e_fermi ** 2 * t) * (f1 / f2)
-        start = m_continuum * e_fermi - (1.0 + 0.5 * lam)
-    except (DomainError, NumericsError, ZeroDivisionError):  # t rounds to 0 at a subnormal T
-        start = lo
-    try:
-        with np.errstate(over="ignore"):  # e^x overflows to inf above mu
-            mu, residual = monotone_root(constraint, lo, hi, start)
-    except NumericsError as exc:
-        raise NumericsError(f"mu search for {where}: {exc}") from exc
-    if abs(residual) > _OCCUPATION_TOL:
-        raise NumericsError(
-            f"occupation residual {abs(residual) * n_particles:.3e} particles above "
-            f"tolerance at mu = {mu!r} for {where}")
-    return mu
+    with np.errstate(over="ignore"):  # e^x overflows to inf above mu
+        return _solve(constraint, lo, hi, start, n_particles, where)
 
 
 def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:

@@ -582,6 +582,15 @@ def test_half_integer_fd_of_a_float_loads_no_numpy():
     assert "numpy" not in modules
 
 
+@pytest.mark.parametrize("call", ["fermigas.fd(1.5, 1)",
+                                  "fermigas.fd_orders((1.5, 2.0), Fraction(3, 10))"])
+def test_fd_of_a_number_scalar_loads_no_numpy(call):
+    # an int or another number that is no float takes the float path
+    modules = _imported_modules("-c", f"import fermigas; from fractions import Fraction; {call}")
+    assert "fermigas.errors" in modules
+    assert "numpy" not in modules
+
+
 def test_fermi_factor_of_a_float_loads_no_numpy():
     modules = _imported_modules(
         "-c", "import fermigas; fermigas.phase_space_occupancy(0.5, 0.5, 0.2, 0.9)")
@@ -595,7 +604,10 @@ def test_fermi_factor_of_a_float_loads_no_numpy():
                                   ["profile"], ["profile", "--momentum"],
                                   ["validity"], ["validity", "--format", "json"],
                                   ["perturb", "--delta-v", "TABLE"],
-                                  ["perturb", "--delta-v", "TABLE", "--format", "json"]])
+                                  ["perturb", "--delta-v", "TABLE", "--format", "json"],
+                                  ["oracle"]] + [
+    ["oracle", "--n", n, "--lambda", lam, "--t", t] for n in ("1000", "30000")
+    for lam in ("0.5", "1.0", repr(math.sqrt(8.0))) for t in ("0.02", "0.2")])
 def test_key_value_and_thermo_commands_load_no_numpy(argv, tmp_path):
     table = write_dv_table(tmp_path / "dv.csv")
     modules = _imported_modules("-m", "fermigas", *[table if a == "TABLE" else a for a in argv])
@@ -628,8 +640,9 @@ def test_validity_loads_no_exact_sum_module(fmt):
 
 
 def test_array_commands_still_load_numpy():
-    # the probe itself: a command that needs arrays shows numpy in the report
-    assert "numpy" in _imported_modules("-m", "fermigas", "oracle", "--n", "1000")
+    # the probe itself: a command that needs arrays shows numpy in the report;
+    # below T = 0.1 hbar omega_r oracle takes the level sum
+    assert "numpy" in _imported_modules("-m", "fermigas", "oracle", "--n", "1000", "--t", "0.001")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

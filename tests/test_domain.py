@@ -136,9 +136,18 @@ ENTRIES = {
     ],
     "bose_profile": [("s_b", lambda x: fg.bose_profile(x, bose()))],
     "mean_field_correction": [("u_int", fg.mean_field_correction)],
-    "fd": [("order", lambda x: fg.fd(x, 0.3))],
-    "fd_orders": [("order", lambda x: fg.fd_orders([1.5, x], 0.3))],
-    "fd_derivative": [("order", lambda x: fg.fd_derivative(x, 0.3))],
+    "fd": [
+        ("order", lambda x: fg.fd(x, 0.3)),
+        ("eta", lambda x: fg.fd(1.5, x)),
+    ],
+    "fd_orders": [
+        ("order", lambda x: fg.fd_orders([1.5, x], 0.3)),
+        ("eta", lambda x: fg.fd_orders([1.5, 2.0], x)),
+    ],
+    "fd_derivative": [
+        ("order", lambda x: fg.fd_derivative(x, 0.3)),
+        ("eta", lambda x: fg.fd_derivative(2.0, x)),
+    ],
     "band": [
         ("order", lambda x: fg.fdint.band(x, 0.3)),
         ("eta", lambda x: fg.fdint.band(1.5, x)),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -273,6 +274,17 @@ def test_scalar_and_array_calls_bit_identical(k):
 def test_array_with_nonfinite_element_rejected():
     with pytest.raises(DomainError, match="eta must be finite, got nan"):
         fd(2, np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("eta, shown", [
+    (["0.3"], "'0.3'"), (np.array(["0.3", "1"]), "'0.3'"), ([b"0.3"], "b'0.3'"),
+    ([[1.0], ["x"]], "'x'"), ([0.3, None], "None")])
+def test_array_with_text_element_rejected(eta, shown):
+    # an entry is a number, never text that numpy would parse
+    for call in (lambda: fd(1.5, eta), lambda: fd_orders((1.5, 2.0), eta),
+                 lambda: fd_derivative(2.0, eta)):
+        with pytest.raises(DomainError, match=re.escape(f"eta must be finite, got {shown}")):
+            call()
 
 
 @given(

@@ -16,6 +16,22 @@ from spectrum_reference import (dict_spectrum, eigenfunction_origin_density, ori
                                 sorted_counting_check, sorted_zero_t_mu, summed_central_density)
 
 
+@pytest.fixture
+def level_sum(monkeypatch):
+    """Send exact_mu at every T > 0 down the level sum, never the pole sum."""
+    monkeypatch.setattr(oracle, "_POLE_T", math.inf)
+
+
+def refuse_tail_sums(*args):
+    raise AssertionError("the level sum ran")
+
+
+@pytest.fixture
+def pole_sum(monkeypatch):
+    """Fail the test if exact_mu at T > 0 runs the level sum, the one caller of _tail_sums."""
+    monkeypatch.setattr(oracle, "_tail_sums", refuse_tail_sums)
+
+
 def test_isotropic_shell_degeneracies():
     sp = fg.build_spectrum(1.0, 2.5)
     assert sp.energies.tolist() == [0.0, 1.0, 2.0]
@@ -238,7 +254,7 @@ def _bits(value):
     return value
 
 
-def test_results_do_not_depend_on_the_kept_ladders(monkeypatch):
+def test_results_do_not_depend_on_the_kept_ladders(monkeypatch, level_sum):
     def results(lam):
         closed = int(fg.build_spectrum(lam, 6.0).degeneracies[:4].sum())
         return [_bits(fg.build_spectrum(lam, 40.0)), fg.exact_mu(2_000, lam, 1.7),
@@ -391,7 +407,7 @@ def test_exact_mu_against_brentq_reference(lam, n_particles, t):
         brentq_exact_mu(n_particles, lam, t_abs), rel=1e-14)
 
 
-def test_occupation_residual_failure_names_the_solve(monkeypatch):
+def test_occupation_residual_failure_names_the_solve(monkeypatch, level_sum):
     monkeypatch.setattr(oracle, "_OCCUPATION_TOL", -1.0)  # every residual fails
     with pytest.raises(NumericsError, match=r"occupation residual \d\.\d{3}e[-+]\d+ particles "
                                             r"above tolerance at mu = \d+\.\d+ for N = 1000, "
@@ -399,7 +415,7 @@ def test_occupation_residual_failure_names_the_solve(monkeypatch):
         fg.exact_mu(1000, 1.0, 3.6)
 
 
-def test_root_search_failure_names_the_solve(monkeypatch):
+def test_root_search_failure_names_the_solve(monkeypatch, level_sum):
     def stuck(g, lo, hi, x=None):
         raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
@@ -417,7 +433,7 @@ def test_subnormal_temperature_fails_cleanly():
         fg.exact_mu(1000, 1.0, 5e-324)
 
 
-def test_no_blas_call_in_the_level_sum_or_the_response(monkeypatch):
+def test_no_blas_call_in_the_level_sum_or_the_response(monkeypatch, level_sum):
     # a BLAS reduction would make the bits and the CPU cost depend on the
     # BLAS library and its thread count
     def refuse(*args, **kwargs):
@@ -433,7 +449,7 @@ def test_no_blas_call_in_the_level_sum_or_the_response(monkeypatch):
     assert resp.delta_e_fermi == pytest.approx(0.05, rel=1e-14)
 
 
-def test_level_sum_sorts_nothing(monkeypatch):
+def test_level_sum_sorts_nothing(monkeypatch, level_sum):
     # the levels come from integer ladders, so the search needs no order
     def refuse(*args, **kwargs):
         raise AssertionError("sort")
@@ -446,7 +462,7 @@ def test_level_sum_sorts_nothing(monkeypatch):
         assert fg.exact_mu(30_000, lam, t_abs) == pytest.approx(mu, rel=1e-14)
 
 
-def test_constraint_evaluations_per_solve(monkeypatch):
+def test_constraint_evaluations_per_solve(monkeypatch, level_sum):
     # each constraint evaluation exponentiates the levels once, and each
     # solve the tail's axial rows once
     evaluations, exp_sizes, shapes = [], [], []
@@ -498,7 +514,7 @@ def test_constraint_evaluations_per_solve(monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError] + [
     pytest.param(("spans", k), id=f"start-{k:+g}-spans") for k in (-2.0, -0.5, 0.5, 2.0)])
-def test_continuum_guess_never_decides_the_answer(monkeypatch, guess):
+def test_continuum_guess_never_decides_the_answer(monkeypatch, guess, level_sum):
     cases = [(n, lam, t * (6.0 * lam * n) ** (1 / 3)) for t, n, lam in BRENTQ_CASES]
     expected = [fg.exact_mu(*case) for case in cases]
     start = None
@@ -521,7 +537,7 @@ def test_continuum_guess_never_decides_the_answer(monkeypatch, guess):
 
 
 @pytest.mark.parametrize("guess", [None, 0.0, 10.0, math.nan, DomainError])
-def test_one_root_search_per_solve(monkeypatch, guess):
+def test_one_root_search_per_solve(monkeypatch, guess, level_sum):
     # however good or bad the continuum guess, exact_mu searches once
     calls = []
 
@@ -541,6 +557,143 @@ def test_one_root_search_per_solve(monkeypatch, guess):
         calls.clear()
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
         assert len(calls) == 1
+
+
+# the pole route's twins of the two tests above, and its N(mu) evaluations:
+# every BRENTQ_CASES input has T >= 0.29 hbar omega_r and takes the pole sum
+@pytest.mark.parametrize("guess", [None, 0.0, 10.0, math.nan, DomainError])
+def test_pole_route_one_root_search_per_solve(monkeypatch, guess, pole_sum):
+    test_one_root_search_per_solve(monkeypatch, guess, None)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("guess", [0.0, 10.0, math.nan, DomainError] + [
+    pytest.param(("spans", k), id=f"start-{k:+g}-spans") for k in (-2.0, -0.5, 0.5, 2.0)])
+def test_pole_route_guess_never_decides_the_answer(monkeypatch, guess, pole_sum):
+    test_continuum_guess_never_decides_the_answer(monkeypatch, guess, None)
+
+
+def spy_pole_sum(monkeypatch):
+    """The list that each later evaluation of the pole sum adds its mu/T to."""
+    evaluations, pole_sum = [], oracle._pole_sum
+
+    def spied(n_particles, lam, t_abs, hi):
+        found = pole_sum(n_particles, lam, t_abs, hi)
+        if found is None:
+            return None
+
+        def residual(mu):
+            evaluations.append(mu / t_abs)
+            return found[0](mu)
+        return residual, found[1]
+
+    monkeypatch.setattr(oracle, "_pole_sum", spied)
+    return evaluations
+
+
+def test_pole_route_evaluations_per_solve(monkeypatch, pole_sum):
+    # the check that the root lies above T/2 counts, and no evaluation lies below it
+    evaluations = spy_pole_sum(monkeypatch)
+    for t, n_particles, lam in BRENTQ_CASES:
+        fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+    assert min(evaluations) >= 0.5
+    assert len(evaluations) / len(BRENTQ_CASES) <= 4.0
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, math.sqrt(8.0), math.pi])
+def test_pole_sum_agrees_with_the_level_sum(monkeypatch, lam):
+    cases = [(n, t_abs) for n in (1_000, 10_000, 100_000) for t_abs in (0.1, 0.17, 0.3, 0.55, 1.0)]
+    tail_sums = oracle._tail_sums
+    monkeypatch.setattr(oracle, "_tail_sums", refuse_tail_sums)
+    poles = [fg.exact_mu(n, lam, t_abs) for n, t_abs in cases]
+    monkeypatch.setattr(oracle, "_tail_sums", tail_sums)
+    monkeypatch.setattr(oracle, "_POLE_T", math.inf)
+    for (n, t_abs), mu in zip(cases, poles):
+        assert mu == pytest.approx(fg.exact_mu(n, lam, t_abs), rel=5e-15), (n, t_abs)
+
+
+# at these lambda some k lambda round to an integer j, where the k pole and
+# the j pole merge: the j terms must skip exactly those
+@pytest.mark.parametrize("lam", [1.0 / 3.0, 0.1, 2.0 / 3.0, 1.5])
+def test_pole_count_against_an_mpmath_level_sum(lam):
+    for t_abs in (0.1, 0.5):
+        for mu in (4.0, 9.5):
+            with mp.workdps(25):
+                count = slope = mp.mpf(0)
+                for nz in range(int((mu + 50.0 * t_abs) / lam) + 1):
+                    for p in range(int(mu + 50.0 * t_abs - lam * nz) + 1):
+                        f = 1 / (1 + mp.exp((mp.mpf(lam) * nz + p - mu) / t_abs))
+                        count += (p + 1) * f
+                        slope += (p + 1) * f * (1 - f) / t_abs
+            residual, (n_k, _, _) = oracle._pole_sum(float(count), lam, t_abs, mu)
+            if t_abs == 0.1:  # a merged pair is kept
+                assert any((k * lam).is_integer() for k in range(1, n_k + 1))
+            relative, rate = residual(mu)
+            assert abs(relative) <= 1e-15, (t_abs, mu)
+            assert rate * float(count) == pytest.approx(float(slope), rel=1e-14), (t_abs, mu)
+
+
+def test_exact_mu_of_a_billion_isotropic_particles():
+    # the pole sum's cost does not grow with N; the reference sums the
+    # 10,902 shells (n+1)(n+2)/2 directly
+    n_particles = 1_000_000_000
+    t_abs = 0.1 * (6.0 * n_particles) ** (1 / 3)
+    shells = np.arange(int(1.5 * (6.0 * n_particles) ** (1 / 3) + 45.0 * t_abs) + 1)
+    degs = (shells + 1.0) * (shells + 2.0) / 2.0
+
+    def excess(mu):
+        return math.fsum(degs * expit((mu - shells) / t_abs)) - n_particles
+
+    expected = brentq(excess, -60.0 * t_abs - 1.0, float(shells[-1]), xtol=1e-14,
+                      rtol=8.9e-16)
+    assert fg.exact_mu(n_particles, 1.0, t_abs) == pytest.approx(expected, rel=1e-14)
+
+
+def test_pole_sum_answers_past_the_entry_cap(monkeypatch):
+    lam = math.sqrt(8.0)
+    e_fermi = (6.0 * lam * 1e9) ** (1 / 3)
+    mu = fg.exact_mu(1_000_000_000, lam, 0.1 * e_fermi)
+    assert mu == pytest.approx(fg.solve_mu(0.1) * e_fermi - (1.0 + 0.5 * lam), rel=1e-5)
+    monkeypatch.setattr(oracle, "_POLE_T", math.inf)
+    with pytest.raises(DomainError, match="entry cap"):
+        fg.exact_mu(1_000_000_000, lam, 0.1 * e_fermi)
+
+
+@pytest.mark.parametrize("n_particles, t", [(1_000, 5.0), (100_000, 2.0)])
+def test_classical_input_takes_the_level_sum(monkeypatch, n_particles, t):
+    # the root lies below T/2, where the pole sum is not evaluated
+    calls, tail_sums = [], oracle._tail_sums
+
+    def spy(*args):
+        calls.append(args)
+        return tail_sums(*args)
+
+    monkeypatch.setattr(oracle, "_tail_sums", spy)
+    lows = spy_pole_sum(monkeypatch)
+    t_abs = t * (6.0 * n_particles) ** (1 / 3)
+    with mp.workdps(40):
+        expected = float(mp_exact_mu(n_particles, 1.0, t_abs))
+    assert fg.exact_mu(n_particles, 1.0, t_abs) == pytest.approx(expected, rel=1e-15)
+    assert len(calls) == 1
+    assert all(x >= 0.5 for x in lows)
+
+
+def test_pole_route_failure_names_the_solve(monkeypatch, pole_sum):
+    monkeypatch.setattr(oracle, "_OCCUPATION_TOL", -1.0)  # every residual fails
+    with pytest.raises(NumericsError, match=r"occupation residual \d\.\d{3}e[-+]\d+ particles "
+                                            r"above tolerance at mu = \d+\.\d+ for N = 1000, "
+                                            r"lambda = 1\.0, t_abs = 3\.6 by the pole sum over "
+                                            r"k <= 1, j <= 1 and m <= 27$"):
+        fg.exact_mu(1000, 1.0, 3.6)
+
+    def stuck(g, lo, hi, x=None):
+        raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
+
+    monkeypatch.setattr(oracle, "monotone_root", stuck)
+    with pytest.raises(NumericsError, match=r"^mu search for N = 1000, lambda = 0\.5, "
+                                            r"t_abs = 2\.0 by the pole sum over k <= 1, "
+                                            r"j <= 0 and m <= 20: no convergence"):
+        fg.exact_mu(1000, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("lam", [1.0, math.sqrt(8.0)])
