@@ -12,9 +12,7 @@ frac share a ladder and each adds a ramp k - a + 1 of degeneracies: one
 np.bincount of their second differences and two running sums give them
 all, with no per-cell array.  Integer lambda has one ladder; irrational
 lambda has one per row.  A level is kept iff its float energy is <= the
-cutoff, so a smaller cutoff's ladders are a larger one's masked by energy,
-in order: _levels keeps each lambda's at the largest cutoff asked so far,
-up to MAX_ENTRIES entries that stay in memory, and masks them; only
+cutoff.  Each call builds its own ladders and keeps none; only
 build_spectrum sorts.  The entries plus four per row are capped at
 MAX_ENTRIES, by _rows on the lower bound max(rows, floor(cutoff) + 1)
 before any per-row array, then on their count.  Counts refuse 2^53 states
@@ -22,10 +20,10 @@ or more up to their cutoff, so as to be exact floats; the level sum weighs
 levels by the float g/N and needs no such guard.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
-exact_mu solves sum_levels (g/N) f((eps - mu)/T) = 1 by one monotone_root
-search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds more than 2N
-states (at least the volume hi^3/(6 lambda) under it), so mu <= hi, and at
-T = 0 the level above the Nth state is at most hi.
+exact_mu solves the sum over levels of (g/N) f((eps - mu)/T) = 1 by one
+monotone_root search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds
+more than 2N states (at least the volume hi^3/(6 lambda) under it), so
+mu <= hi, and at T = 0 the level above the Nth state is at most hi.
 Ladders are enumerated only up to the cutoff E_c = hi + 12 T.  Every level
 above it has x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x to
 within 2.3e-16 (e^-36) relative; per axial row these terms are geometric
@@ -83,7 +81,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import threading
 
 from .errors import DomainError, NumericsError, check_count, check_finite
 from .fdint import _closed_forms
@@ -92,7 +89,6 @@ from .scales import _SEMI_N0, _trap_scales, validity_table
 from .thermo import _check_t, monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
-_KEPT, _KEPT_LOCK = {}, threading.Lock()  # lambda: (cutoff, *ladders), oldest first
 # top closed shell of exact_central_density, whose exact integer binomial
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
@@ -131,23 +127,6 @@ def _tops(base, cutoff: float):
     top -= base + top > cutoff
     top += base + (top + 1.0) <= cutoff
     return top
-
-
-def _levels(lam: float, cutoff: float):
-    """_ladders(lam, cutoff) bit for bit, in fresh arrays (module docstring)."""
-    with _KEPT_LOCK:
-        kept = _KEPT.get(lam)
-        if kept is None or not cutoff <= kept[0]:
-            _KEPT.pop(lam, None)  # freed before the larger build
-            kept = (cutoff, *_ladders(lam, cutoff)[:3])
-            for array in kept[1:]:
-                array.flags.writeable = False
-            while sum(e.size + 4 * b.size for _, e, _, b in (kept, *_KEPT.values())) > MAX_ENTRIES:
-                del _KEPT[next(iter(_KEPT))]
-            _KEPT[lam] = kept
-    _, energies, degs, base = kept
-    inside, base = energies <= cutoff, base[base <= cutoff]
-    return energies[inside], degs[inside], base, _tops(base, cutoff)
 
 
 def _check_entries(lam: float, cutoff: float, entries, rows, bound=""):
@@ -230,7 +209,7 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    energies, degs, base, _ = _levels(lam, cutoff)
+    energies, degs, base, _ = _ladders(lam, cutoff)
     _count(lam, base, cutoff)  # exact float counts
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
@@ -267,7 +246,7 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
 def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
     """[S_1, S_2, S_3], S_j = sum of g e^(-j (eps - cutoff)/T) over the levels
     above the cutoff, from the axial rows' base and top that
-    _levels(lam, cutoff) returned.  With q = e^(-j/T), row n_z adds
+    _ladders(lam, cutoff) returned.  With q = e^(-j/T), row n_z adds
     e^(-j (base - cutoff)/T) sum_(p >= p0) (p + 1) q^p, p0 = top + 1, which is
     e^(-j (base + p0 - cutoff)/T) ((p0 + 1)/(1 - q) + q/(1 - q)^2); the rows
     n_z >= rows, wholly above the cutoff, add
@@ -443,7 +422,7 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
     if not cutoff < MAX_ENTRIES:  # row 0 alone holds floor(cutoff) + 1 ladder entries
         raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the level "
                           f"sum runs up to {cutoff!r}, past the {MAX_ENTRIES} entry cap")
-    energies, degs, base, top = _levels(lam, cutoff)  # unsorted: no order needed
+    energies, degs, base, top = _ladders(lam, cutoff)  # unsorted: no order needed
     with np.errstate(over="ignore"):  # (eps - E_c)/T is -inf at a subnormal T: e^-inf = 0
         s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
     del base, top
@@ -477,8 +456,10 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
     |psi_2m(0)|^2 sigma sqrt(pi) the x^m coefficient of (1 - x)^(-1/2), the
     eigenfunction sum is the x^(K//2) coefficient of (1 - x)^(-5/2)."""
     check_count("n_closed_shell", n_closed_shell)
+    lam = check_finite("lambda", lam, positive=True)
     if lam != 1.0:
-        raise DomainError("the closed-shell central density is implemented for lambda = 1")
+        raise DomainError(f"lambda = {lam!r}: the closed-shell central density is implemented "
+                          "for lambda = 1 only")
     # K + 1 < (6N)^(1/3) < K + 2, so the search starts at or above the top shell K
     estimate = (6.0 * n_closed_shell) ** (1.0 / 3.0)
     if estimate > MAX_SHELL + 2:

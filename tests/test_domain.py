@@ -80,6 +80,7 @@ ENTRIES = {
     ],
     "exact_central_density": [
         ("n_closed_shell", lambda x: fg.exact_central_density(x)),
+        ("lambda", lambda x: fg.exact_central_density(1, x)),
     ],
     "build_spectrum": [
         ("lambda", lambda x: fg.build_spectrum(x, 10.0)),

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -223,99 +225,13 @@ def test_tail_sums_against_direct_level_sums(lam, cutoff, t_abs):
     assert cutoff < lam * top.size
 
 
-def test_kept_ladders_equal_a_fresh_build():
-    # every served cutoff below the kept one, at level energies, one ulp on
-    # either side of them and in between, gives _ladders' arrays in its order
-    rng = np.random.default_rng(27)
-    lams = [0.5, 1.0, math.sqrt(8.0), 1.0 / 3.0, 2.0, math.pi, *rng.uniform(0.05, 5.0, 4)]
-    pairs = 0
-    for lam in lams:
-        oracle._KEPT.clear()
-        top = 300.0 if lam == 1.0 / 3.0 else 60.0
-        oracle._levels(lam, top)
-        levels = np.unique(oracle._ladders(lam, top)[0])
-        cutoffs = [x for v in rng.choice(levels, 30, replace=False).tolist()
-                   for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
-        cutoffs += rng.uniform(0.0, top, 20).tolist() + [0.0, top]
-        if lam == 1.0 / 3.0:
-            cutoffs.append(70.66666666666666)
-        for cutoff in cutoffs:
-            served, fresh = oracle._levels(lam, cutoff), oracle._ladders(lam, cutoff)
-            for got, want in zip(served, fresh):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lam, cutoff)
-            pairs += 1
-        assert set(oracle._KEPT) == {lam}
-    assert pairs >= 1_000
-
-
-def _bits(value):
-    if isinstance(value, fg.DiscreteSpectrum):
-        return (value.lam, value.cutoff, value.energies.tobytes(), value.degeneracies.tobytes())
-    return value
-
-
-def test_results_do_not_depend_on_the_kept_ladders(monkeypatch, level_sum):
-    def results(lam):
-        closed = int(fg.build_spectrum(lam, 6.0).degeneracies[:4].sum())
-        return [_bits(fg.build_spectrum(lam, 40.0)), fg.exact_mu(2_000, lam, 1.7),
-                fg.exact_mu(closed, lam, 0.0), fg.continuum_comparison(3_000, lam, 0.1),
-                fg.continuum_comparison(500, lam, 0.05), fg.counting_check(1_000, lam)]
-
-    for lam, other in ((0.5, math.sqrt(8.0)), (math.sqrt(8.0), math.pi), (1.0, 1.0 / 3.0)):
-        # a cap of the other lambda's build at cutoff 150 (3,349 to 4,297
-        # entries, rows counting 4) holds each case's ladders (at most 1,730)
-        # but not both, so building the other lambda evicts the first
-        energies, _, base, _ = oracle._ladders(other, 150.0)
-        monkeypatch.setattr(oracle, "MAX_ENTRIES", energies.size + 4 * base.size)
-        oracle._KEPT.clear()
-        cold = results(lam)
-        assert results(lam) == cold
-        fg.build_spectrum(other, 150.0)
-        assert list(oracle._KEPT) == [other]
-        assert results(lam) == cold
-        assert list(oracle._KEPT) == [lam]
-
-
-def test_kept_ladders_stay_within_the_entry_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_ENTRIES", 2_500)
-    oracle._KEPT.clear()
-
-    def kept():
-        return sum(e.size + 4 * b.size for _, e, _, b in oracle._KEPT.values())
-
-    # 305 to 1,981 entries each, rows counting 4
-    builds = [(0.5, 30.0), (1.0, 200.0), (math.sqrt(8.0), 60.0), (0.5, 60.0), (math.pi, 80.0),
-              (1.0, 10.0), (math.sqrt(8.0), 100.0), (2.0, 20.0), (0.5, 40.0)]
-    order, evictions = [], 0
-    for lam, cutoff in builds:
-        if lam not in oracle._KEPT or cutoff > oracle._KEPT[lam][0]:
-            order = [x for x in order if x != lam] + [lam]  # built anew: newest
-        oracle._levels(lam, cutoff)
-        assert kept() <= oracle.MAX_ENTRIES
-        gone = [x for x in order if x not in oracle._KEPT]
-        assert order[:len(gone)] == gone  # the oldest lambdas go first
-        order = order[len(gone):]
-        evictions += len(gone)
-        assert list(oracle._KEPT) == order
-    assert evictions >= 3
-    # a refusal stays a refusal with any lambda kept at any cutoff
-    with pytest.raises(DomainError, match="entry cap"):
-        oracle._levels(math.sqrt(8.0), 150.0)
-    assert kept() <= oracle.MAX_ENTRIES
+def _bits(spectrum):
+    return (spectrum.lam, spectrum.cutoff, spectrum.energies.tobytes(),
+            spectrum.degeneracies.tobytes())
 
 
 def test_returned_arrays_cannot_change_later_results():
-    oracle._KEPT.clear()
     lam = math.sqrt(8.0)
-    fresh = [a.copy() for a in oracle._ladders(lam, 30.0)]
-    for cutoff in (30.0, 30.0, 20.0):  # the build, then two served from it
-        for array in oracle._levels(lam, cutoff):
-            array[:] = -1.0
-    for got, want in zip(oracle._levels(lam, 30.0), fresh):
-        assert got.tobytes() == want.tobytes()
-    for array in oracle._KEPT[lam][1:]:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = -1.0
     spectrum = fg.build_spectrum(lam, 25.0)
     expected = _bits(spectrum)
     spectrum.energies[:] = 0.0
@@ -323,6 +239,25 @@ def test_returned_arrays_cannot_change_later_results():
     assert _bits(fg.build_spectrum(lam, 25.0)) == expected
     t_abs = 0.1 * (6.0 * lam * 300) ** (1 / 3)
     assert fg.exact_mu(300, lam, t_abs) == fg.exact_mu(300, lam, t_abs)
+
+
+def test_nothing_built_outlives_its_call(monkeypatch, level_sum):
+    # build_spectrum and the level sum each enumerate their own ladders, and
+    # no array of them stays alive once the results are dropped
+    refs, real_ladders = [], oracle._ladders
+
+    def watched(lam, cutoff):
+        arrays = real_ladders(lam, cutoff)
+        refs.extend(map(weakref.ref, arrays))
+        return arrays
+
+    monkeypatch.setattr(oracle, "_ladders", watched)
+    lam = math.sqrt(8.0)
+    results = [fg.build_spectrum(lam, 60.0), fg.exact_mu(300, lam, 2.5)]
+    assert len(refs) == 8
+    del results
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True] * 8
 
 
 def test_zero_temperature_closed_shells():
@@ -463,8 +398,8 @@ def test_level_sum_sorts_nothing(monkeypatch, level_sum):
 
 
 def test_constraint_evaluations_per_solve(monkeypatch, level_sum):
-    # each constraint evaluation exponentiates the levels once, and each
-    # solve the tail's axial rows once
+    # each solve enumerates the ladders once, each constraint evaluation
+    # exponentiates the levels once, and each solve the tail's axial rows once
     evaluations, exp_sizes, shapes = [], [], []
 
     def counting(g, lo, hi, x=None):
@@ -473,40 +408,29 @@ def test_constraint_evaluations_per_solve(monkeypatch, level_sum):
             return g(mu)
         return monotone_root(counted, lo, hi, x)
 
-    real_exp, real_levels, real_ladders = np.exp, oracle._levels, oracle._ladders
-    builds = []
+    real_exp, real_ladders = np.exp, oracle._ladders
 
     def counting_exp(x, *args, **kwargs):
         exp_sizes.append(np.size(x))
         return real_exp(x, *args, **kwargs)
 
-    def recording_levels(lam, cutoff):
-        energies, degs, base, top = real_levels(lam, cutoff)
+    def recording_ladders(lam, cutoff):
+        energies, degs, base, top = real_ladders(lam, cutoff)
         shapes.append((energies.size, top.size))
         return energies, degs, base, top
 
-    def counting_ladders(lam, cutoff):
-        builds.append((lam, cutoff))
-        return real_ladders(lam, cutoff)
-
     monkeypatch.setattr(oracle, "monotone_root", counting)
-    monkeypatch.setattr(oracle, "_levels", recording_levels)
-    monkeypatch.setattr(oracle, "_ladders", counting_ladders)
+    monkeypatch.setattr(oracle, "_ladders", recording_ladders)
     monkeypatch.setattr(np, "exp", counting_exp)
     for t, n_particles, lam in BRENTQ_CASES:
-        oracle._KEPT.clear()
-        # cold, then warm: the second solve enumerates no ladder
-        for expected_builds in (1, 0):
-            exp_sizes.clear()
-            shapes.clear()
-            builds.clear()
-            steps = len(evaluations)
-            fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
-            steps = len(evaluations) - steps
-            (levels, rows), = shapes
-            assert sorted(exp_sizes) == sorted([levels] * steps + [rows])
-            assert len(builds) == expected_builds
-    assert len(evaluations) / (2 * len(BRENTQ_CASES)) <= 3.0
+        exp_sizes.clear()
+        shapes.clear()
+        steps = len(evaluations)
+        fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+        steps = len(evaluations) - steps
+        (levels, rows), = shapes
+        assert sorted(exp_sizes) == sorted([levels] * steps + [rows])
+    assert len(evaluations) / len(BRENTQ_CASES) <= 3.0
 
 
 # a float guess is the continuum mu itself; ("spans", k) starts Newton
@@ -816,22 +740,6 @@ def test_counting_check_matches_the_sorted_spectrum():
         assert got == want and list(map(type, got)) == list(map(type, want)), (n, lam)
 
 
-def test_counting_check_sorts_nothing(monkeypatch):
-    # the ladders are kept from the first call; later counts read them by
-    # masks, with no sort, no merge and no DiscreteSpectrum
-    def refuse(*args, **kwargs):
-        raise AssertionError("sort or merge")
-
-    cases = [(n, lam) for lam in (1.0, math.sqrt(8.0), 1.0 / 3.0)
-             for n in (10_000_000, 176_851, 969, 1)]
-    expected = [sorted_counting_check(n, lam) for n, lam in cases]
-    for name in ("argsort", "sort", "unique"):
-        monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(oracle, "DiscreteSpectrum", refuse)
-    monkeypatch.setattr(oracle, "build_spectrum", refuse)
-    assert [fg.counting_check(n, lam) for n, lam in cases] == expected
-
-
 @pytest.mark.parametrize("n_particles, lam, message", [
     # 1.08e7 axial rows, refused on the rows before any per-row array
     (1000, 1e-7, r"the spectrum has at least \d+ ladder entries and \d+ axial rows"),
@@ -855,7 +763,6 @@ def test_counting_check_answers_past_the_entry_cap(monkeypatch):
     # and the sorted route gives this answer at a cap of 1e7
     cases = [(n, lam) for lam in (math.sqrt(8.0), math.pi) for n in (100_000, 1e6, 1e7)]
     expected = [sorted_counting_check(n, lam) for n, lam in cases]
-    oracle._KEPT.clear()  # a kept spectrum past the lowered cap would serve the sorted route
     monkeypatch.setattr(oracle, "MAX_ENTRIES", 2_000)
     for (n, lam), want in zip(cases, expected):
         with pytest.raises(DomainError, match="entry cap"):
@@ -910,8 +817,8 @@ def test_zero_temperature_mu_bisects_the_count(monkeypatch, n_particles, lam):
 
 
 def test_zero_temperature_counts_read_only_the_rows(monkeypatch):
-    # counting_check and the T = 0 exact_mu build no ladder entry, read no
-    # kept ladder, and neither sort nor take a running sum
+    # counting_check and the T = 0 exact_mu build no ladder entry, and
+    # neither sort nor take a running sum
     def refuse(*args, **kwargs):
         raise AssertionError("ladder, sort or running sum")
 
@@ -921,7 +828,7 @@ def test_zero_temperature_counts_read_only_the_rows(monkeypatch):
     closed = [(int(n), lam) for lam in (1.0, math.sqrt(8.0), 1.0 / 3.0)
               for n in np.cumsum(fg.build_spectrum(lam, 60.0).degeneracies)[::10]]
     mus = [sorted_zero_t_mu(n, lam) for n, lam in closed]
-    for name in ("_ladders", "_levels", "build_spectrum", "DiscreteSpectrum"):
+    for name in ("_ladders", "build_spectrum", "DiscreteSpectrum"):
         monkeypatch.setattr(oracle, name, refuse)
     for name in ("argsort", "sort", "unique", "cumsum", "searchsorted"):
         monkeypatch.setattr(np, name, refuse)
@@ -988,7 +895,8 @@ def test_central_density_converges_to_semiclassical():
 def test_central_density_rejects_ambiguous_input():
     with pytest.raises(DomainError, match="closed-shell"):
         fg.exact_central_density(5)
-    with pytest.raises(DomainError, match="lambda"):
+    with pytest.raises(DomainError, match=r"^lambda = 2\.0: the closed-shell central density "
+                                          r"is implemented for lambda = 1 only$"):
         fg.exact_central_density(4, lam=2.0)
 
 
@@ -1036,6 +944,7 @@ def test_breakdown_shell_distance_exponent():
     ("n_particles", lambda x: fg.breakdown_shell_distance(x)),
     ("n_particles", lambda x: fg.semiclassical_central_density(x)),
     ("n_closed_shell", lambda x: fg.exact_central_density(x)),
+    ("lambda", lambda x: fg.exact_central_density(1, x)),
     ("lambda", lambda x: fg.validity_report(1000, x, [0.5])),
     ("u_int", lambda x: fg.mean_field_correction(x)),
     ("m", lambda x: fg.phase_space_occupancy(0.5, 0.5, 0.1, x)),

@@ -1,24 +1,31 @@
-"""Print one sha256 per (workload, seed, operation kind) over the library
-outputs of the benchmark's figures and oracle operation lists.
+"""Print one sha256 per (list, seed, operation kind) over the library
+outputs of the benchmark's figures and oracle operation lists, and of a
+seeded list of level-sum calls.
 
     python tools/output_digest.py SEED...
 
 Run from the root of a source checkout: the package is imported from its
 ./src and the benchmark's list builder and runner from ./perfbench, which
-is only read.  Each list is perfbench/workloads.generate(workload, seed, 20);
-every operation is built by perfbench/worker.prepare and run in order in
-this one process, and its output, or its error, is put through
-worker.encode.  The digest hashes floats by float.hex and arrays by the
-sha256 of their bytes, so two checkouts print the same line exactly when
-every output of that kind is bit-identical.  A line reads
+is only read.  Each benchmark list is perfbench/workloads.generate(workload,
+seed, 20); every operation is built by perfbench/worker.prepare and run in
+order in this one process, and its output is put through worker.encode.
+Those lists no longer reach the ladder enumeration, so the levels list
+(levels_calls) adds 30 calls that do: build_spectrum at the oracle
+workload's cutoffs, exact_mu below the pole sum's T* = 0.1 hbar*omega_r,
+and exact_mu at classical reduced t in [1, 5].  The digest hashes floats
+by float.hex, arrays by the sha256 of their bytes and errors by their
+text, so two checkouts print the same line exactly when every output of
+that kind is bit-identical.  A line reads
 
-    WORKLOAD SEED KIND COUNT SHA256
+    LIST SEED KIND COUNT SHA256
 
 where a serializer's kind names the kind of the operation whose curve it
 writes (to_csv<profile_curves), so a change shows which outputs moved.
 """
 
 import hashlib
+import math
+import random
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -27,6 +34,7 @@ import numpy as np
 
 WORKLOADS = ("figures", "oracle")
 SECONDS = 20
+LEVEL_LAMBDAS = (0.5, 1.0, math.sqrt(8.0))  # the oracle workload's
 
 
 def canonical(value, out):
@@ -53,23 +61,67 @@ def canonical(value, out):
         raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
-def digests(worker, ops) -> dict:
-    """{kind: (count, sha256)} over the encoded output, or the error, of each
-    operation of that kind in list order; every kind runs in one pass."""
+def replayed(worker, ops):
+    """(kind, run) of each benchmark operation in list order, where run
+    returns its encoded output and keeps it for the serializers after it."""
     worker.clear_mu_cache()
     results = [None] * len(ops)
-    counts, parts = Counter(), defaultdict(list)
     for i, op in enumerate(ops):
         kind = op["kind"]
         if "source" in op:  # a serializer: name the kind of the curve it writes
             kind += "<" + ops[op["source"]]["kind"]
+
+        def run(i=i, op=op):
+            results[i] = worker.prepare(op, results)()
+            return worker.encode(op, results[i])
+        yield kind, run
+
+
+def levels_calls(seed):
+    """(kind, run) of the 30 seeded level-sum calls: four build_spectrum per
+    oracle workload lambda at exact_mu's spectrum cutoff for N in [1e3, 3e4]
+    and t in [0.02, 0.2]; six exact_mu per lambda in {sqrt 8, pi} at t_abs in
+    [0.05, 0.1); six at reduced t in [1, 5] for N in [1e3, 1e4]."""
+    import fermigas as fg
+
+    rng = random.Random(seed)
+
+    def particles(top):
+        return round(math.exp(rng.uniform(math.log(1e3), math.log(top))))
+
+    def spectrum(lam, cutoff):
+        sp = fg.build_spectrum(lam, cutoff)
+        return sp.lam, sp.cutoff, sp.energies, sp.degeneracies
+
+    calls = []
+    for lam in LEVEL_LAMBDAS:
+        for _ in range(4):
+            e_fermi = (6.0 * lam * particles(3e4)) ** (1.0 / 3.0)
+            cutoff = 2.0 ** (1.0 / 3.0) * e_fermi + 36.0 * rng.uniform(0.02, 0.2) * e_fermi + 2.0
+            calls.append(("build_spectrum", lambda lam=lam, c=cutoff: spectrum(lam, c)))
+    for lam in (math.sqrt(8.0), math.pi):
+        for _ in range(6):
+            args = (particles(3e4), lam, rng.uniform(0.05, 0.1))
+            calls.append(("exact_mu_low_t", lambda args=args: fg.exact_mu(*args)))
+    for _ in range(6):
+        n, lam = particles(1e4), rng.choice(LEVEL_LAMBDAS)
+        args = (n, lam, rng.uniform(1.0, 5.0) * (6.0 * lam * n) ** (1.0 / 3.0))
+        calls.append(("exact_mu_classical", lambda args=args: fg.exact_mu(*args)))
+    return calls
+
+
+def digests(runs) -> dict:
+    """{kind: (count, sha256)} over the output, or the error, of each
+    (kind, run) in order; every kind runs in one pass."""
+    counts, parts = Counter(), defaultdict(list)
+    for kind, run in runs:
         counts[kind] += 1
         try:
-            results[i] = worker.prepare(op, results)()
+            value = run()
         except Exception as exc:
             parts[kind].append(f"error:{type(exc).__name__}: {exc}")
             continue
-        canonical(worker.encode(op, results[i]), parts[kind])
+        canonical(value, parts[kind])
     return {kind: (counts[kind], hashlib.sha256("\n".join(parts[kind]).encode()).hexdigest())
             for kind in sorted(counts)}
 
@@ -87,11 +139,12 @@ def main(argv):
     import worker
     import workloads
 
-    for workload in WORKLOADS:
-        for seed in seeds:
-            ops = workloads.generate(workload, seed, SECONDS)
-            for kind, (count, sha) in digests(worker, ops).items():
-                print(f"{workload} {seed} {kind} {count} {sha}")
+    lists = [(workload, seed, replayed(worker, workloads.generate(workload, seed, SECONDS)))
+             for workload in WORKLOADS for seed in seeds]
+    lists += [("levels", seed, levels_calls(seed)) for seed in seeds]
+    for name, seed, runs in lists:
+        for kind, (count, sha) in digests(runs).items():
+            print(f"{name} {seed} {kind} {count} {sha}")
 
 
 if __name__ == "__main__":
