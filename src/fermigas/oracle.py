@@ -55,11 +55,14 @@ terms of the double poles 2 pi i k and simple poles 2 pi i j/lambda, which
 merge into triple poles where fl(k lambda) is an integer j, one test for both
 loops, and decay as e^-y, y = 2 pi^2 k T, with 1/sinh y = 2 e^-y/(1 - e^-2y);
 and the reflection terms (-1)^(m+1) Z(m/T) e^(-m mu_b/T) at beta = -m/T, fast
-only well above the lowest level.  So the route needs the root above T/2, and
-searches [T/2, hi]; at most _POLE_TERMS terms; and shell terms summing, in
-absolute value, below N at hi, which fails near a lambda whose k lambda is near
-an integer it does not round to.  At T >= T* = 0.1 it measured within 3.5e-16
-of the level sum on the oracle and cli workloads' inputs; below, e^-y > e^-2k.
+only well above the lowest level; an evaluation adds those that can move it.
+So the route needs the root above T/2, and searches [T/2, hi]; at most
+_POLE_TERMS terms; shell terms summing, in absolute value, below N at hi, which
+fails near a lambda whose k lambda is near an integer it does not round to; and
+reflection terms summing, in absolute value, to at most _POLE_SPREAD N at the
+root, as near T/2 they cancel digits of the cubic (unless the level sum refuses).
+At T >= T* = 0.1 it measured within 3.5e-16 of the level sum on the oracle and
+cli workloads' inputs; below, e^-y > e^-2k.
 
 These sums validate the continuum treatment.  Note the continuum density
 of states is asymptotic to the spectrum counted from the bottom of the
@@ -105,6 +108,7 @@ _OCCUPATION_TOL = 1e-10
 # exact_mu's pole sum: from T* hbar*omega_r up, in at most _POLE_TERMS k, j and m terms
 _POLE_T = 0.1
 _POLE_TERMS = 1000
+_POLE_SPREAD = 0.2  # largest absolute sum of the reflection terms at the root, over N
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
 
@@ -277,8 +281,14 @@ def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
 
 
 def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
-    """(residual, (n_k, n_j, n_m)): residual(mu) = (N(mu)/N - 1, dN/dmu / N) from
-    the poles k <= n_k, j <= n_j and m <= n_m, or None (module docstring)."""
+    """(residual, (n_k, n_j, (stop, spreads))), or None (module docstring): residual(mu) =
+    (N(mu)/N - 1, dN/dmu / N) from the poles k <= n_k, j <= n_j and the reflection terms
+    w_m x^m, x = e^(-(mu_b + zp)/T), m <= stop(); spreads maps each mu evaluated to the
+    absolute sum of those added.  At mu >= T/2, x <= x_lo = e^(-1/2 - 2 zp/T), and |w_m x^m|
+    and m |w_m x^m| fall by 0.61 and 0.91 a step at least (|w_(m+1)| <= |w_m|, |w_2/w_1| x_lo
+    < 1/13).  So once 2^60 m |w_m x^m| is below both running sums, N and T dN/dmu, each later
+    term and its slope term is under half an ulp of a sum it leaves as it was: an evaluation
+    stops there, and both sums keep every bit."""
     zp, pt = 1.0 + 0.5 * lam, math.pi * t_abs
     top, step = hi + zp, 2.0 * math.pi * pt  # step: y = 2 pi^2 k T of the k = 1 pole
     # a term is at most 2 pi T e^-y w^2 (1 + 1/lambda), w = top + pi T + lambda,
@@ -314,18 +324,17 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
             s = math.sin(math.pi * gap(k, j) / lam)  # +-sin(pi j/lambda)
             p = (-1.0 if j % 2 else 1.0) * pt * e / ((1.0 - e * e) * lam * s * s)
         js.append((0.0, p, 0.0))
-    if not sum(abs(q) * top + abs(p) + abs(r) * top * top for q, p, r in ks + js) < n_particles:
+    # w_m = (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is; terms fall, so m = 1000 decides
+    x_lo, tiny = math.exp(-0.5 - 2.0 * zp / t_abs), 2.0 ** -60 * n_particles
+
+    def weight(m):  # (w_m, whether its term at mu = T/2 is below 2^-60 N)
+        w = (-1.0) ** (m + 1) / (math.expm1(-m / t_abs) ** 2 * -math.expm1(-m * lam / t_abs))
+        return w, abs(w) * x_lo ** m < tiny
+
+    if not (sum(abs(q) * top + abs(p) + abs(r) * top * top for q, p, r in ks + js) < n_particles
+            and weight(_POLE_TERMS)[1]):
         return None
-    # (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is, each term below the one
-    # before at mu >= T/2, up to one below 2^-60 N there
-    x_lo, ms = math.exp(-0.5 - 2.0 * zp / t_abs), []
-    for m in range(1, _POLE_TERMS + 1):
-        ms.append((1.0 if m % 2 else -1.0)
-                  / (math.expm1(-m / t_abs) ** 2 * -math.expm1(-m * lam / t_abs)))
-        if abs(ms[-1]) * x_lo ** m < 2.0 ** -60 * n_particles:
-            break
-    else:
-        return None
+    ms, spreads = [], {}  # weight(m) as first needed; each mu's reflection terms' absolute sum
     c1 = pt * pt / 6.0 - (2.0 + lam * lam) / 24.0
 
     def residual(mu):
@@ -341,45 +350,55 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
                 c = complex(q * mb, p + r * mb * mb)
                 total += w * c
                 slope += w * complex(q - n * omega * c.imag, 2.0 * r * mb + n * omega * c.real)
+        states, rate, spread = total.real, slope.real, 0.0
         x, xm = math.exp(-(mb + zp) / t_abs), 1.0
-        for m, weight in enumerate(ms, 1):
+        for m in range(1, _POLE_TERMS + 1):
+            if m > len(ms):
+                ms.append(weight(m))
+            wm, last = ms[m - 1]
             xm *= x
-            total += weight * xm
-            slope -= m * weight * xm / t_abs
-        return total.real / n_particles - 1.0, slope.real / n_particles
+            size = abs(term := wm * xm)
+            states, rate, spread = states + term, rate - m * wm * xm / t_abs, spread + size
+            if last or (cut := 2.0 ** 60 * m * size) < states and cut < t_abs * rate:
+                break  # else the terms after m add under half an ulp
+        spreads[mu] = spread
+        return states / n_particles - 1.0, rate / n_particles
 
-    return residual, (n_k, len(js), len(ms))
+    def stop():
+        return next(m for m in range(1, _POLE_TERMS + 1) if weight(m)[1])
+
+    return residual, (n_k, len(js), (stop, spreads))
 
 
 def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float):
-    """exact_mu from the pole sum, or None where it does not apply (module docstring)."""
+    """(mu, |reflection terms| summed there over N) by the pole sum, or None (module docstring)."""
     lo = 0.5 * t_abs
     found = _pole_sum(n_particles, lam, t_abs, hi) if lo < hi else None
     if found is None:
         return None
-    residual, terms = found
+    residual, (n_k, n_j, (stop, spreads)) = found
     # the route needs N(T/2) < N, which N(start) < N implies when start >= T/2;
     # the search reuses N(start)
     start = min(max(lo, start), hi)
     known = {start: residual(start)}
     if not (known[start][0] < 0.0 or residual(lo)[0] < 0.0):
         return None
-    where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} by the pole sum "
-             "over k <= {}, j <= {} and m <= {}".format(*terms))
-    return _solve(lambda mu: known.pop(mu, None) or residual(mu), lo, hi, start,
-                  n_particles, where)
+    mu = _solve(lambda mu: known.pop(mu, None) or residual(mu), lo, hi, start, n_particles,
+                lambda: f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} by the pole "
+                        f"sum over k <= {n_k}, j <= {n_j} and m <= {stop()}")
+    return mu, spreads[mu] / n_particles
 
 
-def _solve(constraint, lo: float, hi: float, start: float, n_particles: int, where: str):
-    """exact_mu's one root search and residual check; failures name the solve (where)."""
+def _solve(constraint, lo: float, hi: float, start: float, n_particles: int, where):
+    """exact_mu's one root search and residual check; failures name the solve (where())."""
     try:
         mu, residual = monotone_root(constraint, lo, hi, start)
     except NumericsError as exc:
-        raise NumericsError(f"mu search for {where}: {exc}") from exc
+        raise NumericsError(f"mu search for {where()}: {exc}") from exc
     if abs(residual) > _OCCUPATION_TOL:
         raise NumericsError(
             f"occupation residual {abs(residual) * n_particles:.3e} particles above "
-            f"tolerance at mu = {mu!r} for {where}")
+            f"tolerance at mu = {mu!r} for {where()}")
     return mu
 
 
@@ -413,16 +432,22 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         start = m_continuum * e_fermi - (1.0 + 0.5 * lam)
     except (DomainError, NumericsError, ZeroDivisionError):  # t rounds to 0 at a subnormal T
         start = lo
-    if t_abs >= _POLE_T and (mu := _pole_mu(n_particles, lam, t_abs, hi, start)) is not None:
-        return mu
+    pole = _pole_mu(n_particles, lam, t_abs, hi, start) if t_abs >= _POLE_T else None
+    if pole is not None and pole[1] <= _POLE_SPREAD:
+        return pole[0]
     import numpy as np
 
     # the level sum: mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs
-    if not cutoff < MAX_ENTRIES:  # row 0 alone holds floor(cutoff) + 1 ladder entries
-        raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the level "
-                          f"sum runs up to {cutoff!r}, past the {MAX_ENTRIES} entry cap")
-    energies, degs, base, top = _ladders(lam, cutoff)  # unsorted: no order needed
+    try:
+        if not cutoff < MAX_ENTRIES:  # row 0 alone holds floor(cutoff) + 1 ladder entries
+            raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the "
+                              f"level sum runs up to {cutoff!r}, past the {MAX_ENTRIES} entry cap")
+        energies, degs, base, top = _ladders(lam, cutoff)  # unsorted: no order needed
+    except DomainError:  # past the entry cap the pole sum's mu, a few ulp off, beats no answer
+        if pole is None:
+            raise
+        return pole[0]
     with np.errstate(over="ignore"):  # (eps - E_c)/T is -inf at a subnormal T: e^-inf = 0
         s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
     del base, top
@@ -445,10 +470,10 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         return (occupied + z * (s1 - z * (s2 - z * s3)) - 1.0,
                 (float(filled.sum()) + z * (s1 - z * (2.0 * s2 - 3.0 * z * s3))) / t_abs)
 
-    where = (f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
-             f"over {energies.size} levels")
     with np.errstate(over="ignore"):  # e^x overflows to inf above mu
-        return _solve(constraint, lo, hi, start, n_particles, where)
+        return _solve(constraint, lo, hi, start, n_particles,
+                      lambda: f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
+                              f"over {energies.size} levels")
 
 
 def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:

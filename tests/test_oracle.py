@@ -1,8 +1,10 @@
 import gc
 import math
+import random
 import re
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,16 +313,22 @@ def test_finite_temperature_occupation_residual():
     assert abs(float(np.dot(sp.degeneracies, occ)) - 500) <= 1e-10 * 500
 
 
-def brentq_exact_mu(n_particles, lam, t_abs):
-    """Independent route: planar shells stacked over the axial ladder, a
-    wider cutoff, scipy's logistic occupation and Brent's method."""
+def reference_levels(n_particles, lam, t_abs):
+    """(energies, degeneracies, cutoff): planar shells stacked over the
+    axial ladder up to a wider cutoff, 1.5 E_F + 45 T."""
     cutoff = 1.5 * (6.0 * lam * n_particles) ** (1 / 3) + 45.0 * t_abs
     energies, degs = [], []
     for nz in range(int(cutoff / lam) + 1):
         p = np.arange(int(cutoff - lam * nz) + 1)
         energies.append(p + lam * nz)
         degs.append(p + 1.0)
-    energies, degs = np.concatenate(energies), np.concatenate(degs)
+    return np.concatenate(energies), np.concatenate(degs), cutoff
+
+
+def brentq_exact_mu(n_particles, lam, t_abs):
+    """Independent route: reference_levels, scipy's logistic occupation and
+    Brent's method."""
+    energies, degs, cutoff = reference_levels(n_particles, lam, t_abs)
 
     def excess(mu):
         return math.fsum(degs * expit((mu - energies) / t_abs)) - n_particles
@@ -522,6 +530,100 @@ def test_pole_route_evaluations_per_solve(monkeypatch, pole_sum):
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
     assert min(evaluations) >= 0.5
     assert len(evaluations) / len(BRENTQ_CASES) <= 4.0
+
+
+def test_pole_route_builds_few_reflection_weights(monkeypatch, pole_sum):
+    # a weight costs two expm1 calls, the route's check of the m = 1000 term one
+    # more weight; the full sum down to 2^-60 N at T/2 builds 5 to 35 on these
+    calls = []
+
+    def expm1(x):
+        calls.append(x)
+        return math.expm1(x)
+
+    monkeypatch.setattr(oracle, "math", SimpleNamespace(**{
+        name: getattr(math, name) for name in dir(math) if not name.startswith("_")}))
+    monkeypatch.setattr(oracle.math, "expm1", expm1)
+    rng = random.Random(40)
+    weights = []
+    for _ in range(30):  # the oracle workload's ranges
+        n_particles = round(math.exp(rng.uniform(math.log(1e3), math.log(3e4))))
+        lam, t = rng.choice([0.5, 1.0, math.sqrt(8.0)]), rng.uniform(0.02, 0.2)
+        calls.clear()
+        fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+        weights.append(len(calls) / 2)
+    assert max(weights) <= 16
+
+
+# pole-route inputs with mu_b/T >= 2, and the mu that the full reflection sum
+# (every term down to 2^-60 N at T/2) gave them: T from 0.1 to 1e5 hbar omega_r
+# (from T = 1e3 up, E_F >= 2T needs N past 1e9) and N = 1e9, lambda = sqrt 8,
+# t = 0.1
+POLE_BITS = [
+    (3, 1 / 3, 0.1, "0x1.893e5f1308446p-1"),
+    (1, 0.5, 0.18233480008684413, "0x1.cbc19d3396d7cp-3"),
+    (1, 1.0, 0.33245979322709407, "0x1.017b709618a1bp-2"),
+    (17, math.sqrt(8.0), 0.6061898993497574, "0x1.08a57354d00b3p+2"),
+    (18, math.pi, 1.1052951411260215, "0x1.fc23d29a5dda5p+1"),
+    (44, 10.0, 2.015337685941733, "0x1.dd50440344b96p+2"),
+    (2990, 1 / 3, 3.67466194073669, "0x1.d1defae092f9bp+3"),
+    (7177, 0.5, 6.700187503509587, "0x1.54fe70d5483d5p+4"),
+    (3065625, 1.0, 12.216773489967919, "0x1.049cba0f95ea6p+8"),
+    (29869574, math.sqrt(8.0), 22.275429519995587, "0x1.8c70278c8d905p+9"),
+    (216876, math.pi, 40.615859883769794, "0x1.eee3061a8fa48p+6"),
+    (2405875, 10.0, 74.05684692262435, "0x1.e43e9fd052e40p+8"),
+    (96773696, 1 / 3, 135.03140378698737, "0x1.da5efe1b2845ap+8"),
+    (569956948442, 0.5, 246.20924014946254, "0x1.751fac7155b8dp+13"),
+    (4976100404, 1.0, 448.9251258218603, "0x1.68ec3cd6df23bp+11"),
+    (2952515045, math.sqrt(8.0), 818.546730706903, "0x1.8247a02dfcaa6p+11"),
+    (297010505123, math.pi, 1492.4955450518291, "0x1.0ef537fa39b36p+14"),
+    (14559449364, 10.0, 2721.3387683753085, "0x1.b7eec6b1d350ep+12"),
+    (3022085227921, 1 / 3, 4961.947603002908, "0x1.afe5b22705b84p+13"),
+    (10590887917442898, 0.5, 9047.357242349293, "0x1.3478c7d92fb66p+18"),
+    (37490484721824232, 1.0, 16496.480740980205, "0x1.283ce4fbd2740p+19"),
+    (317372095303392, math.sqrt(8.0), 30078.82518043102, "0x1.35494afd2dda0p+17"),
+    (386284170240634, math.pi, 54844.16576121015, "0x1.1826c7ad73c2ap+17"),
+    (8187221945257658, 10.0, 100000.0, "0x1.6ced8f052d674p+19"),
+    (1_000_000_000, math.sqrt(8.0), 256.979658685065, "0x1.365bdeca94da3p+11"),
+]
+
+
+def test_pole_route_keeps_its_bits(pole_sum):
+    for n_particles, lam, t_abs, mu in POLE_BITS:
+        assert fg.exact_mu(n_particles, lam, t_abs).hex() == mu, (n_particles, lam, t_abs)
+
+
+def test_pole_route_declines_where_reflections_cancel_the_cubic():
+    # at mu/T = 0.54 reflection terms of 0.39 N cancel most of the cubic, and
+    # the pole sum's mu leaves 6.1 ulp of N; the level sum's leaves 0.21
+    n_particles, lam = 38497, 1.0 / 3.0
+    t_abs = 0.4775 * (6.0 * lam * n_particles) ** (1 / 3)
+    mu = fg.exact_mu(n_particles, lam, t_abs)
+    energies, degs, _ = reference_levels(n_particles, lam, t_abs)
+    excess = math.fsum(np.append(degs * expit((mu - energies) / t_abs), -n_particles))
+    assert abs(excess) <= math.ulp(n_particles)
+
+
+def test_pole_mu_stands_past_the_level_sums_entry_cap(monkeypatch):
+    # reflection terms of 0.35 N at the root send this input to the level sum,
+    # whose spectrum passes the entry cap: the pole sum's mu is the answer
+    n_particles, lam = 30_000_000, math.pi
+    t_abs = 0.47 * (6.0 * lam * n_particles) ** (1 / 3)
+    calls, ladders = [], oracle._ladders
+
+    def spy(*args):
+        calls.append(args)
+        return ladders(*args)
+
+    monkeypatch.setattr(oracle, "_ladders", spy)
+    mu = fg.exact_mu(n_particles, lam, t_abs)
+    assert len(calls) == 1
+    monkeypatch.setattr(oracle, "_POLE_SPREAD", math.inf)
+    assert mu == fg.exact_mu(n_particles, lam, t_abs)
+    assert len(calls) == 1
+    monkeypatch.setattr(oracle, "_POLE_T", math.inf)
+    with pytest.raises(DomainError, match="entry cap"):
+        fg.exact_mu(n_particles, lam, t_abs)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, math.sqrt(8.0), math.pi])

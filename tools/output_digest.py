@@ -1,6 +1,6 @@
 """Print one sha256 per (list, seed, operation kind) over the library
-outputs of the benchmark's figures and oracle operation lists, and of a
-seeded list of level-sum calls.
+outputs of the benchmark's figures and oracle operation lists, and of
+seeded lists of level-sum and pole-sum calls.
 
     python tools/output_digest.py SEED...
 
@@ -12,7 +12,10 @@ order in this one process, and its output is put through worker.encode.
 Those lists no longer reach the ladder enumeration, so the levels list
 (levels_calls) adds 30 calls that do: build_spectrum at the oracle
 workload's cutoffs, exact_mu below the pole sum's T* = 0.1 hbar*omega_r,
-and exact_mu at classical reduced t in [1, 5].  The digest hashes floats
+and exact_mu at classical reduced t in [1, 5].  Those lists keep to
+t <= 0.2 at T > 0, so the poles list (poles_calls) adds 40 exact_mu calls
+from T = 0.1 to 1e5 hbar*omega_r, five of them with the root below 2T,
+where the reflection terms are largest.  The digest hashes floats
 by float.hex, arrays by the sha256 of their bytes and errors by their
 text, so two checkouts print the same line exactly when every output of
 that kind is bit-identical.  A line reads
@@ -35,6 +38,7 @@ import numpy as np
 WORKLOADS = ("figures", "oracle")
 SECONDS = 20
 LEVEL_LAMBDAS = (0.5, 1.0, math.sqrt(8.0))  # the oracle workload's
+POLE_LAMBDAS = (1.0 / 3.0, 0.1, 2.0 / 3.0, 1.5, math.sqrt(8.0), math.pi, 10.0)
 
 
 def canonical(value, out):
@@ -110,6 +114,29 @@ def levels_calls(seed):
     return calls
 
 
+def poles_calls(seed):
+    """(kind, run) of the 40 seeded pole-sum calls: 35 exact_mu at T
+    log-spaced from 0.1 to 1e5 hbar*omega_r, each with a lambda from
+    POLE_LAMBDAS and the N in [1, 1e9] nearest E_F = T/t, t log-uniform in
+    [0.02, 1]; five at t in [0.3, 0.48] for N in [1e2, 1e5], whose root lies
+    below 2T."""
+    import fermigas as fg
+
+    rng = random.Random(seed)
+    calls = []
+    for i in range(35):
+        t_abs, lam = 10.0 ** (-1.0 + 6.0 * i / 34), rng.choice(POLE_LAMBDAS)
+        e_fermi = t_abs / math.exp(rng.uniform(math.log(0.02), 0.0))
+        args = (min(max(round(e_fermi ** 3 / (6.0 * lam)), 1), 10 ** 9), lam, t_abs)
+        calls.append(("exact_mu_poles", lambda args=args: fg.exact_mu(*args)))
+    for _ in range(5):
+        n = round(math.exp(rng.uniform(math.log(1e2), math.log(1e5))))
+        lam = rng.choice(POLE_LAMBDAS)
+        args = (n, lam, rng.uniform(0.3, 0.48) * (6.0 * lam * n) ** (1.0 / 3.0))
+        calls.append(("exact_mu_below_2t", lambda args=args: fg.exact_mu(*args)))
+    return calls
+
+
 def digests(runs) -> dict:
     """{kind: (count, sha256)} over the output, or the error, of each
     (kind, run) in order; every kind runs in one pass."""
@@ -142,6 +169,7 @@ def main(argv):
     lists = [(workload, seed, replayed(worker, workloads.generate(workload, seed, SECONDS)))
              for workload in WORKLOADS for seed in seeds]
     lists += [("levels", seed, levels_calls(seed)) for seed in seeds]
+    lists += [("poles", seed, poles_calls(seed)) for seed in seeds]
     for name, seed, runs in lists:
         for kind, (count, sha) in digests(runs).items():
             print(f"{name} {seed} {kind} {count} {sha}")
