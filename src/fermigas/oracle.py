@@ -16,8 +16,10 @@ cutoff.  Each call builds its own ladders and keeps none; only
 build_spectrum sorts.  The entries plus four per row are capped at
 MAX_ENTRIES, by _rows on the lower bound max(rows, floor(cutoff) + 1)
 before any per-row array, then on their count.  Counts refuse 2^53 states
-or more up to their cutoff, so as to be exact floats; the level sum weighs
-levels by the float g/N and needs no such guard.
+or more up to their cutoff, so as to be exact floats; _check_states counts
+for that only where the bound rows (c + 2)(c + 3)/2 at cutoff c does not
+rule it out.  The level sum weighs levels by the float g/N and needs no
+such guard.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
 exact_mu solves the sum over levels of (g/N) f((eps - mu)/T) = 1 by one
@@ -55,7 +57,8 @@ terms of the double poles 2 pi i k and simple poles 2 pi i j/lambda, which
 merge into triple poles where fl(k lambda) is an integer j, one test for both
 loops, and decay as e^-y, y = 2 pi^2 k T, with 1/sinh y = 2 e^-y/(1 - e^-2y);
 and the reflection terms (-1)^(m+1) Z(m/T) e^(-m mu_b/T) at beta = -m/T, fast
-only well above the lowest level; an evaluation adds those that can move it.
+only well above the lowest level; an evaluation adds those that can move it,
+and sums the shell terms in real floats, with the bits of the complex sum.
 So the route needs the root above T/2, and searches [T/2, hi]; at most
 _POLE_TERMS terms; shell terms summing, in absolute value, below N at hi, which
 fails near a lambda whose k lambda is near an integer it does not round to; and
@@ -81,7 +84,6 @@ floats of scales.validity_table in arrays.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 
@@ -158,7 +160,8 @@ def _rows(lam: float, cutoff: float):
 
 def _count(lam: float, base, eps: float):
     """(states <= eps, refused at 2^53, the highest level <= eps, the lowest level above it and
-    its degeneracy): row n_z holds (t + 1)(t + 2)/2 states to its top t, t + 2 at base + t + 1."""
+    its degeneracy): row n_z holds (t + 1)(t + 2)/2 states to its top t, t + 2 at base + t + 1.
+    _check_states runs it at a caller's cutoff only where its bound does not rule that out."""
     top = _tops(base, eps).clip(min=-1.0)  # a row above eps holds none
     # twice the state count: a sum of even integers, exact below 2^54
     states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
@@ -169,6 +172,22 @@ def _count(lam: float, base, eps: float):
     high = float(above.min())
     low = float((top + base).max(where=top >= 0.0, initial=-math.inf))
     return int(states), low, high, int((top + 2.0).sum(where=above == high))
+
+
+def _state_bound(rows: int, cutoff: float) -> float:
+    """An upper bound on the states up to cutoff = c in rows axial rows: a row's top p has
+    p = fl(p) <= fl(base + p) <= c, as base >= 0, so the row holds at most (c + 1)(c + 2)/2
+    states.  The bound takes (c + 2)(c + 3)/2 a row, a margin of c + 2 that its own few
+    roundings cannot use up."""
+    return rows * (cutoff + 2.0) * (cutoff + 3.0) / 2.0
+
+
+def _check_states(lam: float, base, cutoff: float):
+    """Refuse 2^53 states or more up to cutoff on the axial rows base, so that every count up
+    to it is an exact float.  Only a _state_bound of 2^52 or more, a factor 2 short of the cap,
+    runs the exact _count, which decides each refusal and its text."""
+    if _state_bound(base.size, cutoff) >= 2.0 ** 52:
+        _count(lam, base, cutoff)
 
 
 def _ladders(lam: float, cutoff: float):
@@ -214,7 +233,7 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
     energies, degs, base, _ = _ladders(lam, cutoff)
-    _count(lam, base, cutoff)  # exact float counts
+    _check_states(lam, base, cutoff)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -288,7 +307,9 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
     and m |w_m x^m| fall by 0.61 and 0.91 a step at least (|w_(m+1)| <= |w_m|, |w_2/w_1| x_lo
     < 1/13).  So once 2^60 m |w_m x^m| is below both running sums, N and T dN/dmu, each later
     term and its slope term is under half an ulp of a sum it leaves as it was: an evaluation
-    stops there, and both sums keep every bit."""
+    stops there, and both sums keep every bit.  The shell terms' real parts are summed in floats:
+    e^(i n theta) turns by an explicit rotation, and each real part is formed as CPython's complex
+    product forms it, so value and slope have the bits of the complex sums."""
     zp, pt = 1.0 + 0.5 * lam, math.pi * t_abs
     top, step = hi + zp, 2.0 * math.pi * pt  # step: y = 2 pi^2 k T of the k = 1 pole
     # a term is at most 2 pi T e^-y w^2 (1 + 1/lambda), w = top + pi T + lambda,
@@ -339,18 +360,20 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
 
     def residual(mu):
         mb = mu + zp  # counted from the potential bottom
-        total = complex(mb * (mb * mb / 6.0 + c1) / lam, 0.0)
-        slope = complex((0.5 * mb * mb + c1) / lam, 0.0)
+        states = mb * (mb * mb / 6.0 + c1) / lam
+        rate = (0.5 * mb * mb + c1) / lam
         # the real parts of sum_n e^(i n theta) (q mu + i (p + r mu^2)) and of its
-        # slope, over the k poles (theta = 2 pi mu) and the j poles (2 pi mu/lambda)
+        # slope, over the k poles (theta = 2 pi mu) and the j poles (2 pi mu/lambda);
+        # e^(i n theta) = wr + i wi turns by e^(i theta) = a + i b each term
         for terms, turns, omega in ((ks, mb, 2.0 * math.pi), (js, mb / lam, 2.0 * math.pi / lam)):
-            w1, w = cmath.exp(complex(0.0, 2.0 * math.pi * math.remainder(turns, 1.0))), 1.0
+            theta = 2.0 * math.pi * math.remainder(turns, 1.0)
+            a, b, wr, wi = math.cos(theta), math.sin(theta), 1.0, 0.0
             for n, (q, p, r) in enumerate(terms, 1):
-                w *= w1
-                c = complex(q * mb, p + r * mb * mb)
-                total += w * c
-                slope += w * complex(q - n * omega * c.imag, 2.0 * r * mb + n * omega * c.real)
-        states, rate, spread = total.real, slope.real, 0.0
+                wr, wi = wr * a - wi * b, wr * b + wi * a
+                cr, ci = q * mb, p + r * mb * mb
+                states += wr * cr - wi * ci
+                rate += wr * (q - n * omega * ci) - wi * (2.0 * r * mb + n * omega * cr)
+        spread = 0.0
         x, xm = math.exp(-(mb + zp) / t_abs), 1.0
         for m in range(1, _POLE_TERMS + 1):
             if m > len(ms):
@@ -408,7 +431,7 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
     hi = _CUTOFF_SCALE * e_fermi + 2.0
     if t_abs == 0.0:
         base = _rows(lam, hi)
-        _count(lam, base, hi)  # exact float counts
+        _check_states(lam, base, hi)
         # bisect from the continuum Fermi level: the Nth state's level stays in [lower, upper)
         lower, upper, eps = 0.0, hi, e_fermi - (1.0 + 0.5 * lam)
         while (found := _count(lam, base, eps))[0] != n_particles:
@@ -576,6 +599,6 @@ def counting_check(n_particles: int, lam: float = 1.0):
     outermost shell degeneracy), counted on the axial rows up to E_F + 1."""
     lam, e_fermi, _ = _trap_scales(n_particles, lam)
     base = _rows(lam, e_fermi + 1.0)
-    _count(lam, base, e_fermi + 1.0)  # exact float counts
+    _check_states(lam, base, e_fermi + 1.0)
     count, _, _, edge = _count(lam, base, e_fermi - (1.0 + 0.5 * lam))
     return abs(count - int(n_particles)), edge

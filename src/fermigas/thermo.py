@@ -220,9 +220,10 @@ def thermo_state(t: float) -> ThermoState:
 def thermo_curve(t_grid):
     """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
 
-    Each sample is solve_mu(t) and heat_capacity(t); UniversalCurve rejects a bad grid.
+    Each sample is solve_mu(t) and heat_capacity(t), taken together, so that c
+    reads the m just cached at any grid length; UniversalCurve rejects a bad grid.
     """
     ts = [_check_t(t) for t in t_grid]
-    mu_curve = UniversalCurve("t", "m", tuple((t, solve_mu(t)) for t in ts))
-    c_curve = UniversalCurve("t", "c", tuple((t, heat_capacity(t)) for t in ts))
-    return mu_curve, c_curve
+    samples = [(t, solve_mu(t), heat_capacity(t)) for t in ts]
+    return (UniversalCurve("t", "m", tuple((t, m) for t, m, _ in samples)),
+            UniversalCurve("t", "c", tuple((t, c) for t, _, c in samples)))

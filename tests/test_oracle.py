@@ -14,6 +14,7 @@ from scipy.special import expit, gammaln
 
 import fermigas as fg
 from conftest import mp_exact_mu
+from pole_reference import complex_residual
 from fermigas import DomainError, NumericsError, oracle, perturb
 from fermigas.thermo import monotone_root
 from spectrum_reference import (dict_spectrum, eigenfunction_origin_density, origin_weight,
@@ -593,6 +594,27 @@ def test_pole_route_keeps_its_bits(pole_sum):
         assert fg.exact_mu(n_particles, lam, t_abs).hex() == mu, (n_particles, lam, t_abs)
 
 
+def test_pole_residual_has_the_bits_of_complex_arithmetic():
+    # triple poles at lambda = 0.5, 1, 2 and 10, many j poles at 1/3, sqrt 8 and
+    # pi; value and slope at 50 mu from T/2 to the bracket end hi
+    checked = 0
+    for lam in (0.5, 1.0, 2.0, 10.0, 1.0 / 3.0, math.sqrt(8.0), math.pi):
+        for t_abs in np.geomspace(0.1, 1e3, 9).tolist():
+            for n_particles in (10, 10_000, 10_000_000, 10_000_000_000):
+                hi = oracle._CUTOFF_SCALE * (6.0 * lam * n_particles) ** (1 / 3) + 2.0
+                found = oracle._pole_sum(n_particles, lam, t_abs, hi)
+                if found is None or not 0.5 * t_abs < hi:
+                    continue
+                residual = found[0]
+                twin = complex_residual(residual)
+                for mu in np.linspace(0.5 * t_abs, hi, 50).tolist():
+                    got, want = residual(mu), twin(mu)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (
+                        n_particles, lam, t_abs, mu)
+                checked += 1
+    assert checked >= 180
+
+
 def test_pole_route_declines_where_reflections_cancel_the_cubic():
     # at mu/T = 0.54 reflection terms of 0.39 N cancel most of the cubic, and
     # the pole sum's mu leaves 6.1 ulp of N; the level sum's leaves 0.21
@@ -854,6 +876,57 @@ def test_counting_check_refuses_as_the_sorted_spectrum(n_particles, lam, message
     with pytest.raises(DomainError) as want:
         sorted_counting_check(n_particles, lam)
     assert str(got.value) == str(want.value)
+
+
+def rows_count(lam, cutoff):
+    """(rows, states) up to cutoff: the axial rows of float base <= cutoff, and
+    their states counted by _count in blocks of rows, each below 2^52 states
+    and a million rows, so past the entry cap and the 2^53 cap."""
+    rows, states, block = 0, 0, min(int(2.0 ** 53 / (cutoff + 1.0) / (cutoff + 2.0)), 1_000_000)
+    while lam * rows <= cutoff:
+        base = lam * np.arange(rows, rows + block, dtype=float)
+        base = base[base <= cutoff]
+        states += oracle._count(lam, base, cutoff)[0]
+        rows += base.size
+    return rows, states
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1 / 3, 0.5, 1.0, math.sqrt(8.0), math.pi])
+def test_state_bound_holds_near_the_cap(lam):
+    # counts within 1% of 2^53, where the bound decides whether the exact count runs
+    for share in (0.992, 0.999, 1.001, 1.008):
+        cutoff = (6.0 * lam * share * 2.0 ** 53) ** (1 / 3) - (1.0 + 0.5 * lam)
+        rows, states = rows_count(lam, cutoff)
+        assert abs(states / 2.0 ** 53 - 1.0) < 0.01, (lam, share, states)
+        assert oracle._state_bound(rows, cutoff) >= 2.0 ** 52
+        assert oracle._state_bound(rows, cutoff) >= states, (lam, cutoff)
+
+
+def spy_count(monkeypatch):
+    """The list that each later _count call adds its eps to."""
+    calls, count = [], oracle._count
+
+    def spied(lam, base, eps):
+        calls.append(eps)
+        return count(lam, base, eps)
+
+    monkeypatch.setattr(oracle, "_count", spied)
+    return calls
+
+
+def test_counts_run_once_below_the_cap(monkeypatch):
+    # counting_check and a closed-shell T = 0 exact_mu count once: the bound
+    # rules out 2^53 states at their cutoff without a second, exact count
+    calls = spy_count(monkeypatch)
+    for n_particles in (1, 1000, 123_457, 10_000_000):
+        for lam in (1e-3, 1 / 3, 0.5, 1.0, math.sqrt(8.0), math.pi):
+            calls.clear()
+            fg.counting_check(n_particles, lam)
+            assert len(calls) == 1, (n_particles, lam)
+    for shell in (0, 10, 100, 390):  # up to 1.0e7 particles
+        calls.clear()
+        fg.exact_mu(fg.closed_shell_count(shell), 1.0, 0.0)
+        assert len(calls) == 1, shell
 
 
 def test_counting_check_answers_past_the_entry_cap(monkeypatch):

@@ -249,6 +249,18 @@ def test_thermo_curve_equals_pointwise_calls():
         assert c.samples == tuple((t, fg.heat_capacity(t) if t else 0.0) for t in ts)
 
 
+def test_thermo_curve_solves_each_t_once_past_the_cache_size():
+    # 5,000 temperatures, more than solve_mu's cache holds: c reads each m while
+    # it is still cached, so each t misses once and hits once
+    fg.solve_mu.cache_clear()
+    try:
+        fg.thermo_curve(np.geomspace(1e-3, 5.0, 5000).tolist())
+        info = fg.solve_mu.cache_info()
+    finally:
+        fg.solve_mu.cache_clear()
+    assert (info.misses, info.hits) == (5000, 5000)
+
+
 @pytest.fixture
 def trapezoid_calls(monkeypatch):
     """Counts calls of the half-integer FD evaluator; solve_mu's cache starts cold."""

@@ -1,6 +1,6 @@
 """Print one sha256 per (list, seed, operation kind) over the library
 outputs of the benchmark's figures and oracle operation lists, and of
-seeded lists of level-sum and pole-sum calls.
+seeded lists of level-sum, pole-sum and T = 0 count calls.
 
     python tools/output_digest.py SEED...
 
@@ -15,10 +15,13 @@ workload's cutoffs, exact_mu below the pole sum's T* = 0.1 hbar*omega_r,
 and exact_mu at classical reduced t in [1, 5].  Those lists keep to
 t <= 0.2 at T > 0, so the poles list (poles_calls) adds 40 exact_mu calls
 from T = 0.1 to 1e5 hbar*omega_r, five of them with the root below 2T,
-where the reflection terms are largest.  The digest hashes floats
-by float.hex, arrays by the sha256 of their bytes and errors by their
-text, so two checkouts print the same line exactly when every output of
-that kind is bit-identical.  A line reads
+where the reflection terms are largest.  None of them reaches the 2^53
+cap of exact state counts, so the counts list (counts_calls) adds 44
+T = 0 calls from N = 1 to past 2^53: counting_check and exact_mu at
+lambda from COUNT_LAMBDAS, and at closed shells on both sides of the
+cap.  The digest hashes floats by float.hex, arrays by the sha256 of
+their bytes and errors by their text, so two checkouts print the same
+line exactly when every output of that kind is bit-identical.  A line reads
 
     LIST SEED KIND COUNT SHA256
 
@@ -39,6 +42,7 @@ WORKLOADS = ("figures", "oracle")
 SECONDS = 20
 LEVEL_LAMBDAS = (0.5, 1.0, math.sqrt(8.0))  # the oracle workload's
 POLE_LAMBDAS = (1.0 / 3.0, 0.1, 2.0 / 3.0, 1.5, math.sqrt(8.0), math.pi, 10.0)
+COUNT_LAMBDAS = (1e-3, 1.0 / 3.0, 0.5, 1.0, math.sqrt(8.0), math.pi)
 
 
 def canonical(value, out):
@@ -137,6 +141,43 @@ def poles_calls(seed):
     return calls
 
 
+def counts_calls(seed):
+    """(kind, run) of the 44 seeded T = 0 count calls: per lambda in
+    COUNT_LAMBDAS, three counting_check and three exact_mu(N, lambda, 0) at
+    N log-uniform in [1, 2e16], each exact_mu N replaced, where at most 1e6
+    axial rows lie below E_F - (1 + lambda/2), by the states up to there, so
+    that most fill their last level; then both at four closed-shell N at
+    lambda = 1, one on each side of each function's 2^53 cap."""
+    import fermigas as fg
+
+    rng = random.Random(seed)
+
+    def particles():
+        return round(math.exp(rng.uniform(0.0, math.log(2e16))))
+
+    def filled(n, lam):
+        cutoff = (6.0 * lam * n) ** (1.0 / 3.0) - (1.0 + 0.5 * lam)
+        if not 0.0 <= cutoff < 1e6 * lam:
+            return n
+        top = np.floor(cutoff - lam * np.arange(int(cutoff / lam) + 1))
+        return int(((top + 1.0) * (top + 2.0)).sum()) // 2
+
+    calls = []
+    for lam in COUNT_LAMBDAS:
+        for _ in range(3):
+            args = (particles(), lam)
+            calls.append(("counting_check", lambda args=args: fg.counting_check(*args)))
+        for _ in range(3):
+            args = (filled(particles(), lam), lam, 0.0)
+            calls.append(("exact_mu_zero_t", lambda args=args: fg.exact_mu(*args)))
+    # the last closed shell each counts below the cap: 300,075 (exact_mu), 378,073 (counting_check)
+    for lo, hi in ((299_000, 300_076), (300_076, 301_000), (377_000, 378_074), (378_074, 379_000)):
+        args = (fg.closed_shell_count(rng.randrange(lo, hi)), 1.0)
+        calls.append(("counting_check_shells", lambda args=args: fg.counting_check(*args)))
+        calls.append(("exact_mu_shells", lambda args=args: fg.exact_mu(*args, 0.0)))
+    return calls
+
+
 def digests(runs) -> dict:
     """{kind: (count, sha256)} over the output, or the error, of each
     (kind, run) in order; every kind runs in one pass."""
@@ -170,6 +211,7 @@ def main(argv):
              for workload in WORKLOADS for seed in seeds]
     lists += [("levels", seed, levels_calls(seed)) for seed in seeds]
     lists += [("poles", seed, poles_calls(seed)) for seed in seeds]
+    lists += [("counts", seed, counts_calls(seed)) for seed in seeds]
     for name, seed, runs in lists:
         for kind, (count, sha) in digests(runs).items():
             print(f"{name} {seed} {kind} {count} {sha}")
