@@ -181,14 +181,13 @@ def _series(k: float, x: float, z: float) -> float:
     return z * total
 
 
-def _reflection(k: float, eta: float, z: float) -> float:
-    """f_k for integer k at eta >= 1, z = exp(-eta): the Sommerfeld
-    polynomial plus (-1)^(k+1) times the series at -eta."""
+def _reflection(k: float, eta: float, r: float) -> float:
+    """f_k for integer k at eta >= 1 from r = f_k(-eta): the Sommerfeld
+    polynomial plus (-1)^(k+1) r."""
     total = 0.0
     for c in _POLYNOMIAL[k]:
         total = total * eta + c
-    reflection = _series(k, eta, z)
-    return total + (reflection if k % 2 else -reflection)
+    return total + (r if k % 2 else -r)
 
 
 def _sommerfeld(k: float, eta: float) -> float:
@@ -268,7 +267,8 @@ def _closed_forms(ks, eta: float) -> list:
         z = math.exp(-eta)
         half = _trapezoid if eta < _SOMMERFELD_CUTOFF else _sommerfeld
         for k in ks:
-            values.append(_reflection(k, eta, z) if k in _TAYLOR else half(k, eta))
+            values.append(_reflection(k, eta, _series(k, eta, z)) if k in _TAYLOR
+                          else half(k, eta))
         if math.inf in values:
             raise DomainError(f"f_{ks[values.index(math.inf)]:g}(eta) overflows a double "
                               f"at eta = {eta!r}")

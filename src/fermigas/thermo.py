@@ -28,11 +28,12 @@ trap frequencies.  t = 0 is handled symbolically (m = 1, u = 3/4, c = 0).
 
 The solve starts Newton at a closed-form estimate of m (_mu_estimate) and
 takes about 3 constraint evaluations; each takes f_3 and f_2 from fdint's
-closed forms, which share one exp, with no quadrature.  Tables over many
-temperatures (thermo_curve, and profiles.msd_curve and profile_curves) call
-solve_mu once per temperature, so each sample has the bits of the scalar
-call and the tables read and fill solve_mu's cache.  The module does not
-use numpy.
+closed forms, which share one exp, with no quadrature.  After the solve,
+thermo_state takes u and c from one pass of f_2, f_3 and f_4 (at -eta for
+eta >= 1), with the bits of internal_energy and heat_capacity.  Tables over
+many temperatures (thermo_curve, and profiles.msd_curve and profile_curves)
+call solve_mu once per temperature, so each sample has the bits of the
+scalar call.  The module does not use numpy.
 """
 
 import math
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
-from .fdint import _closed_forms, band
+from .fdint import _closed_forms, _reflection, band
 from .record import Record
 
 _RESIDUAL_TOL = 1e-12
@@ -66,11 +67,22 @@ def _check_t(t) -> float:
     return check_finite("reduced temperature", t)
 
 
-def _c_of_eta(eta):
+def _kernel_pass(eta):
+    """f_2, f_3, f_4 at eta < 1, else r_k = f_k(-eta), which the inversion
+    identity takes: the one pass u and c read."""
+    return _closed_forms((2.0, 3.0, 4.0), eta if eta < 1.0 else -eta)
+
+
+def _energy(t, f4, f3):
+    return 3.0 * t * f4 / f3
+
+
+def _c_of_pass(eta, f):
+    """c at eta from _kernel_pass(eta)."""
     if eta < 1.0:
-        f2, f3, f4 = _closed_forms((2.0, 3.0, 4.0), eta)
+        f2, f3, f4 = f
         return 12.0 * f4 / f3 - 9.0 * f3 / f2
-    r2, r3, r4 = _closed_forms((2.0, 3.0, 4.0), -eta)
+    r2, r3, r4 = f
     e2, pi2 = eta * eta, math.pi ** 2
     y = pi2 / e2
     p2, p3 = 0.5 * e2 + pi2 / 6.0, eta * (e2 + pi2) / 6.0
@@ -78,6 +90,10 @@ def _c_of_eta(eta):
     d = (pi2 * e2 * e2 / 12.0 * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
          - 12.0 * (p4 * r2 + p2 * r4 - r2 * r4) - 9.0 * (2.0 * p3 * r3 + r3 * r3))
     return d / ((p3 + r3) * (p2 - r2))
+
+
+def _c_of_eta(eta):
+    return _c_of_pass(eta, _kernel_pass(eta))
 
 
 def _limit_form(name, t, m):
@@ -112,33 +128,32 @@ def monotone_root(g, lo: float, hi: float, x=None) -> tuple:
     leaves across an evaluated end is replaced by bisection.  The search
     stops at a Newton step too small to move x or, once both ends are known
     to straddle, a bracket of at most 4 ulp; the second stop ends it when
-    noise in the constraint stalls Newton.  Used by solve_mu and the exact
-    level-sum oracle.
+    noise in the constraint stalls Newton.  Used by solve_mu and by both
+    routes of the oracle's exact_mu (oracle._solve): the level sum and the
+    pole sum.
     """
     if not lo < hi:
         raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root: "
                             "its ends are out of order")
-    unseen = {lo, hi}  # ends whose residual is not known yet
+    lo_unseen = hi_unseen = True  # an end whose residual is not known yet
     x = 0.5 * (lo + hi) if x is None else min(max(lo, x), hi)
     for _ in range(200):
         r, dr = g(x)
-        if x in unseen and not (r < 0.0 if x == lo else r > 0.0):
+        if (lo_unseen and x == lo and not r < 0.0) or (hi_unseen and x == hi and not r > 0.0):
             raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root "
                                 f"(residual {r:.3e} at {x!r})")
         if r < 0.0:
-            unseen.discard(lo)
-            lo = x
+            lo, lo_unseen = x, False
         else:
-            unseen.discard(hi)
-            hi = x
+            hi, hi_unseen = x, False
         step = r / dr if dr > 0.0 else math.copysign(math.inf, r)  # dr underflows far out
-        if (x - step == x
-                or not unseen and hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))):
+        if (x - step == x or not (lo_unseen or hi_unseen)
+                and hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))):
             return x, r
         x -= step
         if not lo < x < hi:
-            end = lo if step > 0.0 else hi
-            x = end if end in unseen else 0.5 * (lo + hi)
+            end, unseen = (lo, lo_unseen) if step > 0.0 else (hi, hi_unseen)
+            x = end if unseen else 0.5 * (lo + hi)
     raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
 
@@ -181,8 +196,8 @@ def solve_mu(t: float) -> float:
         return c3 * f3 - 1.0, c2 * f2
 
     try:
-        m, residual = monotone_root(constraint, classical_mu(t) - 5.0 * t,
-                                    1.0 + 5.0 * t, _mu_estimate(t))
+        lo = -t * (math.log(6.0) + 3.0 * math.log(t)) - 5.0 * t  # classical_mu(t) - 5t
+        m, residual = monotone_root(constraint, lo, 1.0 + 5.0 * t, _mu_estimate(t))
     except NumericsError as exc:
         raise NumericsError(f"chemical-potential solve at t={t}: {exc}") from exc
     if abs(residual) > _RESIDUAL_TOL:
@@ -198,7 +213,7 @@ def internal_energy(t: float) -> float:
     if t <= _TINY_T:
         return 0.75
     f4, f3 = _closed_forms((4.0, 3.0), solve_mu(t) / t)
-    return 3.0 * t * f4 / f3
+    return _energy(t, f4, f3)
 
 
 def heat_capacity(t: float) -> float:
@@ -212,18 +227,28 @@ def heat_capacity(t: float) -> float:
 
 
 def thermo_state(t: float) -> ThermoState:
-    """m, u and c at one reduced temperature t >= 0, each from its own function."""
+    """m, u and c at one reduced temperature t >= 0, with the bits of solve_mu,
+    internal_energy and heat_capacity: after the solve, u and c read one
+    _kernel_pass, whose r_k at eta >= 1 give f_3 and f_4 as fdint forms them."""
     t = _check_t(t)
-    return ThermoState(t=t, m=solve_mu(t), u=internal_energy(t), c=heat_capacity(t))
+    m = solve_mu(t)
+    if t <= _TINY_T:
+        return ThermoState(t=t, m=m, u=internal_energy(t), c=heat_capacity(t))
+    eta = m / t
+    f = _kernel_pass(eta)
+    f3, f4 = f[1:] if eta < 1.0 else (_reflection(3.0, eta, f[1]), _reflection(4.0, eta, f[2]))
+    return ThermoState(t=t, m=m, u=_energy(t, f4, f3), c=_c_of_pass(eta, f))
 
 
 def thermo_curve(t_grid):
     """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
 
-    Each sample is solve_mu(t) and heat_capacity(t), taken together, so that c
-    reads the m just cached at any grid length; UniversalCurve rejects a bad grid.
+    Each m is solve_mu(t), and c is formed from it as heat_capacity forms it,
+    so each t is solved once at any grid length; UniversalCurve rejects a bad
+    grid.
     """
     ts = [_check_t(t) for t in t_grid]
-    samples = [(t, solve_mu(t), heat_capacity(t)) for t in ts]
-    return (UniversalCurve("t", "m", tuple((t, m) for t, m, _ in samples)),
-            UniversalCurve("t", "c", tuple((t, c) for t, _, c in samples)))
+    ms = [solve_mu(t) for t in ts]
+    cs = [_c_of_eta(m / t) if t > _TINY_T else heat_capacity(t) for t, m in zip(ts, ms)]
+    return (UniversalCurve("t", "m", tuple(zip(ts, ms))),
+            UniversalCurve("t", "c", tuple(zip(ts, cs))))

@@ -250,15 +250,64 @@ def test_thermo_curve_equals_pointwise_calls():
 
 
 def test_thermo_curve_solves_each_t_once_past_the_cache_size():
-    # 5,000 temperatures, more than solve_mu's cache holds: c reads each m while
-    # it is still cached, so each t misses once and hits once
+    # 5,000 temperatures, more than solve_mu's cache holds: c is formed from the
+    # m just solved, so each t misses once and is never looked up again
     fg.solve_mu.cache_clear()
     try:
         fg.thermo_curve(np.geomspace(1e-3, 5.0, 5000).tolist())
         info = fg.solve_mu.cache_info()
     finally:
         fg.solve_mu.cache_clear()
-    assert (info.misses, info.hits) == (5000, 5000)
+    assert (info.misses, info.hits) == (5000, 0)
+
+
+def _eta_one_crossing():
+    """The adjacent t below and above which eta = m/t falls from >= 1 to < 1."""
+    below, above = 0.4, 0.45
+    while math.nextafter(below, 1.0) < above:
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if fg.solve_mu(mid) / mid >= 1.0 else (below, mid)
+    return below, above
+
+
+def _state_temperatures():
+    """t = 0, the subnormal and _TINY_T edges, eta = 1 and a seeded log sweep."""
+    below, above = _eta_one_crossing()
+    tiny = thermo._TINY_T
+    rng = np.random.default_rng(4245)
+    sweep = 10.0 ** rng.uniform(-300.0, math.log10(3e102), 400)
+    return ([0.0, 5e-324, math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0),
+             math.nextafter(below, 0.0), below, above, math.nextafter(above, 1.0), 0.4245,
+             3e102] + sweep.tolist())
+
+
+def test_thermo_state_has_the_bits_of_its_functions():
+    below, above = _eta_one_crossing()
+    assert fg.solve_mu(below) / below >= 1.0 > fg.solve_mu(above) / above
+    ts = _state_temperatures()
+    for t in ts:
+        state = fg.thermo_state(t)
+        assert (state.m.hex(), state.u.hex(), state.c.hex()) == (
+            fg.solve_mu(t).hex(), fg.internal_energy(t).hex(), fg.heat_capacity(t).hex()), t
+    mu, c = fg.thermo_curve(sorted(ts))
+    assert [m.hex() for _, m in mu.samples] == [fg.solve_mu(t).hex() for t in sorted(ts)]
+    assert [x.hex() for _, x in c.samples] == [fg.heat_capacity(t).hex() for t in sorted(ts)]
+
+
+def test_thermo_state_makes_one_kernel_pass_after_its_solve(monkeypatch):
+    closed_forms = thermo._closed_forms
+    calls = []
+
+    def counted(ks, eta):
+        calls.append(ks)
+        return closed_forms(ks, eta)
+
+    monkeypatch.setattr(thermo, "_closed_forms", counted)
+    for t in (1e-8, 1e-3, 0.3, 0.4245, 0.5, 5.0, 1e50):
+        fg.solve_mu(t)  # cached, so thermo_state's solve evaluates nothing
+        calls.clear()
+        fg.thermo_state(t)
+        assert calls == [(2.0, 3.0, 4.0)], t
 
 
 @pytest.fixture
@@ -482,3 +531,86 @@ def test_no_convergence_within_the_step_cap():
     # bisections leave [-1e300, 1e300] about 1e240 wide
     with pytest.raises(NumericsError, match=r"no convergence in 200 steps on \["):
         monotone_root(lambda x: (x - 1.0, 1e-300), -1e300, 1e300)
+
+
+def _recorded(g):
+    """g, and the list of the points it is evaluated at."""
+    evaluations = []
+
+    def recording(x):
+        evaluations.append(x)
+        return g(x)
+    return recording, evaluations
+
+
+# r = x - 1 with slope 1: one Newton step from anywhere lands on the root 1
+@pytest.mark.parametrize("lo, hi, start, sequence", [
+    pytest.param(0.0, 4.0, -1.0, [0.0, 1.0], id="clamped-onto-lo"),
+    pytest.param(0.0, 4.0, 9.0, [4.0, 1.0], id="clamped-onto-hi"),
+])
+def test_a_start_clamped_onto_a_straddling_end(lo, hi, start, sequence):
+    g, evaluations = _recorded(lambda x: (x - 1.0, 1.0))
+    assert monotone_root(g, lo, hi, start) == (1.0, 0.0)
+    assert evaluations == sequence
+
+
+@pytest.mark.parametrize("lo, hi, start, text", [
+    pytest.param(2.0, 4.0, 0.0, "bracket [2.0, 4.0] does not straddle the root "
+                                "(residual 1.000e+00 at 2.0)", id="clamped-onto-lo"),
+    pytest.param(-4.0, -2.0, 0.0, "bracket [-4.0, -2.0] does not straddle the root "
+                                  "(residual -3.000e+00 at -2.0)", id="clamped-onto-hi"),
+])
+def test_a_start_clamped_onto_an_end_that_misses_the_root(lo, hi, start, text):
+    g, evaluations = _recorded(lambda x: (x - 1.0, 1.0))
+    with pytest.raises(NumericsError) as info:
+        monotone_root(g, lo, hi, start)
+    assert str(info.value) == text
+    assert evaluations == [min(max(lo, start), hi)]
+
+
+@pytest.mark.parametrize("start, ends, text", [
+    pytest.param(3.0, (2.0, 4.0), "bracket [2.0, 3.0] does not straddle the root "
+                                  "(residual 2.000e+00 at 2.0)", id="across-lo"),
+    pytest.param(-3.0, (-4.0, -2.0), "bracket [-3.0, -2.0] does not straddle the root "
+                                     "(residual -2.000e+00 at -2.0)", id="across-hi"),
+])
+def test_a_step_across_an_unseen_end_that_misses_the_root(start, ends, text):
+    # the first evaluation has already moved the end on the start's side
+    g, evaluations = _recorded(lambda x: (x, 1.0))
+    with pytest.raises(NumericsError) as info:
+        monotone_root(g, *ends, start)
+    assert str(info.value) == text
+    assert evaluations == [start, ends[0] if start > 0.0 else ends[1]]
+
+
+def test_a_step_across_an_unseen_end_then_across_an_evaluated_one():
+    # slope 1/4 for r = x - 1: each Newton step goes 4 times too far.  From 2
+    # it crosses lo = 0, not yet evaluated, so 0 is; from 0 it crosses hi = 2,
+    # evaluated, so the search bisects [0, 2] and meets the root
+    g, evaluations = _recorded(lambda x: (x - 1.0, 0.25))
+    assert monotone_root(g, 0.0, 3.0, 2.0) == (1.0, 0.0)
+    assert evaluations == [2.0, 0.0, 1.0]
+
+
+def test_the_four_ulp_stop_once_both_ends_straddle():
+    # a step residual of +-1e-3 with slope 1e-3: every Newton step is +-1, so
+    # after the first two the search only bisects, until [lo, hi] around 1 is
+    # at most 4 ulp wide; the last iterate and its residual are returned
+    g, evaluations = _recorded(lambda x: (-1e-3 if x < 1.0 else 1e-3, 1e-3))
+    root, residual = monotone_root(g, 0.0, 2.0, 0.5)
+    assert evaluations[:4] == [0.5, 1.5, 1.0, 0.75]
+    below = [x for x in evaluations if x < 1.0]
+    above = [x for x in evaluations if x >= 1.0]
+    assert 1.0 - max(below) <= 4.0 * math.ulp(1.0) < 1.0 - max(below[:-1])
+    assert min(above) == 1.0 and (root, residual) == (evaluations[-1], -1e-3)
+    assert len(evaluations) == 52
+
+
+def test_no_convergence_names_the_last_bracket():
+    g, evaluations = _recorded(lambda x: (x - 1.0, 1e-300))
+    with pytest.raises(NumericsError) as info:
+        monotone_root(g, -1e300, 1e300)
+    assert len(evaluations) == 200
+    lo = max(x for x in evaluations if x < 1.0)
+    hi = min(x for x in evaluations if x >= 1.0)
+    assert str(info.value) == f"no convergence in 200 steps on [{lo!r}, {hi!r}]"

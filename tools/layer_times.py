@@ -1,0 +1,131 @@
+"""Print the CPU time per call of the thermodynamic layers and of the
+oracle's continuum comparison, each timed on its own.
+
+    python tools/layer_times.py [--seed S] [--points N] [--passes P]
+
+Run from the root of a source checkout: the package is imported from its
+./src, and the benchmark's speed probe and oracle operation list from
+./perfbench, which is only read.  Each line is the least, over P passes,
+of one pass's CPU time over a seeded set of inputs, divided by its calls
+(by its temperatures for thermo_curve):
+
+  solve_mu (cold)          N temperatures log-uniform in [1e-3, 5] (the
+                           figures workload's range), solve_mu's cache
+                           cleared before each call;
+  internal_energy (warm),  the same temperatures with every m cached;
+  heat_capacity (warm)
+  thermo_state (cold),     per temperature, the cache cleared before each
+  thermo_curve (cold)      pass: thermo_state at each t, thermo_curve over
+                           the sorted t;
+  continuum_comparison     the continuum_comparison operations of the
+                           oracle workload's list for the seed.
+
+No tracer runs, so the thermodynamic layers are timed without the replay
+that fills solve_mu's cache before the benchmark's traced run times them.
+The speed probe (perfbench/speed.py) runs between the passes; its median
+is printed beside the numbers, against the reference time it scales the
+benchmark's operations to, since CPU time drifts with the machine's load.
+As in the benchmark, numpy's BLAS runs one thread: the probe's np.dot
+would otherwise leave worker threads spinning, whose CPU time the process
+clock counts (the cold solve read 7-15 us instead of 4.2-4.5 in about a
+third of processes on a 2-CPU machine).
+"""
+
+import argparse
+import gc
+import math
+import os
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+def least_per_call(passes, calls, run, probes, speed, before=None):
+    """Least CPU seconds per call of run() over passes, each timed with the
+    garbage collector off, as timeit times; a probe runs before each."""
+    best = math.inf
+    for _ in range(passes):
+        probes.append(speed.probe())
+        if before is not None:
+            before()
+        gc.disable()
+        try:
+            c0 = time.process_time()
+            run()
+            best = min(best, time.process_time() - c0)
+        finally:
+            gc.enable()
+    return best / calls
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=9101)
+    parser.add_argument("--points", type=int, default=400)
+    parser.add_argument("--passes", type=int, default=7)
+    args = parser.parse_args(argv)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"  # read when numpy is first imported, below
+    root = Path.cwd()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    import fermigas as fg
+    import speed
+    import workloads
+
+    rng = random.Random(args.seed)
+    ts = [math.exp(rng.uniform(math.log(1e-3), math.log(5.0))) for _ in range(args.points)]
+    grid = sorted(ts)
+    comparisons = [(op["n"], op["lam"], op["t"])
+                   for op in workloads.generate("oracle", args.seed, 20)
+                   if op["kind"] == "continuum_comparison"]
+    clear = fg.solve_mu.cache_clear
+    probes = []
+
+    def cold_solves():
+        for t in ts:
+            clear()
+            fg.solve_mu(t)
+
+    def warm(fn):
+        def run():
+            for t in ts:
+                fn(t)
+        return run
+
+    def states():
+        for t in ts:
+            fg.thermo_state(t)
+
+    def comparison():
+        for args_ in comparisons:
+            fg.continuum_comparison(*args_)
+
+    def warm_up():
+        for t in ts:
+            fg.solve_mu(t)
+
+    rows = [
+        ("solve_mu (cold)", least_per_call(args.passes, len(ts), cold_solves, probes, speed)),
+        ("internal_energy (warm)", least_per_call(args.passes, len(ts), warm(fg.internal_energy),
+                                                  probes, speed, warm_up)),
+        ("heat_capacity (warm)", least_per_call(args.passes, len(ts), warm(fg.heat_capacity),
+                                                probes, speed, warm_up)),
+        ("thermo_state (cold)", least_per_call(args.passes, len(ts), states, probes, speed, clear)),
+        ("thermo_curve (cold)", least_per_call(args.passes, len(grid), lambda: fg.thermo_curve(grid),
+                                               probes, speed, clear)),
+        (f"continuum_comparison ({len(comparisons)} calls)",
+         least_per_call(args.passes, max(len(comparisons), 1), comparison, probes, speed)),
+    ]
+    probes.append(speed.probe())
+    print(f"speed probe: {1e3 * statistics.median(probes):.2f} ms, median of {len(probes)} "
+          f"(reference {1e3 * speed.REFERENCE_S:.2f} ms)")
+    print(f"seed {args.seed}, {len(ts)} t log-uniform in [1e-3, 5], least of {args.passes} passes")
+    for name, seconds in rows:
+        print(f"{name:34s} {1e6 * seconds:8.2f} us")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -1,6 +1,6 @@
 """Print one sha256 per (list, seed, operation kind) over the library
 outputs of the benchmark's figures and oracle operation lists, and of
-seeded lists of level-sum, pole-sum and T = 0 count calls.
+seeded lists of level-sum, pole-sum, T = 0 count and thermodynamic calls.
 
     python tools/output_digest.py SEED...
 
@@ -19,9 +19,15 @@ where the reflection terms are largest.  None of them reaches the 2^53
 cap of exact state counts, so the counts list (counts_calls) adds 44
 T = 0 calls from N = 1 to past 2^53: counting_check and exact_mu at
 lambda from COUNT_LAMBDAS, and at closed shells on both sides of the
-cap.  The digest hashes floats by float.hex, arrays by the sha256 of
-their bytes and errors by their text, so two checkouts print the same
-line exactly when every output of that kind is bit-identical.  A line reads
+cap.  The figures list keeps the thermodynamics to t in [1e-3, 5], so the
+states list (states_calls) adds thermo_state, internal_energy,
+heat_capacity and normalization at 0, at the t on both sides of eta = m/t
+= 1, at 3e102 and at 60 t log-uniform in [1e-300, 3e102], each
+thermo_state on a cold solve_mu cache, and thermo_curve over three sorted
+grids of those t.  The digest hashes floats by float.hex, arrays by the
+sha256 of their bytes and errors by their text, so two checkouts print
+the same line exactly when every output of that kind is bit-identical.
+A line reads
 
     LIST SEED KIND COUNT SHA256
 
@@ -178,6 +184,43 @@ def counts_calls(seed):
     return calls
 
 
+def states_calls(seed):
+    """(kind, run) of the 259 seeded thermodynamic calls: per t of 64 (0, the
+    adjacent t below and above which eta = m/t falls below 1, the largest
+    accepted t, and 60 log-uniform in [1e-300, 3e102]), thermo_state,
+    internal_energy, heat_capacity and normalization; then thermo_curve over
+    three sorted grids of 20 of those t.  solve_mu's cache is cleared before
+    each t's thermo_state, so it solves cold."""
+    import fermigas as fg
+
+    below, above = 0.4, 0.45  # eta = 1 lies near t = 0.4245
+    while math.nextafter(below, 1.0) < above:
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if fg.solve_mu(mid) / mid >= 1.0 else (below, mid)
+    rng = random.Random(seed)
+    ts = [0.0, below, above, 3e102] + [10.0 ** rng.uniform(-300.0, math.log10(3e102))
+                                       for _ in range(60)]
+
+    def cold_state(t):
+        fg.solve_mu.cache_clear()
+        state = fg.thermo_state(t)
+        return state.t, state.m, state.u, state.c
+
+    def curve(grid):
+        mu, c = fg.thermo_curve(grid)
+        return mu.samples, c.samples
+
+    calls = []
+    for t in ts:
+        calls.append(("thermo_state", lambda t=t: cold_state(t)))
+        calls += [(name, lambda t=t, fn=getattr(fg, name): fn(t))
+                  for name in ("internal_energy", "heat_capacity", "normalization")]
+    for _ in range(3):
+        grid = sorted(rng.sample(ts, 20))
+        calls.append(("thermo_curve", lambda grid=grid: curve(grid)))
+    return calls
+
+
 def digests(runs) -> dict:
     """{kind: (count, sha256)} over the output, or the error, of each
     (kind, run) in order; every kind runs in one pass."""
@@ -212,6 +255,7 @@ def main(argv):
     lists += [("levels", seed, levels_calls(seed)) for seed in seeds]
     lists += [("poles", seed, poles_calls(seed)) for seed in seeds]
     lists += [("counts", seed, counts_calls(seed)) for seed in seeds]
+    lists += [("states", seed, states_calls(seed)) for seed in seeds]
     for name, seed, runs in lists:
         for kind, (count, sha) in digests(runs).items():
             print(f"{name} {seed} {kind} {count} {sha}")
