@@ -38,7 +38,10 @@ value has the bits of its own scalar call.  numpy is imported only for
 array inputs.  fd, fd_orders and fd_derivative are the entry for outside
 callers, which checks the order (a number, not text) and maps arrays; the
 package's modules pass a float eta and supported orders straight to
-_closed_forms, the kernel entry behind them.
+_closed_forms, the kernel entry behind them.  One caller has its own
+entry: solve_mu's constraint takes f_3 and f_2 (r_3 and r_2 at eta >= 1)
+from _f3_f2, which steps both orders in one Horner loop over the same
+tables, cuts and exp, so each value has _closed_forms' bits.
 """
 
 import cmath
@@ -179,6 +182,33 @@ def _series(k: float, x: float, z: float) -> float:
     for c in _SERIES_BY[k][int(_SERIES_SPAN / x) + 1]:
         total = total * minus_z + c
     return z * total
+
+
+# (f_3, f_2) coefficient pairs of _TAYLOR and of each _SERIES_BY cut, for _f3_f2
+_TAYLOR_32 = tuple(zip(_TAYLOR[3.0], _TAYLOR[2.0]))
+_SERIES_BY_32 = tuple(tuple(zip(c3, c2)) for c3, c2 in zip(_SERIES_BY[3.0], _SERIES_BY[2.0]))
+
+
+def _f3_f2(eta: float) -> tuple:
+    """(f_3, f_2) at a finite float eta < 1, else (r_3, r_2) = (f_3(-eta),
+    f_2(-eta)), from which _reflection forms f_3 and f_2: both orders stepped
+    in one Horner loop, with the cut, the exp and each order's multiply-adds
+    of _closed_forms, so each value has its bits.  solve_mu's constraint
+    calls it; every other caller takes _closed_forms."""
+    if _SERIES_CUTOFF < eta < _TAYLOR_RADIUS:
+        f3 = f2 = 0.0
+        for c3, c2 in _TAYLOR_32:
+            f3 = f3 * eta + c3
+            f2 = f2 * eta + c2
+        return f3, f2
+    x = abs(eta)
+    z = math.exp(-x)
+    r3 = r2 = 0.0
+    minus_z = -z
+    for c3, c2 in _SERIES_BY_32[int(_SERIES_SPAN / x) + 1]:
+        r3 = r3 * minus_z + c3
+        r2 = r2 * minus_z + c2
+    return z * r3, z * r2
 
 
 def _reflection(k: float, eta: float, r: float) -> float:

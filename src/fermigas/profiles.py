@@ -22,7 +22,7 @@ import math
 from .curves import UniversalCurve, linspace, sample_count
 from .errors import DomainError, check_finite, check_real
 from .fdint import _closed_forms, fermi
-from .thermo import _TINY_T, _check_t, internal_energy, solve_mu
+from .thermo import _TINY_T, _check_t, _kept_f3, _solved, internal_energy
 
 _DENSITY_SCALE = 6.0 / math.pi ** 1.5
 
@@ -52,11 +52,11 @@ def density(s, t) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return zero_t_density(s)
-    return _warm_densities((s,), t, solve_mu(t))[0]
+    return _warm_densities((s,), t, _solved(t)[0])[0]
 
 
 def _warm_densities(radii, t: float, m: float) -> list:
-    """Scaled densities at each radius s and t > _TINY_T, given m = solve_mu(t);
+    """Scaled densities at each radius s and t > _TINY_T, given its solved m;
     0 where (m - s^2)/t overflows to -inf, far outside the cloud, as f_(3/2) is there."""
     scale = _DENSITY_SCALE * t ** 1.5
     return [scale * _closed_forms((1.5,), eta)[0] if eta > -math.inf else 0.0
@@ -77,8 +77,8 @@ def normalization(t) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
-    m = solve_mu(t)  # first: its cap keeps t ** 3 below the double range
-    return 6.0 * t ** 3 * _closed_forms((3.0,), m / t)[0]
+    f3 = _kept_f3(t)  # first: the solve's cap keeps t ** 3 below the double range
+    return 6.0 * t ** 3 * f3
 
 
 def mean_square_size(t) -> float:
@@ -116,7 +116,7 @@ def profile_curves(t_list, n_samples=300, s_max=None):
                 grid = linspace(0.0, 1.0, n)
             values = [zero_t_density(s) for s in grid]
         else:
-            m = solve_mu(t)
+            m = _solved(t)[0]
             if s_max is None:
                 grid = linspace(0.0, math.sqrt(max(m, 0.0) + 25.0 * t), n)
             values = _warm_densities(grid, t, m)

@@ -27,13 +27,16 @@ identity runs).  Heat capacity is taken at fixed particle number and fixed
 trap frequencies.  t = 0 is handled symbolically (m = 1, u = 3/4, c = 0).
 
 The solve starts Newton at a closed-form estimate of m (_mu_estimate) and
-takes about 3 constraint evaluations; each takes f_3 and f_2 from fdint's
-closed forms, which share one exp, with no quadrature.  After the solve,
-thermo_state takes u and c from one pass of f_2, f_3 and f_4 (at -eta for
-eta >= 1), with the bits of internal_energy and heat_capacity.  Tables over
-many temperatures (thermo_curve, and profiles.msd_curve and profile_curves)
-call solve_mu once per temperature, so each sample has the bits of the
-scalar call.  The module does not use numpy.
+takes about 3 constraint evaluations; each steps f_3 and f_2 in one loop
+(fdint._f3_f2: one exp, no quadrature, the bits of fdint's closed forms).
+The solve's cache keeps, with m, the kernel values of its last evaluation,
+which is at m: f_3 and f_2 at eta = m/t < 1, else r_3 and r_2.  So after
+the solve u and c cost one f_4 (or r_4) call, and profiles.normalization
+none.  internal_energy, heat_capacity, thermo_state and thermo_curve form
+u and c from those values alike, so each has the bits of the others.
+Tables over many temperatures (thermo_curve, and profiles.msd_curve and
+profile_curves) solve each temperature once, so each sample has the bits
+of the scalar call.  The module does not use numpy.
 """
 
 import math
@@ -41,7 +44,7 @@ from functools import lru_cache
 
 from .curves import UniversalCurve
 from .errors import DomainError, NumericsError, check_finite
-from .fdint import _closed_forms, _reflection, band
+from .fdint import _closed_forms, _f3_f2, _reflection, band
 from .record import Record
 
 _RESIDUAL_TOL = 1e-12
@@ -67,18 +70,17 @@ def _check_t(t) -> float:
     return check_finite("reduced temperature", t)
 
 
-def _kernel_pass(eta):
-    """f_2, f_3, f_4 at eta < 1, else r_k = f_k(-eta), which the inversion
-    identity takes: the one pass u and c read."""
-    return _closed_forms((2.0, 3.0, 4.0), eta if eta < 1.0 else -eta)
-
-
-def _energy(t, f4, f3):
+def _energy(t, eta, f):
+    """u = 3 t f_4/f_3 from the kernel values f of _kernel_values."""
+    if eta < 1.0:
+        f3, f4 = f[1], f[2]
+    else:  # f_k = P_k + (-1)^(k+1) r_k, as _closed_forms forms them
+        f3, f4 = _reflection(3.0, eta, f[1]), _reflection(4.0, eta, f[2])
     return 3.0 * t * f4 / f3
 
 
-def _c_of_pass(eta, f):
-    """c at eta from _kernel_pass(eta)."""
+def _capacity(eta, f):
+    """c at eta from the kernel values f of _kernel_values."""
     if eta < 1.0:
         f2, f3, f4 = f
         return 12.0 * f4 / f3 - 9.0 * f3 / f2
@@ -90,10 +92,6 @@ def _c_of_pass(eta, f):
     d = (pi2 * e2 * e2 / 12.0 * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
          - 12.0 * (p4 * r2 + p2 * r4 - r2 * r4) - 9.0 * (2.0 * p3 * r3 + r3 * r3))
     return d / ((p3 + r3) * (p2 - r2))
-
-
-def _c_of_eta(eta):
-    return _c_of_pass(eta, _kernel_pass(eta))
 
 
 def _limit_form(name, t, m):
@@ -179,21 +177,30 @@ def _mu_estimate(t: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def solve_mu(t: float) -> float:
-    """Reduced chemical potential m(t); exactly 1 at t = 0."""
+def _solved(t) -> tuple:
+    """(m, a_3, a_2) at t: m = m(t) and the kernel values of the solve's last
+    constraint evaluation, which monotone_root makes at the m it returns:
+    (f_3, f_2) at eta = m/t < 1, else (r_3, r_2) = (f_3(-eta), f_2(-eta)).
+    (1.0,) at t <= _TINY_T, where nothing reads kernel values.  Callers that
+    have checked t read this cache directly, without solve_mu's extra call."""
     t = _check_t(t)
     if t <= _TINY_T:
-        return 1.0
+        return (1.0,)
     if t > _T_MAX_MU:
         raise DomainError(f"reduced temperature must be at most {_T_MAX_MU:g} for m, "
                           f"got {t!r}")
 
     c3, c2 = 6.0 * t ** 3, 6.0 * t * t
+    a3 = a2 = None
 
     def constraint(m):
         # 6 t^3 f_3(m/t) - 1 rises with m at the rate 6 t^2 f_2(m/t)
-        f3, f2 = _closed_forms((3.0, 2.0), m / t)
-        return c3 * f3 - 1.0, c2 * f2
+        nonlocal a3, a2
+        eta = m / t
+        a3, a2 = _f3_f2(eta)
+        if eta < 1.0:
+            return c3 * a3 - 1.0, c2 * a2
+        return c3 * _reflection(3.0, eta, a3) - 1.0, c2 * _reflection(2.0, eta, a2)
 
     try:
         lo = -t * (math.log(6.0) + 3.0 * math.log(t)) - 5.0 * t  # classical_mu(t) - 5t
@@ -202,7 +209,33 @@ def solve_mu(t: float) -> float:
         raise NumericsError(f"chemical-potential solve at t={t}: {exc}") from exc
     if abs(residual) > _RESIDUAL_TOL:
         raise _residual_error(t, m, residual)
-    return m
+    return m, a3, a2
+
+
+def solve_mu(t: float) -> float:
+    """Reduced chemical potential m(t); exactly 1 at t = 0."""
+    return _solved(t)[0]
+
+
+# solve_mu's cache is _solved's: clearing it drops the kept kernel values with m
+solve_mu.cache_info, solve_mu.cache_clear = _solved.cache_info, _solved.cache_clear
+
+
+def _kernel_values(t):
+    """m, eta = m/t and f = (f_2, f_3, f_4) at eta < 1, else (r_2, r_3, r_4)
+    at -eta, for a checked t > _TINY_T: the solve kept f_3 and f_2, and f_4
+    is the one kernel call after it."""
+    m, a3, a2 = _solved(t)
+    eta = m / t
+    return m, eta, (a2, a3, _closed_forms((4.0,), eta if eta < 1.0 else -eta)[0])
+
+
+def _kept_f3(t):
+    """f_3(m/t) at a checked t > _TINY_T from the solve's kept value, with no
+    kernel call: the value itself below eta = 1, else formed from r_3."""
+    m, a3, _ = _solved(t)
+    eta = m / t
+    return a3 if eta < 1.0 else _reflection(3.0, eta, a3)
 
 
 def internal_energy(t: float) -> float:
@@ -212,8 +245,8 @@ def internal_energy(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 0.75
-    f4, f3 = _closed_forms((4.0, 3.0), solve_mu(t) / t)
-    return _energy(t, f4, f3)
+    _, eta, f = _kernel_values(t)
+    return _energy(t, eta, f)
 
 
 def heat_capacity(t: float) -> float:
@@ -223,32 +256,36 @@ def heat_capacity(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return math.pi ** 2 * abs(t)  # degenerate limit, O(t^3) below resolution
-    return _c_of_eta(solve_mu(t) / t)
+    _, eta, f = _kernel_values(t)
+    return _capacity(eta, f)
 
 
 def thermo_state(t: float) -> ThermoState:
     """m, u and c at one reduced temperature t >= 0, with the bits of solve_mu,
-    internal_energy and heat_capacity: after the solve, u and c read one
-    _kernel_pass, whose r_k at eta >= 1 give f_3 and f_4 as fdint forms them."""
+    internal_energy and heat_capacity, from one f_4 call after the solve."""
     t = _check_t(t)
-    m = solve_mu(t)
     if t <= _TINY_T:
-        return ThermoState(t=t, m=m, u=internal_energy(t), c=heat_capacity(t))
-    eta = m / t
-    f = _kernel_pass(eta)
-    f3, f4 = f[1:] if eta < 1.0 else (_reflection(3.0, eta, f[1]), _reflection(4.0, eta, f[2]))
-    return ThermoState(t=t, m=m, u=_energy(t, f4, f3), c=_c_of_pass(eta, f))
+        return ThermoState(t=t, m=solve_mu(t), u=internal_energy(t), c=heat_capacity(t))
+    m, eta, f = _kernel_values(t)
+    return ThermoState(t=t, m=m, u=_energy(t, eta, f), c=_capacity(eta, f))
 
 
 def thermo_curve(t_grid):
     """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
 
-    Each m is solve_mu(t), and c is formed from it as heat_capacity forms it,
-    so each t is solved once at any grid length; UniversalCurve rejects a bad
-    grid.
+    Each m is solve_mu(t), and c is formed from its solve as heat_capacity
+    forms it, so each t is solved once at any grid length; UniversalCurve
+    rejects a bad grid.
     """
     ts = [_check_t(t) for t in t_grid]
-    ms = [solve_mu(t) for t in ts]
-    cs = [_c_of_eta(m / t) if t > _TINY_T else heat_capacity(t) for t, m in zip(ts, ms)]
+    ms, cs = [], []
+    for t in ts:
+        if t > _TINY_T:
+            m, eta, f = _kernel_values(t)
+            c = _capacity(eta, f)
+        else:
+            m, c = solve_mu(t), heat_capacity(t)
+        ms.append(m)
+        cs.append(c)
     return (UniversalCurve("t", "m", tuple(zip(ts, ms))),
             UniversalCurve("t", "c", tuple(zip(ts, cs))))

@@ -571,3 +571,22 @@ def test_exact_regimes_keep_their_bits(k):
         etas = [e for e in GUARDED[regime].tolist() if band(k, e) == regime]
         assert len(etas) >= 200, regime
         assert [fd(k, e) for e in etas] == [_reference(k, e) for e in etas], regime
+
+
+def _pair_etas():
+    """eta = +-1 and their neighbours, 0, -0.0, a subnormal, the ends of exp's
+    range and a seeded sweep over the series, Taylor and reflection regimes."""
+    edges = [e2 for e in (-1.0, 1.0) for e2 in (math.nextafter(e, -2.0), e, math.nextafter(e, 2.0))]
+    rng = np.random.default_rng(4343)
+    sweep = np.concatenate([rng.uniform(-1.0, 1.0, 2000), rng.uniform(-60.0, 60.0, 2000),
+                            np.geomspace(1.0, 1e12, 500), -np.geomspace(1.0, 745.0, 500)])
+    return edges + [0.0, -0.0, 5e-324, -5e-324, -745.0, -744.0, 40.0, 1e9] + sweep.tolist()
+
+
+def test_pair_loop_has_the_bits_of_the_closed_forms():
+    # solve_mu's constraint steps f_3 and f_2 in one loop: (f_3, f_2) at
+    # eta < 1, else (r_3, r_2) = (f_3, f_2)(-eta), each as _closed_forms forms it
+    for eta in _pair_etas():
+        pair = fdint._f3_f2(eta)
+        single = fdint._closed_forms((3.0, 2.0), eta if eta < 1.0 else -eta)
+        assert [v.hex() for v in pair] == [v.hex() for v in single], eta

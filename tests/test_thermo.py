@@ -1,6 +1,7 @@
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fermigas as fg
-from fermigas import DomainError, NumericsError, fdint, thermo
+from fermigas import DomainError, NumericsError, fdint, profiles, thermo
 from fermigas.thermo import monotone_root
 
 from conftest import brute_fd, mp_thermo
@@ -188,7 +189,7 @@ def test_heat_capacity_against_mpmath_to_3e_15():
 
 def test_heat_capacity_continuous_across_eta_one():
     # plain ratio just below eta = 1, inversion identity at and above it
-    below, at = (thermo._c_of_eta(e) for e in (math.nextafter(1.0, 0.0), 1.0))
+    below, at = (c_by_fd_orders(e) for e in (math.nextafter(1.0, 0.0), 1.0))
     assert abs(at - below) <= 3e-15 * at
     t1 = _t_at_eta(1.0)
     cs = [fg.heat_capacity(t1 * (1.0 + k * 1e-12)) for k in range(-3, 4)]
@@ -294,20 +295,88 @@ def test_thermo_state_has_the_bits_of_its_functions():
     assert [x.hex() for _, x in c.samples] == [fg.heat_capacity(t).hex() for t in sorted(ts)]
 
 
-def test_thermo_state_makes_one_kernel_pass_after_its_solve(monkeypatch):
-    closed_forms = thermo._closed_forms
-    calls = []
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The orders of each _closed_forms call made by thermo and profiles, and
+    the count of solve_mu's pair-loop calls."""
+    calls, pairs = [], [0]
+    closed_forms, pair = thermo._closed_forms, thermo._f3_f2
 
     def counted(ks, eta):
         calls.append(ks)
         return closed_forms(ks, eta)
 
+    def counted_pair(eta):
+        pairs[0] += 1
+        return pair(eta)
+
     monkeypatch.setattr(thermo, "_closed_forms", counted)
-    for t in (1e-8, 1e-3, 0.3, 0.4245, 0.5, 5.0, 1e50):
+    monkeypatch.setattr(profiles, "_closed_forms", counted)
+    monkeypatch.setattr(thermo, "_f3_f2", counted_pair)
+    return SimpleNamespace(calls=calls, pairs=pairs)
+
+
+KERNEL_TS = (1e-8, 1e-3, 0.3, 0.4245, 0.5, 5.0, 1e50)
+
+
+def test_thermo_state_makes_one_kernel_pass_after_its_solve(kernel_calls):
+    for t in KERNEL_TS:
         fg.solve_mu(t)  # cached, so thermo_state's solve evaluates nothing
-        calls.clear()
+        kernel_calls.calls.clear()
         fg.thermo_state(t)
-        assert calls == [(2.0, 3.0, 4.0)], t
+        assert kernel_calls.calls == [(4.0,)], t
+
+
+@pytest.mark.parametrize("entry", [fg.internal_energy, fg.heat_capacity])
+def test_warm_energy_and_heat_capacity_make_one_f4_call(kernel_calls, entry):
+    for t in KERNEL_TS:
+        fg.solve_mu(t)
+        kernel_calls.calls.clear()
+        entry(t)
+        assert kernel_calls.calls == [(4.0,)], t
+
+
+def test_warm_normalization_evaluates_no_kernel(kernel_calls):
+    for t in KERNEL_TS:
+        fg.solve_mu(t)
+        kernel_calls.calls.clear()
+        kernel_calls.pairs[0] = 0
+        fg.normalization(t)
+        assert (kernel_calls.calls, kernel_calls.pairs[0]) == ([], 0), t
+
+
+def test_thermo_curve_makes_one_f4_call_per_warm_t(kernel_calls):
+    # cold: the solves step only the pair loop, and each t > _TINY_T adds one f_4
+    fg.solve_mu.cache_clear()
+    ts = [0.0, thermo._TINY_T, *sorted(KERNEL_TS)]
+    fg.thermo_curve(ts)
+    assert kernel_calls.calls == [(4.0,)] * sum(t > thermo._TINY_T for t in ts)
+    assert kernel_calls.pairs[0] >= len(KERNEL_TS)
+
+
+def test_cache_clear_drops_the_kept_kernel_values(kernel_calls):
+    for t in KERNEL_TS:
+        fg.solve_mu(t)
+        fg.solve_mu.cache_clear()
+        kernel_calls.pairs[0] = 0
+        for entry in (fg.normalization, fg.internal_energy, fg.heat_capacity):
+            entry(t)  # the first solves again, the others find it cached
+        assert kernel_calls.pairs[0] >= 1, t
+        assert fg.solve_mu.cache_info().misses == 1, t
+
+
+def test_kept_values_are_the_closed_forms_at_the_returned_m():
+    rng = np.random.default_rng(4344)
+    ts = [thermo._TINY_T * 1.0000001, *_eta_one_crossing(), 3e102,
+          *(10.0 ** rng.uniform(-9.0, math.log10(3e102), 300)).tolist()]
+    for t in ts:
+        fg.solve_mu.cache_clear()
+        m, a3, a2 = thermo._solved(t)
+        eta = m / t
+        assert m == fg.solve_mu(t)
+        expected = fdint._closed_forms((3.0, 2.0), eta if eta < 1.0 else -eta)
+        assert [a3.hex(), a2.hex()] == [v.hex() for v in expected], t
+    fg.solve_mu.cache_clear()
 
 
 @pytest.fixture
@@ -498,20 +567,23 @@ def test_start_in_a_bracket_that_misses_the_root(lo, hi, start, crossed):
 
 
 def _cold_solve_evaluations(monkeypatch, ts):
-    """Constraint evaluations of each solve_mu(t), each run on an empty cache."""
+    """Constraint evaluations of each solve_mu(t), each run on an empty cache:
+    the calls of the pair loop, which each evaluation makes once."""
     counts = []
-    closed_forms = thermo._closed_forms
+    pair = thermo._f3_f2
 
-    def counted(ks, eta):
+    def counted(eta):
         counts[-1] += 1
-        return closed_forms(ks, eta)
+        return pair(eta)
 
-    monkeypatch.setattr(thermo, "_closed_forms", counted)
+    monkeypatch.setattr(thermo, "_f3_f2", counted)
     for t in ts:
         fg.solve_mu.cache_clear()
         counts.append(0)
         fg.solve_mu(t)
     fg.solve_mu.cache_clear()
+    # the spy sees every solve; t <= _TINY_T (here 1e-9) takes m = 1 unsolved
+    assert all(n >= 1 for t, n in zip(ts, counts) if t > thermo._TINY_T)
     return counts
 
 

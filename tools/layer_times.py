@@ -1,5 +1,6 @@
 """Print the CPU time per call of the thermodynamic layers and of the
-oracle's continuum comparison, each timed on its own.
+oracle's continuum comparison, each timed on its own, with the constraint
+evaluations of a cold solve and the memory of a full solve_mu cache.
 
     python tools/layer_times.py [--seed S] [--points N] [--passes P]
 
@@ -13,12 +14,19 @@ of one pass's CPU time over a seeded set of inputs, divided by its calls
                            figures workload's range), solve_mu's cache
                            cleared before each call;
   internal_energy (warm),  the same temperatures with every m cached;
-  heat_capacity (warm)
+  heat_capacity (warm),
+  normalization (warm)
   thermo_state (cold),     per temperature, the cache cleared before each
   thermo_curve (cold)      pass: thermo_state at each t, thermo_curve over
                            the sorted t;
   continuum_comparison     the continuum_comparison operations of the
                            oracle workload's list for the seed.
+
+Two more lines count rather than time: the mean constraint evaluations
+per cold solve_mu over the same temperatures, counted by a spy on the
+constraint that solve_mu hands monotone_root, and the bytes tracemalloc
+sees a full solve_mu cache hold: 4096 cold solves at distinct t in
+[1e-3, 5], per entry and in all.
 
 No tracer runs, so the thermodynamic layers are timed without the replay
 that fills solve_mu's cache before the benchmark's traced run times them.
@@ -39,6 +47,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -72,6 +81,7 @@ def main(argv):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     import fermigas as fg
+    from fermigas import thermo
     import speed
     import workloads
 
@@ -107,11 +117,45 @@ def main(argv):
         for t in ts:
             fg.solve_mu(t)
 
-    rows = [
+    def evaluations_per_solve():
+        count = [0]
+        root = thermo.monotone_root
+
+        def counted_root(g, *bracket):
+            def counted(x):
+                count[0] += 1
+                return g(x)
+            return root(counted, *bracket)
+
+        thermo.monotone_root = counted_root
+        try:
+            cold_solves()
+        finally:
+            thermo.monotone_root = root
+        return count[0] / len(ts)
+
+    def cache_bytes():
+        size = fg.solve_mu.cache_info().maxsize
+        fill = [1e-3 * 5e3 ** ((i + 0.5) / size) for i in range(size)]
+        clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in fill:
+                fg.solve_mu(t)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            clear()
+        return size, held
+
+    timed = [
         ("solve_mu (cold)", least_per_call(args.passes, len(ts), cold_solves, probes, speed)),
         ("internal_energy (warm)", least_per_call(args.passes, len(ts), warm(fg.internal_energy),
                                                   probes, speed, warm_up)),
         ("heat_capacity (warm)", least_per_call(args.passes, len(ts), warm(fg.heat_capacity),
+                                                probes, speed, warm_up)),
+        ("normalization (warm)", least_per_call(args.passes, len(ts), warm(fg.normalization),
                                                 probes, speed, warm_up)),
         ("thermo_state (cold)", least_per_call(args.passes, len(ts), states, probes, speed, clear)),
         ("thermo_curve (cold)", least_per_call(args.passes, len(grid), lambda: fg.thermo_curve(grid),
@@ -120,11 +164,16 @@ def main(argv):
          least_per_call(args.passes, max(len(comparisons), 1), comparison, probes, speed)),
     ]
     probes.append(speed.probe())
+    evaluations = evaluations_per_solve()
+    entries, held = cache_bytes()
     print(f"speed probe: {1e3 * statistics.median(probes):.2f} ms, median of {len(probes)} "
           f"(reference {1e3 * speed.REFERENCE_S:.2f} ms)")
     print(f"seed {args.seed}, {len(ts)} t log-uniform in [1e-3, 5], least of {args.passes} passes")
-    for name, seconds in rows:
+    for name, seconds in timed:
         print(f"{name:34s} {1e6 * seconds:8.2f} us")
+    print(f"{'evaluations per cold solve':34s} {evaluations:8.2f}")
+    print(f"{f'solve_mu cache, {entries} entries':34s} {held / entries:8.1f} B per entry "
+          f"({held / 2 ** 20:.2f} MiB)")
 
 
 if __name__ == "__main__":
