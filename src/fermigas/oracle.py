@@ -401,10 +401,10 @@ def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float
         return None
     residual, (n_k, n_j, (stop, spreads)) = found
     # the route needs N(T/2) < N, which N(start) < N implies when start >= T/2;
-    # the search reuses N(start)
+    # the search reuses N(start), which is N(T/2) when start is clamped to T/2
     start = min(max(lo, start), hi)
     known = {start: residual(start)}
-    if not (known[start][0] < 0.0 or residual(lo)[0] < 0.0):
+    if not (known[start][0] < 0.0 or start > lo and residual(lo)[0] < 0.0):
         return None
     mu = _solve(lambda mu: known.pop(mu, None) or residual(mu), lo, hi, start, n_particles,
                 lambda: f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} by the pole "

@@ -22,7 +22,7 @@ import math
 from .curves import UniversalCurve, linspace, sample_count
 from .errors import DomainError, check_finite, check_real
 from .fdint import _closed_forms, fermi
-from .thermo import _TINY_T, _check_t, _kept_f3, _solved, internal_energy
+from .thermo import _TINY_T, _check_t, _solved, internal_energy
 
 _DENSITY_SCALE = 6.0 / math.pi ** 1.5
 
@@ -77,7 +77,7 @@ def normalization(t) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 1.0
-    f3 = _kept_f3(t)  # first: the solve's cap keeps t ** 3 below the double range
+    f3 = _solved(t)[1]  # first: the solve's cap keeps t ** 3 below the double range
     return 6.0 * t ** 3 * f3
 
 

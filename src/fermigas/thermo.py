@@ -29,11 +29,12 @@ trap frequencies.  t = 0 is handled symbolically (m = 1, u = 3/4, c = 0).
 The solve starts Newton at a closed-form estimate of m (_mu_estimate) and
 takes about 3 constraint evaluations; each steps f_3 and f_2 in one loop
 (fdint._f3_f2: one exp, no quadrature, the bits of fdint's closed forms).
-The solve's cache keeps, with m, the kernel values of its last evaluation,
-which is at m: f_3 and f_2 at eta = m/t < 1, else r_3 and r_2.  So after
-the solve u and c cost one f_4 (or r_4) call, and profiles.normalization
-none.  internal_energy, heat_capacity, thermo_state and thermo_curve form
-u and c from those values alike, so each has the bits of the others.
+The solve's cache keeps, with m, the f_3 its last constraint evaluation
+formed, which is at m, and that evaluation's kernel values: f_3 and f_2 at
+eta = m/t < 1, else r_3 and r_2.  So after the solve u and c cost one f_4
+(or r_4) call, and profiles.normalization none.  u divides by that f_3,
+and internal_energy, heat_capacity, thermo_state and thermo_curve form u
+and c from the kept values alike, so each has the bits of the others.
 Tables over many temperatures (thermo_curve, and profiles.msd_curve and
 profile_curves) solve each temperature once, so each sample has the bits
 of the scalar call.  The module does not use numpy.
@@ -70,12 +71,10 @@ def _check_t(t) -> float:
     return check_finite("reduced temperature", t)
 
 
-def _energy(t, eta, f):
-    """u = 3 t f_4/f_3 from the kernel values f of _kernel_values."""
-    if eta < 1.0:
-        f3, f4 = f[1], f[2]
-    else:  # f_k = P_k + (-1)^(k+1) r_k, as _closed_forms forms them
-        f3, f4 = _reflection(3.0, eta, f[1]), _reflection(4.0, eta, f[2])
+def _energy(t, eta, f3, a4):
+    """u = 3 t f_4/f_3 from the solve's f_3 and the kernel value a_4 of
+    _kernel_values; f_4 = P_4 - r_4 at eta >= 1, as _closed_forms forms it."""
+    f4 = a4 if eta < 1.0 else _reflection(4.0, eta, a4)
     return 3.0 * t * f4 / f3
 
 
@@ -126,9 +125,10 @@ def monotone_root(g, lo: float, hi: float, x=None) -> tuple:
     leaves across an evaluated end is replaced by bisection.  The search
     stops at a Newton step too small to move x or, once both ends are known
     to straddle, a bracket of at most 4 ulp; the second stop ends it when
-    noise in the constraint stalls Newton.  Used by solve_mu and by both
-    routes of the oracle's exact_mu (oracle._solve): the level sum and the
-    pole sum.
+    noise in the constraint stalls Newton.  The x returned is the last x
+    evaluated, so what g keeps from its last call is at that x, as solve_mu's
+    cache needs.  Used by solve_mu and by both routes of the oracle's exact_mu
+    (oracle._solve): the level sum and the pole sum.
     """
     if not lo < hi:
         raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root: "
@@ -178,9 +178,10 @@ def _mu_estimate(t: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _solved(t) -> tuple:
-    """(m, a_3, a_2) at t: m = m(t) and the kernel values of the solve's last
-    constraint evaluation, which monotone_root makes at the m it returns:
-    (f_3, f_2) at eta = m/t < 1, else (r_3, r_2) = (f_3(-eta), f_2(-eta)).
+    """(m, f_3, a_3, a_2) at t: m = m(t), and from the solve's last constraint
+    evaluation, which monotone_root makes at the m it returns, the f_3(m/t)
+    it formed and its kernel values: (a_3, a_2) = (f_3, f_2) at eta = m/t < 1,
+    else (r_3, r_2) = (f_3(-eta), f_2(-eta)), f_3 then formed from r_3.
     (1.0,) at t <= _TINY_T, where nothing reads kernel values.  Callers that
     have checked t read this cache directly, without solve_mu's extra call."""
     t = _check_t(t)
@@ -191,16 +192,18 @@ def _solved(t) -> tuple:
                           f"got {t!r}")
 
     c3, c2 = 6.0 * t ** 3, 6.0 * t * t
-    a3 = a2 = None
+    f3 = a3 = a2 = None
 
     def constraint(m):
         # 6 t^3 f_3(m/t) - 1 rises with m at the rate 6 t^2 f_2(m/t)
-        nonlocal a3, a2
+        nonlocal f3, a3, a2
         eta = m / t
         a3, a2 = _f3_f2(eta)
         if eta < 1.0:
+            f3 = a3
             return c3 * a3 - 1.0, c2 * a2
-        return c3 * _reflection(3.0, eta, a3) - 1.0, c2 * _reflection(2.0, eta, a2)
+        f3 = _reflection(3.0, eta, a3)
+        return c3 * f3 - 1.0, c2 * _reflection(2.0, eta, a2)
 
     try:
         lo = -t * (math.log(6.0) + 3.0 * math.log(t)) - 5.0 * t  # classical_mu(t) - 5t
@@ -209,7 +212,7 @@ def _solved(t) -> tuple:
         raise NumericsError(f"chemical-potential solve at t={t}: {exc}") from exc
     if abs(residual) > _RESIDUAL_TOL:
         raise _residual_error(t, m, residual)
-    return m, a3, a2
+    return m, f3, a3, a2
 
 
 def solve_mu(t: float) -> float:
@@ -217,25 +220,17 @@ def solve_mu(t: float) -> float:
     return _solved(t)[0]
 
 
-# solve_mu's cache is _solved's: clearing it drops the kept kernel values with m
+# solve_mu's cache is _solved's: clearing it drops the kept values with m
 solve_mu.cache_info, solve_mu.cache_clear = _solved.cache_info, _solved.cache_clear
 
 
 def _kernel_values(t):
-    """m, eta = m/t and f = (f_2, f_3, f_4) at eta < 1, else (r_2, r_3, r_4)
-    at -eta, for a checked t > _TINY_T: the solve kept f_3 and f_2, and f_4
-    is the one kernel call after it."""
-    m, a3, a2 = _solved(t)
+    """m, eta = m/t, the solve's f_3(eta) and f = (f_2, f_3, f_4) at eta < 1,
+    else (r_2, r_3, r_4) at -eta, for a checked t > _TINY_T: the solve kept
+    f_3, a_3 and a_2, and a_4 is the one kernel call after it."""
+    m, f3, a3, a2 = _solved(t)
     eta = m / t
-    return m, eta, (a2, a3, _closed_forms((4.0,), eta if eta < 1.0 else -eta)[0])
-
-
-def _kept_f3(t):
-    """f_3(m/t) at a checked t > _TINY_T from the solve's kept value, with no
-    kernel call: the value itself below eta = 1, else formed from r_3."""
-    m, a3, _ = _solved(t)
-    eta = m / t
-    return a3 if eta < 1.0 else _reflection(3.0, eta, a3)
+    return m, eta, f3, (a2, a3, _closed_forms((4.0,), eta if eta < 1.0 else -eta)[0])
 
 
 def internal_energy(t: float) -> float:
@@ -245,8 +240,8 @@ def internal_energy(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return 0.75
-    _, eta, f = _kernel_values(t)
-    return _energy(t, eta, f)
+    _, eta, f3, f = _kernel_values(t)
+    return _energy(t, eta, f3, f[2])
 
 
 def heat_capacity(t: float) -> float:
@@ -256,7 +251,7 @@ def heat_capacity(t: float) -> float:
     t = _check_t(t)
     if t <= _TINY_T:
         return math.pi ** 2 * abs(t)  # degenerate limit, O(t^3) below resolution
-    _, eta, f = _kernel_values(t)
+    _, eta, _, f = _kernel_values(t)
     return _capacity(eta, f)
 
 
@@ -266,8 +261,8 @@ def thermo_state(t: float) -> ThermoState:
     t = _check_t(t)
     if t <= _TINY_T:
         return ThermoState(t=t, m=solve_mu(t), u=internal_energy(t), c=heat_capacity(t))
-    m, eta, f = _kernel_values(t)
-    return ThermoState(t=t, m=m, u=_energy(t, eta, f), c=_capacity(eta, f))
+    m, eta, f3, f = _kernel_values(t)
+    return ThermoState(t=t, m=m, u=_energy(t, eta, f3, f[2]), c=_capacity(eta, f))
 
 
 def thermo_curve(t_grid):
@@ -281,7 +276,7 @@ def thermo_curve(t_grid):
     ms, cs = [], []
     for t in ts:
         if t > _TINY_T:
-            m, eta, f = _kernel_values(t)
+            m, eta, _, f = _kernel_values(t)
             c = _capacity(eta, f)
         else:
             m, c = solve_mu(t), heat_capacity(t)

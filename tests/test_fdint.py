@@ -271,6 +271,16 @@ def test_scalar_and_array_calls_bit_identical(k):
         assert fd_orders(orders, eta) == [fd(order, eta) for order in orders]
 
 
+@pytest.mark.parametrize("eta", [-3.0, 0.5, 1.0, 20.0, 60.0])
+def test_zero_dimensional_array_gives_the_scalar_floats(eta):
+    orders = (0.5, 2.0, 3.0, 4.0)
+    values = fd_orders(orders, np.array(eta))
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [v.hex() for v in fd_orders(orders, eta)]
+    value = fd(1.5, np.array(eta))
+    assert type(value) is float and value.hex() == fd(1.5, eta).hex()
+
+
 def test_array_with_nonfinite_element_rejected():
     with pytest.raises(DomainError, match="eta must be finite, got nan"):
         fd(2, np.array([0.0, math.nan]))

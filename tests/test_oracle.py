@@ -726,6 +726,29 @@ def test_classical_input_takes_the_level_sum(monkeypatch, n_particles, t):
     assert all(x >= 0.5 for x in lows)
 
 
+def test_clamped_start_evaluates_the_pole_sum_once(monkeypatch):
+    # the continuum start lies below T/2, so N(T/2) is the route's one evaluation
+    evaluations = spy_pole_sum(monkeypatch)
+    fg.exact_mu(1_000, 1.0, 5.0 * 6.0 ** (1 / 3))
+    assert evaluations == [0.5]
+
+
+@pytest.mark.parametrize("n_particles, lam, t_abs", [
+    pytest.param(1_000, 60.0, 0.1, id="reach"),
+    pytest.param(1_000, 0.49999999999, 0.05 * (6.0 * 0.49999999999 * 1_000) ** (1 / 3),
+                 id="shell-terms"),
+])
+def test_pole_route_gates_leave_the_level_sums_answer(monkeypatch, n_particles, lam, t_abs):
+    # reach: (reach + 1)(1 + lambda) = 1,411 is past the 1,000 terms; shell terms:
+    # even k lambda fall just short of integers, and those near-merged poles outweigh N
+    found, pole_sum = [], oracle._pole_sum
+    monkeypatch.setattr(oracle, "_pole_sum", lambda *args: found.append(pole_sum(*args)))
+    mu = fg.exact_mu(n_particles, lam, t_abs)
+    assert found == [None]
+    monkeypatch.setattr(oracle, "_POLE_T", math.inf)
+    assert mu.hex() == fg.exact_mu(n_particles, lam, t_abs).hex()
+
+
 def test_pole_route_failure_names_the_solve(monkeypatch, pole_sum):
     monkeypatch.setattr(oracle, "_OCCUPATION_TOL", -1.0)  # every residual fails
     with pytest.raises(NumericsError, match=r"occupation residual \d\.\d{3}e[-+]\d+ particles "

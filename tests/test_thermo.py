@@ -371,11 +371,12 @@ def test_kept_values_are_the_closed_forms_at_the_returned_m():
           *(10.0 ** rng.uniform(-9.0, math.log10(3e102), 300)).tolist()]
     for t in ts:
         fg.solve_mu.cache_clear()
-        m, a3, a2 = thermo._solved(t)
+        m, f3, a3, a2 = thermo._solved(t)
         eta = m / t
         assert m == fg.solve_mu(t)
         expected = fdint._closed_forms((3.0, 2.0), eta if eta < 1.0 else -eta)
         assert [a3.hex(), a2.hex()] == [v.hex() for v in expected], t
+        assert f3.hex() == fdint._closed_forms((3.0,), eta)[0].hex(), t
     fg.solve_mu.cache_clear()
 
 
@@ -416,6 +417,19 @@ def test_residual_failure_names_t_eta_and_band(monkeypatch, solve, first, regime
     with pytest.raises(NumericsError, match=r"constraint residual -?\d\.\d{3}e[-+]\d+ above "
                                             rf"tolerance at {first} \({regime} band\)"):
         solve(0.5)
+    fg.solve_mu.cache_clear()
+
+
+def test_failed_solve_names_its_temperature_and_keeps_nothing(monkeypatch):
+    # a constant f_3 makes the residual positive at every m, the bracket's low end too
+    monkeypatch.setattr(thermo, "_f3_f2", lambda eta: (1.0, 1.0))
+    fg.solve_mu.cache_clear()
+    with pytest.raises(NumericsError, match=r"^chemical-potential solve at t=2\.0: bracket "):
+        fg.solve_mu(2.0)
+    assert fg.solve_mu.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert fg.solve_mu(2.0) == pytest.approx(fg.classical_mu(2.0), rel=0.05)
+    assert fg.solve_mu.cache_info().misses == 2
     fg.solve_mu.cache_clear()
 
 

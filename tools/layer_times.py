@@ -22,11 +22,16 @@ of one pass's CPU time over a seeded set of inputs, divided by its calls
   continuum_comparison     the continuum_comparison operations of the
                            oracle workload's list for the seed.
 
-Two more lines count rather than time: the mean constraint evaluations
+Three more lines count rather than time: the mean constraint evaluations
 per cold solve_mu over the same temperatures, counted by a spy on the
-constraint that solve_mu hands monotone_root, and the bytes tracemalloc
-sees a full solve_mu cache hold: 4096 cold solves at distinct t in
-[1e-3, 5], per entry and in all.
+constraint that solve_mu hands monotone_root; the mean pole-sum
+evaluations per classical exact_mu, counted by a spy on the residual that
+oracle._pole_sum returns, over as many seeded inputs as temperatures: the
+particle number log-uniform in the oracle workload's range, lambda in
+{1/3, 1/2, 1, sqrt 8} and t = T/E_F uniform in [0.3, 5], where the
+continuum start often lies below T/2; and the bytes tracemalloc sees a full
+solve_mu cache hold: 4096 cold solves at distinct t in [1e-3, 5], per
+entry and in all.
 
 No tracer runs, so the thermodynamic layers are timed without the replay
 that fills solve_mu's cache before the benchmark's traced run times them.
@@ -81,7 +86,7 @@ def main(argv):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     import fermigas as fg
-    from fermigas import thermo
+    from fermigas import oracle, thermo
     import speed
     import workloads
 
@@ -134,6 +139,31 @@ def main(argv):
             thermo.monotone_root = root
         return count[0] / len(ts)
 
+    def pole_evaluations_per_classical_mu():
+        count, pole_sum = [0], oracle._pole_sum
+
+        def counted_pole_sum(*args):
+            found = pole_sum(*args)
+            if found is None:
+                return None
+
+            def counted(mu):
+                count[0] += 1
+                return found[0](mu)
+            return counted, found[1]
+
+        draw = random.Random(args.seed)
+        lo_n, hi_n = map(math.log, workloads.ORACLE_N_RANGE)
+        oracle._pole_sum = counted_pole_sum
+        try:
+            for _ in ts:
+                n = round(math.exp(draw.uniform(lo_n, hi_n)))
+                lam = draw.choice([1.0 / 3.0, 0.5, 1.0, math.sqrt(8.0)])
+                fg.exact_mu(n, lam, draw.uniform(0.3, 5.0) * (6.0 * lam * n) ** (1 / 3))
+        finally:
+            oracle._pole_sum = pole_sum
+        return count[0] / len(ts)
+
     def cache_bytes():
         size = fg.solve_mu.cache_info().maxsize
         fill = [1e-3 * 5e3 ** ((i + 0.5) / size) for i in range(size)]
@@ -165,6 +195,7 @@ def main(argv):
     ]
     probes.append(speed.probe())
     evaluations = evaluations_per_solve()
+    pole_evaluations = pole_evaluations_per_classical_mu()
     entries, held = cache_bytes()
     print(f"speed probe: {1e3 * statistics.median(probes):.2f} ms, median of {len(probes)} "
           f"(reference {1e3 * speed.REFERENCE_S:.2f} ms)")
@@ -172,6 +203,7 @@ def main(argv):
     for name, seconds in timed:
         print(f"{name:34s} {1e6 * seconds:8.2f} us")
     print(f"{'evaluations per cold solve':34s} {evaluations:8.2f}")
+    print(f"{'pole-sum evaluations per exact_mu':34s} {pole_evaluations:8.2f} (t in [0.3, 5])")
     print(f"{f'solve_mu cache, {entries} entries':34s} {held / entries:8.1f} B per entry "
           f"({held / 2 ** 20:.2f} MiB)")
 
