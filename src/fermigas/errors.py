@@ -25,7 +25,19 @@ def to_float(name, value, rule="finite") -> float:
         got = repr(value)  # text, or no number
     except OverflowError:  # an int beyond the double range
         got = "an integer beyond the float range"
+    except TypeError:  # an array of more than one entry: numpy converts only 0-d ones
+        got = repr(value)
     raise DomainError(f"{name} must be {rule}, got {got}")
+
+
+def check_sequence(name, values):
+    """iter(values) for a grid or list; DomainError for one number, text or bytes."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return iter(values)
+        except TypeError:  # one number, a 0-d array or None
+            pass
+    raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
 
 
 def check_real(name, value) -> float:

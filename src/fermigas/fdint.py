@@ -49,7 +49,7 @@ import math
 from bisect import bisect_left
 from itertools import accumulate
 
-from .errors import DomainError, check_real, to_float
+from .errors import DomainError, check_real, check_sequence, to_float
 
 SUPPORTED_ORDERS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 
@@ -88,11 +88,13 @@ _PI_POWERS = list(accumulate(range(25), lambda pq, _: (pq[0] * _PI[0] ** 2, pq[1
 
 
 def _dirichlet_eta(s) -> tuple:
-    """eta_D(s) = f_s(0) as an exact (numerator, denominator), integer s <= 50.
+    """eta_D(s) = f_s(0) as an exact (numerator, denominator), for integer s
+    from -49 to 4 and even s up to 50: the s the tables below ask for.
 
     f_0 = (1 + tanh(eta/2))/2 gives eta_D(1 - 2n) = (-1)^(n-1) T_n / 4^n and
     eta_D(-2n) = 0; eta_D(2n) = (1 - 2^(1-2n)) zeta(2n), with zeta(2n) =
-    T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).
+    T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).  Odd s >= 5 have no closed form
+    here and would take the even branch, a wrong value.
     """
     if s in (1, 3):
         return _LN2 if s == 1 else (3 * _ZETA3[0], 4 * _ZETA3[1])
@@ -309,7 +311,7 @@ def fd_orders(orders, eta) -> list:
     """[fd(k, eta) for k in orders], bit for bit, sharing one exp per eta: floats
     for a number eta, else arrays of eta's shape.  eta and each of its entries
     is a number as check_real takes it, never text, bytes or None."""
-    ks = tuple(map(_require_order, orders))
+    ks = tuple(map(_require_order, check_sequence("orders", orders)))
     if isinstance(eta, float):  # np.asarray alone costs ~1 us
         return _closed_forms(ks, eta)
     if isinstance(eta, (str, bytes)) or not hasattr(eta, "__len__"):  # a scalar

@@ -60,7 +60,9 @@ and the reflection terms (-1)^(m+1) Z(m/T) e^(-m mu_b/T) at beta = -m/T, fast
 only well above the lowest level; an evaluation adds those that can move it,
 and sums the shell terms in real floats, with the bits of the complex sum.
 So the route needs the root above T/2, and searches [T/2, hi]; at most
-_POLE_TERMS terms; shell terms summing, in absolute value, below N at hi, which
+_POLE_TERMS shell terms (the reflection terms need no such test: wherever
+T/2 < hi the _POLE_TERMS-th is below 2^-60 N at T/2, where they are
+largest); shell terms summing, in absolute value, below N at hi, which
 fails near a lambda whose k lambda is near an integer it does not round to; and
 reflection terms summing, in absolute value, to at most _POLE_SPREAD N at the
 root, as near T/2 they cancel digits of the cubic (unless the level sum refuses).
@@ -345,15 +347,16 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
             s = math.sin(math.pi * gap(k, j) / lam)  # +-sin(pi j/lambda)
             p = (-1.0 if j % 2 else 1.0) * pt * e / ((1.0 - e * e) * lam * s * s)
         js.append((0.0, p, 0.0))
-    # w_m = (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is; terms fall, so m = 1000 decides
+    # w_m = (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is.  Terms fall, and wherever
+    # T/2 < hi the m = 1000 term at T/2 is below 2^-60 N (README "Numerics" bounds it, a test
+    # checks it with mpmath), so every sum stops by m = 1000 and no gate tests it
     x_lo, tiny = math.exp(-0.5 - 2.0 * zp / t_abs), 2.0 ** -60 * n_particles
 
     def weight(m):  # (w_m, whether its term at mu = T/2 is below 2^-60 N)
         w = (-1.0) ** (m + 1) / (math.expm1(-m / t_abs) ** 2 * -math.expm1(-m * lam / t_abs))
         return w, abs(w) * x_lo ** m < tiny
 
-    if not (sum(abs(q) * top + abs(p) + abs(r) * top * top for q, p, r in ks + js) < n_particles
-            and weight(_POLE_TERMS)[1]):
+    if not sum(abs(q) * top + abs(p) + abs(r) * top * top for q, p, r in ks + js) < n_particles:
         return None
     ms, spreads = [], {}  # weight(m) as first needed; each mu's reflection terms' absolute sum
     c1 = pt * pt / 6.0 - (2.0 + lam * lam) / 24.0

@@ -20,7 +20,7 @@ through the scales module.
 import math
 
 from .curves import UniversalCurve, linspace, sample_count
-from .errors import DomainError, check_finite, check_real
+from .errors import DomainError, check_finite, check_real, check_sequence
 from .fdint import _closed_forms, fermi
 from .thermo import _TINY_T, _check_t, _solved, internal_energy
 
@@ -92,13 +92,13 @@ def mean_square_size(t) -> float:
 
 def msd_curve(t_grid):
     """Tabulate <rho^2>/R_F^2 = mean_square_size(t) over a grid of t >= 0."""
-    ts = [_check_t(t) for t in t_grid]
+    ts = [_check_t(t) for t in check_sequence("temperature grid", t_grid)]
     return UniversalCurve("t", "msd", tuple((t, mean_square_size(t)) for t in ts))
 
 
 def profile_curves(t_list, n_samples=300, s_max=None):
     """One sampled density curve per temperature, covering >= 0.999 of the norm."""
-    ts = [_check_t(t) for t in t_list]
+    ts = [_check_t(t) for t in check_sequence("temperature list", t_list)]
     if not ts:
         raise DomainError("temperature list is empty")
     n = sample_count("n_samples", n_samples)

@@ -19,7 +19,7 @@ continuum_reliable and validity_table say where the continuum picture holds.
 """
 
 import math
-from .errors import DomainError, check_count, check_finite, check_real, to_float
+from .errors import DomainError, check_count, check_finite, check_real, check_sequence, to_float
 from .record import Record
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
@@ -130,7 +130,7 @@ def validity_table(n_particles: int, lam: float, radii) -> tuple:
     shell_thickness_sigma, inv_k_fermi_sigma).  The margin is inf at s = 0,
     the cell scale nan at s = 0 and for s >= 1."""
     lam, _, stretch = _trap_scales(n_particles, lam)
-    radii = [to_float("radii", r) for r in radii]
+    radii = [to_float("radii", r) for r in check_sequence("radii", radii)]
     if not radii:
         raise DomainError("need at least one radius")
     if not all(0.0 <= s <= 1.2 for s in radii):  # NaN fails both comparisons

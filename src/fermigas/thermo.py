@@ -29,13 +29,15 @@ trap frequencies.  t = 0 is handled symbolically (m = 1, u = 3/4, c = 0).
 The solve starts Newton at a closed-form estimate of m (_mu_estimate) and
 takes about 3 constraint evaluations; each steps f_3 and f_2 in one loop
 (fdint._f3_f2: one exp, no quadrature, the bits of fdint's closed forms).
-The solve's cache keeps, with m, the f_3 its last constraint evaluation
-formed, which is at m, and that evaluation's kernel values: f_3 and f_2 at
-eta = m/t < 1, else r_3 and r_2.  So after the solve u and c cost one f_4
-(or r_4) call, and profiles.normalization none.  u divides by that f_3,
-and internal_energy, heat_capacity, thermo_state and thermo_curve form u
-and c from the kept values alike, so each has the bits of the others.
-Tables over many temperatures (thermo_curve, and profiles.msd_curve and
+The solve's cache (_solved) keeps, with m, the f_3 its last constraint
+evaluation formed, which is at m, and that evaluation's kernel values: f_3
+and f_2 at eta = m/t < 1, else r_3 and r_2.  So after the solve u and c
+cost one f_4 (or r_4) call, and profiles.normalization none.  One function,
+_state, forms (m, u, c) from the kept values, and the t = 0 limits at
+t <= _TINY_T; internal_energy, heat_capacity, thermo_state and thermo_curve
+read it, so each has the bits of the others.  Every public entry checks t
+once, before the cache: _solved and _state take a checked float.  Tables
+over many temperatures (thermo_curve, and profiles.msd_curve and
 profile_curves) solve each temperature once, so each sample has the bits
 of the scalar call.  The module does not use numpy.
 """
@@ -44,7 +46,7 @@ import math
 from functools import lru_cache
 
 from .curves import UniversalCurve
-from .errors import DomainError, NumericsError, check_finite
+from .errors import DomainError, NumericsError, check_finite, check_sequence
 from .fdint import _closed_forms, _f3_f2, _reflection, band
 from .record import Record
 
@@ -69,28 +71,6 @@ class ThermoState(Record):
 
 def _check_t(t) -> float:
     return check_finite("reduced temperature", t)
-
-
-def _energy(t, eta, f3, a4):
-    """u = 3 t f_4/f_3 from the solve's f_3 and the kernel value a_4 of
-    _kernel_values; f_4 = P_4 - r_4 at eta >= 1, as _closed_forms forms it."""
-    f4 = a4 if eta < 1.0 else _reflection(4.0, eta, a4)
-    return 3.0 * t * f4 / f3
-
-
-def _capacity(eta, f):
-    """c at eta from the kernel values f of _kernel_values."""
-    if eta < 1.0:
-        f2, f3, f4 = f
-        return 12.0 * f4 / f3 - 9.0 * f3 / f2
-    r2, r3, r4 = f
-    e2, pi2 = eta * eta, math.pi ** 2
-    y = pi2 / e2
-    p2, p3 = 0.5 * e2 + pi2 / 6.0, eta * (e2 + pi2) / 6.0
-    p4 = e2 * e2 / 24.0 + pi2 * e2 / 12.0 + 7.0 * pi2 * pi2 / 360.0
-    d = (pi2 * e2 * e2 / 12.0 * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
-         - 12.0 * (p4 * r2 + p2 * r4 - r2 * r4) - 9.0 * (2.0 * p3 * r3 + r3 * r3))
-    return d / ((p3 + r3) * (p2 - r2))
 
 
 def _limit_form(name, t, m):
@@ -178,13 +158,14 @@ def _mu_estimate(t: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _solved(t) -> tuple:
-    """(m, f_3, a_3, a_2) at t: m = m(t), and from the solve's last constraint
+    """(m, f_3, a_3, a_2) at a checked t (a float from _check_t, which this
+    does not repeat): m = m(t), and from the solve's last constraint
     evaluation, which monotone_root makes at the m it returns, the f_3(m/t)
     it formed and its kernel values: (a_3, a_2) = (f_3, f_2) at eta = m/t < 1,
     else (r_3, r_2) = (f_3(-eta), f_2(-eta)), f_3 then formed from r_3.
-    (1.0,) at t <= _TINY_T, where nothing reads kernel values.  Callers that
-    have checked t read this cache directly, without solve_mu's extra call."""
-    t = _check_t(t)
+    (1.0,) at t <= _TINY_T, where nothing reads kernel values.  _state forms
+    u and c from these; callers that have checked t read this cache
+    directly, without solve_mu's extra call."""
     if t <= _TINY_T:
         return (1.0,)
     if t > _T_MAX_MU:
@@ -216,71 +197,65 @@ def _solved(t) -> tuple:
 
 
 def solve_mu(t: float) -> float:
-    """Reduced chemical potential m(t); exactly 1 at t = 0."""
-    return _solved(t)[0]
+    """Reduced chemical potential m(t); exactly 1 at t = 0.  t is checked
+    before the cache, so a list or an array is refused by name."""
+    return _solved(_check_t(t))[0]
 
 
 # solve_mu's cache is _solved's: clearing it drops the kept values with m
 solve_mu.cache_info, solve_mu.cache_clear = _solved.cache_info, _solved.cache_clear
 
 
-def _kernel_values(t):
-    """m, eta = m/t, the solve's f_3(eta) and f = (f_2, f_3, f_4) at eta < 1,
-    else (r_2, r_3, r_4) at -eta, for a checked t > _TINY_T: the solve kept
-    f_3, a_3 and a_2, and a_4 is the one kernel call after it."""
+def _state(t) -> tuple:
+    """(m, u, c) at a checked t: at t <= _TINY_T the t = 0 limits (1, 3/4, pi^2 t),
+    whose O(t^2) and O(t^3) corrections fall below resolution; else _solved's kept
+    values and one kernel call a_4 = f_4, or r_4 at eta = m/t >= 1, where each
+    a_k is r_k.  u = 18 t^4 f_4(m/t) over the solved 6 t^3 f_3(m/t) = 1 is
+    3 t f_4/f_3, which no power of t can overflow and the rounding of m moves
+    far less than f_4 alone; f_4 = P_4 - r_4 at eta >= 1, as _closed_forms forms
+    it.  c is the plain ratio below eta = 1, else the module docstring's
+    inversion identity."""
+    if t <= _TINY_T:
+        return 1.0, 0.75, math.pi ** 2 * abs(t)
     m, f3, a3, a2 = _solved(t)
     eta = m / t
-    return m, eta, f3, (a2, a3, _closed_forms((4.0,), eta if eta < 1.0 else -eta)[0])
+    a4 = _closed_forms((4.0,), eta if eta < 1.0 else -eta)[0]
+    if eta < 1.0:
+        return m, 3.0 * t * a4 / f3, 12.0 * a4 / a3 - 9.0 * a3 / a2
+    e2, pi2 = eta * eta, math.pi ** 2
+    y = pi2 / e2
+    p2, p3 = 0.5 * e2 + pi2 / 6.0, eta * (e2 + pi2) / 6.0
+    p4 = e2 * e2 / 24.0 + pi2 * e2 / 12.0 + 7.0 * pi2 * pi2 / 360.0
+    d = (pi2 * e2 * e2 / 12.0 * (1.0 + 0.4 * y + (7.0 / 15.0) * y * y)
+         - 12.0 * (p4 * a2 + p2 * a4 - a2 * a4) - 9.0 * (2.0 * p3 * a3 + a3 * a3))
+    return m, 3.0 * t * _reflection(4.0, eta, a4) / f3, d / ((p3 + a3) * (p2 - a2))
 
 
 def internal_energy(t: float) -> float:
-    """Energy per particle u(t) in units of E_F; 3/4 at t = 0.  18 t^4 f_4(m/t)
-    over the solved 6 t^3 f_3(m/t) = 1 is 3 t f_4/f_3, which no power of t can
-    overflow and the rounding of m moves far less than f_4 alone."""
-    t = _check_t(t)
-    if t <= _TINY_T:
-        return 0.75
-    _, eta, f3, f = _kernel_values(t)
-    return _energy(t, eta, f3, f[2])
+    """Energy per particle u(t) in units of E_F; 3/4 at t = 0."""
+    return _state(_check_t(t))[1]
 
 
 def heat_capacity(t: float) -> float:
-    """Heat capacity per particle c(t) in units of k_B, 0 at t = 0: the plain
-    ratio for eta = m/t < 1, else the module docstring's inversion identity;
-    within 2.2e-15 of mpmath for t in [0.01, 0.7]."""
-    t = _check_t(t)
-    if t <= _TINY_T:
-        return math.pi ** 2 * abs(t)  # degenerate limit, O(t^3) below resolution
-    _, eta, _, f = _kernel_values(t)
-    return _capacity(eta, f)
+    """Heat capacity per particle c(t) in units of k_B, 0 at t = 0; within
+    2.2e-15 of mpmath for t in [0.01, 0.7]."""
+    return _state(_check_t(t))[2]
 
 
 def thermo_state(t: float) -> ThermoState:
     """m, u and c at one reduced temperature t >= 0, with the bits of solve_mu,
     internal_energy and heat_capacity, from one f_4 call after the solve."""
     t = _check_t(t)
-    if t <= _TINY_T:
-        return ThermoState(t=t, m=solve_mu(t), u=internal_energy(t), c=heat_capacity(t))
-    m, eta, f3, f = _kernel_values(t)
-    return ThermoState(t=t, m=m, u=_energy(t, eta, f3, f[2]), c=_capacity(eta, f))
+    return ThermoState(t, *_state(t))
 
 
 def thermo_curve(t_grid):
     """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
 
-    Each m is solve_mu(t), and c is formed from its solve as heat_capacity
-    forms it, so each t is solved once at any grid length; UniversalCurve
-    rejects a bad grid.
+    Each sample has the bits of solve_mu(t) and heat_capacity(t), and each t
+    is solved once at any grid length; UniversalCurve rejects a bad grid.
     """
-    ts = [_check_t(t) for t in t_grid]
-    ms, cs = [], []
-    for t in ts:
-        if t > _TINY_T:
-            m, eta, _, f = _kernel_values(t)
-            c = _capacity(eta, f)
-        else:
-            m, c = solve_mu(t), heat_capacity(t)
-        ms.append(m)
-        cs.append(c)
-    return (UniversalCurve("t", "m", tuple(zip(ts, ms))),
-            UniversalCurve("t", "c", tuple(zip(ts, cs))))
+    ts = [_check_t(t) for t in check_sequence("temperature grid", t_grid)]
+    states = [_state(t) for t in ts]
+    return (UniversalCurve("t", "m", tuple((t, s[0]) for t, s in zip(ts, states))),
+            UniversalCurve("t", "c", tuple((t, s[2]) for t, s in zip(ts, states))))

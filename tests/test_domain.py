@@ -9,6 +9,7 @@ Fermi-Dirac order is a number too, so text, bytes and None are refused.
 
 import re
 
+import numpy as np
 import pytest
 
 import fermigas as fg
@@ -169,3 +170,51 @@ def test_entry_point_refuses_fractional_counts_and_text(entry):
                 assert re.fullmatch(rf"{re.escape(name)} must be .+, got {re.escape(repr(bad))}",
                                     message), (name, message)
 
+
+
+# the entries whose eta maps an array to an array of its shape
+ETA_MAPS_ARRAYS = {"fd", "fd_orders", "fd_derivative"}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_scalar_argument_refuses_a_two_element_array(entry):
+    # numpy converts only 0-d arrays to a float, and a list is no number either
+    for name, call in ENTRIES[entry]:
+        if name == "eta" and entry in ETA_MAPS_ARRAYS:
+            continue
+        pair = [1000, 2000] if name in COUNTS else [0.5, 0.6]
+        for bad in (np.array(pair), pair, pair[:1]):
+            with pytest.raises(fg.DomainError) as refused:
+                call(bad)
+            assert re.fullmatch(rf"{re.escape(name)} must be .+, got {re.escape(repr(bad))}",
+                                str(refused.value)), (name, str(refused.value))
+
+
+# entry point -> (the grid or list as its message names it, call with the bad value there)
+SEQUENCES = {
+    "thermo_curve": ("temperature grid", fg.thermo_curve),
+    "msd_curve": ("temperature grid", fg.msd_curve),
+    "profile_curves": ("temperature list", fg.profile_curves),
+    "validity_report": ("radii", lambda x: fg.validity_report(1000, 1.0, x)),
+    "validity_table": ("radii", lambda x: fg.scales.validity_table(1000, 1.0, x)),
+    "fd_orders": ("orders", lambda x: fg.fd_orders(x, 0.3)),
+}
+
+
+@pytest.mark.parametrize("entry", SEQUENCES)
+def test_grid_given_as_one_number_or_text_is_refused(entry):
+    name, call = SEQUENCES[entry]
+    for bad in (0.5, 2, np.float64(0.5), np.array(0.5), None, "0.5", b"0.5"):
+        with pytest.raises(fg.DomainError) as refused:
+            call(bad)
+        assert str(refused.value) == f"{name} must be a sequence of numbers, got {bad!r}"
+
+
+@pytest.mark.parametrize("t", [[0.5], np.array([0.5, 0.6])])
+def test_solve_mu_checks_t_before_its_cache(t):
+    # a list is unhashable, so lru_cache would raise TypeError before any check
+    misses = fg.solve_mu.cache_info().misses
+    with pytest.raises(fg.DomainError, match=r"^reduced temperature must be finite and "
+                                             r"non-negative, got "):
+        fg.solve_mu(t)
+    assert fg.solve_mu.cache_info().misses == misses

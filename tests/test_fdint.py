@@ -328,6 +328,19 @@ def test_taylor_and_polynomial_coefficients_correctly_rounded():
                 assert c == _correctly_rounded(exact), (k, n)
 
 
+def test_dirichlet_eta_is_correctly_rounded_on_its_stated_domain():
+    # the Taylor tables ask for s = k, k - 1, ..., k - 35 at k = 1..4 (s from -34
+    # to 4) and the Sommerfeld table for even s from 2 to 50; odd s >= 5 are
+    # outside the domain
+    table_s = {s for k in (1, 2, 3, 4) for s in range(k, k - fdint._TAYLOR_TERMS, -1)}
+    domain = [*range(-49, 5), *range(6, 51, 2)]
+    assert table_s | set(range(2, 51, 2)) <= set(domain)
+    with mpmath.workdps(40):
+        for s in domain:
+            p, q = _dirichlet_eta(s)
+            assert p / q == _correctly_rounded(mpmath.altzeta(s)), s
+
+
 def test_series_coefficients_correctly_rounded():
     with mpmath.workdps(40):
         for k in SUPPORTED_ORDERS:

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy.optimize import brentq
 from scipy.special import expit, gammaln
@@ -747,6 +749,25 @@ def test_pole_route_gates_leave_the_level_sums_answer(monkeypatch, n_particles, 
     assert found == [None]
     monkeypatch.setattr(oracle, "_POLE_T", math.inf)
     assert mu.hex() == fg.exact_mu(n_particles, lam, t_abs).hex()
+
+
+@given(log_n=st.floats(0.0, 300.0), log_lam=st.floats(-300.0, 8.0), share=st.floats(0.0, 1.0))
+@settings(max_examples=400, deadline=None)
+def test_last_reflection_term_at_half_t_is_below_the_sum_stop(log_n, log_lam, share):
+    # the pole sum adds reflection terms until they fall under 2^-60 N, and has room
+    # for _POLE_TERMS of them: the last, at mu = T/2, where terms are largest, is
+    # already below that wherever the route runs (T/2 < hi), so it needs no gate
+    n_particles, lam = float(round(10.0 ** log_n)), 10.0 ** log_lam
+    assume(math.isfinite(48.0 * n_particles * lam))
+    hi = oracle._CUTOFF_SCALE * oracle._trap_scales(n_particles, lam)[1] + 2.0
+    t_abs = oracle._POLE_T * (2.0 * hi / oracle._POLE_T) ** share  # log-uniform up to 2 hi
+    assume(0.5 * t_abs < hi)
+    m = oracle._POLE_TERMS
+    with mp.workdps(30):
+        t, lm = mp.mpf(t_abs), mp.mpf(lam)
+        weight = 1 / (mp.expm1(-m / t) ** 2 * -mp.expm1(-m * lm / t))
+        term = weight * mp.exp(-m * (0.5 + (2 + lm) / t))  # x_lo = e^(-1/2 - (2 + lambda)/T)
+        assert term < mp.mpf(2) ** -60 * n_particles, (n_particles, lam, t_abs)
 
 
 def test_pole_route_failure_names_the_solve(monkeypatch, pole_sum):

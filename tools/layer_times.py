@@ -20,7 +20,9 @@ of one pass's CPU time over a seeded set of inputs, divided by its calls
   thermo_curve (cold)      pass: thermo_state at each t, thermo_curve over
                            the sorted t;
   continuum_comparison     the continuum_comparison operations of the
-                           oracle workload's list for the seed.
+  (cold)                   oracle workload's list for the seed, the cache
+                           cleared before each pass, as the workload's
+                           fresh t find it.
 
 Three more lines count rather than time: the mean constraint evaluations
 per cold solve_mu over the same temperatures, counted by a spy on the
@@ -190,8 +192,8 @@ def main(argv):
         ("thermo_state (cold)", least_per_call(args.passes, len(ts), states, probes, speed, clear)),
         ("thermo_curve (cold)", least_per_call(args.passes, len(grid), lambda: fg.thermo_curve(grid),
                                                probes, speed, clear)),
-        (f"continuum_comparison ({len(comparisons)} calls)",
-         least_per_call(args.passes, max(len(comparisons), 1), comparison, probes, speed)),
+        (f"continuum_comparison x{len(comparisons)} (cold)",
+         least_per_call(args.passes, max(len(comparisons), 1), comparison, probes, speed, clear)),
     ]
     probes.append(speed.probe())
     evaluations = evaluations_per_solve()
