@@ -30,14 +30,15 @@ def to_float(name, value, rule="finite") -> float:
     raise DomainError(f"{name} must be {rule}, got {got}")
 
 
-def check_sequence(name, values):
-    """iter(values) for a grid or list; DomainError for one number, text or bytes."""
+def check_sequence(name, values) -> list:
+    """A grid's or list's entries as a list; DomainError if empty, one number, text or bytes."""
     if not isinstance(values, (str, bytes)):
         try:
-            return iter(values)
+            if entries := list(values):
+                return entries
         except TypeError:  # one number, a 0-d array or None
             pass
-    raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
+    raise DomainError(f"{name} must be a non-empty sequence of numbers, got {values!r}")
 
 
 def check_real(name, value) -> float:
@@ -55,6 +56,11 @@ def check_finite(name, value, positive=False) -> float:
     if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
         raise DomainError(f"{name} must be {rule}, got {v!r}")
     return v
+
+
+def check_temperature(t) -> float:
+    """A reduced temperature t as a float; DomainError unless finite and >= 0."""
+    return check_finite("reduced temperature", t)
 
 
 def check_count(name, value) -> float:

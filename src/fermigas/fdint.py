@@ -94,7 +94,7 @@ def _dirichlet_eta(s) -> tuple:
     f_0 = (1 + tanh(eta/2))/2 gives eta_D(1 - 2n) = (-1)^(n-1) T_n / 4^n and
     eta_D(-2n) = 0; eta_D(2n) = (1 - 2^(1-2n)) zeta(2n), with zeta(2n) =
     T_n pi^(2n) / (2 (4^n - 1) (2n-1)!).  Odd s >= 5 have no closed form
-    here and would take the even branch, a wrong value.
+    here and are refused.
     """
     if s in (1, 3):
         return _LN2 if s == 1 else (3 * _ZETA3[0], 4 * _ZETA3[1])
@@ -103,6 +103,8 @@ def _dirichlet_eta(s) -> tuple:
     if s < 0:
         n = (1 - s) // 2
         return (0, 1) if s % 2 == 0 else ((-1) ** (n - 1) * _T[n], 4 ** n)
+    if s % 2:
+        raise DomainError(f"s must be below 5 or even for a closed-form eta_D(s), got {s!r}")
     n = s // 2
     p, q = _PI_POWERS[n]
     return (4 ** n - 2) * _T[n] * p, 2 * 4 ** n * (4 ** n - 1) * math.factorial(s - 1) * q
@@ -309,8 +311,8 @@ def _closed_forms(ks, eta: float) -> list:
 
 def fd_orders(orders, eta) -> list:
     """[fd(k, eta) for k in orders], bit for bit, sharing one exp per eta: floats
-    for a number eta, else arrays of eta's shape.  eta and each of its entries
-    is a number as check_real takes it, never text, bytes or None."""
+    for a number eta, else arrays of eta's shape.  orders must be non-empty, and eta
+    and each of its entries a number as check_real takes it, never text, bytes or None."""
     ks = tuple(map(_require_order, check_sequence("orders", orders)))
     if isinstance(eta, float):  # np.asarray alone costs ~1 us
         return _closed_forms(ks, eta)

@@ -89,11 +89,11 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import DomainError, NumericsError, check_count, check_finite
+from .errors import DomainError, NumericsError, check_count, check_finite, check_temperature
 from .fdint import _closed_forms
 from .record import Record
 from .scales import _SEMI_N0, _trap_scales, validity_table
-from .thermo import _check_t, monotone_root, solve_mu
+from .thermo import monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
 # top closed shell of exact_central_density, whose exact integer binomial
@@ -584,7 +584,7 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
     zero point before differencing.
     """
     lam, e_fermi, _ = _trap_scales(n_particles, lam)
-    t = _check_t(t)
+    t = check_temperature(t)
     m = solve_mu(t)  # once: (t E_F)/E_F need not round back to t
     mu_ex = _exact_mu(n_particles, lam, e_fermi, t * e_fermi, m)  # finite: solve_mu caps t
     mu_cont = m * e_fermi

@@ -20,9 +20,9 @@ through the scales module.
 import math
 
 from .curves import UniversalCurve, linspace, sample_count
-from .errors import DomainError, check_finite, check_real, check_sequence
+from .errors import DomainError, check_finite, check_real, check_sequence, check_temperature
 from .fdint import _closed_forms, fermi
-from .thermo import _TINY_T, _check_t, _solved, internal_energy
+from .thermo import _TINY_T, _solved, internal_energy
 
 _DENSITY_SCALE = 6.0 / math.pi ** 1.5
 
@@ -31,7 +31,7 @@ def phase_space_occupancy(s, q, t, m) -> float:
     """Fermi factor at scaled energy q^2 + s^2; a step function at t = 0."""
     s = check_finite("s", s)
     q = check_finite("q", q)
-    t = _check_t(t)
+    t = check_temperature(t)
     x = q * q + s * s - check_real("m", m)
     if t == 0.0:
         return 1.0 if x < 0 else (0.5 if x == 0 else 0.0)
@@ -49,7 +49,7 @@ def zero_t_density(s) -> float:
 def density(s, t) -> float:
     """Scaled spatial density at effective radius s and temperature t."""
     s = check_finite("s", s)
-    t = _check_t(t)
+    t = check_temperature(t)
     if t <= _TINY_T:
         return zero_t_density(s)
     return _warm_densities((s,), t, _solved(t)[0])[0]
@@ -74,7 +74,7 @@ def normalization(t) -> float:
     With x = s^2/t this is the Fermi-Dirac identity
     int_0^inf x^(a-1) f_k(eta - x) dx = Gamma(a) f_(k+a)(eta), k = a = 3/2.
     """
-    t = _check_t(t)
+    t = check_temperature(t)
     if t <= _TINY_T:
         return 1.0
     f3 = _solved(t)[1]  # first: the solve's cap keeps t ** 3 below the double range
@@ -91,16 +91,14 @@ def mean_square_size(t) -> float:
 
 
 def msd_curve(t_grid):
-    """Tabulate <rho^2>/R_F^2 = mean_square_size(t) over a grid of t >= 0."""
-    ts = [_check_t(t) for t in check_sequence("temperature grid", t_grid)]
+    """Tabulate <rho^2>/R_F^2 = mean_square_size(t) over a non-empty grid of t >= 0."""
+    ts = [check_temperature(t) for t in check_sequence("temperature grid", t_grid)]
     return UniversalCurve("t", "msd", tuple((t, mean_square_size(t)) for t in ts))
 
 
 def profile_curves(t_list, n_samples=300, s_max=None):
-    """One sampled density curve per temperature, covering >= 0.999 of the norm."""
-    ts = [_check_t(t) for t in check_sequence("temperature list", t_list)]
-    if not ts:
-        raise DomainError("temperature list is empty")
+    """One density curve per temperature of a non-empty list, covering >= 0.999 of the norm."""
+    ts = [check_temperature(t) for t in check_sequence("temperature list", t_list)]
     n = sample_count("n_samples", n_samples)
     if s_max is not None:
         s_max = check_finite("s_max", s_max, positive=True)

@@ -19,7 +19,8 @@ continuum_reliable and validity_table say where the continuum picture holds.
 """
 
 import math
-from .errors import DomainError, check_count, check_finite, check_real, check_sequence, to_float
+from .errors import (DomainError, check_count, check_finite, check_real, check_sequence,
+                     check_temperature, to_float)
 from .record import Record
 
 # CODATA, 10 significant digits; hard-coded for reproducibility.
@@ -121,18 +122,15 @@ def from_scaled(spec: TrapSpec, s: float, q: float, t: float):
 
 def continuum_reliable(spec: TrapSpec, t: float) -> bool:
     """True when k_B*T is at least the level spacing, i.e. t*(6*lam*N)^(1/3) >= 1."""
-    t = check_finite("reduced temperature", t)
-    return t * _trap_scales(spec.n_particles, spec.lam)[1] >= 1.0
+    return check_temperature(t) * _trap_scales(spec.n_particles, spec.lam)[1] >= 1.0
 
 
 def validity_table(n_particles: int, lam: float, radii) -> tuple:
     """oracle.validity_report as floats: ([(s, margin, cell_scale) per radius],
-    shell_thickness_sigma, inv_k_fermi_sigma).  The margin is inf at s = 0,
-    the cell scale nan at s = 0 and for s >= 1."""
+    shell_thickness_sigma, inv_k_fermi_sigma), radii a non-empty sequence in [0, 1.2].
+    The margin is inf at s = 0, the cell scale nan at s = 0 and for s >= 1."""
     lam, _, stretch = _trap_scales(n_particles, lam)
     radii = [to_float("radii", r) for r in check_sequence("radii", radii)]
-    if not radii:
-        raise DomainError("need at least one radius")
     if not all(0.0 <= s <= 1.2 for s in radii):  # NaN fails both comparisons
         raise DomainError(f"radii must lie in [0, 1.2], got {radii!r}")
     central = _SEMI_N0 * math.sqrt(n_particles * lam)

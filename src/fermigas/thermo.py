@@ -30,24 +30,24 @@ The solve starts Newton at a closed-form estimate of m (_mu_estimate) and
 takes about 3 constraint evaluations; each steps f_3 and f_2 in one loop
 (fdint._f3_f2: one exp, no quadrature, the bits of fdint's closed forms).
 The solve's cache (_solved) keeps, with m, the f_3 its last constraint
-evaluation formed, which is at m, and that evaluation's kernel values: f_3
-and f_2 at eta = m/t < 1, else r_3 and r_2.  So after the solve u and c
-cost one f_4 (or r_4) call, and profiles.normalization none.  One function,
-_state, forms (m, u, c) from the kept values, and the t = 0 limits at
-t <= _TINY_T; internal_energy, heat_capacity, thermo_state and thermo_curve
-read it, so each has the bits of the others.  Every public entry checks t
-once, before the cache: _solved and _state take a checked float.  Tables
-over many temperatures (thermo_curve, and profiles.msd_curve and
-profile_curves) solve each temperature once, so each sample has the bits
-of the scalar call.  The module does not use numpy.
+evaluation formed, at m, and that evaluation's kernel values: f_3 and f_2
+at eta = m/t < fdint._TAYLOR_RADIUS = 1, else r_3 and r_2.  So after the
+solve u and c cost one f_4 (or r_4) call, and profiles.normalization none.
+One function, _state, forms (m, u, c) from the kept values, and the t = 0
+limits at t <= _TINY_T; internal_energy, heat_capacity, thermo_state and
+thermo_curve read it, so each has the bits of the others.  Every public
+entry checks t once (errors.check_temperature) before the cache.  Tables
+over many temperatures (thermo_curve, profiles.msd_curve, profile_curves)
+solve each temperature once, so each sample has the scalar call's bits.
+The module does not use numpy.
 """
 
 import math
 from functools import lru_cache
 
 from .curves import UniversalCurve
-from .errors import DomainError, NumericsError, check_finite, check_sequence
-from .fdint import _closed_forms, _f3_f2, _reflection, band
+from .errors import DomainError, NumericsError, check_finite, check_sequence, check_temperature
+from .fdint import _TAYLOR_RADIUS, _closed_forms, _f3_f2, _reflection, band
 from .record import Record
 
 _RESIDUAL_TOL = 1e-12
@@ -69,10 +69,6 @@ class ThermoState(Record):
     c: float
 
 
-def _check_t(t) -> float:
-    return check_finite("reduced temperature", t)
-
-
 def _limit_form(name, t, m):
     """m of a limiting form at t; DomainError naming t where it overflows to -inf."""
     if m == -math.inf:
@@ -83,7 +79,7 @@ def _limit_form(name, t, m):
 
 def sommerfeld_mu(t: float) -> float:
     """Low-temperature expansion 1 - (pi^2/3) t^2 (exact to this order)."""
-    t = _check_t(t)
+    t = check_temperature(t)
     return _limit_form("Sommerfeld", t, 1.0 - (math.pi ** 2 / 3.0) * t * t)
 
 
@@ -158,8 +154,8 @@ def _mu_estimate(t: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _solved(t) -> tuple:
-    """(m, f_3, a_3, a_2) at a checked t (a float from _check_t, which this
-    does not repeat): m = m(t), and from the solve's last constraint
+    """(m, f_3, a_3, a_2) at a checked t (a float from check_temperature, which
+    this does not repeat): m = m(t), and from the solve's last constraint
     evaluation, which monotone_root makes at the m it returns, the f_3(m/t)
     it formed and its kernel values: (a_3, a_2) = (f_3, f_2) at eta = m/t < 1,
     else (r_3, r_2) = (f_3(-eta), f_2(-eta)), f_3 then formed from r_3.
@@ -180,7 +176,7 @@ def _solved(t) -> tuple:
         nonlocal f3, a3, a2
         eta = m / t
         a3, a2 = _f3_f2(eta)
-        if eta < 1.0:
+        if eta < _TAYLOR_RADIUS:
             f3 = a3
             return c3 * a3 - 1.0, c2 * a2
         f3 = _reflection(3.0, eta, a3)
@@ -199,7 +195,7 @@ def _solved(t) -> tuple:
 def solve_mu(t: float) -> float:
     """Reduced chemical potential m(t); exactly 1 at t = 0.  t is checked
     before the cache, so a list or an array is refused by name."""
-    return _solved(_check_t(t))[0]
+    return _solved(check_temperature(t))[0]
 
 
 # solve_mu's cache is _solved's: clearing it drops the kept values with m
@@ -219,8 +215,8 @@ def _state(t) -> tuple:
         return 1.0, 0.75, math.pi ** 2 * abs(t)
     m, f3, a3, a2 = _solved(t)
     eta = m / t
-    a4 = _closed_forms((4.0,), eta if eta < 1.0 else -eta)[0]
-    if eta < 1.0:
+    a4 = _closed_forms((4.0,), eta if eta < _TAYLOR_RADIUS else -eta)[0]
+    if eta < _TAYLOR_RADIUS:
         return m, 3.0 * t * a4 / f3, 12.0 * a4 / a3 - 9.0 * a3 / a2
     e2, pi2 = eta * eta, math.pi ** 2
     y = pi2 / e2
@@ -233,29 +229,29 @@ def _state(t) -> tuple:
 
 def internal_energy(t: float) -> float:
     """Energy per particle u(t) in units of E_F; 3/4 at t = 0."""
-    return _state(_check_t(t))[1]
+    return _state(check_temperature(t))[1]
 
 
 def heat_capacity(t: float) -> float:
     """Heat capacity per particle c(t) in units of k_B, 0 at t = 0; within
     2.2e-15 of mpmath for t in [0.01, 0.7]."""
-    return _state(_check_t(t))[2]
+    return _state(check_temperature(t))[2]
 
 
 def thermo_state(t: float) -> ThermoState:
     """m, u and c at one reduced temperature t >= 0, with the bits of solve_mu,
     internal_energy and heat_capacity, from one f_4 call after the solve."""
-    t = _check_t(t)
+    t = check_temperature(t)
     return ThermoState(t, *_state(t))
 
 
 def thermo_curve(t_grid):
-    """Tabulate (m(t), c(t)) over a strictly increasing grid of t >= 0.
+    """Tabulate (m(t), c(t)) over a non-empty, strictly increasing grid of t >= 0.
 
     Each sample has the bits of solve_mu(t) and heat_capacity(t), and each t
-    is solved once at any grid length; UniversalCurve rejects a bad grid.
+    is solved once; an empty grid is refused by name, an unsorted one by UniversalCurve.
     """
-    ts = [_check_t(t) for t in check_sequence("temperature grid", t_grid)]
+    ts = [check_temperature(t) for t in check_sequence("temperature grid", t_grid)]
     states = [_state(t) for t in ts]
     return (UniversalCurve("t", "m", tuple((t, s[0]) for t, s in zip(ts, states))),
             UniversalCurve("t", "c", tuple((t, s[2]) for t, s in zip(ts, states))))

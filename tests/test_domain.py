@@ -204,10 +204,12 @@ SEQUENCES = {
 @pytest.mark.parametrize("entry", SEQUENCES)
 def test_grid_given_as_one_number_or_text_is_refused(entry):
     name, call = SEQUENCES[entry]
-    for bad in (0.5, 2, np.float64(0.5), np.array(0.5), None, "0.5", b"0.5"):
+    # an empty grid or list is refused with the same message: no entry point
+    # returns an empty result or falls through to a check that omits the name
+    for bad in (0.5, 2, np.float64(0.5), np.array(0.5), None, "0.5", b"0.5", [], (), np.array([])):
         with pytest.raises(fg.DomainError) as refused:
             call(bad)
-        assert str(refused.value) == f"{name} must be a sequence of numbers, got {bad!r}"
+        assert str(refused.value) == f"{name} must be a non-empty sequence of numbers, got {bad!r}"
 
 
 @pytest.mark.parametrize("t", [[0.5], np.array([0.5, 0.6])])

@@ -341,6 +341,13 @@ def test_dirichlet_eta_is_correctly_rounded_on_its_stated_domain():
             assert p / q == _correctly_rounded(mpmath.altzeta(s)), s
 
 
+@pytest.mark.parametrize("s", [5, 7])
+def test_dirichlet_eta_refuses_odd_s_without_a_closed_form(s):
+    # the even-s branch would give 0.2368 at s = 5, where eta_D(5) = 0.9721
+    with pytest.raises(DomainError, match=rf"^s must be below 5 or even .*, got {s}$"):
+        _dirichlet_eta(s)
+
+
 def test_series_coefficients_correctly_rounded():
     with mpmath.workdps(40):
         for k in SUPPORTED_ORDERS:

@@ -536,8 +536,8 @@ def test_pole_route_evaluations_per_solve(monkeypatch, pole_sum):
 
 
 def test_pole_route_builds_few_reflection_weights(monkeypatch, pole_sum):
-    # a weight costs two expm1 calls, the route's check of the m = 1000 term one
-    # more weight; the full sum down to 2^-60 N at T/2 builds 5 to 35 on these
+    # a weight costs two expm1 calls; a solve builds 1 to 8 weights on these 30
+    # inputs, where the full sum down to 2^-60 N at T/2 builds 5 to 35
     calls = []
 
     def expm1(x):

@@ -108,6 +108,8 @@ def test_post_init_checks_and_derived_fields():
         fg.TrapSpec(mass=-1.0, omega_r=1000.0, lam=1.0, n_particles=10)
     with pytest.raises(DomainError, match="labels"):
         fg.UniversalCurve("t", "nope", ((0.0, 1.0),))
+    with pytest.raises(DomainError, match="^curve has no samples$"):  # direct construction only
+        fg.UniversalCurve("t", "m", ())
     fld = fg.PerturbationField([0.01] * fg.perturb.GRID_SIZE)
     assert isinstance(fld.values, np.ndarray) and fld.values.dtype == float
 
