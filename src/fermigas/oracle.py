@@ -59,13 +59,16 @@ loops, and decay as e^-y, y = 2 pi^2 k T, with 1/sinh y = 2 e^-y/(1 - e^-2y);
 and the reflection terms (-1)^(m+1) Z(m/T) e^(-m mu_b/T) at beta = -m/T, fast
 only well above the lowest level; an evaluation adds those that can move it,
 and sums the shell terms in real floats, with the bits of the complex sum.
-So the route needs the root above T/2, and searches [T/2, hi]; at most
-_POLE_TERMS shell terms (the reflection terms need no such test: wherever
-T/2 < hi the _POLE_TERMS-th is below 2^-60 N at T/2, where they are
-largest); shell terms summing, in absolute value, below N at hi, which
-fails near a lambda whose k lambda is near an integer it does not round to; and
-reflection terms summing, in absolute value, to at most _POLE_SPREAD N at the
-root, as near T/2 they cancel digits of the cubic (unless the level sum refuses).
+So the route needs the root above T/2: its one monotone_root search on
+[T/2, hi] leaves mu to the level sum if it refuses the bracket (T/2 >= hi or
+N(T/2) >= N), fails to converge or leaves a residual above _OCCUPATION_TOL.
+It also needs at most _POLE_TERMS shell terms (the reflection terms need no
+such test: wherever T/2 < hi the _POLE_TERMS-th is below 2^-60 N at T/2,
+where they are largest); shell terms summing, in absolute value, below N at
+hi, which fails near a lambda whose k lambda is near an integer it does not
+round to; and reflection terms summing, in absolute value, to at most
+_POLE_SPREAD N at the root, as near T/2 they cancel digits of the cubic
+(unless the level sum refuses).
 At T >= T* = 0.1 it measured within 3.5e-16 of the level sum on the oracle and
 cli workloads' inputs; below, e^-y > e^-2k.
 
@@ -302,10 +305,10 @@ def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
 
 
 def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
-    """(residual, (n_k, n_j, (stop, spreads))), or None (module docstring): residual(mu) =
-    (N(mu)/N - 1, dN/dmu / N) from the poles k <= n_k, j <= n_j and the reflection terms
-    w_m x^m, x = e^(-(mu_b + zp)/T), m <= stop(); spreads maps each mu evaluated to the
-    absolute sum of those added.  At mu >= T/2, x <= x_lo = e^(-1/2 - 2 zp/T), and |w_m x^m|
+    """(residual, n_k, share), or None (module docstring): residual(mu) = (N(mu)/N - 1,
+    dN/dmu / N) from the poles k <= n_k, j <= (n_k + 1/2) lambda and the reflection terms
+    w_m x^m, x = e^(-(mu_b + zp)/T); share[0] is the absolute sum of the reflection terms that
+    its last evaluation added.  At mu >= T/2, x <= x_lo = e^(-1/2 - 2 zp/T), and |w_m x^m|
     and m |w_m x^m| fall by 0.61 and 0.91 a step at least (|w_(m+1)| <= |w_m|, |w_2/w_1| x_lo
     < 1/13).  So once 2^60 m |w_m x^m| is below both running sums, N and T dN/dmu, each later
     term and its slope term is under half an ulp of a sum it leaves as it was: an evaluation
@@ -358,7 +361,7 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
 
     if not sum(abs(q) * top + abs(p) + abs(r) * top * top for q, p, r in ks + js) < n_particles:
         return None
-    ms, spreads = [], {}  # weight(m) as first needed; each mu's reflection terms' absolute sum
+    ms, share = [], [0.0]  # weight(m) as first needed; the last reflection terms' absolute sum
     c1 = pt * pt / 6.0 - (2.0 + lam * lam) / 24.0
 
     def residual(mu):
@@ -387,45 +390,24 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
             states, rate, spread = states + term, rate - m * wm * xm / t_abs, spread + size
             if last or (cut := 2.0 ** 60 * m * size) < states and cut < t_abs * rate:
                 break  # else the terms after m add under half an ulp
-        spreads[mu] = spread
+        share[0] = spread
         return states / n_particles - 1.0, rate / n_particles
 
-    def stop():
-        return next(m for m in range(1, _POLE_TERMS + 1) if weight(m)[1])
-
-    return residual, (n_k, len(js), (stop, spreads))
+    return residual, n_k, share
 
 
 def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float):
     """(mu, |reflection terms| summed there over N) by the pole sum, or None (module docstring)."""
-    lo = 0.5 * t_abs
-    found = _pole_sum(n_particles, lam, t_abs, hi) if lo < hi else None
+    found = _pole_sum(n_particles, lam, t_abs, hi)
     if found is None:
         return None
-    residual, (n_k, n_j, (stop, spreads)) = found
-    # the route needs N(T/2) < N, which N(start) < N implies when start >= T/2;
-    # the search reuses N(start), which is N(T/2) when start is clamped to T/2
-    start = min(max(lo, start), hi)
-    known = {start: residual(start)}
-    if not (known[start][0] < 0.0 or start > lo and residual(lo)[0] < 0.0):
-        return None
-    mu = _solve(lambda mu: known.pop(mu, None) or residual(mu), lo, hi, start, n_particles,
-                lambda: f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} by the pole "
-                        f"sum over k <= {n_k}, j <= {n_j} and m <= {stop()}")
-    return mu, spreads[mu] / n_particles
-
-
-def _solve(constraint, lo: float, hi: float, start: float, n_particles: int, where):
-    """exact_mu's one root search and residual check; failures name the solve (where())."""
+    residual, _, share = found
     try:
-        mu, residual = monotone_root(constraint, lo, hi, start)
-    except NumericsError as exc:
-        raise NumericsError(f"mu search for {where()}: {exc}") from exc
-    if abs(residual) > _OCCUPATION_TOL:
-        raise NumericsError(
-            f"occupation residual {abs(residual) * n_particles:.3e} particles above "
-            f"tolerance at mu = {mu!r} for {where()}")
-    return mu
+        mu, r = monotone_root(residual, 0.5 * t_abs, hi, start)
+    except NumericsError:
+        return None
+    # monotone_root's last evaluation is at the mu it returns, so share[0] is the share there
+    return None if abs(r) > _OCCUPATION_TOL else (mu, share[0] / n_particles)
 
 
 def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_continuum):
@@ -496,10 +478,16 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         return (occupied + z * (s1 - z * (s2 - z * s3)) - 1.0,
                 (float(filled.sum()) + z * (s1 - z * (2.0 * s2 - 3.0 * z * s3))) / t_abs)
 
-    with np.errstate(over="ignore"):  # e^x overflows to inf above mu
-        return _solve(constraint, lo, hi, start, n_particles,
-                      lambda: f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} "
-                              f"over {energies.size} levels")
+    where = f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} over {energies.size} levels"
+    try:
+        with np.errstate(over="ignore"):  # e^x overflows to inf above mu
+            mu, residual = monotone_root(constraint, lo, hi, start)
+    except NumericsError as exc:
+        raise NumericsError(f"mu search for {where}: {exc}") from exc
+    if abs(residual) > _OCCUPATION_TOL:
+        raise NumericsError(f"occupation residual {abs(residual) * n_particles:.3e} particles "
+                            f"above tolerance at mu = {mu!r} for {where}")
+    return mu
 
 
 def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:

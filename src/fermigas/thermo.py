@@ -103,8 +103,8 @@ def monotone_root(g, lo: float, hi: float, x=None) -> tuple:
     to straddle, a bracket of at most 4 ulp; the second stop ends it when
     noise in the constraint stalls Newton.  The x returned is the last x
     evaluated, so what g keeps from its last call is at that x, as solve_mu's
-    cache needs.  Used by solve_mu and by both routes of the oracle's exact_mu
-    (oracle._solve): the level sum and the pole sum.
+    cache needs.  Used by solve_mu and by both routes of the oracle's exact_mu:
+    the level sum and the pole sum, which reads its last evaluation's share.
     """
     if not lo < hi:
         raise NumericsError(f"bracket [{lo!r}, {hi!r}] does not straddle the root: "

@@ -520,7 +520,7 @@ def spy_pole_sum(monkeypatch):
         def residual(mu):
             evaluations.append(mu / t_abs)
             return found[0](mu)
-        return residual, found[1]
+        return (residual, *found[1:])
 
     monkeypatch.setattr(oracle, "_pole_sum", spied)
     return evaluations
@@ -533,6 +533,36 @@ def test_pole_route_evaluations_per_solve(monkeypatch, pole_sum):
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
     assert min(evaluations) >= 0.5
     assert len(evaluations) / len(BRENTQ_CASES) <= 4.0
+
+
+def test_pole_route_reads_its_share_where_it_solved(monkeypatch, pole_sum):
+    # the share that the spread gate reads is the residual's at its last
+    # evaluation, which monotone_root makes at the mu it returns
+    solves, real = [], oracle._pole_sum
+
+    def spied(*args):
+        found = real(*args)
+        evaluated = []
+
+        def residual(mu):
+            evaluated.append(mu)
+            return found[0](mu)
+        solves.append((evaluated, found))
+        return (residual, *found[1:])
+
+    monkeypatch.setattr(oracle, "_pole_sum", spied)
+    rng = random.Random(48)
+    cases = [(n, lam, t) for t, n, lam in BRENTQ_CASES] + [
+        (round(math.exp(rng.uniform(math.log(1e3), math.log(3e4)))),  # the oracle workload's
+         rng.choice([0.5, 1.0, math.sqrt(8.0)]), rng.uniform(0.02, 0.2)) for _ in range(30)]
+    for n_particles, lam, t in cases:
+        solves.clear()
+        mu = fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
+        (evaluated, (residual, _, share)), = solves
+        assert evaluated[-1] == mu, (n_particles, lam, t)
+        at_root = share[0]
+        residual(mu)
+        assert share[0] == at_root, (n_particles, lam, t)
 
 
 def test_pole_route_builds_few_reflection_weights(monkeypatch, pole_sum):
@@ -675,7 +705,7 @@ def test_pole_count_against_an_mpmath_level_sum(lam):
                         f = 1 / (1 + mp.exp((mp.mpf(lam) * nz + p - mu) / t_abs))
                         count += (p + 1) * f
                         slope += (p + 1) * f * (1 - f) / t_abs
-            residual, (n_k, _, _) = oracle._pole_sum(float(count), lam, t_abs, mu)
+            residual, n_k, _ = oracle._pole_sum(float(count), lam, t_abs, mu)
             if t_abs == 0.1:  # a merged pair is kept
                 assert any((k * lam).is_integer() for k in range(1, n_k + 1))
             relative, rate = residual(mu)
@@ -770,22 +800,58 @@ def test_last_reflection_term_at_half_t_is_below_the_sum_stop(log_n, log_lam, sh
         assert term < mp.mpf(2) ** -60 * n_particles, (n_particles, lam, t_abs)
 
 
-def test_pole_route_failure_names_the_solve(monkeypatch, pole_sum):
-    monkeypatch.setattr(oracle, "_OCCUPATION_TOL", -1.0)  # every residual fails
-    with pytest.raises(NumericsError, match=r"occupation residual \d\.\d{3}e[-+]\d+ particles "
-                                            r"above tolerance at mu = \d+\.\d+ for N = 1000, "
-                                            r"lambda = 1\.0, t_abs = 3\.6 by the pole sum over "
-                                            r"k <= 1, j <= 1 and m <= 27$"):
-        fg.exact_mu(1000, 1.0, 3.6)
+# a pole search that fails leaves mu to the level sum: a residual that only the
+# pole route's check refuses, a root below T/2 (N(T/2) >= N), or a search that
+# raises; at lambda = sqrt 8, t = 0.3 the pole route's own mu is 2 ulp off
+@pytest.mark.parametrize("failure", ["residual", "root-below-half-t", "search-raises"])
+def test_failed_pole_search_defers_to_the_level_sum(monkeypatch, failure):
+    lam, t = (1.0, 5.0) if failure == "root-below-half-t" else (math.sqrt(8.0), 0.3)
+    n_particles, t_abs = 1_000, t * (6.0 * lam * 1_000) ** (1 / 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_POLE_T", math.inf)
+        expected = fg.exact_mu(n_particles, lam, t_abs)
+    if failure != "root-below-half-t":
+        assert fg.exact_mu(n_particles, lam, t_abs) != expected
+    lows = []
+
+    def failing(g, lo, hi, x=None):
+        lows.append(lo)
+        if lo == 0.5 * t_abs and failure == "search-raises":
+            raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
+        mu, residual = monotone_root(g, lo, hi, x)
+        if lo == 0.5 * t_abs and failure == "residual":
+            residual = 2.0 * oracle._OCCUPATION_TOL
+        return mu, residual
+
+    monkeypatch.setattr(oracle, "monotone_root", failing)
+    assert fg.exact_mu(n_particles, lam, t_abs).hex() == expected.hex()
+    assert lows == [0.5 * t_abs, -60.0 * t_abs - 1.0]  # the pole search, then the level sum's
+
+
+def test_both_routes_failing_names_the_level_sum(monkeypatch):
+    lows = []
+
+    def recording(g, lo, hi, x=None):
+        lows.append(lo)
+        return monotone_root(g, lo, hi, x)
 
     def stuck(g, lo, hi, x=None):
+        lows.append(lo)
         raise NumericsError(f"no convergence in 200 steps on [{lo!r}, {hi!r}]")
 
     monkeypatch.setattr(oracle, "monotone_root", stuck)
     with pytest.raises(NumericsError, match=r"^mu search for N = 1000, lambda = 0\.5, "
-                                            r"t_abs = 2\.0 by the pole sum over k <= 1, "
-                                            r"j <= 0 and m <= 20: no convergence"):
+                                            r"t_abs = 2\.0 over \d+ levels: no convergence"):
         fg.exact_mu(1000, 0.5, 2.0)
+    assert lows == [1.0, -121.0]  # the pole search, then the level sum's
+    lows.clear()
+    monkeypatch.setattr(oracle, "monotone_root", recording)
+    monkeypatch.setattr(oracle, "_OCCUPATION_TOL", -1.0)  # every residual fails
+    with pytest.raises(NumericsError, match=r"occupation residual \d\.\d{3}e[-+]\d+ particles "
+                                            r"above tolerance at mu = \d+\.\d+ for N = 1000, "
+                                            r"lambda = 1\.0, t_abs = 3\.6 over \d+ levels$"):
+        fg.exact_mu(1000, 1.0, 3.6)
+    assert lows == [1.8, -217.0]
 
 
 @pytest.mark.parametrize("lam", [1.0, math.sqrt(8.0)])

@@ -152,7 +152,7 @@ def main(argv):
             def counted(mu):
                 count[0] += 1
                 return found[0](mu)
-            return counted, found[1]
+            return (counted, *found[1:])
 
         draw = random.Random(args.seed)
         lo_n, hi_n = map(math.log, workloads.ORACLE_N_RANGE)
