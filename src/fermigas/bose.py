@@ -52,7 +52,7 @@ class BoseParams(Record):
             warnings.warn(
                 f"Thomas-Fermi parameter U*N/lambda = {tf:.3g} < "
                 f"{TF_PARAMETER_FLOOR}; the inverted-parabola profile is "
-                f"unreliable here", stacklevel=2)
+                f"unreliable here", stacklevel=3)
 
 
 def bose_radius(p: BoseParams) -> float:

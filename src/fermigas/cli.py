@@ -6,7 +6,7 @@ Output is CSV or JSON, byte-identical across runs for one configuration.  A
 flat key=value config file (``#`` comments) named by FERMIGAS_CONFIG is read
 as --key=value tokens placed right after the command, so later flags win, as
 a trap flag (_TRAP_FLAGS) wins over that field of --preset.  Exit codes: 0
-success, 1 numerical failure or unwritable output, 2 usage error.
+success, 1 numerical or I/O failure, 2 usage error (malformed input files too).
 
 Each handler imports the library modules it uses and calls their float
 code, so numpy is imported only where oracle falls back to its level sum on
@@ -141,19 +141,20 @@ def _load_config_file(path):
     """The key=value entries of a config file as --key=value tokens."""
     tokens = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path!r}: {exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            tokens.append(f"--{key}={value}")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (tok.strip() for tok in line.split("=", 1))
+        tokens.append(f"--{key}={value}")
     return tokens
 
 
@@ -223,16 +224,20 @@ def _read_delta_v_table(path):
     import csv
 
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if not rows:
-                    continue  # header row
-                raise DomainError(f"{path}: malformed table row {row!r}")
+    try:  # an OSError is an I/O failure, not malformed input
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"{path}: not a UTF-8 CSV table: {exc}")
+    for row in table:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            rows.append((float(row[0]), float(row[1])))
+        except (ValueError, IndexError):
+            if not rows:
+                continue  # header row
+            raise DomainError(f"{path}: malformed table row {row!r}")
     if len(rows) < 2:
         raise DomainError(f"{path}: need at least two (s, dV/E_F) rows")
     return list(zip(*rows))  # the s and dV/E_F columns
@@ -340,6 +345,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"fermigas: error: {exc}", file=sys.stderr)
         return 2
-    except (FermiGasError, OSError, ArithmeticError) as exc:
+    except OSError as exc:
+        print(f"fermigas: I/O failure: {exc}", file=sys.stderr)
+        return 1
+    except (FermiGasError, ArithmeticError) as exc:
         print(f"fermigas: numerical failure: {exc}", file=sys.stderr)
         return 1

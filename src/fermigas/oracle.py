@@ -13,13 +13,12 @@ np.bincount of their second differences and two running sums give them
 all, with no per-cell array.  Integer lambda has one ladder; irrational
 lambda has one per row.  A level is kept iff its float energy is <= the
 cutoff.  Each call builds its own ladders and keeps none; only
-build_spectrum sorts.  The entries plus four per row are capped at
-MAX_ENTRIES, by _rows on the lower bound max(rows, floor(cutoff) + 1)
-before any per-row array, then on their count.  Counts refuse 2^53 states
-or more up to their cutoff, so as to be exact floats; _check_states counts
-for that only where the bound rows (c + 2)(c + 3)/2 at cutoff c does not
-rule it out.  The level sum weighs levels by the float g/N and needs no
-such guard.
+build_spectrum sorts.  _rows refuses more than MAX_ENTRIES // 5 axial rows
+before any per-row array; _ladders alone refuses its entries plus four per
+row past MAX_ENTRIES.  Counts refuse 2^53 states or more up to their
+cutoff, so as to be exact floats; _check_states counts for that only where
+the bound rows (c + 2)(c + 3)/2 at cutoff c does not rule it out.  The
+level sum weighs levels by the float g/N and needs no such guard.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
 exact_mu solves the sum over levels of (g/N) f((eps - mu)/T) = 1 by one
@@ -140,15 +139,8 @@ def _tops(base, cutoff: float):
     return top
 
 
-def _check_entries(lam: float, cutoff: float, entries, rows, bound=""):
-    if entries + 4 * rows > MAX_ENTRIES:  # a row costs four entries' bytes
-        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum has "
-                          f"{bound}{entries:.16g} ladder entries and {rows:.16g} axial rows, "
-                          f"above the {MAX_ENTRIES} entry cap counting each row as 4 entries")
-
-
 def _rows(lam: float, cutoff: float):
-    """Each axial row's base lambda*n_z <= cutoff, refused if the rows alone pass the entry cap."""
+    """Each axial row's base lambda*n_z <= cutoff, refused past MAX_ENTRIES // 5 rows."""
     import numpy as np
 
     # floor(cutoff/lambda) + 1 rows as a float (inf past float range, not an
@@ -156,10 +148,10 @@ def _rows(lam: float, cutoff: float):
     rows = float(np.floor(cutoff / lam)) + 1.0
     rows -= cutoff - lam * (rows - 1.0) < 0.0
     rows += lam * rows <= cutoff
-    # a ladder holds its first row's top + 1 entries and a distinct slot for
-    # the integer part of each of its rows' bases, so the entries are at least
-    # max(rows, floor(cutoff) + 1): refuse on that before any per-row array
-    _check_entries(lam, cutoff, max(rows, math.floor(cutoff) + 1.0), rows, "at least ")
+    if rows > MAX_ENTRIES // 5:  # a row's base has a ladder slot of its own, and 4 entries' bytes
+        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum has {rows:.16g} "
+                          f"axial rows, above the {MAX_ENTRIES // 5} rows of the {MAX_ENTRIES} "
+                          "entry cap counting each row as 5 entries")
     return lam * np.arange(int(rows))
 
 
@@ -214,7 +206,10 @@ def _ladders(lam: float, cutoff: float):
     size = top[first] + 1.0
     start = np.cumsum(size) - size
     total = int(start[-1] + size[-1])
-    _check_entries(lam, cutoff, total, top.size)
+    if total + 4 * top.size > MAX_ENTRIES:  # a row costs four entries' bytes
+        raise DomainError(f"lambda = {lam!r}, cutoff = {cutoff!r}: the spectrum has {total:.16g} "
+                          f"ladder entries and {top.size} axial rows, above the {MAX_ENTRIES} "
+                          "entry cap counting each row as 4 entries")
     # row n_z adds the ramp k - a + 1 on k = a..a + top: second differences
     # +1 at its first slot, -(top + 2) and +(top + 1) after its last
     at = (start - lo)[ladder] + a
@@ -447,14 +442,12 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
 
     # the level sum: mu <= hi, so every level above the cutoff has (eps - mu)/T > _TAIL_GAP
     cutoff = hi + _TAIL_GAP * t_abs
+    case = f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r}"
     try:
-        if not cutoff < MAX_ENTRIES:  # row 0 alone holds floor(cutoff) + 1 ladder entries
-            raise DomainError(f"t_abs = {t_abs!r} at N = {n_particles}, lambda = {lam!r}: the "
-                              f"level sum runs up to {cutoff!r}, past the {MAX_ENTRIES} entry cap")
         energies, degs, base, top = _ladders(lam, cutoff)  # unsorted: no order needed
-    except DomainError:  # past the entry cap the pole sum's mu, a few ulp off, beats no answer
+    except DomainError as exc:  # past a cap the pole sum's mu, a few ulp off, beats no answer
         if pole is None:
-            raise
+            raise DomainError(f"level sum for {case}: {exc}") from exc
         return pole[0]
     with np.errstate(over="ignore"):  # (eps - E_c)/T is -inf at a subnormal T: e^-inf = 0
         s1, s2, s3 = (s / n_particles for s in _tail_sums(cutoff, t_abs, lam, base, top))
@@ -478,7 +471,7 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         return (occupied + z * (s1 - z * (s2 - z * s3)) - 1.0,
                 (float(filled.sum()) + z * (s1 - z * (2.0 * s2 - 3.0 * z * s3))) / t_abs)
 
-    where = f"N = {n_particles}, lambda = {lam!r}, t_abs = {t_abs!r} over {energies.size} levels"
+    where = f"{case} over {energies.size} levels"
     try:
         with np.errstate(over="ignore"):  # e^x overflows to inf above mu
             mu, residual = monotone_root(constraint, lo, hi, start)

@@ -93,6 +93,12 @@ def test_subnormal_interaction_refused_naming_u_bose(u_bose):
         assert BoseParams(1000, 1.0, u_bose=4e-323).a_scatt == 5e-324
 
 
+def test_thomas_fermi_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="Thomas-Fermi") as record:
+        BoseParams(10, 1.0, u_bose=0.1)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_thomas_fermi_warning_threshold():
     with pytest.warns(UserWarning, match="Thomas-Fermi"):
         BoseParams(10, 1.0, u_bose=0.1)

@@ -482,6 +482,34 @@ def test_perturb_missing_file_is_io_failure(capsys):
     assert code == 1
 
 
+def test_unreadable_and_unwritable_files_print_io_failures(capsys):
+    code, out, err = run_cli(capsys, "perturb", "--delta-v", "/no/such/file.csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("fermigas: I/O failure: ") and "/no/such/file.csv" in err
+    code, out, err = run_cli(capsys, "mu-curve", "--t-max", "0.4", "--steps", "3",
+                             "--output", "/nonexistent-dir/x.csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("fermigas: I/O failure: ") and "/nonexistent-dir/x.csv" in err
+
+
+def test_input_files_that_are_not_utf8_are_malformed(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "table.bin"
+    table.write_bytes(bytes(range(256)) * 4)
+    code, out, err = run_cli(capsys, "perturb", "--delta-v", str(table))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fermigas: error: {table}: not a UTF-8 CSV table: ")
+    table.write_text("s,dv\n" + "0" * 200_000 + ",0\n")  # past the csv module's field limit
+    code, out, err = run_cli(capsys, "perturb", "--delta-v", str(table))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fermigas: error: {table}: not a UTF-8 CSV table: field larger")
+    cfg = tmp_path / "utf16.conf"
+    cfg.write_bytes(b"\xff\xfe" + "t-max=0.5\n".encode("utf-16-le"))
+    monkeypatch.setenv("FERMIGAS_CONFIG", str(cfg))
+    code, out, err = run_cli(capsys, "mu-curve")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fermigas: error: {cfg}: not UTF-8 text: ")
+
+
 def test_bose_compare_report(capsys):
     code, out, _ = run_cli(capsys, "bose-compare", "--preset", "li6-top",
                            "--u-bose", "0.5", "--format", "json")

@@ -104,8 +104,8 @@ def test_cell_cap():
     # finish, and at 5e-324 the row count cutoff/lambda overflows to inf
     for lam, rows in ((1e-300, re.escape("9.999999999999999e+299")), (5e-324, "inf")):
         with pytest.raises(DomainError, match=rf"^lambda = {lam!r}, cutoff = 1\.0: the spectrum "
-                                              rf"has at least {rows} ladder entries and {rows} "
-                                              "axial rows, above the 5000000 entry cap"):
+                                              rf"has {rows} axial rows, above the 1000000 rows "
+                                              "of the 5000000 entry cap"):
             fg.build_spectrum(lam, 1.0)
 
 
@@ -118,10 +118,10 @@ def test_entry_and_state_caps():
         fg.build_spectrum(math.sqrt(8.0), 1e4)
     # under each cap alone (4.37e6 entries, 1.25e6 rows), but the per-row and
     # per-entry arrays together would peak near 280 MB; every row holds at
-    # least one ladder entry, so it is refused before the per-row arrays
+    # least one ladder entry, so it is refused on its rows before the per-row arrays
     with pytest.raises(DomainError, match=r"^lambda = 4\.800385538807578e-06, cutoff = 6\.0: "
-                                          r"the spectrum has at least 1249900 ladder entries and "
-                                          r"1249900 axial rows, above the 5000000 entry cap"):
+                                          r"the spectrum has 1249900 axial rows, above the "
+                                          r"1000000 rows of the 5000000 entry cap"):
         fg.build_spectrum(4.800385538807578e-06, 6.0)
     # 400,001 entries but 1.07e16 states, past exact float integers
     with pytest.raises(DomainError, match=r"^lambda = 1\.0, cutoff = 400000\.0: the spectrum "
@@ -135,14 +135,13 @@ def test_entry_and_state_caps():
     # refused on the axial rows before the per-row work: 3.6e7 entries, and
     # 4.95e6 rows of one entry each
     with pytest.raises(DomainError, match=r"^lambda = 0\.001, cutoff = 4999\.0: the spectrum "
-                                          r"has at least 4999001 ladder entries and 4999001 "
-                                          r"axial rows, above the 5000000 entry cap counting "
-                                          r"each row as 4 entries$"):
+                                          r"has 4999001 axial rows, above the 1000000 rows of "
+                                          r"the 5000000 entry cap counting each row as 5 "
+                                          r"entries$"):
         fg.build_spectrum(0.001, 4999.0)
     with pytest.raises(DomainError, match=r"^lambda = 2e-07, cutoff = 0\.99: the spectrum has "
-                                          r"at least 4950001 ladder entries and 4950001 axial "
-                                          r"rows, above the 5000000 entry cap counting each row "
-                                          r"as 4 entries$"):
+                                          r"4950001 axial rows, above the 1000000 rows of the "
+                                          r"5000000 entry cap counting each row as 5 entries$"):
         fg.build_spectrum(2e-7, 0.99)
     # up to 2^(1/3) E_F + 2 + 36 t_abs the spectrum holds 7.89e6 entries, past
     # the cap; the level sum's window ends 12 t_abs above 2^(1/3) E_F + 2
@@ -527,7 +526,8 @@ def spy_pole_sum(monkeypatch):
 
 
 def test_pole_route_evaluations_per_solve(monkeypatch, pole_sum):
-    # the check that the root lies above T/2 counts, and no evaluation lies below it
+    # the one search starts at the continuum estimate and evaluates T/2 only if a Newton
+    # step would leave the bracket across it, so no evaluation lies below T/2
     evaluations = spy_pole_sum(monkeypatch)
     for t, n_particles, lam in BRENTQ_CASES:
         fg.exact_mu(n_particles, lam, t * (6.0 * lam * n_particles) ** (1 / 3))
@@ -976,7 +976,7 @@ def test_counting_check_matches_the_sorted_spectrum():
 
 @pytest.mark.parametrize("n_particles, lam, message", [
     # 1.08e7 axial rows, refused on the rows before any per-row array
-    (1000, 1e-7, r"the spectrum has at least \d+ ladder entries and \d+ axial rows"),
+    (1000, 1e-7, r"the spectrum has \d+ axial rows, above the 1000000 rows of the"),
     # 400,001 entries holding 1.07e16 states, past exact float counts
     (1.07e16, 1.0, r"holds 1\.07\d+e\+16 states, at or above the 2\^53 cap"),
 ])
@@ -1040,8 +1040,8 @@ def test_counts_run_once_below_the_cap(monkeypatch):
 
 
 def test_counting_check_answers_past_the_entry_cap(monkeypatch):
-    # the axial rows give the count with no ladder entry, so only their lower
-    # bound (at most 1,343 here) meets the cap: at a cap of 2,000 the sorted
+    # the axial rows give the count with no ladder entry, so only the rows cap
+    # (at most 197 rows here, against 400) meets it: at a cap of 2,000 the sorted
     # route refuses each case (2,550 to 54,758 entries up to E_F + 1) and
     # counting_check gives its answer at the default cap; at N = 1e10,
     # lambda = sqrt 8 the ladders hold 5.4e6 entries, past the default cap,
@@ -1055,6 +1055,41 @@ def test_counting_check_answers_past_the_entry_cap(monkeypatch):
         assert fg.counting_check(n, lam) == want
     monkeypatch.undo()
     assert fg.counting_check(1e10, math.sqrt(8.0)) == (2181.0, 3063)
+
+
+def integer_count(step, level):
+    """(states at or below the integer level, degeneracy of the level above it) at the
+    integer lambda = step, in integers over the axial rows of base step n_z."""
+    states = sum((level - b + 1) * (level - b + 2) // 2 for b in range(0, level + 1, step))
+    return states, sum(level - b + 2 for b in range(0, level + 2, step))
+
+
+def test_counts_answer_past_the_ladder_entries_of_row_zero():
+    # at lambda = 1e6 the levels are integers; up to E_F + 1 the spectrum has 9
+    # axial rows, but row 0 alone holds 8.4e6 ladder entries, which the counts
+    # never build: they answer, and agree with the integer count
+    lam, n_particles = 1e6, 10**14
+    level = math.floor((6.0 * lam * n_particles) ** (1 / 3) - (1.0 + 0.5 * lam))
+    states, edge = integer_count(10**6, level)
+    assert fg.counting_check(n_particles, lam) == (abs(states - n_particles), edge)
+    assert (n_particles - states, edge) == (346993965592, 35474616)
+    # N fills every level up to 8e6 and none above: mu is the midpoint of the gap
+    closed = integer_count(10**6, 8_000_000)[0]
+    assert integer_count(10**6, 7_999_999)[0] < closed == 102000054000009
+    assert fg.exact_mu(closed, lam, 0.0) == 8000000.5
+
+
+def test_level_sum_cap_refusal_names_n_lambda_and_t_abs():
+    # at t = 5 mu lies below T/2, so the pole sum leaves it to the level sum, whose
+    # ladders hold 2.0e8 entries: the refusal names what the caller passed
+    lam = math.sqrt(8.0)
+    t_abs = 5.0 * (6.0 * lam * 10**7) ** (1 / 3)
+    with pytest.raises(DomainError, match=rf"^level sum for N = 10000000, lambda = "
+                                          rf"{re.escape(repr(lam))}, t_abs = "
+                                          rf"{re.escape(repr(t_abs))}: lambda = .*: the spectrum "
+                                          r"has 203395938 ladder entries and 11992 axial rows, "
+                                          r"above the 5000000 entry cap"):
+        fg.exact_mu(10**7, lam, t_abs)
 
 
 def test_zero_temperature_mu_matches_the_sorted_spectrum():
@@ -1126,9 +1161,11 @@ def test_zero_temperature_counts_read_only_the_rows(monkeypatch):
 @pytest.mark.parametrize("t_abs", [1e300, 1e308])
 def test_level_window_past_the_entry_cap_names_t_abs(t_abs):
     # the window ends 12 t_abs above 2^(1/3) E_F + 2: 1.2e301 and inf
-    with pytest.raises(DomainError, match=rf"^t_abs = {re.escape(repr(t_abs))} at N = 1000, "
-                                          r"lambda = 1\.0: the level sum runs up to "
-                                          r"(1\.2\d*e\+301|inf), past the 5000000 entry cap$"):
+    with pytest.raises(DomainError, match=rf"^level sum for N = 1000, lambda = 1\.0, t_abs = "
+                                          rf"{re.escape(repr(t_abs))}: lambda = 1\.0, cutoff = "
+                                          r"(1\.2\d*e\+301|inf): the spectrum has "
+                                          r"(1\.2\d*e\+301|inf) axial rows, above the 1000000 "
+                                          r"rows of the 5000000 entry cap"):
         fg.exact_mu(1000, 1.0, t_abs)
 
 
