@@ -976,7 +976,8 @@ def test_counting_check_matches_the_sorted_spectrum():
 
 @pytest.mark.parametrize("n_particles, lam, message", [
     # 1.08e7 axial rows, refused on the rows before any per-row array
-    (1000, 1e-7, r"the spectrum has \d+ axial rows, above the 1000000 rows of the"),
+    pytest.param(1000, 1e-7, r"the spectrum has \d+ axial rows, above the 1000000 rows of the",
+                 id="1000-1e-07-the spectrum has at least a million axial rows"),
     # 400,001 entries holding 1.07e16 states, past exact float counts
     (1.07e16, 1.0, r"holds 1\.07\d+e\+16 states, at or above the 2\^53 cap"),
 ])
