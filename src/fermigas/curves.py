@@ -65,8 +65,10 @@ class UniversalCurve(Record):
         if len(self.samples) == 0:
             raise DomainError("curve has no samples")
         xs = [x for x, _ in self.samples]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("curve abscissa must be strictly increasing")
+        for a, b in zip(xs, xs[1:]):
+            if b <= a:
+                raise DomainError(f"curve abscissa {self.x_label} must be strictly increasing, "
+                                  f"got {b!r} after {a!r}")
 
     def to_csv(self) -> str:
         return write_table("csv", (self.x_label, self.y_label), self.samples)

@@ -15,9 +15,8 @@ lambda has one per row.  A level is kept iff its float energy is <= the
 cutoff.  Each call builds its own ladders and keeps none; only
 build_spectrum sorts.  _rows refuses more than MAX_ENTRIES // 5 axial rows
 before any per-row array; _ladders alone refuses its entries plus four per
-row past MAX_ENTRIES.  Counts refuse 2^53 states or more up to their
-cutoff, so as to be exact floats; _check_states counts for that only where
-the bound rows (c + 2)(c + 3)/2 at cutoff c does not rule it out.  The
+row past MAX_ENTRIES.  _count alone refuses 2^53 states or more (past exact
+floats), where a T = 0 call counts and at build_spectrum's cutoff.  The
 level sum weighs levels by the float g/N and needs no such guard.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
@@ -158,7 +157,7 @@ def _rows(lam: float, cutoff: float):
 def _count(lam: float, base, eps: float):
     """(states <= eps, refused at 2^53, the highest level <= eps, the lowest level above it and
     its degeneracy): row n_z holds (t + 1)(t + 2)/2 states to its top t, t + 2 at base + t + 1.
-    _check_states runs it at a caller's cutoff only where its bound does not rule that out."""
+    The one check of the 2^53 cap: a count is refused, not rounded, where it reaches it."""
     top = _tops(base, eps).clip(min=-1.0)  # a row above eps holds none
     # twice the state count: a sum of even integers, exact below 2^54
     states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
@@ -169,22 +168,6 @@ def _count(lam: float, base, eps: float):
     high = float(above.min())
     low = float((top + base).max(where=top >= 0.0, initial=-math.inf))
     return int(states), low, high, int((top + 2.0).sum(where=above == high))
-
-
-def _state_bound(rows: int, cutoff: float) -> float:
-    """An upper bound on the states up to cutoff = c in rows axial rows: a row's top p has
-    p = fl(p) <= fl(base + p) <= c, as base >= 0, so the row holds at most (c + 1)(c + 2)/2
-    states.  The bound takes (c + 2)(c + 3)/2 a row, a margin of c + 2 that its own few
-    roundings cannot use up."""
-    return rows * (cutoff + 2.0) * (cutoff + 3.0) / 2.0
-
-
-def _check_states(lam: float, base, cutoff: float):
-    """Refuse 2^53 states or more up to cutoff on the axial rows base, so that every count up
-    to it is an exact float.  Only a _state_bound of 2^52 or more, a factor 2 short of the cap,
-    runs the exact _count, which decides each refusal and its text."""
-    if _state_bound(base.size, cutoff) >= 2.0 ** 52:
-        _count(lam, base, cutoff)
 
 
 def _ladders(lam: float, cutoff: float):
@@ -233,7 +216,7 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
     energies, degs, base, _ = _ladders(lam, cutoff)
-    _check_states(lam, base, cutoff)
+    _count(lam, base, cutoff)  # state_count must be exact
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -410,18 +393,21 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
     solve_mu(t_abs / E_F), or None to solve it here."""
     hi = _CUTOFF_SCALE * e_fermi + 2.0
     if t_abs == 0.0:
-        base = _rows(lam, hi)
-        _check_states(lam, base, hi)
         # bisect from the continuum Fermi level: the Nth state's level stays in [lower, upper)
         lower, upper, eps = 0.0, hi, e_fermi - (1.0 + 0.5 * lam)
-        while (found := _count(lam, base, eps))[0] != n_particles:
-            count, low, high, _ = found
-            lower, upper = (high, upper) if count < n_particles else (lower, low)
-            if not lower < upper:
-                raise DomainError(f"N = {n_particles} leaves a partially filled level at T = 0; "
-                                  "the ground state is ambiguous")
-            eps = min(0.5 * (lower + upper), math.nextafter(upper, -math.inf))
-            base = base[:int(upper / lam) + 2]  # rows above upper hold no state below it
+        try:
+            base = _rows(lam, hi)
+            while (found := _count(lam, base, eps))[0] != n_particles:
+                lower, upper = (found[2], upper) if found[0] < n_particles else (lower, found[1])
+                if not lower < upper:
+                    break
+                eps = min(0.5 * (lower + upper), math.nextafter(upper, -math.inf))
+                base = base[:int(upper / lam) + 2]  # rows above upper hold no state below it
+        except DomainError as exc:
+            raise DomainError(f"T = 0 count for N = {n_particles}, lambda = {lam}: {exc}") from exc
+        if found[0] != n_particles:
+            raise DomainError(f"N = {n_particles} leaves a partially filled level at T = 0; "
+                              "the ground state is ambiguous")
         return 0.5 * (found[1] + found[2])
     lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
     try:
@@ -582,7 +568,8 @@ def counting_check(n_particles: int, lam: float = 1.0):
     cumulative count with the zero point restored.  Returns (difference,
     outermost shell degeneracy), counted on the axial rows up to E_F + 1."""
     lam, e_fermi, _ = _trap_scales(n_particles, lam)
-    base = _rows(lam, e_fermi + 1.0)
-    _check_states(lam, base, e_fermi + 1.0)
-    count, _, _, edge = _count(lam, base, e_fermi - (1.0 + 0.5 * lam))
+    try:
+        count, _, _, edge = _count(lam, _rows(lam, e_fermi + 1.0), e_fermi - (1.0 + 0.5 * lam))
+    except DomainError as exc:
+        raise DomainError(f"counting check for N = {n_particles}, lambda = {lam}: {exc}") from exc
     return abs(count - int(n_particles)), edge

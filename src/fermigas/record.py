@@ -2,17 +2,26 @@
 
 A subclass declares its fields as class annotations, in order, with any
 default as a class attribute, and names the fields its repr leaves out in
-``hidden``.  Records compare equal and hash field by field, print as
-Name(field=value, ...), and refuse assignment with FrozenError.  Each
-subclass gets an __init__ that takes its fields, by position or by name;
-its __post_init__ runs once they are set, and may rewrite one with
-object.__setattr__.  This is the part of dataclasses(frozen=True) the
-package uses, without that module's import of inspect.
+``hidden``.  Records compare equal and hash field by field, an array field
+by its shape, dtype and bytes, print as Name(field=value, ...), and refuse
+assignment with FrozenError.  Each subclass gets an __init__ that takes its
+fields, by position or by name; its __post_init__ runs once they are set,
+and may rewrite one with object.__setattr__.  This is the part of
+dataclasses(frozen=True) the package uses, without that module's import of
+inspect.
 """
 
 
 class FrozenError(AttributeError):
     """Assignment to, or deletion of, a field of a frozen record."""
+
+
+def _key(value):
+    """value, or an array, unhashable and compared element by element, as its shape, dtype
+    and bytes."""
+    if value.__hash__ is None and hasattr(value, "tobytes"):
+        return value.shape, value.dtype.str, value.tobytes()
+    return value
 
 
 class Record:
@@ -38,7 +47,7 @@ class Record:
         pass
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(_key(getattr(self, name)) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -232,13 +232,6 @@ def test_output_file_and_empty_curve_guard(tmp_path, capsys):
         parse_csv("# only\n")
 
 
-def test_unwritable_output_is_numerical_failure(capsys):
-    code, _, err = run_cli(capsys, "mu-curve", "--t-max", "0.4", "--steps", "3",
-                           "--output", "/nonexistent-dir/x.csv")
-    assert code == 1
-    assert "failure" in err
-
-
 TRAP_OVERFLOW = ("48 * n_particles * lambda must be finite, "
                  "got n_particles = 1e+307 and lambda = 10.0")
 

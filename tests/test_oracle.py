@@ -974,43 +974,66 @@ def test_counting_check_matches_the_sorted_spectrum():
         assert got == want and list(map(type, got)) == list(map(type, want)), (n, lam)
 
 
-@pytest.mark.parametrize("n_particles, lam, message", [
-    # 1.08e7 axial rows, refused on the rows before any per-row array
-    pytest.param(1000, 1e-7, r"the spectrum has \d+ axial rows, above the 1000000 rows of the",
+ROWS_REFUSAL = ("lambda = 1e-07, cutoff = 1.0843432665301749: the spectrum has 10843433 axial "
+                "rows, above the 1000000 rows of the 5000000 entry cap counting each row as 5 "
+                "entries")
+STATES_REFUSAL = "states, at or above the 2^53 cap of exact float counts"
+
+
+@pytest.mark.parametrize("n_particles, lam, want, got", [
+    # 1.08e7 axial rows up to E_F + 1, refused on the rows before any per-row array; both
+    # routes take the rows up to there, so counting_check gives the sorted route's text
+    pytest.param(1000, 1e-7, ROWS_REFUSAL,
+                 "counting check for N = 1000, lambda = 1e-07: " + ROWS_REFUSAL,
                  id="1000-1e-07-the spectrum has at least a million axial rows"),
-    # 400,001 entries holding 1.07e16 states, past exact float counts
-    (1.07e16, 1.0, r"holds 1\.07\d+e\+16 states, at or above the 2\^53 cap"),
+    # 400,001 entries holding 1.07e16 states, past exact float counts: the sorted route
+    # refuses its spectrum up to E_F + 1, counting_check its one count, at E_F - 3/2
+    pytest.param(1.07e16, 1.0,
+                 f"lambda = 1.0, cutoff = 400417.2333908428: the spectrum holds 1.07002e+16 "
+                 f"{STATES_REFUSAL}",
+                 "counting check for N = 1.07e+16, lambda = 1.0: lambda = 1.0, cutoff = "
+                 f"400414.7333908428: the spectrum holds 1.07e+16 {STATES_REFUSAL}",
+                 id=r"1.07e+16-1.0-holds 1\.07\d+e\+16 states, at or above the 2\^53 cap"),
 ])
-def test_counting_check_refuses_as_the_sorted_spectrum(n_particles, lam, message):
-    with pytest.raises(DomainError, match=message) as got:
-        fg.counting_check(n_particles, lam)
-    with pytest.raises(DomainError) as want:
+def test_counting_check_refuses_as_the_sorted_spectrum(n_particles, lam, want, got):
+    with pytest.raises(DomainError) as refused:
         sorted_counting_check(n_particles, lam)
-    assert str(got.value) == str(want.value)
+    assert str(refused.value) == want
+    with pytest.raises(DomainError) as refused:
+        fg.counting_check(n_particles, lam)
+    assert str(refused.value) == got
 
 
-def rows_count(lam, cutoff):
-    """(rows, states) up to cutoff: the axial rows of float base <= cutoff, and
-    their states counted by _count in blocks of rows, each below 2^52 states
-    and a million rows, so past the entry cap and the 2^53 cap."""
-    rows, states, block = 0, 0, min(int(2.0 ** 53 / (cutoff + 1.0) / (cutoff + 2.0)), 1_000_000)
-    while lam * rows <= cutoff:
-        base = lam * np.arange(rows, rows + block, dtype=float)
-        base = base[base <= cutoff]
-        states += oracle._count(lam, base, cutoff)[0]
-        rows += base.size
-    return rows, states
+def test_zero_temperature_counts_answer_up_to_the_cap():
+    # at lambda = 1 the closed shells 0..378,075 hold 9,007,194,154,594,076 states, below
+    # 2^53, and one more shell is past it; each count refuses only itself, so both T = 0
+    # calls answer up to that shell, where they count, whatever the states above it
+    n_particles = fg.closed_shell_count(378_075)
+    assert n_particles == 9_007_194_154_594_076 < 2 ** 53 < fg.closed_shell_count(378_076)
+    assert fg.counting_check(n_particles, 1.0) == (0, 71471298003)
+    assert fg.exact_mu(n_particles, 1.0, 0.0) == 378075.5
+    assert fg.exact_mu(fg.closed_shell_count(340_000), 1.0, 0.0) == 340000.5
+    n_particles = fg.closed_shell_count(378_076)
+    count = (f"for N = {n_particles}, lambda = 1.0: lambda = 1.0, cutoff = 378076.4999991181: "
+             f"the spectrum holds 9.00727e+15 {STATES_REFUSAL}")
+    with pytest.raises(DomainError, match=f"^{re.escape('counting check ' + count)}$"):
+        fg.counting_check(n_particles, 1.0)
+    with pytest.raises(DomainError, match=f"^{re.escape('T = 0 count ' + count)}$"):
+        fg.exact_mu(n_particles, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1 / 3, 0.5, 1.0, math.sqrt(8.0), math.pi])
-def test_state_bound_holds_near_the_cap(lam):
-    # counts within 1% of 2^53, where the bound decides whether the exact count runs
-    for share in (0.992, 0.999, 1.001, 1.008):
-        cutoff = (6.0 * lam * share * 2.0 ** 53) ** (1 / 3) - (1.0 + 0.5 * lam)
-        rows, states = rows_count(lam, cutoff)
-        assert abs(states / 2.0 ** 53 - 1.0) < 0.01, (lam, share, states)
-        assert oracle._state_bound(rows, cutoff) >= 2.0 ** 52
-        assert oracle._state_bound(rows, cutoff) >= states, (lam, cutoff)
+def test_zero_temperature_refusals_name_n_and_lambda():
+    # the rows cap refuses at a cutoff the caller never gave: N and lambda come first
+    for call, cutoff, rows, what in ((fg.counting_check, "2.81712059283214", 2817121,
+                                      "counting check"),
+                                     (lambda *args: fg.exact_mu(*args, 0.0), "4.289428485106663",
+                                      4289429, "T = 0 count")):
+        with pytest.raises(DomainError) as refused:
+            call(10 ** 6, 1e-6)
+        assert str(refused.value) == (
+            f"{what} for N = 1000000, lambda = 1e-06: lambda = 1e-06, cutoff = {cutoff}: the "
+            f"spectrum has {rows} axial rows, above the 1000000 rows of the 5000000 entry cap "
+            "counting each row as 5 entries")
 
 
 def spy_count(monkeypatch):
@@ -1026,8 +1049,8 @@ def spy_count(monkeypatch):
 
 
 def test_counts_run_once_below_the_cap(monkeypatch):
-    # counting_check and a closed-shell T = 0 exact_mu count once: the bound
-    # rules out 2^53 states at their cutoff without a second, exact count
+    # counting_check and a closed-shell T = 0 exact_mu count once: each count
+    # refuses itself at 2^53 states, so no second count checks the cap
     calls = spy_count(monkeypatch)
     for n_particles in (1, 1000, 123_457, 10_000_000):
         for lam in (1e-3, 1 / 3, 0.5, 1.0, math.sqrt(8.0), math.pi):

@@ -51,19 +51,30 @@ RECORDS = [
      "gap_adjusted=0.125)"),
 ]
 
-# records with array fields, all of which their repr leaves out
+# records with array fields, all of which their repr leaves out; an array
+# field compares by its shape, dtype and bits, so the other record differs
+# in one array's values, dtype or shape alone
 ARRAY_RECORDS = [
-    (lambda: fg.PerturbationField(np.zeros(fg.perturb.GRID_SIZE)), "PerturbationField()"),
+    (lambda: fg.PerturbationField(np.zeros(fg.perturb.GRID_SIZE)),
+     lambda: fg.PerturbationField([0.0] * fg.perturb.GRID_SIZE),
+     lambda: fg.PerturbationField(np.full(fg.perturb.GRID_SIZE, 1e-3)),
+     "PerturbationField()"),
     (lambda: fg.ResponseResult(0.25, np.zeros(3), np.ones(3)),
+     lambda: fg.ResponseResult(0.25, np.zeros(3), np.ones(3)),
+     lambda: fg.ResponseResult(0.25, np.zeros(3), np.ones(3, dtype=np.float32)),
      "ResponseResult(delta_e_fermi=0.25)"),
     (lambda: fg.DiscreteSpectrum(1.0, 3.0, np.arange(3.0), np.ones(3)),
+     lambda: fg.DiscreteSpectrum(1.0, 3.0, np.array([0.0, 1.0, 2.0]), np.ones(3)),
+     lambda: fg.DiscreteSpectrum(1.0, 3.0, np.arange(3.0), np.array([1.0, 3.0, 6.0])),
      "DiscreteSpectrum(lam=1.0, cutoff=3.0)"),
     (lambda: fg.ValidityReport(np.zeros(2), np.ones(2), np.ones(2), 0.5, 0.25),
+     lambda: fg.ValidityReport(np.zeros(2), np.ones(2), np.ones(2), 0.5, 0.25),
+     lambda: fg.ValidityReport(np.zeros(2), np.ones(2), np.ones((2, 1)), 0.5, 0.25),
      "ValidityReport(shell_thickness_sigma=0.5, inv_k_fermi_sigma=0.25)"),
 ]
 
 
-@pytest.mark.parametrize("make, same, other, text", RECORDS)
+@pytest.mark.parametrize("make, same, other, text", RECORDS + ARRAY_RECORDS)
 def test_records_compare_and_hash_by_fields(make, same, other, text):
     record = make()
     assert record == same() and not record != same()
@@ -72,12 +83,12 @@ def test_records_compare_and_hash_by_fields(make, same, other, text):
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("make, text", ARRAY_RECORDS)
+@pytest.mark.parametrize("make, text", [(r[0], r[3]) for r in ARRAY_RECORDS])
 def test_array_fields_are_left_out_of_repr(make, text):
     assert repr(make()) == text
 
 
-@pytest.mark.parametrize("make", [r[0] for r in RECORDS] + [r[0] for r in ARRAY_RECORDS])
+@pytest.mark.parametrize("make", [r[0] for r in RECORDS + ARRAY_RECORDS])
 def test_records_are_frozen(make):
     record = make()
     name = next(iter(vars(record)))
@@ -112,6 +123,16 @@ def test_post_init_checks_and_derived_fields():
         fg.UniversalCurve("t", "m", ())
     fld = fg.PerturbationField([0.01] * fg.perturb.GRID_SIZE)
     assert isinstance(fld.values, np.ndarray) and fld.values.dtype == float
+
+
+def test_unsorted_curve_names_its_abscissa_and_first_pair_out_of_order():
+    for make in (fg.thermo_curve, fg.msd_curve):
+        with pytest.raises(DomainError, match=r"^curve abscissa t must be strictly increasing, "
+                                              r"got 0\.1 after 0\.2$"):
+            make([0.2, 0.1])
+    with pytest.raises(DomainError, match=r"^curve abscissa s must be strictly increasing, "
+                                          r"got 0\.5 after 0\.5$"):
+        fg.UniversalCurve("s", "density", ((0.0, 1.0), (0.5, 0.25), (0.5, 0.125), (0.25, 0.0)))
 
 
 def test_missing_and_unknown_fields_are_type_errors():

@@ -10,9 +10,10 @@ stderr and exit (the exit code).  `diff -r` of the snapshots of two
 checkouts then shows every change a user would see.  The list is every
 command at default flags in CSV and JSON, a density profile at low
 temperature, whose f_3/2 reaches the top of the trapezoid band, the
-oracle's low-temperature, anisotropic, large-N and T = 0 cases, values
-outside each number flag's domain, the sample and step cap included, and
-traps whose scales or Pauli pseudopotential leave the float range.
+oracle's low-temperature, anisotropic, large-N and T = 0 cases, a T = 0
+rows-cap refusal, values outside each number flag's domain, the sample and
+step cap included, and traps whose scales or Pauli pseudopotential leave
+the float range.
 """
 
 import os
@@ -41,6 +42,8 @@ ORACLE = [
     ("oracle", "--n", "20", "--t", "0"),
     ("oracle", "--lambda", "2.8284271247461903", "--n", "6", "--t", "0"),
     ("oracle", "--t", "0"),
+    # 2.8e6 axial rows up to E_F + 1: the T = 0 count's rows-cap refusal
+    ("oracle", "--n", "1000000", "--lambda", "1e-6", "--t", "0"),
     # t E_F is subnormal: the solve's own error, and no numpy warning
     ("oracle", "--n", "1000", "--t", "1e-320"),
 ]

@@ -153,7 +153,8 @@ def counts_calls(seed):
     N log-uniform in [1, 2e16], each exact_mu N replaced, where at most 1e6
     axial rows lie below E_F - (1 + lambda/2), by the states up to there, so
     that most fill their last level; then both at four closed-shell N at
-    lambda = 1, one on each side of each function's 2^53 cap."""
+    lambda = 1, two on each side of the 2^53 cap, which each count meets
+    alone: both answer up to shell 378,075 and refuse from 378,076 on."""
     import fermigas as fg
 
     rng = random.Random(seed)
@@ -176,8 +177,8 @@ def counts_calls(seed):
         for _ in range(3):
             args = (filled(particles(), lam), lam, 0.0)
             calls.append(("exact_mu_zero_t", lambda args=args: fg.exact_mu(*args)))
-    # the last closed shell each counts below the cap: 300,075 (exact_mu), 378,073 (counting_check)
-    for lo, hi in ((299_000, 300_076), (300_076, 301_000), (377_000, 378_074), (378_074, 379_000)):
+    # shells 0..378,075 hold fewer than 2^53 states, 0..378,076 more
+    for lo, hi in ((300_000, 378_076), (378_000, 378_076), (378_076, 378_150), (378_076, 400_000)):
         args = (fg.closed_shell_count(rng.randrange(lo, hi)), 1.0)
         calls.append(("counting_check_shells", lambda args=args: fg.counting_check(*args)))
         calls.append(("exact_mu_shells", lambda args=args: fg.exact_mu(*args, 0.0)))
