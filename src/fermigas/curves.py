@@ -85,14 +85,18 @@ class UniversalCurve(Record):
 
 
 def parse_csv(text: str) -> UniversalCurve:
-    """Round-trip reader for the CSV layout written by to_csv."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines:
+    """Round-trip reader for the CSV layout written by to_csv; a line that is not two
+    comma-separated fields is refused by its number and text."""
+    rows = []
+    for number, ln in enumerate(text.splitlines(), 1):
+        if ln and not ln.startswith("#"):
+            fields = ln.split(",")
+            if len(fields) != 2:
+                raise DomainError(f"curve line {number} must hold two comma-separated fields, "
+                                  f"got {ln!r}")
+            rows.append(fields)
+    if not rows:
         raise DomainError("empty curve file")
-    x_label, y_label = (tok.strip() for tok in lines[0].split(","))
-    samples = []
-    for ln in lines[1:]:
-        a, b = ln.split(",")
-        samples.append((float(a), float(b)))
-    return UniversalCurve(x_label, y_label, tuple(samples))
+    x_label, y_label = (tok.strip() for tok in rows[0])
+    return UniversalCurve(x_label, y_label, tuple((float(a), float(b)) for a, b in rows[1:]))
 

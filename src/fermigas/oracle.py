@@ -15,8 +15,8 @@ lambda has one per row.  A level is kept iff its float energy is <= the
 cutoff.  Each call builds its own ladders and keeps none; only
 build_spectrum sorts.  _rows refuses more than MAX_ENTRIES // 5 axial rows
 before any per-row array; _ladders alone refuses its entries plus four per
-row past MAX_ENTRIES.  _count alone refuses 2^53 states or more (past exact
-floats), where a T = 0 call counts and at build_spectrum's cutoff.  The
+row past MAX_ENTRIES.  _states alone refuses 2^53 states or more (past exact
+floats), from the tops of _count's rows or of build_spectrum's ladders.  The
 level sum weighs levels by the float g/N and needs no such guard.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
@@ -154,20 +154,25 @@ def _rows(lam: float, cutoff: float):
     return lam * np.arange(int(rows))
 
 
-def _count(lam: float, base, eps: float):
-    """(states <= eps, refused at 2^53, the highest level <= eps, the lowest level above it and
-    its degeneracy): row n_z holds (t + 1)(t + 2)/2 states to its top t, t + 2 at base + t + 1.
-    The one check of the 2^53 cap: a count is refused, not rounded, where it reaches it."""
+def _states(lam: float, eps: float, top) -> int:
+    """The states at or below eps of rows of top t (-1: none); the one check of the 2^53 cap."""
+    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0  # 2x: even integers, exact to 2^54
+    if states < 2.0 ** 53:
+        return int(states)
+    raise DomainError(f"lambda = {lam!r}, eps = {eps!r}: the spectrum holds {states:.6g} states "
+                      "at or below eps, at or above the 2^53 cap of exact float counts")
+
+
+def _count(lam: float, eps: float):
+    """(states <= eps, the highest level <= eps, the lowest level above it and its degeneracy)
+    over the rows up to max(eps, 0) + 2 lambda: each of base <= eps and the next, which may hold
+    that lowest level (where 2 lambda is lost to rounding at eps, the rows cap refuses first)."""
+    base = _rows(lam, max(eps, 0.0) + 2.0 * lam)
     top = _tops(base, eps).clip(min=-1.0)  # a row above eps holds none
-    # twice the state count: a sum of even integers, exact below 2^54
-    states = float(((top + 1.0) * (top + 2.0)).sum()) / 2.0
-    if states >= 2.0 ** 53:
-        raise DomainError(f"lambda = {lam!r}, cutoff = {eps!r}: the spectrum holds "
-                          f"{states:.6g} states, at or above the 2^53 cap of exact float counts")
-    above = top + 1.0 + base
+    above = top + 1.0 + base  # each row's next level, of t + 2 states
     high = float(above.min())
     low = float((top + base).max(where=top >= 0.0, initial=-math.inf))
-    return int(states), low, high, int((top + 2.0).sum(where=above == high))
+    return _states(lam, eps, top), low, high, int((top + 2.0).sum(where=above == high))
 
 
 def _ladders(lam: float, cutoff: float):
@@ -215,8 +220,8 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
 
     lam = check_finite("lambda", lam, positive=True)
     cutoff = check_finite("cutoff", cutoff)
-    energies, degs, base, _ = _ladders(lam, cutoff)
-    _count(lam, base, cutoff)  # state_count must be exact
+    energies, degs, _, top = _ladders(lam, cutoff)
+    _states(lam, cutoff, top)  # state_count must be exact
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -396,13 +401,11 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
         # bisect from the continuum Fermi level: the Nth state's level stays in [lower, upper)
         lower, upper, eps = 0.0, hi, e_fermi - (1.0 + 0.5 * lam)
         try:
-            base = _rows(lam, hi)
-            while (found := _count(lam, base, eps))[0] != n_particles:
+            while (found := _count(lam, eps))[0] != n_particles:
                 lower, upper = (found[2], upper) if found[0] < n_particles else (lower, found[1])
                 if not lower < upper:
                     break
                 eps = min(0.5 * (lower + upper), math.nextafter(upper, -math.inf))
-                base = base[:int(upper / lam) + 2]  # rows above upper hold no state below it
         except DomainError as exc:
             raise DomainError(f"T = 0 count for N = {n_particles}, lambda = {lam}: {exc}") from exc
         if found[0] != n_particles:
@@ -487,9 +490,8 @@ def exact_central_density(n_closed_shell: int, lam: float = 1.0) -> float:
     while closed_shell_count(top) > n_closed_shell:
         top -= 1
     if closed_shell_count(top) != n_closed_shell:
-        raise DomainError(
-            f"N = {n_closed_shell} is not a closed-shell count; occupation "
-            "of the top shell would be ambiguous")
+        raise DomainError(f"N = {n_closed_shell} is not a closed-shell count; occupation "
+                          "of the top shell would be ambiguous")
     m = top // 2
     # C(M + 3/2, M) = C(2M + 3, M + 1)(M + 1)(M + 2)/(3 * 2^(2M + 1)), rounded once
     binomial = math.comb(2 * m + 3, m + 1) * (m + 1) * (m + 2) / (3 << (2 * m + 1))
@@ -526,11 +528,9 @@ def breakdown_shell_distance(n_particles: int, lam: float = 1.0) -> float:
     lam, _, stretch = _trap_scales(n_particles, lam)
     x = (1.0 / (_SEMI_N0 * math.sqrt(n_particles * lam))) ** (2.0 / 3.0)
     if x >= 1.0:
-        raise DomainError(
-            f"N = {n_particles} is too small: the whole cloud is below one "
-            "particle per quantum volume")
-    s_star = math.sqrt(1.0 - x)
-    return (1.0 - s_star) * stretch
+        raise DomainError(f"N = {n_particles} is too small: the whole cloud is below one "
+                          "particle per quantum volume")
+    return (1.0 - math.sqrt(1.0 - x)) * stretch
 
 
 class ContinuumComparison(Record):
@@ -566,10 +566,10 @@ def continuum_comparison(n_particles: int, lam: float, t: float) -> ContinuumCom
 def counting_check(n_particles: int, lam: float = 1.0):
     """T = 0 state counting: continuum N = E_F^3/(6 lam) vs the discrete
     cumulative count with the zero point restored.  Returns (difference,
-    outermost shell degeneracy), counted on the axial rows up to E_F + 1."""
+    outermost shell degeneracy), counted once, at E_F - (1 + lam/2)."""
     lam, e_fermi, _ = _trap_scales(n_particles, lam)
     try:
-        count, _, _, edge = _count(lam, _rows(lam, e_fermi + 1.0), e_fermi - (1.0 + 0.5 * lam))
+        count, _, _, edge = _count(lam, e_fermi - (1.0 + 0.5 * lam))
     except DomainError as exc:
         raise DomainError(f"counting check for N = {n_particles}, lambda = {lam}: {exc}") from exc
     return abs(count - int(n_particles)), edge

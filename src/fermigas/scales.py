@@ -121,8 +121,11 @@ def from_scaled(spec: TrapSpec, s: float, q: float, t: float):
 
 
 def continuum_reliable(spec: TrapSpec, t: float) -> bool:
-    """True when k_B*T is at least the level spacing, i.e. t*(6*lam*N)^(1/3) >= 1."""
-    return check_temperature(t) * _trap_scales(spec.n_particles, spec.lam)[1] >= 1.0
+    """True when k_B*T is at least the largest level spacing, max(1, lam) hbar*omega_r (the
+    radial 1, the axial lam), i.e. t*(6*lam*N)^(1/3) >= max(1, lam)."""
+    t = check_temperature(t)
+    lam, e_fermi, _ = _trap_scales(spec.n_particles, spec.lam)
+    return t * e_fermi >= max(1.0, lam)
 
 
 def validity_table(n_particles: int, lam: float, radii) -> tuple:

@@ -124,9 +124,9 @@ def test_entry_and_state_caps():
                                           r"1000000 rows of the 5000000 entry cap"):
         fg.build_spectrum(4.800385538807578e-06, 6.0)
     # 400,001 entries but 1.07e16 states, past exact float integers
-    with pytest.raises(DomainError, match=r"^lambda = 1\.0, cutoff = 400000\.0: the spectrum "
-                                          r"holds 1\.06668e\+16 states, at or above the 2\^53 "
-                                          r"cap of exact float counts$"):
+    with pytest.raises(DomainError, match=r"^lambda = 1\.0, eps = 400000\.0: the spectrum "
+                                          r"holds 1\.06668e\+16 states at or below eps, at or "
+                                          r"above the 2\^53 cap of exact float counts$"):
         fg.build_spectrum(1.0, 4e5)
     # 9.0001e15 states, just below 2^53, still counted exactly: row 0 holds
     # p <= 300,000 and rows 2q - 1 and 2q hold p <= 300,000 - q
@@ -939,7 +939,9 @@ def _threshold(n_particles, lam):
     return (6.0 * lam * n_particles) ** (1.0 / 3.0) - (1.0 + 0.5 * lam)
 
 
-COUNTING_LAMBDAS = [0.5, 1.0, 2.0, math.sqrt(8.0), 1.0 / 3.0, math.pi,
+# 0.01885430808396613: fl(5 lambda) + lambda rounds below fl(6 lambda), so a count at
+# fl(5 lambda) that took its rows only up to eps + lambda would miss the next level
+COUNTING_LAMBDAS = [0.5, 1.0, 2.0, math.sqrt(8.0), 1.0 / 3.0, math.pi, 0.01885430808396613,
                     *np.exp(np.random.default_rng(29).uniform(math.log(0.25), math.log(4.0), 4))]
 
 
@@ -955,7 +957,6 @@ def test_counting_check_matches_the_sorted_spectrum():
         cases += [(n, lam) for n in sorted({round(n) for n in np.logspace(0, 7, 57).tolist()})]
         sp = fg.build_spectrum(lam, _threshold(1e7, lam))
         closed = np.cumsum(sp.degeneracies)
-        base = oracle._rows(lam, sp.cutoff)
         for i in np.linspace(0, sp.energies.size - 3, 16).astype(int).tolist():
             cases += [(int(closed[i]) + d, lam) for d in (-1, 0, 1) if closed[i] + d >= 1]
             level = float(sp.energies[i + 1])
@@ -964,7 +965,7 @@ def test_counting_check_matches_the_sorted_spectrum():
                 j = int(np.searchsorted(sp.energies, eps, side="right"))
                 want = (int(closed[j - 1]), float(sp.energies[j - 1]), float(sp.energies[j]),
                         int(sp.degeneracies[j]))
-                counts.append(oracle._count(lam, base, eps))
+                counts.append(oracle._count(lam, eps))
                 assert counts[-1] == want, (eps, lam)
             landed += counts[0] != counts[1] == counts[2]  # the level counts from itself on
     assert len(cases) >= 1_000 and all(isinstance(n, int) for n, _ in cases)
@@ -974,24 +975,26 @@ def test_counting_check_matches_the_sorted_spectrum():
         assert got == want and list(map(type, got)) == list(map(type, want)), (n, lam)
 
 
-ROWS_REFUSAL = ("lambda = 1e-07, cutoff = 1.0843432665301749: the spectrum has 10843433 axial "
-                "rows, above the 1000000 rows of the 5000000 entry cap counting each row as 5 "
-                "entries")
-STATES_REFUSAL = "states, at or above the 2^53 cap of exact float counts"
+ROWS_REFUSAL = ("axial rows, above the 1000000 rows of the 5000000 entry cap counting each row "
+                "as 5 entries")
+STATES_REFUSAL = "states at or below eps, at or above the 2^53 cap of exact float counts"
 
 
 @pytest.mark.parametrize("n_particles, lam, want, got", [
-    # 1.08e7 axial rows up to E_F + 1, refused on the rows before any per-row array; both
-    # routes take the rows up to there, so counting_check gives the sorted route's text
-    pytest.param(1000, 1e-7, ROWS_REFUSAL,
-                 "counting check for N = 1000, lambda = 1e-07: " + ROWS_REFUSAL,
+    # refused on the rows before any per-row array: the sorted route on its 4.9e7 rows up
+    # to E_F + 1, counting_check on the 2.9e7 rows its count at E_F - (1 + lambda/2) reads
+    pytest.param(10**8, 1e-7,
+                 "lambda = 1e-07, cutoff = 4.914867641168863: the spectrum has 49148677 "
+                 + ROWS_REFUSAL,
+                 "counting check for N = 100000000, lambda = 1e-07: lambda = 1e-07, cutoff = "
+                 f"2.9148677911688634: the spectrum has 29148678 {ROWS_REFUSAL}",
                  id="1000-1e-07-the spectrum has at least a million axial rows"),
     # 400,001 entries holding 1.07e16 states, past exact float counts: the sorted route
     # refuses its spectrum up to E_F + 1, counting_check its one count, at E_F - 3/2
     pytest.param(1.07e16, 1.0,
-                 f"lambda = 1.0, cutoff = 400417.2333908428: the spectrum holds 1.07002e+16 "
+                 f"lambda = 1.0, eps = 400417.2333908428: the spectrum holds 1.07002e+16 "
                  f"{STATES_REFUSAL}",
-                 "counting check for N = 1.07e+16, lambda = 1.0: lambda = 1.0, cutoff = "
+                 "counting check for N = 1.07e+16, lambda = 1.0: lambda = 1.0, eps = "
                  f"400414.7333908428: the spectrum holds 1.07e+16 {STATES_REFUSAL}",
                  id=r"1.07e+16-1.0-holds 1\.07\d+e\+16 states, at or above the 2\^53 cap"),
 ])
@@ -1014,7 +1017,7 @@ def test_zero_temperature_counts_answer_up_to_the_cap():
     assert fg.exact_mu(n_particles, 1.0, 0.0) == 378075.5
     assert fg.exact_mu(fg.closed_shell_count(340_000), 1.0, 0.0) == 340000.5
     n_particles = fg.closed_shell_count(378_076)
-    count = (f"for N = {n_particles}, lambda = 1.0: lambda = 1.0, cutoff = 378076.4999991181: "
+    count = (f"for N = {n_particles}, lambda = 1.0: lambda = 1.0, eps = 378076.4999991181: "
              f"the spectrum holds 9.00727e+15 {STATES_REFUSAL}")
     with pytest.raises(DomainError, match=f"^{re.escape('counting check ' + count)}$"):
         fg.counting_check(n_particles, 1.0)
@@ -1023,26 +1026,43 @@ def test_zero_temperature_counts_answer_up_to_the_cap():
 
 
 def test_zero_temperature_refusals_name_n_and_lambda():
-    # the rows cap refuses at a cutoff the caller never gave: N and lambda come first
-    for call, cutoff, rows, what in ((fg.counting_check, "2.81712059283214", 2817121,
-                                      "counting check"),
-                                     (lambda *args: fg.exact_mu(*args, 0.0), "4.289428485106663",
-                                      4289429, "T = 0 count")):
-        with pytest.raises(DomainError) as refused:
-            call(10 ** 6, 1e-6)
-        assert str(refused.value) == (
-            f"{what} for N = 1000000, lambda = 1e-06: lambda = 1e-06, cutoff = {cutoff}: the "
-            f"spectrum has {rows} axial rows, above the 1000000 rows of the 5000000 entry cap "
-            "counting each row as 5 entries")
+    # the rows cap refuses at a cutoff the caller never gave: N and lambda come first; the
+    # bisection's second count, at 2.55, reads 2.55e6 rows
+    with pytest.raises(DomainError) as refused:
+        fg.exact_mu(10 ** 6, 1e-6, 0.0)
+    assert str(refused.value) == (
+        "T = 0 count for N = 1000000, lambda = 1e-06: lambda = 1e-06, cutoff = "
+        f"2.5532767425533316: the spectrum has 2553277 {ROWS_REFUSAL}")
+
+
+def axial_levels_below_one(lam):
+    """The levels fl(lambda n_z) below 1, in order: p = 0 alone, as p >= 1 starts at 1."""
+    levels, n_z = [], 0
+    while lam * n_z < 1.0:
+        levels.append(lam * n_z)
+        n_z += 1
+    return levels
+
+
+def test_small_lambda_counts_read_only_the_rows_up_to_their_count():
+    # every level below 1 holds one state; each count reads the rows up to 2 lambda above
+    # the energy it counts at (0.82 for counting_check, at most 1.72 in the bisection), so
+    # both answer where the rows up to E_F + 1 or 2^(1/3) E_F + 2 pass the 1e6 rows cap
+    levels = axial_levels_below_one(1e-6)
+    eps = (6.0 * 1e-6 * 10**6) ** (1 / 3) - (1.0 + 0.5e-6)
+    count = sum(level <= eps for level in levels)
+    assert fg.counting_check(10**6, 1e-6) == (10**6 - count, 1) == (182879, 1)
+    levels = axial_levels_below_one(3e-6)
+    assert fg.exact_mu(70672, 3e-6, 0.0) == 0.5 * (levels[70671] + levels[70672])
 
 
 def spy_count(monkeypatch):
     """The list that each later _count call adds its eps to."""
     calls, count = [], oracle._count
 
-    def spied(lam, base, eps):
+    def spied(lam, eps):
         calls.append(eps)
-        return count(lam, base, eps)
+        return count(lam, eps)
 
     monkeypatch.setattr(oracle, "_count", spied)
     return calls

@@ -2,12 +2,14 @@
 immutability, the same for every record type of the package."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import fermigas as fg
 from fermigas import DomainError
+from fermigas.curves import parse_csv
 
 
 def li6_scales():
@@ -133,6 +135,17 @@ def test_unsorted_curve_names_its_abscissa_and_first_pair_out_of_order():
     with pytest.raises(DomainError, match=r"^curve abscissa s must be strictly increasing, "
                                           r"got 0\.5 after 0\.5$"):
         fg.UniversalCurve("s", "density", ((0.0, 1.0), (0.5, 0.25), (0.5, 0.125), (0.25, 0.0)))
+
+
+@pytest.mark.parametrize("text, number, line", [
+    pytest.param("# curve\nt,m\n0.0\n0.5,0.25\n", 3, "0.0", id="a sample of one field"),
+    pytest.param("t\n0.0,1.0\n", 1, "t", id="a header of one label"),
+    pytest.param("t,m\n\n0.0,1.0,2.0\n", 3, "0.0,1.0,2.0", id="a sample of three fields"),
+])
+def test_curve_csv_line_without_two_fields_is_named(text, number, line):
+    message = f"curve line {number} must hold two comma-separated fields, got {line!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        parse_csv(text)
 
 
 def test_missing_and_unknown_fields_are_type_errors():

@@ -183,6 +183,17 @@ def test_continuum_reliability_flag():
     assert not fg.continuum_reliable(spec, 1e-4)
 
 
+def test_continuum_reliability_needs_the_axial_spacing_too():
+    # at lambda = 1000 the axial spacing is 1000 hbar*omega_r: at t = 0.1, k_B T = 18 hbar*omega_r
+    # clears the radial spacing but not the axial one, and the continuum mu is off by 1.96 E_F
+    spec = fg.TrapSpec(1e-26, 100.0, 1000.0, 1000)
+    e_fermi = (6.0 * 1000.0 * 1000) ** (1 / 3)
+    assert fg.continuum_comparison(1000, 1000.0, 0.1).gap_adjusted > 1.9
+    assert not fg.continuum_reliable(spec, 0.1)
+    assert not fg.continuum_reliable(spec, math.nextafter(1000.0 / e_fermi, 0.0))
+    assert fg.continuum_reliable(spec, 1000.0 / e_fermi)
+
+
 @pytest.mark.parametrize("args, message", [
     ((math.nan, 0.0, 0.0, 1.0), "x must be finite, got nan"),
     ((0.0, math.inf, 0.0, 1.0), "y must be finite, got inf"),

@@ -16,7 +16,7 @@ and exact_mu at classical reduced t in [1, 5].  Those lists keep to
 t <= 0.2 at T > 0, so the poles list (poles_calls) adds 40 exact_mu calls
 from T = 0.1 to 1e5 hbar*omega_r, five of them with the root below 2T,
 where the reflection terms are largest.  None of them reaches the 2^53
-cap of exact state counts, so the counts list (counts_calls) adds 44
+cap of exact state counts, so the counts list (counts_calls) adds 50
 T = 0 calls from N = 1 to past 2^53: counting_check and exact_mu at
 lambda from COUNT_LAMBDAS, and at closed shells on both sides of the
 cap.  The figures list keeps the thermodynamics to t in [1e-3, 5], so the
@@ -48,7 +48,7 @@ WORKLOADS = ("figures", "oracle")
 SECONDS = 20
 LEVEL_LAMBDAS = (0.5, 1.0, math.sqrt(8.0))  # the oracle workload's
 POLE_LAMBDAS = (1.0 / 3.0, 0.1, 2.0 / 3.0, 1.5, math.sqrt(8.0), math.pi, 10.0)
-COUNT_LAMBDAS = (1e-3, 1.0 / 3.0, 0.5, 1.0, math.sqrt(8.0), math.pi)
+COUNT_LAMBDAS = (1e-6, 1e-3, 1.0 / 3.0, 0.5, 1.0, math.sqrt(8.0), math.pi)
 
 
 def canonical(value, out):
@@ -148,7 +148,7 @@ def poles_calls(seed):
 
 
 def counts_calls(seed):
-    """(kind, run) of the 44 seeded T = 0 count calls: per lambda in
+    """(kind, run) of the 50 seeded T = 0 count calls: per lambda in
     COUNT_LAMBDAS, three counting_check and three exact_mu(N, lambda, 0) at
     N log-uniform in [1, 2e16], each exact_mu N replaced, where at most 1e6
     axial rows lie below E_F - (1 + lambda/2), by the states up to there, so
