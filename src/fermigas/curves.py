@@ -86,7 +86,8 @@ class UniversalCurve(Record):
 
 def parse_csv(text: str) -> UniversalCurve:
     """Round-trip reader for the CSV layout written by to_csv; a line that is not two
-    comma-separated fields is refused by its number and text."""
+    comma-separated fields, or a sample that is not two numbers, is refused by its number
+    and text."""
     rows = []
     for number, ln in enumerate(text.splitlines(), 1):
         if ln and not ln.startswith("#"):
@@ -94,9 +95,15 @@ def parse_csv(text: str) -> UniversalCurve:
             if len(fields) != 2:
                 raise DomainError(f"curve line {number} must hold two comma-separated fields, "
                                   f"got {ln!r}")
+            if rows:  # a sample: the first line holds the labels
+                try:
+                    fields = tuple(map(float, fields))
+                except ValueError as exc:
+                    raise DomainError(f"curve line {number} must hold two numbers, "
+                                      f"got {ln!r}") from exc
             rows.append(fields)
     if not rows:
         raise DomainError("empty curve file")
     x_label, y_label = (tok.strip() for tok in rows[0])
-    return UniversalCurve(x_label, y_label, tuple((float(a), float(b)) for a, b in rows[1:]))
+    return UniversalCurve(x_label, y_label, tuple(rows[1:]))
 

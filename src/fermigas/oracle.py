@@ -4,7 +4,10 @@ The single-particle levels are eps = n_x + n_y + lambda*n_z in units of
 hbar*omega_r, zero-point suppressed: axial row n_z holds p + 1 states at
 fl(base + p), base = lambda*n_z, p = n_x + n_y.  The T = 0 counts read the
 bases alone (_count): counting_check counts at E_F - (1 + lambda/2), and
-exact_mu bisects from there, on levels, for the one the Nth state fills.
+exact_mu bisects from there, on levels, for the one the Nth state fills, below
+upper = min(E_F + 1, fl(lambda N), sqrt(2N) + 1).  The volume E^3/(6 lambda), the
+N + 1 levels of the p = 0 row or the (E + 1)(E + 2)/2 states of the n_z = 0 row
+put more than N states at or below upper, not N: the search counts only below it.
 The level sum and build_spectrum enumerate ladders: base splits exactly
 into an integer a and a fraction frac, so the row lies on the ladder
 frac + k, k an integer, with fl(frac + k) == fl(base + p).  Rows with equal
@@ -22,13 +25,12 @@ level sum weighs levels by the float g/N and needs no such guard.
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
 exact_mu solves the sum over levels of (g/N) f((eps - mu)/T) = 1 by one
 monotone_root search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds
-more than 2N states (at least the volume hi^3/(6 lambda) under it), so
-mu <= hi, and at T = 0 the level above the Nth state is at most hi.
-Ladders are enumerated only up to the cutoff E_c = hi + 12 T.  Every level
-above it has x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x to
-within 2.3e-16 (e^-36) relative; per axial row these terms are geometric
-series in p: _tail_sums gives their sums S_j over all levels above E_c in
-closed form, so each step adds the tail as
+more than 2N states (at least the volume hi^3/(6 lambda)), so every state is
+at least half occupied at hi and mu <= hi.  Ladders are enumerated only up to
+the cutoff E_c = hi + 12 T.  Every level above it has x = (eps - mu)/T > 12,
+where f = e^-x - e^-2x + e^-3x to within 2.3e-16 (e^-36) relative; per axial
+row these terms are geometric series in p: _tail_sums gives their sums S_j over
+all levels above E_c in closed form, so each step adds the tail as
 sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  Both
 routes start Newton at the continuum estimate solve_mu(t) E_F - (1 + lambda/2),
 raised by (2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the
@@ -101,9 +103,8 @@ MAX_ENTRIES = 5_000_000
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
 
-# exact_mu brackets mu by _CUTOFF_SCALE E_F + 2, which holds more than twice N
-# states, enumerates the levels up to _TAIL_GAP T above that and sums the rest
-# per axial row in closed form
+# at T > 0 exact_mu brackets mu by _CUTOFF_SCALE E_F + 2, which holds more than 2N states,
+# enumerates the levels up to _TAIL_GAP T above that and sums the rest per row in closed form
 _CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 _TAIL_GAP = 12.0
 
@@ -396,10 +397,10 @@ def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float
 def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_continuum):
     """exact_mu of checked arguments, E_F in hbar*omega_r; m_continuum is
     solve_mu(t_abs / E_F), or None to solve it here."""
-    hi = _CUTOFF_SCALE * e_fermi + 2.0
     if t_abs == 0.0:
         # bisect from the continuum Fermi level: the Nth state's level stays in [lower, upper)
-        lower, upper, eps = 0.0, hi, e_fermi - (1.0 + 0.5 * lam)
+        upper = min(e_fermi + 1.0, lam * n_particles, math.sqrt(2.0 * n_particles) + 1.0)
+        lower, eps = 0.0, e_fermi - (1.0 + 0.5 * lam)
         try:
             while (found := _count(lam, eps))[0] != n_particles:
                 lower, upper = (found[2], upper) if found[0] < n_particles else (lower, found[1])
@@ -412,6 +413,7 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
             raise DomainError(f"N = {n_particles} leaves a partially filled level at T = 0; "
                               "the ground state is ambiguous")
         return 0.5 * (found[1] + found[2])
+    hi = _CUTOFF_SCALE * e_fermi + 2.0
     lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
     try:
         # Newton from the continuum mu with the zero point removed, moved for

@@ -98,8 +98,9 @@ def test_cell_cap():
     assert fg.build_spectrum(1.0, 200.0).state_count == fg.closed_shell_count(200)
     # 12.5e6 (n_z, p) cells, but one ladder of 5,001 entries
     assert fg.build_spectrum(1.0, 5000.0).energies.size == 5001
+    # the T = 0 count's own first point, E_F - (1 + lambda/2), reads 8,171,208 axial rows
     with pytest.raises(DomainError, match="cap"):
-        fg.exact_mu(10_000, 1e-7, 0.0)
+        fg.exact_mu(10**7, 1e-7, 0.0)
     # refused before any per-axial-level work: 1e300 levels would never
     # finish, and at 5e-324 the row count cutoff/lambda overflows to inf
     for lam, rows in ((1e-300, re.escape("9.999999999999999e+299")), (5e-324, "inf")):
@@ -1027,12 +1028,13 @@ def test_zero_temperature_counts_answer_up_to_the_cap():
 
 def test_zero_temperature_refusals_name_n_and_lambda():
     # the rows cap refuses at a cutoff the caller never gave: N and lambda come first; the
-    # bisection's second count, at 2.55, reads 2.55e6 rows
+    # bisection's 18th count, at 1 - lambda/2 just below its upper end fl(lambda N) = 1,
+    # reads 1,000,002 rows, as the answer's own levels need
     with pytest.raises(DomainError) as refused:
         fg.exact_mu(10 ** 6, 1e-6, 0.0)
     assert str(refused.value) == (
         "T = 0 count for N = 1000000, lambda = 1e-06: lambda = 1e-06, cutoff = "
-        f"2.5532767425533316: the spectrum has 2553277 {ROWS_REFUSAL}")
+        f"1.0000015: the spectrum has 1000002 {ROWS_REFUSAL}")
 
 
 def axial_levels_below_one(lam):
@@ -1046,7 +1048,7 @@ def axial_levels_below_one(lam):
 
 def test_small_lambda_counts_read_only_the_rows_up_to_their_count():
     # every level below 1 holds one state; each count reads the rows up to 2 lambda above
-    # the energy it counts at (0.82 for counting_check, at most 1.72 in the bisection), so
+    # the energy it counts at (0.82 for counting_check, at most 0.212 in the bisection), so
     # both answer where the rows up to E_F + 1 or 2^(1/3) E_F + 2 pass the 1e6 rows cap
     levels = axial_levels_below_one(1e-6)
     eps = (6.0 * 1e-6 * 10**6) ** (1 / 3) - (1.0 + 0.5e-6)
@@ -1054,6 +1056,50 @@ def test_small_lambda_counts_read_only_the_rows_up_to_their_count():
     assert fg.counting_check(10**6, 1e-6) == (10**6 - count, 1) == (182879, 1)
     levels = axial_levels_below_one(3e-6)
     assert fg.exact_mu(70672, 3e-6, 0.0) == 0.5 * (levels[70671] + levels[70672])
+
+
+def test_zero_temperature_bisection_stays_below_the_answers_own_bound():
+    # the T = 0 bracket ends at min(E_F + 1, fl(lambda N), sqrt(2N) + 1), not at the T > 0
+    # bound 2^(1/3) E_F + 2, whose rows (1,028,234 at N = 15, lambda = 1e-6) or states (past
+    # 2^53 at lambda = 1e300) refused these answers; the levels below 1 are fl(lambda n_z)
+    levels = axial_levels_below_one(1e-6)
+    assert fg.exact_mu(15, 1e-6, 0.0) == 0.5 * (1e-6 * 14 + 1e-6 * 15) == 1.45e-05
+    assert fg.exact_mu(800000, 1e-6, 0.0) == 0.5 * (levels[799999] + levels[800000])
+    # one state at 0, the next two at 1 (p = 1): the axial row n_z = 1 is at 1e300
+    assert fg.exact_mu(1, 1e300, 0.0) == 0.5
+    # and a partly filled level is refused as one, not for the rows of the T > 0 bound
+    with pytest.raises(DomainError, match=r"^N = 10000000 leaves a partially filled level at "
+                                          r"T = 0; the ground state is ambiguous$"):
+        fg.exact_mu(10**7, 1e-5, 0.0)
+
+
+def test_zero_temperature_upper_end_holds_more_than_n_states(monkeypatch):
+    # the bisection counts only below its upper end, so that end must hold more than N
+    # states: at exactly N, a full level there would read as partly filled.  Each of the
+    # three bounds sets the end somewhere here, and the two extreme lambdas answer
+    rng = np.random.default_rng(53)
+    cases = [(round(10.0 ** u), 10.0 ** v)
+             for u, v in zip(rng.uniform(0.0, 16.0, 120), rng.uniform(-12.0, 8.0, 120))]
+    cases += [(n, lam) for lam in (5e-324, 1e300) for n in (1, 2, 3, 15, 1000)]
+    calls, counted = spy_count(monkeypatch), []
+    for n, lam in cases:
+        bounds = ((6.0 * lam * n) ** (1.0 / 3.0) + 1.0, lam * n, math.sqrt(2.0 * n) + 1.0)
+        upper = min(bounds)
+        calls.clear()
+        try:
+            fg.exact_mu(n, lam, 0.0)
+        except DomainError:  # a cap or a partly filled level
+            pass
+        assert max(calls) < upper, (n, lam)
+        try:
+            count = oracle._count(lam, upper)[0]
+        except DomainError:  # past the rows or the 2^53 cap at the end itself
+            continue
+        assert count > n, (n, lam)
+        counted.append((bounds.index(upper), lam))
+    ends = [end for end, _ in counted]
+    assert min(map(ends.count, range(3))) >= 20, ends
+    assert {5e-324, 1e300} <= {lam for _, lam in counted}
 
 
 def spy_count(monkeypatch):
@@ -1162,9 +1208,10 @@ def test_zero_temperature_mu_matches_the_sorted_spectrum():
 @pytest.mark.parametrize("n_particles, lam", [(100_000, 1e-5), (10_000, 1e-4), (10**6, 1e-3),
                                               (10**7, math.sqrt(8.0))])
 def test_zero_temperature_mu_bisects_the_count(monkeypatch, n_particles, lam):
-    # at (1e5, 1e-5), 428,901 axial rows and 18,288 levels between the
-    # continuum Fermi level and mu: a walk level by level would count that
-    # often, the bisection counts 20 times here, 17 to 15 in the others
+    # at (1e5, 1e-5), 100,002 axial rows up to 2 lambda above the bisection's
+    # upper end fl(lambda N) = 1, and 18,288 levels between the continuum Fermi
+    # level and mu: a walk level by level would count that often, the bisection
+    # counts 15 times here, 12 to 11 in the others
     count, calls = oracle._count, []
     monkeypatch.setattr(oracle, "_count", lambda *args: calls.append(args) or count(*args))
     try:

@@ -148,6 +148,16 @@ def test_curve_csv_line_without_two_fields_is_named(text, number, line):
         parse_csv(text)
 
 
+@pytest.mark.parametrize("text, number, line", [
+    pytest.param("t,m\nabc,1\n", 2, "abc,1", id="a sample whose abscissa is no number"),
+    pytest.param("# curve\nt,m\n0.5,0.25\n\n0.75,\n", 5, "0.75,", id="an empty ordinate"),
+])
+def test_curve_csv_sample_that_is_not_two_numbers_is_named(text, number, line):
+    message = f"curve line {number} must hold two numbers, got {line!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        parse_csv(text)
+
+
 def test_missing_and_unknown_fields_are_type_errors():
     with pytest.raises(TypeError):
         fg.ThermoState(0.5, 0.25, 1.5)
