@@ -2,12 +2,12 @@
 
 The single-particle levels are eps = n_x + n_y + lambda*n_z in units of
 hbar*omega_r, zero-point suppressed: axial row n_z holds p + 1 states at
-fl(base + p), base = lambda*n_z, p = n_x + n_y.  The T = 0 counts read the
-bases alone (_count): counting_check counts at E_F - (1 + lambda/2), and
-exact_mu bisects from there, on levels, for the one the Nth state fills, below
-upper = min(E_F + 1, fl(lambda N), sqrt(2N) + 1).  The volume E^3/(6 lambda), the
-N + 1 levels of the p = 0 row or the (E + 1)(E + 2)/2 states of the n_z = 0 row
-put more than N states at or below upper, not N: the search counts only below it.
+fl(base + p), base = lambda*n_z, p = n_x + n_y.  Every exact_mu search ends at
+_upper(k) = min(k^(1/3) E_F + 2, fl(lambda kN), sqrt(2kN) + 1): the volume E^3/(6 lambda)
+under E (each state's unit cell lies below its level), the kN + 1 levels fl(lambda n_z) of
+row p = 0 or the (E + 1)(E + 2)/2 states of row n_z = 0 put more than kN states at or
+below it.  The T = 0 counts read the bases alone (_count): counting_check counts at
+E_F - (1 + lambda/2); exact_mu bisects from there for the Nth state's level, below _upper(1).
 The level sum and build_spectrum enumerate ladders: base splits exactly
 into an integer a and a fraction frac, so the row lies on the ladder
 frac + k, k an integer, with fl(frac + k) == fl(base + p).  Rows with equal
@@ -24,9 +24,8 @@ level sum weighs levels by the float g/N and needs no such guard.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
 exact_mu solves the sum over levels of (g/N) f((eps - mu)/T) = 1 by one
-monotone_root search on [-60 T - 1, hi], hi = 2^(1/3) E_F + 2, which holds
-more than 2N states (at least the volume hi^3/(6 lambda)), so every state is
-at least half occupied at hi and mu <= hi.  Ladders are enumerated only up to
+monotone_root search on [-60 T - 1, hi], hi = _upper(2): more than 2N states are at least
+half occupied at mu = hi, so mu <= hi.  Ladders are enumerated only up to
 the cutoff E_c = hi + 12 T.  Every level above it has x = (eps - mu)/T > 12,
 where f = e^-x - e^-2x + e^-3x to within 2.3e-16 (e^-36) relative; per axial
 row these terms are geometric series in p: _tail_sums gives their sums S_j over
@@ -103,9 +102,6 @@ MAX_ENTRIES = 5_000_000
 # grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
 MAX_SHELL = 1_000_000
 
-# at T > 0 exact_mu brackets mu by _CUTOFF_SCALE E_F + 2, which holds more than 2N states,
-# enumerates the levels up to _TAIL_GAP T above that and sums the rest per row in closed form
-_CUTOFF_SCALE = 2.0 ** (1.0 / 3.0)
 _TAIL_GAP = 12.0
 
 # largest |occupied fraction - 1| that exact_mu accepts
@@ -248,8 +244,8 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
     """Chemical potential (hbar*omega_r units) from the exact level sum.
 
     t_abs is k_B T in units of hbar*omega_r.  At t_abs = 0 the gas must
-    fill closed shells; the chemical potential is then reported at the
-    midpoint of the gap between the last filled and first empty level.
+    fill the level of its Nth state; the chemical potential is then reported
+    at the midpoint of the gap between that level and the next one up.
     """
     lam, e_fermi, _ = _trap_scales(n_particles, lam)
     return _exact_mu(n_particles, lam, e_fermi, check_finite("t_abs", t_abs), None)
@@ -394,13 +390,17 @@ def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float
     return None if abs(r) > _OCCUPATION_TOL else (mu, share[0] / n_particles)
 
 
+def _upper(n: int, lam: float, e_fermi: float, k: int) -> float:
+    """A level with more than k n states at or below it (module docstring)."""
+    return min(k ** (1.0 / 3.0) * e_fermi + 2.0, lam * (k * n), math.sqrt(2.0 * k * n) + 1.0)
+
+
 def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_continuum):
     """exact_mu of checked arguments, E_F in hbar*omega_r; m_continuum is
     solve_mu(t_abs / E_F), or None to solve it here."""
     if t_abs == 0.0:
         # bisect from the continuum Fermi level: the Nth state's level stays in [lower, upper)
-        upper = min(e_fermi + 1.0, lam * n_particles, math.sqrt(2.0 * n_particles) + 1.0)
-        lower, eps = 0.0, e_fermi - (1.0 + 0.5 * lam)
+        lower, upper, eps = 0.0, _upper(n_particles, lam, e_fermi, 1), e_fermi - (1.0 + 0.5 * lam)
         try:
             while (found := _count(lam, eps))[0] != n_particles:
                 lower, upper = (found[2], upper) if found[0] < n_particles else (lower, found[1])
@@ -413,7 +413,7 @@ def _exact_mu(n_particles: int, lam: float, e_fermi: float, t_abs: float, m_cont
             raise DomainError(f"N = {n_particles} leaves a partially filled level at T = 0; "
                               "the ground state is ambiguous")
         return 0.5 * (found[1] + found[2])
-    hi = _CUTOFF_SCALE * e_fermi + 2.0
+    hi = _upper(n_particles, lam, e_fermi, 2)
     lo = -60.0 * t_abs - 1.0  # the lowest level is 0, n_z = p = 0
     try:
         # Newton from the continuum mu with the zero point removed, moved for

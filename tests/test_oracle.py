@@ -72,7 +72,7 @@ def test_irrational_anisotropy_keeps_planar_shells_distinct():
 @pytest.mark.parametrize("t", [0.0, 0.02, 0.05, 0.2])
 def test_spectrum_matches_dict_enumeration(lam, n_particles, t):
     e_fermi = (6.0 * lam * n_particles) ** (1 / 3)
-    # past exact_mu's window, which ends 12 t_abs above 2^(1/3) E_F + 2
+    # past exact_mu's window, which ends 12 t_abs above at most 2^(1/3) E_F + 2
     cutoff = 2 ** (1 / 3) * e_fermi + 36.0 * t * e_fermi + 2.0
     sp = fg.build_spectrum(lam, cutoff)
     energies, degeneracies = dict_spectrum(lam, cutoff)
@@ -634,7 +634,7 @@ def test_pole_residual_has_the_bits_of_complex_arithmetic():
     for lam in (0.5, 1.0, 2.0, 10.0, 1.0 / 3.0, math.sqrt(8.0), math.pi):
         for t_abs in np.geomspace(0.1, 1e3, 9).tolist():
             for n_particles in (10, 10_000, 10_000_000, 10_000_000_000):
-                hi = oracle._CUTOFF_SCALE * (6.0 * lam * n_particles) ** (1 / 3) + 2.0
+                hi = oracle._upper(n_particles, lam, oracle._trap_scales(n_particles, lam)[1], 2)
                 found = oracle._pole_sum(n_particles, lam, t_abs, hi)
                 if found is None or not 0.5 * t_abs < hi:
                     continue
@@ -790,7 +790,7 @@ def test_last_reflection_term_at_half_t_is_below_the_sum_stop(log_n, log_lam, sh
     # already below that wherever the route runs (T/2 < hi), so it needs no gate
     n_particles, lam = float(round(10.0 ** log_n)), 10.0 ** log_lam
     assume(math.isfinite(48.0 * n_particles * lam))
-    hi = oracle._CUTOFF_SCALE * oracle._trap_scales(n_particles, lam)[1] + 2.0
+    hi = oracle._upper(n_particles, lam, oracle._trap_scales(n_particles, lam)[1], 2)
     t_abs = oracle._POLE_T * (2.0 * hi / oracle._POLE_T) ** share  # log-uniform up to 2 hi
     assume(0.5 * t_abs < hi)
     m = oracle._POLE_TERMS
@@ -1073,33 +1073,62 @@ def test_zero_temperature_bisection_stays_below_the_answers_own_bound():
         fg.exact_mu(10**7, 1e-5, 0.0)
 
 
+@pytest.mark.parametrize("n_particles, lam, t_abs", [(15, 1e-6, 1e-7), (3, 1e-7, 3e-8)])
+def test_small_lambda_level_sum_stays_below_the_answers_own_bound(n_particles, lam, t_abs):
+    # hi = fl(lambda 2N) here: the volume bound 2^(1/3) E_F + 2 holds 2e6 and 2e7 axial
+    # rows, past the rows cap.  T is within 10x of the level gap lambda, so the answer is
+    # no closed-gap midpoint.  The reference sums the levels fl(lambda n) up to 200 T above
+    # 2 lambda N in 40 digits (the levels p >= 1 lie at 1 and above: e^(-1/T) of a state)
+    # and bisects [0, 2 lambda N], where the 2N + 1 levels below the top are at least half
+    # occupied
+    got = fg.exact_mu(n_particles, lam, t_abs)
+    levels = [lam * n for n in range(int(2 * n_particles + 200.0 * t_abs / lam) + 2)]
+    with mp.workdps(40):
+        t = mp.mpf(t_abs)
+        lo, hi = mp.mpf(0), mp.mpf(lam * (2 * n_particles))
+        for _ in range(150):
+            mid = (lo + hi) / 2
+            if mp.fsum(1 / (1 + mp.exp((mp.mpf(e) - mid) / t)) for e in levels) < n_particles:
+                lo = mid
+            else:
+                hi = mid
+        expected = float(lo)
+    assert abs(got - expected) <= 2.0 * math.ulp(expected), (got, expected)
+
+
 def test_zero_temperature_upper_end_holds_more_than_n_states(monkeypatch):
-    # the bisection counts only below its upper end, so that end must hold more than N
-    # states: at exactly N, a full level there would read as partly filled.  Each of the
-    # three bounds sets the end somewhere here, and the two extreme lambdas answer
+    # the bisection counts only below its upper end (k = 1), so that end must hold more
+    # than N states: at exactly N, a full level there would read as partly filled.  The
+    # T > 0 end hi (k = 2) must hold more than 2N, so that mu <= hi.  Each of the three
+    # bounds sets each end somewhere here, and the two extreme lambdas answer at T = 0
     rng = np.random.default_rng(53)
     cases = [(round(10.0 ** u), 10.0 ** v)
              for u, v in zip(rng.uniform(0.0, 16.0, 120), rng.uniform(-12.0, 8.0, 120))]
     cases += [(n, lam) for lam in (5e-324, 1e300) for n in (1, 2, 3, 15, 1000)]
-    calls, counted = spy_count(monkeypatch), []
+    calls, counted = spy_count(monkeypatch), {1: [], 2: []}
     for n, lam in cases:
-        bounds = ((6.0 * lam * n) ** (1.0 / 3.0) + 1.0, lam * n, math.sqrt(2.0 * n) + 1.0)
-        upper = min(bounds)
+        e_fermi = oracle._trap_scales(n, lam)[1]
         calls.clear()
         try:
             fg.exact_mu(n, lam, 0.0)
         except DomainError:  # a cap or a partly filled level
             pass
-        assert max(calls) < upper, (n, lam)
-        try:
-            count = oracle._count(lam, upper)[0]
-        except DomainError:  # past the rows or the 2^53 cap at the end itself
-            continue
-        assert count > n, (n, lam)
-        counted.append((bounds.index(upper), lam))
-    ends = [end for end, _ in counted]
-    assert min(map(ends.count, range(3))) >= 20, ends
-    assert {5e-324, 1e300} <= {lam for _, lam in counted}
+        searched = max(calls)
+        for k, found in counted.items():
+            end = oracle._upper(n, lam, e_fermi, k)
+            bounds = (k ** (1 / 3) * e_fermi + 2.0, lam * (k * n), math.sqrt(2.0 * k * n) + 1.0)
+            assert end == min(bounds), (n, lam, k)
+            assert k == 2 or searched < end, (n, lam)
+            try:
+                count = oracle._count(lam, end)[0]
+            except DomainError:  # past the rows or the 2^53 cap at the end itself
+                continue
+            assert count > k * n, (n, lam, k)
+            found.append((bounds.index(end), lam))
+    for k, found in counted.items():
+        ends = [end for end, _ in found]
+        assert min(map(ends.count, range(3))) >= 20, (k, ends)
+    assert {5e-324, 1e300} <= {lam for _, lam in counted[1]}
 
 
 def spy_count(monkeypatch):

@@ -11,9 +11,10 @@ checkouts then shows every change a user would see.  The list is every
 command at default flags in CSV and JSON, a density profile at low
 temperature, whose f_3/2 reaches the top of the trapezoid band, the
 oracle's low-temperature, anisotropic, large-N and T = 0 cases, a T = 0
-rows-cap refusal and three T = 0 answers at small or huge lambda, values
-outside each number flag's domain, the sample and step cap included, and
-traps whose scales or Pauli pseudopotential leave the float range.
+rows-cap refusal, three T = 0 answers and one T > 0 answer at small or
+huge lambda, values outside each number flag's domain, the sample and step
+cap included, and traps whose scales or Pauli pseudopotential leave the
+float range.
 """
 
 import os
@@ -44,11 +45,14 @@ ORACLE = [
     ("oracle", "--t", "0"),
     # mu = 1 - lambda/2 needs 1,000,002 axial rows: a rows-cap refusal
     ("oracle", "--n", "1000000", "--lambda", "1e-6", "--t", "0"),
-    # each count reads at most 7.1e4 rows, though 1.1e6 lie below 2^(1/3) E_F + 2
+    # each count reads at most 7.1e4 rows, though 1.0e6 lie below E_F + 2
     ("oracle", "--n", "70672", "--lambda", "3e-6", "--t", "0"),
-    # 2^(1/3) E_F + 2 lies past the rows cap or the 2^53 cap, the answer far below it
+    # E_F + 2 lies past the rows cap or the 2^53 cap, the answer far below it
     ("oracle", "--n", "15", "--lambda", "1e-6", "--t", "0"),
     ("oracle", "--n", "1", "--lambda", "1e300", "--t", "0"),
+    # the level sum's window ends 12 T above hi = fl(lambda 2N) = 3e-5; the volume bound
+    # 2^(1/3) E_F + 2 = 2.06 holds 2.06e6 rows, past the rows cap
+    ("oracle", "--n", "15", "--lambda", "1e-6", "--t", "0.01"),
     # t E_F is subnormal: the solve's own error, and no numpy warning
     ("oracle", "--n", "1000", "--t", "1e-320"),
 ]
