@@ -13,7 +13,8 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
   the integral over the real line of u^(2k-1)/(exp(u^2 - eta) + 1), whose
   power is even, so the integrand is meromorphic.  Its trapezoid sum of step
   1/4 less the residues at the poles u = sqrt(eta + i(2j+1)pi) is exact
-  (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  The nodes are tabled
+  (Trefethen and Weideman, SIAM Rev. 56, 385 (2014); Mohankumar and
+  Natarajan, phys. stat. sol. (b) 188 (1995)).  The nodes are tabled
   as (e^(u^2), 2h u^p), so a call takes one exp, e^-eta; they end where
   u^2 exceeds eta + 48 and are summed from the outermost in.  The poles
   end where a term falls below 2^-60 of the sum: at most 36 nodes and 4
@@ -21,6 +22,7 @@ fd(k, eta) gives (1/Gamma(k)) int_0^inf u^(k-1)/(exp(u - eta) + 1) du for k in
 * sommerfeld (eta >= 40, half-integer k): the bracket series, cut at its
   first term below 2^-60 of the sum; the terms fall until then, so no
   later term can move it.  The reflection term has a cos(pi k) = 0 prefactor.
+  At eta = 30 the k = 1/2 bracket has not converged (5.0e-15 off).
 
 The series, node, pole and Sommerfeld cuts keep one rule: what each
 drops is below 2^-60 of its sum.
@@ -38,10 +40,8 @@ value has the bits of its own scalar call.  numpy is imported only for
 array inputs.  fd, fd_orders and fd_derivative are the entry for outside
 callers, which checks the order (a number, not text) and maps arrays; the
 package's modules pass a float eta and supported orders straight to
-_closed_forms, the kernel entry behind them.  One caller has its own
-entry: solve_mu's constraint takes f_3 and f_2 (r_3 and r_2 at eta >= 1)
-from _f3_f2, which steps both orders in one Horner loop over the same
-tables, cuts and exp, so each value has _closed_forms' bits.
+_closed_forms, the kernel entry behind them; solve_mu's constraint alone
+takes its own entry, _f3_f2.
 """
 
 import cmath

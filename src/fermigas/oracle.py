@@ -3,11 +3,9 @@
 The single-particle levels are eps = n_x + n_y + lambda*n_z in units of
 hbar*omega_r, zero-point suppressed: axial row n_z holds p + 1 states at
 fl(base + p), base = lambda*n_z, p = n_x + n_y.  Every exact_mu search ends at
-_upper(k) = min(k^(1/3) E_F + 2, fl(lambda kN), sqrt(2kN) + 1): the volume E^3/(6 lambda)
-under E (each state's unit cell lies below its level), the kN + 1 levels fl(lambda n_z) of
-row p = 0 or the (E + 1)(E + 2)/2 states of row n_z = 0 put more than kN states at or
-below it.  The T = 0 counts read the bases alone (_count): counting_check counts at
-E_F - (1 + lambda/2); exact_mu bisects from there for the Nth state's level, below _upper(1).
+_upper(k), a level with more than kN states at or below it.  The T = 0 counts
+read the bases alone (_count): counting_check counts at E_F - (1 + lambda/2);
+exact_mu bisects from there for the Nth state's level, below _upper(1).
 The level sum and build_spectrum enumerate ladders: base splits exactly
 into an integer a and a fraction frac, so the row lies on the ladder
 frac + k, k an integer, with fl(frac + k) == fl(base + p).  Rows with equal
@@ -16,21 +14,16 @@ np.bincount of their second differences and two running sums give them
 all, with no per-cell array.  Integer lambda has one ladder; irrational
 lambda has one per row.  A level is kept iff its float energy is <= the
 cutoff.  Each call builds its own ladders and keeps none; only
-build_spectrum sorts.  _rows refuses more than MAX_ENTRIES // 5 axial rows
-before any per-row array; _ladders alone refuses its entries plus four per
-row past MAX_ENTRIES.  _states alone refuses 2^53 states or more (past exact
-floats), from the tops of _count's rows or of build_spectrum's ladders.  The
-level sum weighs levels by the float g/N and needs no such guard.
+build_spectrum sorts.  Each cap has one owner: _rows (axial rows), _ladders
+(ladder entries) and _states (2^53 states, past exact floats).  The level
+sum weighs levels by the float g/N and needs no state cap.
 
 At T > 0, below T* = _POLE_T or where the pole sum (below) does not apply,
 exact_mu solves the sum over levels of (g/N) f((eps - mu)/T) = 1 by one
 monotone_root search on [-60 T - 1, hi], hi = _upper(2): more than 2N states are at least
-half occupied at mu = hi, so mu <= hi.  Ladders are enumerated only up to
-the cutoff E_c = hi + 12 T.  Every level above it has x = (eps - mu)/T > 12,
-where f = e^-x - e^-2x + e^-3x to within 2.3e-16 (e^-36) relative; per axial
-row these terms are geometric series in p: _tail_sums gives their sums S_j over
-all levels above E_c in closed form, so each step adds the tail as
-sum_j (-1)^(j+1) e^(-j (E_c - mu)/T) S_j/N and no level is dropped.  Both
+half occupied at mu = hi, so mu <= hi.  Ladders are enumerated only up to a
+cutoff E_c above hi, and _tail_sums sums every level above it in closed form,
+so no level is dropped.  Both
 routes start Newton at the continuum estimate solve_mu(t) E_F - (1 + lambda/2),
 raised by (2 + lambda^2) f_1(eta) / (24 T f_2(eta)), eta = m/t, for the
 constant term -(2 + lambda^2)/(24 lambda) of the smooth level density (Brack
@@ -38,16 +31,18 @@ and van Zyl, PRL 86, 1574 (2001)), or at the bracket's low end if either
 fails or t rounds to 0; the estimate picks only the start.  Each Newton step
 exponentiates the L window levels, u = e^((eps - mu)/T), then takes
 f = 1/(1 + u) and numpy's pairwise sums of the positive terms (g/N) f and
-(g/N) f (1 - f), in two buffers allocated once.  The window's occupied fraction is within
+(g/N) f (1 - f), in two buffers allocated once: plain numpy expressions give
+the same bits but hold a fifth level-sized array (CHANGES.md, "One owner per
+rule", gives the peak RSS).  The window's occupied fraction is within
 (X + (log2(L) + 24)/2) em of exact, relative, em = 2^-52, with
-X = sum g f (1 - f)|x| / sum g f, below 0.9 at t <= 0.2 (README "Numerics"
-derives it): 4.8e-15 at the 157,678 levels of N = 1e6, lambda = sqrt 8,
-t = 0.2.  The tail holds at most Gamma(3, 12)/2 = 5.2e-4 of N in the
+X = sum g f (1 - f)|x| / sum g f, below 0.9 at t <= 0.2 (README, "Error of
+the level sum", derives it): 4.8e-15 at the 157,678 levels of N = 1e6,
+lambda = sqrt 8, t = 0.2.  The tail holds at most Gamma(3, 12)/2 = 5.2e-4 of N in the
 classical limit, and less when degenerate, so its rounding adds a few em
 of that share.  No BLAS routine runs, so the results do not depend on the
 BLAS library or its thread count.
 
-The pole sum (_pole_mu) needs no spectrum.  With mu_b = mu + 1 + lambda/2,
+The pole sum (_pole_sum) needs no spectrum.  With mu_b = mu + 1 + lambda/2,
 N = (1/2 pi i) int Z(beta) e^(beta mu_b) pi T/sin(pi T beta) dbeta, Z(beta) =
 [2 sinh(beta/2)]^-2 [2 sinh(lambda beta/2)]^-1, is the sum of its residues
 (Brack and Bhaduri, Semiclassical Physics (1997), ch. 3): at beta = 0 the cubic
@@ -56,30 +51,10 @@ terms of the double poles 2 pi i k and simple poles 2 pi i j/lambda, which
 merge into triple poles where fl(k lambda) is an integer j, one test for both
 loops, and decay as e^-y, y = 2 pi^2 k T, with 1/sinh y = 2 e^-y/(1 - e^-2y);
 and the reflection terms (-1)^(m+1) Z(m/T) e^(-m mu_b/T) at beta = -m/T, fast
-only well above the lowest level; an evaluation adds those that can move it,
-and sums the shell terms in real floats, with the bits of the complex sum.
-So the route needs the root above T/2: its one monotone_root search on
-[T/2, hi] leaves mu to the level sum if it refuses the bracket (T/2 >= hi or
-N(T/2) >= N), fails to converge or leaves a residual above _OCCUPATION_TOL.
-It also needs at most _POLE_TERMS shell terms (the reflection terms need no
-such test: wherever T/2 < hi the _POLE_TERMS-th is below 2^-60 N at T/2,
-where they are largest); shell terms summing, in absolute value, below N at
-hi, which fails near a lambda whose k lambda is near an integer it does not
-round to; and reflection terms summing, in absolute value, to at most
-_POLE_SPREAD N at the root, as near T/2 they cancel digits of the cubic
-(unless the level sum refuses).
-At T >= T* = 0.1 it measured within 3.5e-16 of the level sum on the oracle and
-cli workloads' inputs; below, e^-y > e^-2k.
+only well above the lowest level.  _pole_mu answers where its five conditions
+hold, and leaves mu to the level sum otherwise.
 
-These sums validate the continuum treatment.  Note the continuum density
-of states is asymptotic to the spectrum counted from the bottom of the
-potential, so continuum comparisons are reported both raw and with the
-suppressed zero-point energy (1 + lambda/2) restored; the adjusted gap is
-the meaningful convergence measure.
-
-Every entry point that takes (N, lambda) checks them, and gets E_F in
-hbar*omega_r and R_F/sigma, from scales._trap_scales, which refuses
-48 N lambda past the float range with one message naming both.
+These sums validate the continuum treatment (continuum_comparison).
 
 numpy is imported by the functions that enumerate the spectrum, so the
 closed forms and the pole sum run without it; validity_report wraps the
@@ -99,7 +74,7 @@ from .thermo import monotone_root, solve_mu
 
 MAX_ENTRIES = 5_000_000
 # top closed shell of exact_central_density, whose exact integer binomial
-# grows faster than linearly in the shell: 9.4 s at K = 1e6, 3.5 ms at 1e4
+# costs more than linearly in the shell (CHANGES.md times it)
 MAX_SHELL = 1_000_000
 
 _TAIL_GAP = 12.0
@@ -163,7 +138,8 @@ def _states(lam: float, eps: float, top) -> int:
 def _count(lam: float, eps: float):
     """(states <= eps, the highest level <= eps, the lowest level above it and its degeneracy)
     over the rows up to max(eps, 0) + 2 lambda: each of base <= eps and the next, which may hold
-    that lowest level (where 2 lambda is lost to rounding at eps, the rows cap refuses first)."""
+    that lowest level; fl(eps + lambda) may round below that next base (where 2 lambda is lost
+    to rounding at eps, the rows cap refuses first)."""
     base = _rows(lam, max(eps, 0.0) + 2.0 * lam)
     top = _tops(base, eps).clip(min=-1.0)  # a row above eps holds none
     above = top + 1.0 + base  # each row's next level, of t + 2 states
@@ -219,6 +195,7 @@ def build_spectrum(lam: float, cutoff: float) -> DiscreteSpectrum:
     cutoff = check_finite("cutoff", cutoff)
     energies, degs, _, top = _ladders(lam, cutoff)
     _states(lam, cutoff, top)  # state_count must be exact
+    # np.unique(..., return_inverse=True) gives these bits at a higher peak RSS (CHANGES.md)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     degs = degs[order]
@@ -253,11 +230,15 @@ def exact_mu(n_particles: int, lam: float, t_abs: float):
 
 def _tail_sums(cutoff: float, t_abs: float, lam: float, base, top) -> list:
     """[S_1, S_2, S_3], S_j = sum of g e^(-j (eps - cutoff)/T) over the levels
-    above the cutoff, from the axial rows' base and top that
-    _ladders(lam, cutoff) returned.  With q = e^(-j/T), row n_z adds
-    e^(-j (base - cutoff)/T) sum_(p >= p0) (p + 1) q^p, p0 = top + 1, which is
-    e^(-j (base + p0 - cutoff)/T) ((p0 + 1)/(1 - q) + q/(1 - q)^2); the rows
-    n_z >= rows, wholly above the cutoff, add
+    above the cutoff.  The level sum's cutoff is hi + 12 T (_TAIL_GAP): mu <= hi,
+    so every level above it has x = (eps - mu)/T > 12, where f = e^-x - e^-2x + e^-3x
+    to within e^-4x/f <= e^-36 (1 + e^-12) = 2.3e-16, relative, and the tail adds
+    sum_j (-1)^(j+1) e^(-j (cutoff - mu)/T) S_j/N: the exact spectrum summed in closed
+    form, not the continuum, so the oracle stays independent of thermo.  S_j comes
+    from the axial rows' base and top that _ladders(lam, cutoff) returned.  With
+    q = e^(-j/T), row n_z adds e^(-j (base - cutoff)/T) sum_(p >= p0) (p + 1) q^p,
+    p0 = top + 1, which is e^(-j (base + p0 - cutoff)/T) ((p0 + 1)/(1 - q) + q/(1 - q)^2);
+    the rows n_z >= rows, wholly above the cutoff, add
     e^(-j (lambda rows - cutoff)/T) / ((1 - e^(-j lambda/T)) (1 - q)^2)."""
     import numpy as np
 
@@ -292,9 +273,12 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
     and m |w_m x^m| fall by 0.61 and 0.91 a step at least (|w_(m+1)| <= |w_m|, |w_2/w_1| x_lo
     < 1/13).  So once 2^60 m |w_m x^m| is below both running sums, N and T dN/dmu, each later
     term and its slope term is under half an ulp of a sum it leaves as it was: an evaluation
-    stops there, and both sums keep every bit.  The shell terms' real parts are summed in floats:
-    e^(i n theta) turns by an explicit rotation, and each real part is formed as CPython's complex
-    product forms it, so value and slope have the bits of the complex sums."""
+    stops there, and both sums keep every bit.  It stops by m = _POLE_TERMS with no gate: the
+    m = 1000 term at mu = T/2, where terms are largest, is at most (1 + T/1000)^2 (1 + T/(1000
+    lambda)) e^(-500 - 1000 (2 + lambda)/T), below 2^-60 N wherever T/2 < hi.  The shell
+    terms' real parts are summed in floats: e^(i n theta) turns by an explicit rotation, and
+    each real part is formed as CPython's complex product forms it, so value and slope have
+    the bits of the complex sums."""
     zp, pt = 1.0 + 0.5 * lam, math.pi * t_abs
     top, step = hi + zp, 2.0 * math.pi * pt  # step: y = 2 pi^2 k T of the k = 1 pole
     # a term is at most 2 pi T e^-y w^2 (1 + 1/lambda), w = top + pi T + lambda,
@@ -330,9 +314,9 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
             s = math.sin(math.pi * gap(k, j) / lam)  # +-sin(pi j/lambda)
             p = (-1.0 if j % 2 else 1.0) * pt * e / ((1.0 - e * e) * lam * s * s)
         js.append((0.0, p, 0.0))
-    # w_m = (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is.  Terms fall, and wherever
-    # T/2 < hi the m = 1000 term at T/2 is below 2^-60 N (README "Numerics" bounds it, a test
-    # checks it with mpmath), so every sum stops by m = 1000 and no gate tests it
+    # w_m = (-1)^(m+1) Z(m/T) e^(m zp/T), finite as T^3/lambda is; the docstring bounds the
+    # m = 1000 term, and test_last_reflection_term_at_half_t_is_below_the_sum_stop checks the
+    # bound with mpmath
     x_lo, tiny = math.exp(-0.5 - 2.0 * zp / t_abs), 2.0 ** -60 * n_particles
 
     def weight(m):  # (w_m, whether its term at mu = T/2 is below 2^-60 N)
@@ -377,7 +361,20 @@ def _pole_sum(n_particles: int, lam: float, t_abs: float, hi: float):
 
 
 def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float):
-    """(mu, |reflection terms| summed there over N) by the pole sum, or None (module docstring)."""
+    """(mu, |reflection terms| summed there over N) by the pole sum, or None.  The route
+    answers where five conditions hold, and the level sum runs otherwise:
+    1. T >= T* = _POLE_T: from there up the route measured within 3.5e-16 of the level sum
+       on the oracle and cli workloads' inputs; below, the shell terms decay slower than e^-2k.
+    2. The one monotone_root search on [T/2, hi] succeeds: it refuses the bracket if T/2 >= hi
+       or N(T/2) >= N, so the root lies above T/2 and no mu below it is evaluated, and a
+       refused bracket, no convergence or a residual above _OCCUPATION_TOL all defer.
+    3. At most _POLE_TERMS shell terms (_pole_sum bounds the reflection terms).
+    4. The shell terms' absolute sum at hi is below N, so their cancellation costs a few ulp
+       of N at most; this fails near a lambda, such as 1 + 1e-9, whose k lambda comes close
+       to an integer without rounding to it.
+    5. The reflection terms at the root sum, in absolute value, to at most _POLE_SPREAD N
+       (_exact_mu reads the share returned here): near T/2 they cancel most of the cubic, and
+       their rounding shows in mu."""
     found = _pole_sum(n_particles, lam, t_abs, hi)
     if found is None:
         return None
@@ -391,7 +388,14 @@ def _pole_mu(n_particles: int, lam: float, t_abs: float, hi: float, start: float
 
 
 def _upper(n: int, lam: float, e_fermi: float, k: int) -> float:
-    """A level with more than k n states at or below it (module docstring)."""
+    """A level with more than k n states at or below it: k = 1 ends the T = 0 bisection, k = 2
+    is hi, the top of both T > 0 brackets.  Each term holds more than kN states and is the
+    least in its own regime: k^(1/3) E_F + 2 near isotropy (each state's unit cell lies below
+    its level, so the states up to E number at least the volume E^3/(6 lambda)), fl(lambda kN)
+    for cigar traps and small N (the kN + 1 levels fl(lambda n_z) of row p = 0) and
+    sqrt(2kN) + 1 for pancake traps (the (E + 1)(E + 2)/2 states of row n_z = 0).  The count
+    must exceed kN: the T = 0 search counts only below its upper end, so an exactly full level
+    there would read as partly filled."""
     return min(k ** (1.0 / 3.0) * e_fermi + 2.0, lam * (k * n), math.sqrt(2.0 * k * n) + 1.0)
 
 

@@ -19,10 +19,8 @@ perturbation dV = u_int * zero_t_density(s), with no self-consistency loop.
 The integral runs over 8 Gauss-Legendre nodes per grid panel in
 theta = arcsin(s), where the sqrt(1-s^2) weight becomes the smooth cos^2
 factor, so each panel integrates the piecewise-linear field to machine
-precision.  The field at a node is a linear blend of the two grid values
-that np.interp would blend there, so the 2047 x 8 node weights collapse,
-once per process, into one weight per grid value, and dE_F is one
-2048-term sum (math.fsum).  The work runs on lists of floats
+precision, and dE_F is one 2048-term math.fsum over the grid weights of
+_weights.  The work runs on lists of floats
 (field_values, table_values, response), which the command line calls
 directly; the ndarray API wraps them, and only it imports numpy.
 """
@@ -72,8 +70,9 @@ def _interp(x: float, xp, fp) -> float:
 
 @cache
 def _weights() -> list:
-    """The integral's weight on each grid value: every node's weight split
-    between the two grid values that _interp blends at the node.  Every node
+    """The integral's weight on each grid value, built once per process: every node's
+    weight split between the two grid values that _interp (np.interp's blend) takes at
+    the node, so the 2047 x 8 node weights collapse into one per grid value.  Every node
     lies at least 4e-4 of its panel's width inside the panel, far beyond
     rounding, so it blends that panel's two values."""
     weights = [0.0] * GRID_SIZE

@@ -22,24 +22,19 @@ cancelled in closed form (y = pi^2/eta^2):
     D = (pi^2 eta^4/12)(1 + 2y/5 + 7y^2/15) - 12 (P_4 r_2 + P_2 r_4 - r_2 r_4)
         - 9 (2 P_3 r_3 + r_3^2).
 
-Over 700 t in [0.01, 0.7] c is within 2.2e-15 of mpmath (1.4e-15 where the
-identity runs).  Heat capacity is taken at fixed particle number and fixed
-trap frequencies.  t = 0 is handled symbolically (m = 1, u = 3/4, c = 0).
+Heat capacity is taken at fixed particle number and fixed trap
+frequencies.  t = 0 is handled symbolically (m = 1, u = 3/4, c = 0).
 
-The solve starts Newton at a closed-form estimate of m (_mu_estimate) and
-takes about 3 constraint evaluations; each steps f_3 and f_2 in one loop
-(fdint._f3_f2: one exp, no quadrature, the bits of fdint's closed forms).
-The solve's cache (_solved) keeps, with m, the f_3 its last constraint
-evaluation formed, at m, and that evaluation's kernel values: f_3 and f_2
-at eta = m/t < fdint._TAYLOR_RADIUS = 1, else r_3 and r_2.  So after the
-solve u and c cost one f_4 (or r_4) call, and profiles.normalization none.
-One function, _state, forms (m, u, c) from the kept values, and the t = 0
-limits at t <= _TINY_T; internal_energy, heat_capacity, thermo_state and
-thermo_curve read it, so each has the bits of the others.  Every public
-entry checks t once (errors.check_temperature) before the cache.  Tables
-over many temperatures (thermo_curve, profiles.msd_curve, profile_curves)
-solve each temperature once, so each sample has the scalar call's bits.
-The module does not use numpy.
+The solve starts Newton at a closed-form estimate of m (_mu_estimate); each
+constraint evaluation steps f_3 and f_2 in one loop (fdint._f3_f2: one exp,
+the bits of fdint's closed forms).  The cache keeps with m the values that
+_solved lists, so after the solve u and c cost one f_4 (or r_4) call, and
+profiles.normalization none.  One function, _state, forms (m, u, c);
+internal_energy, heat_capacity, thermo_state and thermo_curve read it, so
+each has the bits of the others.  Every public entry checks t once
+(errors.check_temperature) before the cache.  Tables over many temperatures
+(thermo_curve, profiles.msd_curve, profile_curves) solve each temperature
+once, so each sample has the scalar call's bits.  No numpy is used.
 """
 
 import math
