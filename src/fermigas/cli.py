@@ -229,15 +229,17 @@ def _read_delta_v_table(path):
             table = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path}: not a UTF-8 CSV table: {exc}")
+    labels = False
     for row in table:
         if not row or row[0].lstrip().startswith("#"):
             continue
         try:
-            rows.append((float(row[0]), float(row[1])))
-        except (ValueError, IndexError):
-            if not rows:
-                continue  # header row
-            raise DomainError(f"{path}: malformed table row {row!r}")
+            s, dv = row  # exactly two fields
+            rows.append((float(s), float(dv)))
+        except ValueError:
+            if rows or labels or len(row) != 2:
+                raise DomainError(f"{path}: malformed table row {row!r}")
+            labels = True  # the one label line, ahead of the data
     if len(rows) < 2:
         raise DomainError(f"{path}: need at least two (s, dV/E_F) rows")
     return list(zip(*rows))  # the s and dV/E_F columns
@@ -248,7 +250,7 @@ def _run_perturb(p, fmt):
 
     values = perturb.field_values(perturb.table_values(*_read_delta_v_table(p["delta_v"])))
     de, dn = perturb.response(values)
-    rows = list(zip(perturb.GRID_POINTS, dn))
+    rows = list(zip(perturb.GRID, dn))
     return write_table(fmt, ("s", "delta_n"), rows, [("delta_e_fermi_over_e_fermi", de)],
                        doc={"delta_e_fermi": de, "samples": rows})
 

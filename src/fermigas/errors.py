@@ -20,9 +20,10 @@ def to_float(name, value, rule="finite") -> float:
     if type(value) is float:
         return value
     try:
-        if hasattr(type(value), "__float__") or hasattr(type(value), "__index__"):
+        if not isinstance(value, (str, bytes)) and (
+                hasattr(type(value), "__float__") or hasattr(type(value), "__index__")):
             return float(value)
-        got = repr(value)  # text, or no number
+        got = repr(value)  # text (numpy's text scalars have __float__), or no number
     except OverflowError:  # an int beyond the double range
         got = "an integer beyond the float range"
     except TypeError:  # an array of more than one entry: numpy converts only 0-d ones

@@ -20,28 +20,31 @@ The integral runs over 8 Gauss-Legendre nodes per grid panel in
 theta = arcsin(s), where the sqrt(1-s^2) weight becomes the smooth cos^2
 factor, so each panel integrates the piecewise-linear field to machine
 precision, and dE_F is one 2048-term math.fsum over the grid weights of
-_weights.  The work runs on lists of floats
-(field_values, table_values, response), which the command line calls
-directly; the ndarray API wraps them, and only it imports numpy.
+_weights.  GRID is one immutable tuple of floats, shared by every field.
+The work runs on lists of floats (field_values, table_values, response),
+which the command line calls directly; the ndarray API wraps them and alone
+imports numpy, whose np.linspace(0, 1, GRID_SIZE) is GRID bit for bit.
+field_values and table_values check each entry by errors.to_float.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import suppress
 from functools import cache
 from operator import mul
 
 from .curves import linspace
-from .errors import DomainError, check_real
+from .errors import DomainError, check_real, check_sequence, to_float
 from .record import Record
 
 GRID_SIZE = 2048
-GRID_POINTS = linspace(0.0, 1.0, GRID_SIZE)  # the grid as floats; GRID is the array
+GRID = tuple(linspace(0.0, 1.0, GRID_SIZE))
 SMALLNESS_GUARD = 0.1
 
 _WEIGHT_NORM = math.pi / 16.0  # int_0^1 s^2 sqrt(1-s^2) ds
-_DN_SCALE = [(12.0 / math.pi ** 2) * math.sqrt(1.0 - s * s) for s in GRID_POINTS]
+_DN_SCALE = [(12.0 / math.pi ** 2) * math.sqrt(1.0 - s * s) for s in GRID]
 
 # (node, weight) of the 8-point Gauss-Legendre rule on [-1, 1], the doubles
 # of numpy.polynomial.legendre.leggauss(8)
@@ -70,18 +73,17 @@ def _interp(x: float, xp, fp) -> float:
 
 @cache
 def _weights() -> list:
-    """The integral's weight on each grid value, built once per process: every node's
-    weight split between the two grid values that _interp (np.interp's blend) takes at
-    the node, so the 2047 x 8 node weights collapse into one per grid value.  Every node
-    lies at least 4e-4 of its panel's width inside the panel, far beyond
-    rounding, so it blends that panel's two values."""
+    """The integral's weight on each grid value, built once per process: every node's weight
+    split between the two grid values that _interp (np.interp's blend) takes at the node, so
+    the 2047 x 8 node weights collapse into one per grid value.  Every node lies at least
+    4e-4 of its panel's width inside the panel, far beyond rounding, so it blends both."""
     weights = [0.0] * GRID_SIZE
-    theta = [math.asin(s) for s in GRID_POINTS]
+    theta = [math.asin(s) for s in GRID]
     sin, cos = math.sin, math.cos
     for i in range(GRID_SIZE - 1):
-        lo, s_lo = theta[i], GRID_POINTS[i]
+        lo, s_lo = theta[i], GRID[i]
         half = 0.5 * (theta[i + 1] - lo)
-        width = GRID_POINTS[i + 1] - s_lo
+        width = GRID[i + 1] - s_lo
         left = right = 0.0
         for x, w in _GAUSS_LEGENDRE:
             node = lo + half * (x + 1.0)
@@ -96,34 +98,45 @@ def _weights() -> list:
     return weights
 
 
-def field_values(values: list) -> list:
-    """The list of a field's GRID_SIZE floats, checked finite and within the guard."""
-    if not all(map(math.isfinite, values)):
-        raise DomainError("field values must be finite on [0, 1]")
+def _finite(name, values: list, place, first) -> list:
+    """The values (the caller's own list), each a finite number by errors.to_float; the
+    DomainError names the first bad entry i as {place} {first + i}."""
+    with suppress(TypeError, OverflowError):  # math.isfinite takes what to_float takes
+        if all(map(math.isfinite, values)):
+            return values
+    for i, x in enumerate(values, first):
+        values[i - first] = x = to_float(name, x, f"finite {place} {i}")
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x!r} {place} {i}")
+    return values
+
+
+def field_values(values) -> list:
+    """A field's GRID_SIZE values as a list, each a finite number within the guard."""
+    if len(values := check_sequence("field values", values)) != GRID_SIZE:
+        raise DomainError(f"field must have {GRID_SIZE} grid values, got {len(values)}")
+    values = _finite("field values", values, "at grid index", 0)
     peak = max(max(values), -min(values))
     if peak > SMALLNESS_GUARD + 1e-12:
-        raise DomainError(
-            f"perturbation too large: max |dV|/E_F = {peak:.4g} exceeds "
-            f"the smallness guard {SMALLNESS_GUARD}")
+        raise DomainError(f"perturbation too large: max |dV|/E_F = {peak:.4g} exceeds "
+                          f"the smallness guard {SMALLNESS_GUARD}")
     return values
 
 
 def table_values(s_points, v_points) -> list:
-    """A (s, dV/E_F) table of finite numbers covering [0, 1], interpolated
-    onto the grid."""
+    """A (s, dV/E_F) table of finite numbers covering [0, 1], interpolated onto the grid."""
+    s_points = check_sequence("field table s", s_points)
+    v_points = check_sequence("field table dV/E_F", v_points)
     if len(s_points) != len(v_points) or len(s_points) < 2:
         raise DomainError("field table needs matching 1-d s and value columns")
-    for column, points in (("s", s_points), ("dV/E_F", v_points)):
-        for row, x in enumerate(points, start=1):
-            if not math.isfinite(x):
-                raise DomainError(
-                    f"field table {column} must be finite, got {x!r} in row {row}")
+    s_points = [*map(float, _finite("field table s", s_points, "in row", 1))]
+    v_points = [*map(float, _finite("field table dV/E_F", v_points, "in row", 1))]
     if any(b <= a for a, b in zip(s_points, s_points[1:])):
         raise DomainError("field table abscissa must be strictly increasing")
     if s_points[0] > 1e-9 or s_points[-1] < 1.0 - 1e-9:
         raise DomainError(f"field table covers [{s_points[0]:g}, {s_points[-1]:g}] "
                           "but must cover [0, 1]")
-    return [_interp(s, s_points, v_points) for s in GRID_POINTS]
+    return [_interp(s, s_points, v_points) for s in GRID]
 
 
 def _shift(values) -> float:
@@ -136,22 +149,6 @@ def response(values) -> tuple:
     return de, [c * (de - v) for c, v in zip(_DN_SCALE, values)]
 
 
-@cache
-def _grid():
-    import numpy as np
-
-    grid = np.array(GRID_POINTS)
-    grid.flags.writeable = False  # shared by every caller
-    return grid
-
-
-def __getattr__(name):
-    # GRID, the grid as an array, is built on first use (PEP 562)
-    if name == "GRID":
-        return _grid()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class PerturbationField(Record, hidden=("values",)):
     """dV(s)/E_F sampled on the uniform grid over [0, 1]."""
 
@@ -160,32 +157,27 @@ class PerturbationField(Record, hidden=("values",)):
     def __post_init__(self):
         import numpy as np
 
-        v = np.array(self.values, dtype=float)  # a copy the caller cannot write to
-        if v.shape != (GRID_SIZE,):
-            raise DomainError(f"field must have {GRID_SIZE} grid values, "
-                              f"got shape {v.shape}")
-        field_values(v.tolist())
+        v = self.values
+        if isinstance(v, np.ndarray) and v.dtype.kind in "biuf":  # numbers: numpy converts each
+            v = np.array(v, dtype=float)  # a copy the caller cannot write to
+            field_values(v.tolist())
+        else:  # each entry a number before numpy converts it
+            v = np.array(field_values(v), dtype=float)
         v.flags.writeable = False  # checked once: finite and within the guard
         object.__setattr__(self, "values", v)
 
     @classmethod
     def from_callable(cls, fn):
-        return cls([fn(s) for s in GRID_POINTS])
+        return cls([fn(s) for s in GRID])
 
     @classmethod
     def from_table(cls, s_points, v_points):
-        import numpy as np
-
-        s = np.asarray(s_points, dtype=float)
-        v = np.asarray(v_points, dtype=float)
-        if s.ndim != 1 or v.ndim != 1:
-            raise DomainError("field table needs matching 1-d s and value columns")
-        return cls(table_values(s.tolist(), v.tolist()))
+        return cls(table_values(s_points, v_points))
 
     def interp(self, s):
         import numpy as np
 
-        return np.interp(s, _grid(), self.values)
+        return np.interp(s, np.linspace(0.0, 1.0, GRID_SIZE), self.values)
 
 
 class ResponseResult(Record, hidden=("s_grid", "delta_n")):
@@ -205,7 +197,8 @@ def _response_result(values: list) -> ResponseResult:
     import numpy as np
 
     de, dn = response(values)
-    return ResponseResult(delta_e_fermi=de, s_grid=_grid().copy(), delta_n=np.array(dn))
+    return ResponseResult(delta_e_fermi=de, s_grid=np.linspace(0.0, 1.0, GRID_SIZE),
+                          delta_n=np.fromiter(dn, float, GRID_SIZE))
 
 
 def density_response(fld: PerturbationField) -> ResponseResult:
@@ -217,7 +210,7 @@ def _zero_t_density() -> list:
     """n0(s) at each grid point, tabulated once per process."""
     from .profiles import zero_t_density  # the perturb command needs no FD kernel
 
-    return [zero_t_density(s) for s in GRID_POINTS]
+    return [zero_t_density(s) for s in GRID]
 
 
 def mean_field_correction(u_int: float) -> ResponseResult:
@@ -226,8 +219,7 @@ def mean_field_correction(u_int: float) -> ResponseResult:
     n0 = _zero_t_density()
     peak = abs(u_int) * n0[0]  # the grid starts at s = 0
     if peak > SMALLNESS_GUARD + 1e-12:
-        raise DomainError(
-            f"interaction strength too large: |u_int|*n0(0) = {peak:.4g} "
-            f"exceeds the smallness guard {SMALLNESS_GUARD}")
+        raise DomainError(f"interaction strength too large: |u_int|*n0(0) = {peak:.4g} "
+                          f"exceeds the smallness guard {SMALLNESS_GUARD}")
     # n0 falls from s = 0, so every |u_int * n0(s)| is within the guard
     return _response_result([u_int * n for n in n0])

@@ -454,6 +454,22 @@ def test_perturb_bad_table(tmp_path, capsys):
         assert message in err
 
 
+@pytest.mark.parametrize("text, row", [
+    ("s,dv\n0,0\n0.5,0.01,junk\n1,0.02\n", ['0.5', '0.01', 'junk']),  # a third field
+    ("s,dv\n0\n1,0.02\n", ['0']),
+    ("title\ns,dv\n0,0\n1,0\n", ['title']),  # a label line of one field
+    ("s,dv,note\n0,0\n1,0\n", ['s', 'dv', 'note']),
+    ("s,dv\nunits,none\n0,0\n1,0\n", ['units', 'none']),  # a second label line
+    ("s,dv\n# units\n\nunits,none\n0,0\n1,0\n", ['units', 'none']),
+])
+def test_perturb_table_rows_hold_two_fields_after_one_label_line(tmp_path, capsys, text, row):
+    table = tmp_path / "dv.csv"
+    table.write_text(text)
+    code, out, err = run_cli(capsys, "perturb", "--delta-v", str(table))
+    assert (code, out) == (2, "")
+    assert f"{table}: malformed table row {row!r}" in err
+
+
 @pytest.mark.parametrize("rows, message", [
     ("nan,0\n0.5,0.01\n1,0.02", "field table s must be finite, got nan in row 1"),
     ("0,0\nnan,0.01\n1,0.02", "field table s must be finite, got nan in row 2"),

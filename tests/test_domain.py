@@ -4,7 +4,8 @@ A particle number is a whole number: every entry point that takes one
 refuses 2.5 and the text "3" with the one message of errors.check_count.
 A number is a real number, not text: every scalar check refuses "0.5" and
 b"0.5" with a DomainError that names its argument and shows the value.  A
-Fermi-Dirac order is a number too, so text, bytes and None are refused.
+Fermi-Dirac order is a number too, so text, bytes and None are refused, and
+so is each entry of a perturbation field or field table.
 """
 
 import re
@@ -29,9 +30,23 @@ def bose(**changes):
 # the names that take a particle number; every other name takes a real number
 COUNTS = {"n_particles", "n_closed_shell"}
 # the bad values each argument gets: a fraction and text for a count, text,
-# bytes and None for the Fermi-Dirac order and eta, text and bytes elsewhere
+# bytes and None for the Fermi-Dirac order, eta and a field's entries, text
+# and bytes elsewhere
 BAD = {**dict.fromkeys(COUNTS, (2.5, "3")), "order": ("1.5", b"1.5", None),
-       "eta": ("0.3", b"0.3", None)}
+       "eta": ("0.3", b"0.3", None),
+       **dict.fromkeys(("field values", "field table s", "field table dV/E_F"),
+                       ("0.01", b"0.01", None))}
+
+
+def field(x):
+    """A field's grid values with x at grid index 5."""
+    return [0.0] * 5 + [x] + [0.0] * (fg.perturb.GRID_SIZE - 6)
+
+
+def table(s=0.5, v=0.02):
+    """(s, dV/E_F) columns with s in row 2 and v in row 3."""
+    return [0.0, s, 1.0], [0.0, 0.01, v]
+
 
 # entry point -> (argument name as its message gives it, call with the bad value there)
 ENTRIES = {
@@ -154,6 +169,16 @@ ENTRIES = {
         ("order", lambda x: fg.fdint.band(x, 0.3)),
         ("eta", lambda x: fg.fdint.band(1.5, x)),
     ],
+    "PerturbationField": [("field values", lambda x: fg.PerturbationField(field(x)))],
+    "field_values": [("field values", lambda x: fg.perturb.field_values(field(x)))],
+    "PerturbationField.from_table": [
+        ("field table s", lambda x: fg.PerturbationField.from_table(*table(s=x))),
+        ("field table dV/E_F", lambda x: fg.PerturbationField.from_table(*table(v=x))),
+    ],
+    "table_values": [
+        ("field table s", lambda x: fg.perturb.table_values(*table(s=x))),
+        ("field table dV/E_F", lambda x: fg.perturb.table_values(*table(v=x))),
+    ],
 }
 
 
@@ -220,3 +245,12 @@ def test_solve_mu_checks_t_before_its_cache(t):
                                              r"non-negative, got "):
         fg.solve_mu(t)
     assert fg.solve_mu.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("bad", [np.str_("0.5"), np.bytes_(b"0.5")])
+def test_numpy_text_scalar_is_text(bad):
+    # numpy's str and bytes scalars have __float__, which would parse their text
+    with pytest.raises(fg.DomainError, match=re.escape(f"got {bad!r}")):
+        fg.solve_mu(bad)
+    with pytest.raises(fg.DomainError, match=re.escape(f"at grid index 5, got {bad!r}")):
+        fg.PerturbationField(np.array(field(bad), dtype=object))

@@ -7,8 +7,7 @@ from scipy.integrate import quad
 
 import fermigas as fg
 from fermigas import DomainError, perturb
-from fermigas.perturb import (GRID, GRID_POINTS, GRID_SIZE, _GAUSS_LEGENDRE, PerturbationField,
-                              _interp)
+from fermigas.perturb import GRID, GRID_SIZE, _GAUSS_LEGENDRE, PerturbationField, _interp
 
 MEAN_FIELD_SHIFT = 1024.0 / (105.0 * math.pi ** 3)  # d(E_F)/E_F per unit u_int
 
@@ -71,7 +70,7 @@ def test_zero_weighted_mean_field_has_zero_shift():
 def test_particle_conservation(fld):
     resp = fg.density_response(fld)
     # the integrand is the response itself on its grid
-    on_grid = np.array([delta_n_at(resp, fld, s) for s in GRID.tolist()])
+    on_grid = np.array([delta_n_at(resp, fld, s) for s in GRID])
     np.testing.assert_array_equal(on_grid, resp.delta_n)
     integral, _ = quad(lambda s: 4.0 * math.pi * s * s * delta_n_at(resp, fld, s),
                        0.0, 1.0, limit=200, epsabs=1e-11)
@@ -125,7 +124,7 @@ def test_mean_field_table_is_the_pointwise_field():
     # bits of u_int * zero_t_density(s) at every grid point
     for u_int in (0.05, -0.031, 1e-4, 0.123456789 / 10.0):
         resp = fg.mean_field_correction(u_int)
-        de, dn = perturb.response([u_int * fg.zero_t_density(s) for s in GRID_POINTS])
+        de, dn = perturb.response([u_int * fg.zero_t_density(s) for s in GRID])
         assert resp.delta_e_fermi == de
         assert resp.delta_n.tolist() == dn
 
@@ -223,20 +222,88 @@ def test_field_keeps_a_read_only_copy():
 
 
 def test_grid_shape():
-    assert GRID.shape == (GRID_SIZE,)
+    assert len(GRID) == GRID_SIZE
     assert GRID[0] == 0.0 and GRID[-1] == 1.0
 
 
 def test_grid_is_read_only():
-    # GRID is the one array behind every field's interpolation: a write to it
-    # would move them all; a response's s_grid is the caller's own copy
-    with pytest.raises(ValueError, match="read-only"):
+    # GRID is the one grid behind every field's interpolation: a tuple, so no
+    # write can move them all; a response's s_grid is the caller's own array
+    with pytest.raises(TypeError):
         GRID[:] = 0.0
     fld = PerturbationField(np.linspace(0.0, 0.01, GRID_SIZE))
     assert fld.interp(0.5) == pytest.approx(0.005, rel=1e-12)
     s_grid = fg.density_response(fld).s_grid
     s_grid[0] = 1.0
     assert GRID[0] == 0.0 and fld.interp(0.0) == 0.0
+
+
+def test_grid_is_one_tuple_and_s_grid_a_fresh_array_of_its_bits():
+    # interp and s_grid take np.linspace: the same doubles as GRID, bit for bit
+    assert type(GRID) is tuple and {type(s) for s in GRID} == {float}
+    np.testing.assert_array_equal(np.linspace(0.0, 1.0, GRID_SIZE).view(np.int64),
+                                  np.array(GRID).view(np.int64))
+    fld = quadratic_field(0.01)
+    first, second = fg.density_response(fld), fg.mean_field_correction(0.01)
+    for resp in (first, second):
+        assert resp.s_grid.dtype == np.float64 and resp.s_grid.flags.writeable
+        assert resp.s_grid.tolist() == list(GRID)
+    first.s_grid[:] = 0.5
+    assert second.s_grid.tolist() == list(GRID)
+    assert fg.density_response(fld).s_grid.tolist() == list(GRID)
+    assert fld.interp(1.0) == pytest.approx(0.01, rel=1e-12)
+
+
+def test_field_checks_entries_before_numpy_converts_them():
+    # numbers of any type keep their bits; an object array is checked entry by entry
+    values = np.linspace(-0.01, 0.01, GRID_SIZE)
+    expected = PerturbationField(values).values
+    for given in (values.tolist(), list(values), values.astype(object), tuple(values)):
+        np.testing.assert_array_equal(PerturbationField(given).values, expected)
+    ints = PerturbationField(np.zeros(GRID_SIZE, dtype=np.int64))
+    assert ints.values.dtype == np.float64 and not ints.values.any()
+    given = values.astype(object)
+    given[9] = "0.01"
+    with pytest.raises(DomainError, match="^field values must be finite at grid index 9, "
+                                          "got '0.01'$"):
+        PerturbationField(given)
+
+
+@pytest.mark.parametrize("values, index", [
+    (["0.01"] * GRID_SIZE, 0),
+    ([b"0.01"] * GRID_SIZE, 0),
+    (np.array(["0.01"] * GRID_SIZE), 0),
+    (np.array([b"0.01"] * GRID_SIZE), 0),
+    (np.array(["0.01"] * GRID_SIZE, dtype=object), 0),
+    ([0.0] * 7 + [None] + [0.0] * (GRID_SIZE - 8), 7),
+])
+def test_field_refuses_text_bytes_and_none_by_grid_index(values, index):
+    with pytest.raises(DomainError) as refused:
+        PerturbationField(values)
+    assert re.fullmatch(rf"field values must be finite at grid index {index}, got .+",
+                        str(refused.value))
+
+
+def test_field_names_a_non_finite_value_by_grid_index():
+    bad = np.zeros(GRID_SIZE)
+    bad[11] = math.nan
+    with pytest.raises(DomainError, match="^field values must be finite, got nan at grid "
+                                          "index 11$"):
+        PerturbationField(bad)
+    with pytest.raises(DomainError, match=re.escape(f"{GRID_SIZE} grid values, got 2")):
+        PerturbationField(np.zeros((2, GRID_SIZE)))
+
+
+def test_field_table_refuses_text_bytes_and_none_by_row():
+    # numpy would parse "0.5" and b"0.5", and read None as a NaN the caller never gave
+    for bad, got in (("0.5", "'0.5'"), (b"0.5", "b'0.5'"), (None, "None")):
+        for s, v, column in (([0.0, bad, 1.0], [0.0, 0.01, 0.02], "s"),
+                             ([0.0, 0.5, 1.0], [0.0, 0.01, bad], "dV/E_F")):
+            row = 2 if column == "s" else 3
+            message = f"field table {column} must be finite in row {row}, got {got}"
+            for call in (PerturbationField.from_table, perturb.table_values):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    call(s, v)
 
 
 def test_gauss_legendre_table_is_leggauss():
@@ -252,7 +319,7 @@ def test_float_interpolation_is_np_interp_bit_for_bit():
             xp = (xp - xp[0]) / (xp[-1] - xp[0]) * rng.uniform(0.5, 2.0) - rng.uniform(0.0, 0.5)
             fp = rng.normal(0.0, 0.05, size)
             # the table's own abscissae, the points beyond both ends, and the grid
-            x = np.concatenate([xp, [xp[0] - 1.0, xp[-1] + 1.0], GRID_POINTS,
+            x = np.concatenate([xp, [xp[0] - 1.0, xp[-1] + 1.0], GRID,
                                 rng.uniform(xp[0] - 0.1, xp[-1] + 0.1, 500)])
             table = xp.tolist(), fp.tolist()
             got = [_interp(v, *table) for v in x.tolist()]

@@ -13,8 +13,9 @@ temperature, whose f_3/2 reaches the top of the trapezoid band, the
 oracle's low-temperature, anisotropic, large-N and T = 0 cases, a T = 0
 rows-cap refusal, three T = 0 answers and one T > 0 answer at small or
 huge lambda, values outside each number flag's domain, the sample and step
-cap included, and traps whose scales or Pauli pseudopotential leave the
-float range.
+cap included, traps whose scales or Pauli pseudopotential leave the
+float range, and two --delta-v tables that perturb refuses: one with a
+third field in a row, one with a second label line.
 """
 
 import os
@@ -24,6 +25,8 @@ import sys
 from pathlib import Path
 
 TABLE = "delta_v.csv"   # 2048 rows of (s, dV/E_F), written into OUTDIR
+THREE_FIELDS = "delta_v_three_fields.csv"  # TABLE with a third field in one row
+TWO_LABELS = "delta_v_two_labels.csv"      # TABLE under a second label line
 LI6 = ("--preset", "li6-top")
 
 DEFAULTS = [
@@ -112,6 +115,8 @@ BAD_VALUES = [
     ("validity", "--n", "-5"),
     ("validity", "--lambda", "inf"),
     ("validity", "--radii", "nan,0.5"),
+    ("perturb", "--delta-v", THREE_FIELDS),
+    ("perturb", "--delta-v", TWO_LABELS),
 ]
 
 
@@ -124,9 +129,12 @@ def invocations():
     return named
 
 
-def write_table(path):
-    rows = (f"{s!r},{1e-3 * s * s!r}" for s in (i / 2047 for i in range(2048)))
-    path.write_text("s,delta_v\n" + "\n".join(rows) + "\n")
+def write_tables(out):
+    rows = [f"{s!r},{1e-3 * s * s!r}" for s in (i / 2047 for i in range(2048))]
+    (out / TABLE).write_text("s,delta_v\n" + "\n".join(rows) + "\n")
+    three = rows[:10] + [rows[10] + ",junk"] + rows[11:]
+    (out / THREE_FIELDS).write_text("s,delta_v\n" + "\n".join(three) + "\n")
+    (out / TWO_LABELS).write_text("s,delta_v\nunits,E_F\n" + "\n".join(rows) + "\n")
 
 
 def main(argv):
@@ -134,7 +142,7 @@ def main(argv):
         sys.exit(__doc__)
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    write_table(out / TABLE)
+    write_tables(out)
     env = {key: value for key, value in os.environ.items() if key != "FERMIGAS_CONFIG"}
     env["PYTHONPATH"] = str(Path("src").resolve())
     for name, args in invocations():
